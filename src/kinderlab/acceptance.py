@@ -449,13 +449,6 @@ def _crit_arithmetic(tier: str) -> str:
         (smallgrp.unitriangular_group(3, F2), smallgrp.unitriangular_group(3, F3)),
         (smallgrp.dihedral_group(4), smallgrp.cyclic_group(125)),
     ]
-    seen = {}
-
-    def counts(G):
-        if G.n not in seen or seen[G.n][0] is not G:
-            seen[G.n] = (G, smallgrp.sigma_counts(G, cap_order=1024, iso_order_cap=1024))
-        return seen[G.n][1]
-
     checked = []
     for G in singles:
         sig, sig_i = smallgrp.sigma_counts(G, cap_order=1024, iso_order_cap=1024)
@@ -504,7 +497,3 @@ def run_criterion(index: int, tier: str = "full") -> CriterionResult:
         return CriterionResult(idx, name, True, detail, time.time() - t0)
     except Exception as exc:  # noqa: BLE001 - the suite reports, not crashes
         return CriterionResult(idx, name, False, "%s: %s" % (type(exc).__name__, exc), time.time() - t0)
-
-
-def run_all(tier: str = "full"):
-    return [run_criterion(idx, tier) for idx, _, _ in CRITERIA]

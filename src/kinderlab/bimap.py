@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, make_field
-from .linalg import EchelonAccumulator, Matrix, Subspace, rank_nullspace, rref
+from .linalg import EchelonAccumulator, Matrix, Subspace, batch_neg, np_rank, rank_nullspace, rref
 
 _ROOT_SEARCH_CAP = 1 << 20
 
@@ -114,6 +114,28 @@ def _hom_equations(phi: MatrixSystem, ups: MatrixSystem, sign: int):
     return rows, (a, s, b, t)
 
 
+def hom_equations_batch(P, U, sign: int, ctx: FieldCtx):
+    """`_hom_equations` for T system pairs at once, as int64 code arrays.
+
+    P is [T, c, s, b] and U is [T, c, a, t]; the result is [T, c*a*b, a*s + b*t]
+    with the rows and unknowns in `_hom_equations` order.
+    """
+    import numpy as np
+
+    if sign not in (1, -1):
+        raise InvalidConfigError("sign must be +1 or -1")
+    T, c, s, b = P.shape
+    a, t = U.shape[2:]
+    na = a * s
+    eqs = np.zeros((T, c, a, b, na + b * t), dtype=np.int64)
+    for r in range(a):
+        eqs[:, :, r, :, r * s : (r + 1) * s] = P.transpose(0, 1, 3, 2)
+    coef = batch_neg(U, ctx) if sign == 1 else U
+    for j in range(b):
+        eqs[:, :, :, j, na + j * t : na + (j + 1) * t] = coef
+    return eqs.reshape(T, c * a * b, na + b * t)
+
+
 def hom_space(phi: MatrixSystem, ups: MatrixSystem, sign: int = 1) -> HomSpace:
     """Basis of {(A,B) : A Phi_i = sign * Ups_i B^t for all i}."""
     ctx = phi.ctx
@@ -149,8 +171,6 @@ def hom_dim(phi: MatrixSystem, ups: MatrixSystem, sign: int = 1, fast=True) -> i
         return n_unknowns
     if fast:
         try:
-            from .linalg import np_rank
-
             return n_unknowns - np_rank(rows, phi.ctx)
         except InvalidConfigError:
             pass
@@ -251,6 +271,39 @@ def matrix_multiplication_bimap(ctx, a: int, c: int, d: int) -> Bimap:
     return Bimap.from_function(ctx, a * c, c * d, a * d, f)
 
 
+def nucleus_equations(bm: Bimap, q) -> list:
+    """The r*t rows of [q, g v] = h [q, v] (all v) for one left vector q.
+
+    Unknowns are g (r x r, row-major) then h (t x t).  The rows are linear in
+    q, which the batched nucleus experiment uses to assemble many at once.
+    """
+    ctx = bm.ctx
+    r, t = bm.right_dim, bm.target_dim
+    ng, nh = r * r, t * t
+    # W[k][j'] = (q^t S_k)_{j'}
+    W = []
+    for S in bm.structure:
+        wk = [0] * r
+        for i, qi in enumerate(q):
+            if not qi:
+                continue
+            srow = S.rows[i]
+            for j2 in range(r):
+                if srow[j2]:
+                    wk[j2] = ctx.add(wk[j2], ctx.mul(qi, srow[j2]))
+        W.append(wk)
+    rows = []
+    for j in range(r):
+        for k in range(t):
+            row = [0] * (ng + nh)
+            for j2 in range(r):
+                row[j2 * r + j] = W[k][j2]
+            for m in range(t):
+                row[ng + k * t + m] = ctx.neg(W[m][j])
+            rows.append(row)
+    return rows
+
+
 def right_nucleus(bm: Bimap, left_sub: Subspace) -> HomSpace:
     """Pairs (g, h) with [q, g v] = h [q, v] for all q in left_sub and all v.
 
@@ -262,28 +315,7 @@ def right_nucleus(bm: Bimap, left_sub: Subspace) -> HomSpace:
         raise InvalidConfigError("left subspace does not match the bimap")
     r, t = bm.right_dim, bm.target_dim
     ng, nh = r * r, t * t
-    rows = []
-    for q in left_sub.basis:
-        # W[k][j'] = (q^t S_k)_{j'}
-        W = []
-        for S in bm.structure:
-            wk = [0] * r
-            for i, qi in enumerate(q):
-                if not qi:
-                    continue
-                srow = S.rows[i]
-                for j2 in range(r):
-                    if srow[j2]:
-                        wk[j2] = ctx.add(wk[j2], ctx.mul(qi, srow[j2]))
-            W.append(wk)
-        for j in range(r):
-            for k in range(t):
-                row = [0] * (ng + nh)
-                for j2 in range(r):
-                    row[j2 * r + j] = W[k][j2]
-                for m in range(t):
-                    row[ng + k * t + m] = ctx.neg(W[m][j])
-                rows.append(row)
+    rows = [row for q in left_sub.basis for row in nucleus_equations(bm, q)]
     if not rows:
         vecs = [tuple(1 if k == i else 0 for k in range(ng + nh)) for i in range(ng + nh)]
     else:

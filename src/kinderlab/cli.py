@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
 from dataclasses import dataclass, field
 
 from . import acceptance, altcodes, arith, bimap, genericity, nursery, twisted
-from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
-from .gf import FieldCtx, FieldError, make_field
+from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, need
+from .gf import FieldError, make_field, make_field_from_order
 
 ARTIFACT_VERSION = "kinderlab-report/1"
 
@@ -91,26 +90,9 @@ class Report:
         return json.dumps(self.to_payload(), sort_keys=True, indent=2)
 
 
-def _ctx_from_q(q) -> FieldCtx:
-    if not isinstance(q, int) or q < 2:
-        raise InvalidConfigError("q must be a prime power >= 2")
-    fac = arith.factorize(q)
-    if len(fac) != 1:
-        raise InvalidConfigError("q = %d is not a prime power" % q)
-    p, e = fac[0]
-    return make_field(p, e)
-
-
 def _require_seed(config: RunConfig):
     if config.seed is None:
         raise InvalidConfigError("--seed is required for stochastic commands")
-
-
-def _need(params: dict, *names):
-    missing = [n for n in names if params.get(n) is None]
-    if missing:
-        raise InvalidConfigError("missing parameters: %s" % ", ".join(missing))
-    return [params[n] for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +100,7 @@ def _need(params: dict, *names):
 
 
 def _cmd_field_check(config: RunConfig) -> dict:
-    p, e = _need(config.params, "p", "e")
+    p, e = need(config.params, "p", "e")
     F = make_field(p, e)
     return {
         "p": F.p,
@@ -132,12 +114,12 @@ def _cmd_field_check(config: RunConfig) -> dict:
 
 def _cmd_hom(config: RunConfig) -> dict:
     _require_seed(config)
-    a, s, b, t = _need(config.params, "a", "s", "b", "t")
+    a, s, b, t = need(config.params, "a", "s", "b", "t")
     c = config.params.get("c") or 2
     q = config.params.get("q") or 2
     sign = config.params.get("sign") or 1
     trials = config.trials or 10
-    K = _ctx_from_q(q)
+    K = make_field_from_order(q)
     rng = random.Random(config.seed)
     dims = []
     for _ in range(trials):
@@ -158,9 +140,9 @@ def _cmd_hom(config: RunConfig) -> dict:
 
 
 def _cmd_witness(config: RunConfig) -> dict:
-    m, n = _need(config.params, "m", "n")
+    m, n = need(config.params, "m", "n")
     q = config.params.get("q") or 2
-    K = _ctx_from_q(q)
+    K = make_field_from_order(q)
     W = bimap.witness_system(m, n, K)
     hs = bimap.end_space(W)
     return {
@@ -173,26 +155,8 @@ def _cmd_witness(config: RunConfig) -> dict:
     }
 
 
-def _trial_payload(r: genericity.TrialReport) -> dict:
-    out = {
-        "kind": r.kind,
-        "trials": r.trials,
-        "success": r.success,
-        "frequency": r.success / r.trials,
-        "histogram": {str(k): v for k, v in sorted(r.histogram.items(), key=lambda kv: str(kv[0]))},
-        "exact": r.exact,
-    }
-    if r.seed is not None:
-        out["seed"] = r.seed
-    if r.bound is not None:
-        out["paper_bound"] = float(r.bound)
-    if r.extra:
-        out["extra"] = r.extra
-    return out
-
-
 def _cmd_generic(config: RunConfig) -> dict:
-    (kind,) = _need(config.params, "kind")
+    (kind,) = need(config.params, "kind")
     mode = config.params.get("mode") or "estimate"
     if mode not in ("estimate", "exhaustive"):
         raise InvalidConfigError("generic mode must be estimate or exhaustive")
@@ -201,30 +165,27 @@ def _cmd_generic(config: RunConfig) -> dict:
         for k, v in config.params.items()
         if k in ("n", "s", "m", "a", "b", "c", "ell", "q") and v is not None
     }
-    try:
-        if mode == "exhaustive":
-            rep = genericity.exhaustive_mode(kind, params)
-        else:
-            _require_seed(config)
-            rep = genericity.estimate(kind, params, config.trials or 1000, seed=config.seed)
-    except KeyError as exc:
-        raise InvalidConfigError("kind %s needs parameter %s" % (kind, exc)) from None
-    return _trial_payload(rep)
+    if mode == "exhaustive":
+        rep = genericity.exhaustive_mode(kind, params)
+    else:
+        _require_seed(config)
+        rep = genericity.estimate(kind, params, config.trials or 1000, seed=config.seed)
+    return rep.to_payload()
 
 
 def _make_nursery(params: dict) -> nursery.ModuleNursery:
-    (kind,) = _need(params, "kind")
+    (kind,) = need(params, "kind")
     if kind == "matrix":
-        a, c, q = _need(params, "a", "c", "q")
-        return nursery.make_nursery("matrix", a=a, c=c, ctx=_ctx_from_q(q))
+        a, c, q = need(params, "a", "c", "q")
+        return nursery.make_nursery("matrix", a=a, c=c, ctx=make_field_from_order(q))
     if kind == "unitary":
-        p, e = _need(params, "p", "e")
+        p, e = need(params, "p", "e")
         return nursery.make_nursery("unitary", p=p, e=e)
     if kind == "b2_odd":
-        (q,) = _need(params, "q")
-        return nursery.make_nursery("b2_odd", ctx=_ctx_from_q(q))
+        (q,) = need(params, "q")
+        return nursery.make_nursery("b2_odd", ctx=make_field_from_order(q))
     if kind == "ree_small":
-        (e,) = _need(params, "e")
+        (e,) = need(params, "e")
         return nursery.make_nursery("ree_small", e=e)
     raise InvalidConfigError("unknown nursery kind %r" % kind)
 
@@ -271,13 +232,13 @@ def _cmd_reconstruct(config: RunConfig) -> dict:
 
 
 def _cmd_alt_codes(config: RunConfig) -> dict:
-    k, l = _need(config.params, "k", "l")
+    k, l = need(config.params, "k", "l")
     return altcodes.code_class_table(k, l)
 
 
 def _cmd_suzuki_search(config: RunConfig) -> dict:
     _require_seed(config)
-    (e,) = _need(config.params, "e")
+    (e,) = need(config.params, "e")
     budget = config.params.get("budget") or 40
     res = twisted.suzuki_search(e, budget=budget, seed=config.seed)
     if isinstance(res, twisted.SearchFailure):
@@ -292,13 +253,12 @@ def _cmd_suzuki_search(config: RunConfig) -> dict:
     path = config.params.get("cert") or ("suzuki_cert_e%d.json" % e)
     with open(path, "w") as fh:
         fh.write(res.to_json())
-    r = math.isqrt(res.degree)
     return {
         "found": True,
         "e": res.e,
         "degree": res.degree,
         "s_size": len(res.elements),
-        "s_bound": 3 * (r if r * r == res.degree else r + 1),
+        "s_bound": twisted._smax(res.degree),
         "pairs": len(res.pairs),
         "verified": twisted.suzuki_verify(res),
         "certificate_path": path,
@@ -306,7 +266,7 @@ def _cmd_suzuki_search(config: RunConfig) -> dict:
 
 
 def _cmd_suzuki_verify(config: RunConfig) -> dict:
-    (path,) = _need(config.params, "cert")
+    (path,) = need(config.params, "cert")
     try:
         with open(path) as fh:
             text = fh.read()
@@ -322,28 +282,28 @@ def _cmd_suzuki_verify(config: RunConfig) -> dict:
 
 
 def _cmd_arith(config: RunConfig) -> dict:
-    (op,) = _need(config.params, "op")
+    (op,) = need(config.params, "op")
     if op == "legendre":
-        k, p = _need(config.params, "k", "p")
+        k, p = need(config.params, "k", "p")
         return {"valuation": arith.legendre_valuation(k, p)}
     if op == "nu":
-        n, p = _need(config.params, "n", "p")
+        n, p = need(config.params, "n", "p")
         return {"valuation": arith.nu_p(n, p)}
     if op == "mu":
-        (n,) = _need(config.params, "n")
+        (n,) = need(config.params, "n")
         return {"mu": arith.mu(n)}
     if op == "factorize":
-        (n,) = _need(config.params, "n")
+        (n,) = need(config.params, "n")
         return {"factors": [[p, e] for p, e in arith.factorize(n)]}
     if op == "wall-bound":
-        (n,) = _need(config.params, "n")
+        (n,) = need(config.params, "n")
         return {"log_bound": arith.wall_log_bound(n)}
     raise InvalidConfigError("unknown arith op %r" % op)
 
 
 def _cmd_b2_demo(config: RunConfig) -> dict:
     q = config.params.get("q") or 8
-    F = _ctx_from_q(q)
+    F = make_field_from_order(q)
     b2 = twisted.b2_build(F)
     G = b2.group()
     w = F.primitive

@@ -4,34 +4,42 @@ matrix systems, vanishing hom against the transposed system, End of the
 Lambda block systems, the right nucleus, and fullness of the derived
 subgroup of a random kind.
 
-Every trial draws its own rng seeded by "{seed}:{index}", so reports are
-reproducible regardless of scheduling.  Exhaustive mode enumerates the whole
-configuration space instead (cap 2^24) and marks the report exact.
+Each kind is an instance source times a batched evaluator.  There are two
+sources.  The seeded sampler (`estimate`) gives trial i its own
+Random("{seed}:{i}") and draws the entries row-major, matrix by matrix, as
+`Matrix.random` does; a subspace is the row space of a matrix redrawn whole
+until it has full rank.  A report depends on the seed alone, not on
+batching.  The exhaustive enumerator (`exhaustive_mode`, cap 2^24) yields
+every configuration once and marks the report exact.  Both hand the
+evaluator [T, ...] arrays of element codes in batches of at most CHUNK
+instances, fewer where one instance's largest matrix is big, so that a
+batch's largest stack holds about CHUNK_CELLS entries at most and memory
+stays bounded.  The evaluator assembles the equation or image matrices of
+the whole batch and makes one `linalg.batch_rank` call per rank it needs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import bimap as bm
-from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
+from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, need
 from .gf import FieldCtx, make_field, make_field_from_order
-from .linalg import (
-    EchelonAccumulator,
-    Matrix,
-    Subspace,
-    enumerate_subspaces,
-    gaussian_binomial,
-    np_rank,
-    random_subspace,
-    unflatten_matrix,
-)
+from .linalg import batch_neg, batch_rank, gaussian_binomial, rref, unflatten_matrix
 
 KINDS = ("span", "end_generic", "hom_pm_transpose", "lambda_end", "nucleus", "derived_full")
 EXHAUSTIVE_CAP = 1 << 24
+CHUNK = 1 << 11
+CHUNK_CELLS = 1 << 17
 
 
 @dataclass
@@ -81,18 +89,6 @@ class TrialReport:
         return out
 
 
-def _need(params, *names):
-    out = []
-    for n in names:
-        if n not in params:
-            raise InvalidConfigError("missing parameter %r" % n)
-        v = params[n]
-        if not isinstance(v, int) or v < 0:
-            raise InvalidConfigError("parameter %r must be a nonnegative int" % n)
-        out.append(v)
-    return out
-
-
 def span_bound(n: int, s: int, q: int) -> Fraction:
     return 1 - (Fraction(q) ** (n - s) - Fraction(q) ** (-s)) / (q - 1)
 
@@ -102,41 +98,7 @@ def derived_full_bound(a: int, b: int, ell: int, q: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# per-kind instance machinery
-
-def _span_rank(vectors, ctx) -> int:
-    return np_rank(vectors, ctx)
-
-
-def _random_system(ctx, shape, c, rng) -> bm.MatrixSystem:
-    return bm.MatrixSystem.random(ctx, shape, c, rng)
-
-
-def _lambda_dims(phi: bm.MatrixSystem, side: dict) -> int:
-    """Total dim_K End(Lambda) via its four block hom spaces.
-
-    The block equations of A Lambda_v = Lambda_v B^t decouple into the two
-    diagonal End spaces and the two off-diagonal hom spaces, so the total is
-    their sum; the diagonal part is the semisimple candidate of the
-    statement End(Lambda)/J = K + K and the off-diagonal part is the radical
-    candidate.  All four are recorded.
-    """
-    pt = phi.transpose()
-    d_end = bm.hom_dim(phi, phi)
-    d_end_t = bm.hom_dim(pt, pt)
-    d_minus = bm.hom_dim(phi, pt, -1)
-    d_cross = bm.hom_dim(pt, phi, -1)
-    diag = d_end + d_end_t
-    off = d_minus + d_cross
-    total = diag + off
-    lam = bm.lambda_build(phi)
-    if bm.hom_dim(lam, lam) != total:
-        raise PropertyViolationError("Lambda block decomposition failed")
-    side["diag_hist"][diag] = side["diag_hist"].get(diag, 0) + 1
-    side["offdiag_hist"][off] = side["offdiag_hist"].get(off, 0) + 1
-    side["hom_minus_hist"][d_minus] = side["hom_minus_hist"].get(d_minus, 0) + 1
-    return total
-
+# summaries and the bracket behind the nucleus and derived_full kinds
 
 def _modal(hist: dict):
     return max(hist, key=lambda k: (hist[k], -k))
@@ -169,32 +131,6 @@ def _lambda_post(params: dict, histogram: dict, extra: dict) -> int:
     return histogram[modal]
 
 
-def _derived_rank(ctx: FieldCtx, a: int, b: int, c: int, basis_vectors) -> int:
-    """F_p-rank of {x * u : x in the kind's top layer, u a basis element of
-    the middle layer}, the flattened image of the commutator map."""
-    p = ctx.p
-    e = ctx.e
-    fp = make_field(p, 1)
-    rows = []
-    units = []
-    for i in range(b * c * e):
-        vec = [0] * (b * c * e)
-        vec[i] = 1
-        units.append(unflatten_matrix(tuple(vec), ctx, b, c))
-    for xv in basis_vectors:
-        X = unflatten_matrix(tuple(xv), ctx, a, b)
-        for U in units:
-            P = X.mul(U)
-            row = []
-            for prow in P.rows:
-                for x in prow:
-                    row.extend(ctx.to_vector(x))
-            rows.append(row)
-    if not rows:
-        return 0
-    return np_rank(rows, fp)
-
-
 def _nucleus_bimap(ctx: FieldCtx, a: int, b: int, c: int) -> bm.Bimap:
     """The bracket M_{a x b}(K) x M_{b x c}(K) -> M_{a x c}(K), flattened to
     the prime field."""
@@ -214,275 +150,313 @@ def _nucleus_bimap(ctx: FieldCtx, a: int, b: int, c: int) -> bm.Bimap:
     return bm.Bimap.from_function(fp, a * b * e, b * c * e, a * c * e, f)
 
 
-def _nucleus_dim(nb: bm.Bimap, sub: Subspace) -> int:
-    ctx = nb.ctx
-    r, t = nb.right_dim, nb.target_dim
-    ng, nh = r * r, t * t
-    rows = []
-    for q in sub.basis:
-        W = []
-        for S in nb.structure:
-            wk = [0] * r
-            for i, qi in enumerate(q):
-                if not qi:
-                    continue
-                srow = S.rows[i]
-                for j2 in range(r):
-                    if srow[j2]:
-                        wk[j2] = ctx.add(wk[j2], ctx.mul(qi, srow[j2]))
-            W.append(wk)
-        for j in range(r):
-            for k in range(t):
-                row = [0] * (ng + nh)
-                for j2 in range(r):
-                    row[j2 * r + j] = W[k][j2]
-                for m in range(t):
-                    row[ng + k * t + m] = ctx.neg(W[m][j])
-                rows.append(row)
-    if not rows:
-        return ng + nh
-    return ng + nh - np_rank(rows, ctx)
+# ---------------------------------------------------------------------------
+# instance sources
+
+def _digits(start: int, stop: int, base: int, width: int):
+    """Rows start..stop-1 of the base-`base` counting table, [k, width]."""
+    place = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.arange(start, stop, dtype=np.int64)[:, None] // place % base
+
+
+def _trial_rng(seed, i: int) -> random.Random:
+    return random.Random("%s:%d" % (seed, i))
+
+
+class _Entries:
+    """Instances of independent uniform field entries, shaped `shape`."""
+
+    def __init__(self, ctx: FieldCtx, shape):
+        self.order, self.shape = ctx.order, tuple(shape)
+        self.count = math.prod(self.shape)
+
+    def draw(self, seed, lo: int, hi: int):
+        """Trials lo..hi-1, one generator alive at a time (each holds ~3 KB)."""
+        q, k = self.order, self.count
+        flat = []
+        for i in range(lo, hi):
+            rng = _trial_rng(seed, i)
+            flat += [rng.randrange(q) for _ in range(k)]
+        return np.array(flat, dtype=np.int64).reshape((hi - lo,) + self.shape)
+
+    def total(self) -> int:
+        return self.order ** self.count
+
+    def pieces(self, size):
+        total = self.total()
+        for lo in range(0, total, size):
+            hi = min(total, lo + size)
+            yield _digits(lo, hi, self.order, self.count).reshape((hi - lo,) + self.shape)
+
+
+class _Subspaces:
+    """Uniform ell-dimensional subspaces of F_p^dim, each as an [ell, dim] basis."""
+
+    def __init__(self, fp: FieldCtx, ell: int, dim: int):
+        self.fp, self.ell, self.dim = fp, ell, dim
+
+    def draw(self, seed, lo: int, hi: int):
+        """Each trial redraws its whole [ell, dim] matrix until it has full
+        rank.  A redraw seeds the trial's generator again and skips the draws
+        it already made, so no generator outlives its draw."""
+        p, ell, dim = self.fp.p, self.ell, self.dim
+        out = _Entries(self.fp, (ell, dim)).draw(seed, lo, hi)
+        todo = [i for i, r in enumerate(_ranks(out, self.fp)) if r < ell]
+        made = ell * dim
+        while todo:
+            for i in todo:
+                rng = _trial_rng(seed, lo + i)
+                for _ in range(made):
+                    rng.randrange(p)
+                out[i] = [[rng.randrange(p) for _ in range(dim)] for _ in range(ell)]
+            made += ell * dim
+            todo = [i for i, r in zip(todo, _ranks(out[todo], self.fp)) if r < ell]
+        return out
+
+    def total(self) -> int:
+        return gaussian_binomial(self.dim, self.ell, self.fp.p)
+
+    def pieces(self, size):
+        """Each subspace once as its RREF basis, one pivot pattern at a time."""
+        p, ell, dim = self.fp.p, self.ell, self.dim
+        for pivots in itertools.combinations(range(dim), ell):
+            free = [(i, j) for i in range(ell) for j in range(pivots[i] + 1, dim)
+                    if j not in pivots]
+            rows, cols = [f[0] for f in free], [f[1] for f in free]
+            n = p ** len(free)
+            for lo in range(0, n, size):
+                hi = min(n, lo + size)
+                out = np.zeros((hi - lo, ell, dim), dtype=np.int64)
+                out[:, range(ell), pivots] = 1
+                out[:, rows, cols] = _digits(lo, hi, p, len(free))
+                yield out
+
+
+def _rebatch(pieces, size):
+    """Concatenate consecutive pieces (each at most `size`) into batches of at most `size`."""
+    buf, n = [], 0
+    for piece in pieces:
+        if buf and n + len(piece) > size:
+            yield np.concatenate(buf)
+            buf, n = [], 0
+        buf.append(piece)
+        n += len(piece)
+    if buf:
+        yield np.concatenate(buf) if len(buf) > 1 else buf[0]
+
+
+# ---------------------------------------------------------------------------
+# batched evaluators
+
+def _ranks(arr, ctx: FieldCtx):
+    try:
+        return batch_rank(arr, ctx)
+    except InvalidConfigError:  # GF(p^e) above the lookup tables: exact per instance
+        return np.array([len(rref(m, ctx)[0]) for m in arr.tolist()], dtype=np.int64)
+
+
+def _hom_dims(P, U, sign: int, ctx: FieldCtx):
+    """dim_K hom(P_t, U_t) with the given sign for each instance t."""
+    eqs = bm.hom_equations_batch(P, U, sign, ctx)
+    return eqs.shape[2] - _ranks(eqs, ctx)
+
+
+def _fp_matmul(x, y, p: int):
+    """x @ y mod p, exact: int64 while the inner sums fit, Python ints beyond."""
+    if (p - 1) ** 2 * x.shape[-1] < 1 << 63:
+        return x @ y % p
+    return (x.astype(object) @ y.astype(object) % p).astype(np.int64)
+
+
+def _tally(into: dict, values):
+    for k, v in Counter(values).items():
+        into[k] = into.get(k, 0) + v
+
+
+@functools.lru_cache(maxsize=64)
+def _bracket(ctx: FieldCtx, a: int, b: int, c: int):
+    """Structure constants of the bracket M_{a x b}(K) x M_{b x c}(K) ->
+    M_{a x c}(K) over F_p, as [left, right * target], and the right nucleus
+    equations of each left basis vector, as [left, rows * unknowns]."""
+    nb = _nucleus_bimap(ctx, a, b, c)
+    left = nb.left_dim
+    S = np.array([m.rows for m in nb.structure], dtype=np.int64).reshape(
+        nb.target_dim, left, nb.right_dim)
+    units = [tuple(1 if k == i else 0 for k in range(left)) for i in range(left)]
+    eqs = np.array([bm.nucleus_equations(nb, u) for u in units], dtype=np.int64)
+    out = (S.transpose(1, 2, 0).reshape(left, -1), eqs.reshape(left, -1))
+    for arr in out:
+        arr.setflags(write=False)
+    return nb, out
+
+
+class _Spec(NamedTuple):
+    source: object  # _Entries or _Subspaces
+    evaluate: Callable  # [T, ...] codes -> (histogram keys, success flags)
+    cells: int  # entries of the largest matrix built per instance
+    bound: object
+    extra: dict
+
+
+def _field(q) -> FieldCtx:
+    ctx = make_field_from_order(q)
+    if ctx.order >= 1 << 62:
+        raise InvalidConfigError("field order %d does not fit the int64 batches" % ctx.order)
+    return ctx
+
+
+def _spec(kind: str, params: dict) -> _Spec:
+    if kind not in KINDS:
+        raise InvalidConfigError("unknown kind %r" % kind)
+    if kind == "span":
+        n, s, q = need(params, "n", "s", "q", counts=True)
+        ctx = _field(q)
+        if n < 1 or s < 1:
+            raise InvalidConfigError("span needs n, s >= 1")
+
+        def evaluate(vecs):
+            r = _ranks(vecs, ctx)
+            return r.tolist(), r == n
+
+        return _Spec(_Entries(ctx, (s, n)), evaluate, s * n, span_bound(n, s, q), {})
+
+    if kind in ("end_generic", "hom_pm_transpose"):
+        m, n, s, q = need(params, "m", "n", "s", "q", counts=True)
+        ctx = _field(q)
+        if m < 1 or n < 1 or s < 1:
+            raise InvalidConfigError("need m, n, s >= 1")
+        cells = 2 * s * max(m, n) ** 4
+
+        def evaluate(P):
+            if kind == "end_generic":
+                d = _hom_dims(P, P, 1, ctx)
+                return d.tolist(), d == 1
+            Pt = P.transpose(0, 1, 3, 2)
+            dp, dm = _hom_dims(P, Pt, 1, ctx), _hom_dims(P, Pt, -1, ctx)
+            return ["%d,%d" % k for k in zip(dp.tolist(), dm.tolist())], (dp == 0) & (dm == 0)
+
+        return _Spec(_Entries(ctx, (s, m, n)), evaluate, cells, None, {})
+
+    if kind == "lambda_end":
+        a, b, c, q = need(params, "a", "b", "c", "q", counts=True)
+        ctx = _field(q)
+        if min(a, b, c) < 1:
+            raise InvalidConfigError("need a, b, c >= 1")
+        side = {"diag_hist": {}, "offdiag_hist": {}, "hom_minus_hist": {}}
+
+        def evaluate(P):
+            """Total dim_K End(Lambda) via its four block hom spaces.
+
+            The block equations of A Lambda_v = Lambda_v B^t decouple into the
+            two diagonal End spaces and the two off-diagonal hom spaces, so
+            the total is their sum; the diagonal part is the semisimple
+            candidate of the statement End(Lambda)/J = K + K and the
+            off-diagonal part is the radical candidate.  All four are
+            recorded, and the total is checked against End(Lambda) itself.
+            """
+            Pt = P.transpose(0, 1, 3, 2)
+            diag = _hom_dims(P, P, 1, ctx) + _hom_dims(Pt, Pt, 1, ctx)
+            d_minus = _hom_dims(P, Pt, -1, ctx)
+            off = d_minus + _hom_dims(Pt, P, -1, ctx)
+            total = diag + off
+            lam = np.zeros(P.shape[:2] + (a + b, a + b), dtype=np.int64)
+            lam[:, :, :a, a:] = P
+            lam[:, :, a:, :a] = batch_neg(Pt, ctx)
+            if (_hom_dims(lam, lam, 1, ctx) != total).any():
+                raise PropertyViolationError("Lambda block decomposition failed")
+            for name, vals in (("diag_hist", diag), ("offdiag_hist", off),
+                               ("hom_minus_hist", d_minus)):
+                _tally(side[name], vals.tolist())
+            # success is filled in post hoc from the modal dim
+            return total.tolist(), np.zeros(len(P), dtype=bool)
+
+        cells = 2 * c * (a + b) ** 4
+        return _Spec(_Entries(ctx, (c, a, b)), evaluate, cells, None, side)
+
+    defaults = {"c": 1} if kind == "derived_full" else {}
+    a, b, c, ell, q = need({**defaults, **params}, "a", "b", "c", "ell", "q", counts=True)
+    ctx = _field(q)
+    e = ctx.e
+    if min(a, b, c) < 1:
+        raise InvalidConfigError("need a, b, c >= 1")
+    if ell > a * b * e:
+        raise InvalidConfigError("ell exceeds the top layer dimension")
+    nb, (structure, unit_eqs) = _bracket(ctx, a, b, c)
+    fp, r, t = nb.ctx, nb.right_dim, nb.target_dim
+    source = _Subspaces(fp, ell, nb.left_dim)
+
+    if kind == "nucleus":
+        unknowns = r * r + t * t
+        target = e * c * c
+
+        def evaluate(Q):
+            eqs = _fp_matmul(Q, unit_eqs, fp.p).reshape(len(Q), ell * r * t, unknowns)
+            d = unknowns - _ranks(eqs, fp)
+            return d.tolist(), d == target
+
+        return _Spec(source, evaluate, ell * r * t * unknowns, None, {"target_dim_fp": target})
+
+    full = a * c * e
+
+    def evaluate(Q):
+        """F_p-rank of {x * u : x in the kind's top layer, u a basis element
+        of the middle layer}, the flattened image of the commutator map."""
+        d = _ranks(_fp_matmul(Q, structure, fp.p).reshape(len(Q), ell * r, t), fp)
+        return d.tolist(), d == full
+
+    # the stated exponent b - a*ell is unambiguous (and provable) at a == b;
+    # otherwise both readings are recorded and nothing is asserted
+    bound = derived_full_bound(a, b, ell, q) if a == b else None
+    extra = {
+        "bound_literal": derived_full_bound(a, b, ell, q),
+        "bound_colspan": derived_full_bound(b, a, ell, q),
+    }
+    return _Spec(source, evaluate, ell * r * t, bound, extra)
 
 
 # ---------------------------------------------------------------------------
 # the two public entry points
 
-def estimate(kind: str, params: dict, trials: int, seed) -> TrialReport:
-    """Monte-Carlo estimate over iid instances with per-trial seeding."""
-    if kind not in KINDS:
-        raise InvalidConfigError("unknown kind %r" % kind)
-    if trials < 1:
-        raise InvalidConfigError("need at least one trial")
-    runner, bound, extra_init = _make_runner(kind, params)
-    histogram = {}
-    success = 0
-    for i in range(trials):
-        rng = random.Random("%s:%d" % (seed, i))
-        key, ok = runner(rng)
-        histogram[key] = histogram.get(key, 0) + 1
-        if ok:
-            success += 1
-    extra = dict(extra_init)
+def _run(kind: str, params: dict, spec: _Spec, batches, seed, exact: bool) -> TrialReport:
+    histogram, success, count = {}, 0, 0
+    for batch in batches:
+        keys, ok = spec.evaluate(batch)
+        _tally(histogram, keys)
+        success += int(np.count_nonzero(ok))
+        count += len(batch)
+    extra = dict(spec.extra)
     if kind == "lambda_end":
         success = _lambda_post(params, histogram, extra)
     return TrialReport(
-        kind=kind, params=dict(params), trials=trials, seed=seed,
-        success=success, histogram=histogram, bound=bound, exact=False, extra=extra,
+        kind=kind, params=dict(params), trials=count, seed=seed,
+        success=success, histogram=histogram, bound=spec.bound, exact=exact, extra=extra,
     ).check()
+
+
+def _batch_size(spec: _Spec) -> int:
+    return max(1, min(CHUNK, CHUNK_CELLS // max(1, spec.cells)))
+
+
+def estimate(kind: str, params: dict, trials: int, seed) -> TrialReport:
+    """Monte-Carlo estimate over iid instances with per-trial seeding."""
+    if trials < 1:
+        raise InvalidConfigError("need at least one trial")
+    spec = _spec(kind, params)
+    size = _batch_size(spec)
+    batches = (spec.source.draw(seed, lo, min(trials, lo + size)) for lo in range(0, trials, size))
+    return _run(kind, params, spec, batches, seed, exact=False)
 
 
 def exhaustive_mode(kind: str, params: dict) -> TrialReport:
     """Exact frequency over every configuration (cap 2^24)."""
-    if kind not in KINDS:
-        raise InvalidConfigError("unknown kind %r" % kind)
-    count, histogram, success, bound, extra = _run_exhaustive(kind, params)
-    extra = dict(extra)
-    if kind == "lambda_end":
-        success = _lambda_post(params, histogram, extra)
-    rep = TrialReport(
-        kind=kind, params=dict(params), trials=count, seed=None,
-        success=success, histogram=histogram, bound=bound, exact=True, extra=extra,
-    ).check()
+    spec = _spec(kind, params)
+    total = spec.source.total()
+    if total > EXHAUSTIVE_CAP:
+        raise CapExceededError("%d configurations exceed the exhaustive cap" % total)
+    size = _batch_size(spec)
+    rep = _run(kind, params, spec, _rebatch(spec.source.pieces(size), size), None, exact=True)
     if rep.bound is not None and rep.bound > rep.frequency:
         raise PropertyViolationError(
             "exact frequency %s fell below the closed-form bound %s"
             % (rep.frequency, rep.bound))
     return rep
-
-
-def _make_runner(kind, params):
-    """Returns (runner(rng) -> (histogram key, success), bound, extra)."""
-    if kind == "span":
-        n, s, q = _need(params, "n", "s", "q")
-        ctx = make_field_from_order(q)
-        if n < 1 or s < 1:
-            raise InvalidConfigError("span needs n, s >= 1")
-
-        def run(rng):
-            vecs = [[rng.randrange(ctx.order) for _ in range(n)] for _ in range(s)]
-            r = _span_rank(vecs, ctx)
-            return r, r == n
-
-        return run, span_bound(n, s, q), {}
-
-    if kind in ("end_generic", "hom_pm_transpose"):
-        m, n, s, q = _need(params, "m", "n", "s", "q")
-        ctx = make_field_from_order(q)
-        if m < 1 or n < 1 or s < 1:
-            raise InvalidConfigError("need m, n, s >= 1")
-
-        if kind == "end_generic":
-            def run(rng):
-                phi = _random_system(ctx, (m, n), s, rng)
-                d = bm.hom_dim(phi, phi)
-                return d, d == 1
-            return run, None, {}
-
-        def run(rng):
-            phi = _random_system(ctx, (m, n), s, rng)
-            pt = phi.transpose()
-            dp = bm.hom_dim(phi, pt, 1)
-            dm = bm.hom_dim(phi, pt, -1)
-            return "%d,%d" % (dp, dm), dp == 0 and dm == 0
-
-        return run, None, {}
-
-    if kind == "lambda_end":
-        a, b, c, q = _need(params, "a", "b", "c", "q")
-        ctx = make_field_from_order(q)
-        side = {"diag_hist": {}, "offdiag_hist": {}, "hom_minus_hist": {}}
-
-        def run(rng):
-            phi = _random_system(ctx, (a, b), c, rng)
-            d = _lambda_dims(phi, side)
-            return d, False  # success filled in post hoc from the modal dim
-
-        return run, None, side
-
-    if kind == "nucleus":
-        a, b, c, ell, q = _need(params, "a", "b", "c", "ell", "q")
-        ctx = make_field_from_order(q)
-        if ell > a * b * ctx.e:
-            raise InvalidConfigError("ell exceeds the top layer dimension")
-        nb = _nucleus_bimap(ctx, a, b, c)
-        fp = nb.ctx
-        target = ctx.e * c * c
-
-        def run(rng):
-            sub = random_subspace(a * b * ctx.e, ell, fp, rng)
-            d = _nucleus_dim(nb, sub)
-            return d, d == target
-
-        return run, None, {"target_dim_fp": target}
-
-    if kind == "derived_full":
-        a, b, ell, q = _need(params, "a", "b", "ell", "q")
-        c = params.get("c", 1)
-        ctx = make_field_from_order(q)
-        e = ctx.e
-        if ell > a * b * e:
-            raise InvalidConfigError("ell exceeds the top layer dimension")
-        fp = make_field(ctx.p, 1)
-        full = a * c * e
-        # the stated exponent b - a*ell is unambiguous (and provable) at
-        # a == b; otherwise both readings are recorded and nothing is asserted
-        bound = derived_full_bound(a, b, ell, q) if a == b else None
-        extra = {
-            "bound_literal": derived_full_bound(a, b, ell, q),
-            "bound_colspan": derived_full_bound(b, a, ell, q),
-        }
-
-        def run(rng):
-            sub = random_subspace(a * b * e, ell, fp, rng)
-            d = _derived_rank(ctx, a, b, c, sub.basis)
-            return d, d == full
-
-        return run, bound, extra
-
-    raise InvalidConfigError("unknown kind %r" % kind)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive enumeration per kind
-
-def _run_exhaustive(kind, params):
-    if kind == "span":
-        n, s, q = _need(params, "n", "s", "q")
-        ctx = make_field_from_order(q)
-        total = ctx.order ** (n * s)
-        if total > EXHAUSTIVE_CAP:
-            raise CapExceededError("%d configurations exceed the exhaustive cap" % total)
-        vectors = list(itertools.product(range(ctx.order), repeat=n))
-        histogram = {}
-
-        def walk(level, acc):
-            # everything above an already full accumulator succeeds
-            if acc.rank == n:
-                histogram[n] = histogram.get(n, 0) + ctx.order ** (n * (s - level))
-                return
-            if level == s:
-                histogram[acc.rank] = histogram.get(acc.rank, 0) + 1
-                return
-            for v in vectors:
-                child = acc.copy()
-                child.add(v)
-                walk(level + 1, child)
-
-        walk(0, EchelonAccumulator(ctx, n))
-        return total, histogram, histogram.get(n, 0), span_bound(n, s, q), {}
-
-    if kind in ("end_generic", "hom_pm_transpose", "lambda_end"):
-        if kind == "lambda_end":
-            a, b, c, q = _need(params, "a", "b", "c", "q")
-            m, n, s = a, b, c
-        else:
-            m, n, s, q = _need(params, "m", "n", "s", "q")
-        ctx = make_field_from_order(q)
-        total = ctx.order ** (m * n * s)
-        if total > EXHAUSTIVE_CAP:
-            raise CapExceededError("%d configurations exceed the exhaustive cap" % total)
-        histogram = {}
-        success = 0
-        side = {"diag_hist": {}, "offdiag_hist": {}, "hom_minus_hist": {}}
-        for entries in itertools.product(range(ctx.order), repeat=m * n * s):
-            mats = []
-            for k in range(s):
-                block = entries[k * m * n : (k + 1) * m * n]
-                mats.append(Matrix(ctx, [block[i * n : (i + 1) * n] for i in range(m)]))
-            phi = bm.MatrixSystem(ctx, (m, n), mats)
-            if kind == "end_generic":
-                d = bm.hom_dim(phi, phi)
-                key, ok = d, d == 1
-            elif kind == "hom_pm_transpose":
-                pt = phi.transpose()
-                dp = bm.hom_dim(phi, pt, 1)
-                dm = bm.hom_dim(phi, pt, -1)
-                key, ok = "%d,%d" % (dp, dm), dp == 0 and dm == 0
-            else:
-                key, ok = _lambda_dims(phi, side), False
-            histogram[key] = histogram.get(key, 0) + 1
-            if ok:
-                success += 1
-        return total, histogram, success, None, (side if kind == "lambda_end" else {})
-
-    if kind in ("nucleus", "derived_full"):
-        if kind == "nucleus":
-            a, b, c, ell, q = _need(params, "a", "b", "c", "ell", "q")
-        else:
-            a, b, ell, q = _need(params, "a", "b", "ell", "q")
-            c = params.get("c", 1)
-        ctx = make_field_from_order(q)
-        e = ctx.e
-        fp = make_field(ctx.p, 1)
-        dim = a * b * e
-        if ell > dim:
-            raise InvalidConfigError("ell exceeds the top layer dimension")
-        total = gaussian_binomial(dim, ell, ctx.p)
-        if total > EXHAUSTIVE_CAP:
-            raise CapExceededError("%d subspaces exceed the exhaustive cap" % total)
-        histogram = {}
-        success = 0
-        if kind == "nucleus":
-            nb = _nucleus_bimap(ctx, a, b, c)
-            target = e * c * c
-            extra = {"target_dim_fp": target}
-        else:
-            target = a * c * e
-            extra = {
-                "bound_literal": derived_full_bound(a, b, ell, q),
-                "bound_colspan": derived_full_bound(b, a, ell, q),
-            }
-        for sub in enumerate_subspaces(dim, ell, fp):
-            if kind == "nucleus":
-                d = _nucleus_dim(nb, sub)
-            else:
-                d = _derived_rank(ctx, a, b, c, sub.basis)
-            histogram[d] = histogram.get(d, 0) + 1
-            if d == target:
-                success += 1
-        bound = None
-        if kind == "derived_full" and a == b:
-            bound = derived_full_bound(a, b, ell, q)
-        return total, histogram, success, bound, extra
-
-    raise InvalidConfigError("unknown kind %r" % kind)

@@ -2,8 +2,10 @@
 
 Matrices are immutable tuples of tuples of element codes.  Subspaces are held
 in reduced row echelon form, so equal subspaces compare equal and hash equal.
-Everything here is plain Gaussian elimination; a numpy-table fast path for
-rank over small fields lives at the bottom for the Monte Carlo loops.
+Everything here is plain Gaussian elimination.  The numpy fast path at the
+bottom is `batch_rank`: one vectorized elimination over a [T, r, c] stack of
+matrices, in int64 arithmetic mod p over prime fields and through the field's
+lookup tables over GF(p^e) up to order 512.  `np_rank` is its T = 1 case.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import CapExceededError, InvalidConfigError
+from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx
 
 ENUM_CAP = 10**7
@@ -97,9 +99,6 @@ class Matrix:
                     acc = ctx.add(acc, ctx.mul(a, b))
             out.append(acc)
         return tuple(out)
-
-    def is_zero(self):
-        return all(all(a == 0 for a in r) for r in self.rows)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.ctx == other.ctx and self.rows == other.rows
@@ -254,14 +253,6 @@ class EchelonAccumulator:
         self.rows.sort(key=lambda t: t[0])
         return True
 
-    def copy(self) -> "EchelonAccumulator":
-        out = EchelonAccumulator(self.ctx, self.ambient_dim)
-        out.rows = list(self.rows)
-        return out
-
-    def subspace(self) -> Subspace:
-        return Subspace.from_vectors(self.ctx, self.ambient_dim, [r for _, r in self.rows])
-
 
 def rank_nullspace(m: Matrix):
     """(rank, row space, null space) of m, the latter two canonical."""
@@ -292,7 +283,8 @@ def gaussian_binomial(n: int, l: int, q: int) -> int:
     for i in range(l):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise PropertyViolationError("Gaussian binomial is not an integer")  # pragma: no cover
     return num // den
 
 
@@ -339,21 +331,6 @@ def enumerate_superspaces(sub: Subspace, l: int, cap=ENUM_CAP):
         yield Subspace.from_vectors(ctx, n, vecs)
 
 
-def random_matrix(ctx, nrows, ncols, rng: random.Random) -> Matrix:
-    return Matrix.random(ctx, nrows, ncols, rng)
-
-
-def random_subspace(ambient_dim: int, l: int, ctx: FieldCtx, rng: random.Random) -> Subspace:
-    """Uniformly random l-dimensional subspace, by full-rank rejection sampling."""
-    if l < 0 or l > ambient_dim:
-        raise InvalidConfigError("need 0 <= l <= ambient_dim")
-    while True:
-        m = Matrix.random(ctx, l, ambient_dim, rng)
-        basis, pivots = rref(m.rows, ctx)
-        if len(basis) == l:
-            return Subspace(ctx, ambient_dim, basis, pivots)
-
-
 # ---------------------------------------------------------------------------
 # field element matrix <-> prime field vector flattening.
 # Convention used everywhere: entries row-major, each entry expanded into its
@@ -383,49 +360,97 @@ def unflatten_matrix(vec, ctx: FieldCtx, nrows: int, ncols: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# numpy fast path used by the Monte Carlo loops
+# numpy fast path used by the Monte Carlo loops and hom_dim
 
-def np_rank(mat, ctx: FieldCtx) -> int:
-    """Rank of a 2-d numpy array of element codes over ctx (order <= 512)."""
+# below this p every product of two residues, and their difference, fits in
+# int64, so prime-field elimination stays exact
+PRIME_CAP = 1 << 31
+
+
+def _eliminator(ctx: FieldCtx):
+    """(working dtype, combine) where combine(x, pv, f, prow) = pv*x - f*prow
+    entrywise in ctx, on arrays of element codes."""
     import numpy as np
 
-    a = np.array(mat, dtype=np.int16)
-    if a.size == 0:
-        return 0
-    nrows, ncols = a.shape
     if ctx.e == 1:
         p = ctx.p
-        rank = 0
-        for col in range(ncols):
-            nz = np.nonzero(a[rank:, col])[0]
-            if nz.size == 0:
-                continue
-            piv = rank + nz[0]
-            a[[rank, piv]] = a[[piv, rank]]
-            row = (a[rank] * pow(int(a[rank, col]), -1, p)) % p
-            a[rank] = row
-            factors = a[:, col].copy()
-            factors[rank] = 0
-            a = (a - np.outer(factors, row)) % p
-            rank += 1
-            if rank == nrows:
-                break
+        if p >= PRIME_CAP:
+            raise InvalidConfigError("p = %d is too large for exact int64 elimination" % p)
+        # the narrowest type that holds +-(p-1)^2; x - x // p * p is the
+        # residue mod p, and numpy divides by a scalar much faster than % does
+        dtype = next(t for t, bits in ((np.int16, 15), (np.int32, 31), (np.int64, 63))
+                     if (p - 1) ** 2 < 1 << bits)
+
+        def combine(x, pv, f, prow):
+            y = x * pv - f * prow
+            return y - y // p * p
+
+        return dtype, combine
+    add_t, mul_t, neg_t, _ = ctx.table_arrays()  # order <= 512, else InvalidConfigError
+    q = np.int32(ctx.order)  # a numpy scalar, so int16 entries * q widen to int32
+    add1, mul1 = add_t.ravel(), mul_t.ravel()
+
+    def combine(x, pv, f, prow):
+        idx = pv * q + x
+        np.multiply(mul1[idx], q, out=idx)  # in place: these are the largest arrays
+        idx += mul1[neg_t[f] * q + prow]
+        return add1[idx]
+
+    return np.int32, combine
+
+
+def batch_rank(arr, ctx: FieldCtx):
+    """int64 ranks of a [T, r, c] array of element codes, one per instance.
+
+    Fraction-free elimination of the whole stack, column by column: in each
+    instance the first row with a nonzero entry is the pivot row, and every
+    row becomes pivot * row - entry * pivot row.  That clears the column and
+    turns the pivot row itself to zero, so it can never be picked again and
+    no rows move.  InvalidConfigError for p >= PRIME_CAP or a non-prime order
+    above 512.
+    """
+    import numpy as np
+
+    dtype, combine = _eliminator(ctx)
+    a = np.array(arr, dtype=dtype)
+    if a.ndim != 3:
+        raise InvalidConfigError("batch_rank needs a [T, rows, cols] array")
+    if a.shape[2] > a.shape[1]:
+        a = np.ascontiguousarray(a.transpose(0, 2, 1))  # loop over the shorter side
+    T, R, C = a.shape
+    rank = np.zeros(T, dtype=np.int64)
+    if not (T and R and C):
         return rank
-    add_t, mul_t, neg_t, inv_t = ctx.table_arrays()
-    rank = 0
-    for col in range(ncols):
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
+    inst = np.arange(T)
+    for col in range(C):
+        nz = a[:, :, col] != 0
+        has = nz.any(axis=1)
+        if not has.any():
             continue
-        piv = rank + nz[0]
-        a[[rank, piv]] = a[[piv, rank]]
-        row = mul_t[int(inv_t[a[rank, col]]), a[rank]]
-        a[rank] = row
-        factors = a[:, col].copy()
-        factors[rank] = 0
-        delta = mul_t[neg_t[factors][:, None], row[None, :]]
-        a = add_t[a, delta]
-        rank += 1
-        if rank == nrows:
-            break
+        sub = a[:, :, col:]
+        prow = sub[inst, nz.argmax(axis=1)]
+        pv = prow[:, 0] + ~has  # an instance without a pivot keeps its rows
+        sub[...] = combine(sub, pv[:, None, None], sub[:, :, :1], prow[:, None, :])
+        rank += has
     return rank
+
+
+def np_rank(mat, ctx: FieldCtx) -> int:
+    """Rank of one 2-d array of element codes: batch_rank with T = 1."""
+    import numpy as np
+
+    a = np.asarray(mat)
+    if a.size == 0:
+        return 0
+    return int(batch_rank(a[None], ctx)[0])
+
+
+def batch_neg(arr, ctx: FieldCtx):
+    """Entrywise negation of an int64 array of element codes (digitwise mod p)."""
+    p = ctx.p
+    out = arr * 0
+    place = 1
+    for _ in range(ctx.e):
+        out += (-(arr // place) % p) * place
+        place *= p
+    return out

@@ -1,0 +1,99 @@
+"""batch_rank against the exact rref rank, instance by instance (hypothesis)."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kinderlab import bimap as bm
+from kinderlab.errors import InvalidConfigError
+from kinderlab.gf import make_field, make_field_from_order
+from kinderlab.linalg import PRIME_CAP, Matrix, batch_neg, batch_rank, np_rank, rref
+
+PRIMES = (2, 3, 5, 7, 191, 251, 257, 1009)
+EXTENSION_ORDERS = (4, 8, 9, 16, 27, 243, 256, 512)
+FIELDS = [make_field(p, 1) for p in PRIMES] + [make_field_from_order(q) for q in EXTENSION_ORDERS]
+
+
+def _exact(mats, F):
+    return [len(rref(m, F)[0]) for m in mats]
+
+
+@st.composite
+def batches(draw):
+    """A field and T equally shaped matrices, each uniform or of bounded rank."""
+    F = draw(st.sampled_from(FIELDS))
+    T, R, C = draw(st.integers(1, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    elem = st.integers(0, F.order - 1)
+
+    def block(r, c):
+        return draw(st.lists(st.lists(elem, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    mats = []
+    for _ in range(T):
+        k = draw(st.integers(0, min(R, C)))
+        if draw(st.booleans()):
+            mats.append(block(R, C))
+        elif k == 0:
+            mats.append([[0] * C for _ in range(R)])
+        else:
+            mats.append([list(r) for r in Matrix(F, block(R, k)).mul(Matrix(F, block(k, C))).rows])
+    return F, np.array(mats, dtype=np.int64).reshape(T, R, C)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches())
+def test_batch_rank_matches_rref(case):
+    F, arr = case
+    mats = arr.tolist()
+    want = _exact(mats, F)
+    assert batch_rank(arr, F).tolist() == want
+    assert [np_rank(m, F) for m in mats] == want
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: "F%d" % F.order)
+def test_batch_rank_mixed_full_and_deficient(F):
+    g = F.primitive if F.order > 2 else 1
+    ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    rank1 = [[F.mul(g, x) for x in (1, g, 0, 1)] for _ in range(4)]
+    rank2 = [ident[0], ident[1], [F.add(a, b) for a, b in zip(ident[0], ident[1])], [0] * 4]
+    zero = [[0] * 4 for _ in range(4)]
+    mats = [ident, rank1, rank2, zero, ident]
+    assert batch_rank(np.array(mats), F).tolist() == [4, 1, 2, 0, 4] == _exact(mats, F)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 4), (2, 4, 0), (3, 4, 5), (1, 1, 1)])
+def test_batch_rank_empty_and_zero(shape):
+    for F in (make_field(5, 1), make_field(2, 2)):
+        assert batch_rank(np.zeros(shape, dtype=np.int64), F).tolist() == [0] * shape[0]
+    assert np_rank([], make_field(5, 1)) == 0
+    assert np_rank([[]], make_field(5, 1)) == 0
+
+
+def test_batch_rank_rejects_what_it_cannot_hold():
+    big_p = make_field(2147483659, 1)  # the least prime above 2^31
+    assert big_p.p >= PRIME_CAP
+    with pytest.raises(InvalidConfigError):
+        batch_rank(np.ones((1, 2, 2), dtype=np.int64), big_p)
+    with pytest.raises(InvalidConfigError):
+        batch_rank(np.ones((1, 2, 2), dtype=np.int64), make_field(2, 10))
+    with pytest.raises(InvalidConfigError):
+        batch_rank(np.ones((2, 2), dtype=np.int64), make_field(3, 1))
+
+
+def test_hom_dim_falls_back_to_exact_beyond_the_fast_path():
+    rng = random.Random(5)
+    for F in (make_field(2147483659, 1), make_field(2, 10)):
+        phi = bm.MatrixSystem.random(F, (2, 2), 2, rng)
+        ups = bm.MatrixSystem.random(F, (2, 2), 2, rng)
+        assert bm.hom_dim(phi, ups, fast=True) == bm.hom_dim(phi, ups, fast=False)
+        assert bm.hom_dim(phi, phi) >= 1
+
+
+@pytest.mark.parametrize("F", FIELDS + [make_field(2, 10), make_field(3, 7)],
+                         ids=lambda F: "F%d" % F.order)
+def test_batch_neg_matches_field_negation(F):
+    xs = np.array(sorted({0, 1, F.order - 1} | {(F.order * k) // 7 for k in range(7)}))
+    assert batch_neg(xs, F).tolist() == [F.neg(int(x)) for x in xs]

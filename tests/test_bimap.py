@@ -4,11 +4,12 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from kinderlab import bimap as bm
 from kinderlab.errors import InvalidConfigError
-from kinderlab.gf import make_field
+from kinderlab.gf import make_field, make_field_from_order
 from kinderlab.linalg import Matrix, Subspace
 
 F2 = make_field(2, 1)
@@ -136,6 +137,48 @@ def test_hom_dim_fast_matches():
         phi = bm.MatrixSystem.random(F3, (2, 2), 2, rng)
         ups = bm.MatrixSystem.random(F3, (2, 2), 2, rng)
         assert bm.hom_dim(phi, ups, fast=True) == bm.hom_space(phi, ups).dim_k
+
+
+@pytest.mark.parametrize("p", [191, 251])
+def test_hom_dim_fast_matches_exact_at_large_primes(p):
+    # the fast rank once ran in int16, and p^2 overflowed it from p = 191 up
+    F = make_field(p, 1)
+    rng = random.Random(p)
+    for _ in range(40):
+        phi = bm.MatrixSystem.random(F, (2, 2), 2, rng)
+        ups = bm.MatrixSystem.random(F, (2, 2), 2, rng)
+        for sign in (1, -1):
+            assert bm.hom_dim(phi, ups, sign, fast=True) == bm.hom_dim(phi, ups, sign, fast=False)
+        assert bm.hom_dim(phi, phi, fast=True) == bm.hom_dim(phi, phi, fast=False) >= 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_hom_equations_batch_matches_rows(q):
+    F = make_field_from_order(q)
+    rng = random.Random(q)
+    for s, b, a, t, c in ((2, 3, 1, 2, 2), (3, 3, 3, 3, 1), (1, 2, 2, 1, 3)):
+        pairs = [(bm.MatrixSystem.random(F, (s, b), c, rng), bm.MatrixSystem.random(F, (a, t), c, rng))
+                 for _ in range(3)]
+        P = np.array([[m.rows for m in phi] for phi, _ in pairs])
+        U = np.array([[m.rows for m in ups] for _, ups in pairs])
+        for sign in (1, -1):
+            got = bm.hom_equations_batch(P, U, sign, F)
+            for k, (phi, ups) in enumerate(pairs):
+                assert got[k].tolist() == bm._hom_equations(phi, ups, sign)[0]
+
+
+def test_nucleus_equations_linear_in_q():
+    mm = bm.matrix_multiplication_bimap(F3, 2, 2, 1)
+    rng = random.Random(3)
+    for _ in range(10):
+        u = [rng.randrange(3) for _ in range(mm.left_dim)]
+        v = [rng.randrange(3) for _ in range(mm.left_dim)]
+        w = [F3.add(x, y) for x, y in zip(u, v)]
+        lhs = bm.nucleus_equations(mm, w)
+        rhs = [[F3.add(x, y) for x, y in zip(r1, r2)]
+               for r1, r2 in zip(bm.nucleus_equations(mm, u), bm.nucleus_equations(mm, v))]
+        assert lhs == rhs
+        assert len(lhs) == mm.right_dim * mm.target_dim
 
 
 def test_lambda_build_antisymmetric():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kinderlab import cli
+from kinderlab import cli, genericity
 from kinderlab.errors import PropertyViolationError
 
 
@@ -23,6 +23,40 @@ def test_generic_span_exhaustive_payload():
     assert rep.results["frequency"] == 0.65625
     assert rep.results["paper_bound"] == 0.625
     assert rep.results["exact"] is True
+
+
+GENERIC_PARAMS = {
+    "span": {"n": 2, "s": 2, "q": 3},
+    "end_generic": {"m": 1, "n": 2, "s": 2, "q": 2},
+    "hom_pm_transpose": {"m": 1, "n": 2, "s": 2, "q": 2},
+    "lambda_end": {"a": 1, "b": 2, "c": 2, "q": 2},
+    "nucleus": {"a": 2, "b": 2, "c": 1, "ell": 2, "q": 2},
+    "derived_full": {"a": 2, "b": 2, "ell": 2, "q": 2},
+}
+
+
+@pytest.mark.parametrize("mode", ["estimate", "exhaustive"])
+@pytest.mark.parametrize("kind", sorted(GENERIC_PARAMS))
+def test_generic_every_kind_serializes(kind, mode):
+    assert set(GENERIC_PARAMS) == set(genericity.KINDS)
+    params = dict(GENERIC_PARAMS[kind], kind=kind, mode=mode)
+    rep = run_config("generic", params, seed=3, trials=25)
+    text = json.dumps(rep.to_payload(), sort_keys=True)
+    results = json.loads(text)["results"]
+    assert results["kind"] == kind and results["exact"] is (mode == "exhaustive")
+    assert results["params"] == GENERIC_PARAMS[kind]
+    assert results["frequency_exact"] == "%d/%d" % (results["success"], results["trials"])
+    assert sum(results["histogram"].values()) == results["trials"]
+
+
+def test_generic_end_generic_large_prime_never_dim_zero():
+    # the scalars always lie in End; a wrong fast rank once reported dim 0
+    assert cli.main(["generic", "--kind", "end_generic", "--m", "2", "--n", "2", "--s", "2",
+                     "--q", "251", "--trials", "20", "--seed", "1"]) == 0
+    rep = run_config("generic", {"kind": "end_generic", "m": 2, "n": 2, "s": 2, "q": 251},
+                     seed=1, trials=20)
+    assert "0" not in rep.results["histogram"]
+    assert sum(rep.results["histogram"].values()) == 20
 
 
 def test_report_echoes_config():

@@ -6,6 +6,8 @@ import pytest
 
 from kinderlab import genericity as gn
 from kinderlab.errors import CapExceededError, InvalidConfigError
+from kinderlab.gf import make_field
+from kinderlab.linalg import Subspace, gaussian_binomial
 
 
 def test_span_exhaustive_frozen():
@@ -114,3 +116,44 @@ def test_kinds_and_validation():
         gn.estimate("nope", {"q": 2}, 10, seed=0)
     with pytest.raises(CapExceededError):
         gn.exhaustive_mode("lambda_end", {"a": 2, "b": 3, "c": 4, "q": 3})
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("span", {"n": 2, "s": 3, "q": 2}),
+        ("hom_pm_transpose", {"m": 1, "n": 2, "s": 2, "q": 3}),
+        ("lambda_end", {"a": 1, "b": 2, "c": 2, "q": 2}),
+        ("nucleus", {"a": 2, "b": 2, "c": 1, "ell": 2, "q": 2}),
+        ("derived_full", {"a": 2, "b": 2, "c": 1, "ell": 3, "q": 2}),
+    ],
+)
+def test_reports_do_not_depend_on_the_batch_size(kind, params, monkeypatch):
+    whole = (gn.estimate(kind, params, 40, seed=8).to_payload(),
+             gn.exhaustive_mode(kind, params).to_payload())
+    monkeypatch.setattr(gn, "CHUNK", 3)
+    assert (gn.estimate(kind, params, 40, seed=8).to_payload(),
+            gn.exhaustive_mode(kind, params).to_payload()) == whole
+
+
+def test_exhaustive_subspaces_each_once():
+    F3 = make_field(3, 1)
+    src = gn._Subspaces(F3, 2, 4)
+    seen = set()
+    for piece in src.pieces(5):
+        assert len(piece) <= 5
+        for basis in piece.tolist():
+            seen.add(Subspace.from_vectors(F3, 4, basis))
+    assert len(seen) == src.total() == gaussian_binomial(4, 2, 3)
+
+
+def test_estimate_beyond_the_lookup_tables():
+    # GF(2^10) has no lookup tables; ranks fall back to exact elimination
+    r = gn.estimate("end_generic", {"m": 1, "n": 2, "s": 2, "q": 1024}, 6, seed=2)
+    assert r.trials == 6 and min(r.histogram) >= 1
+    with pytest.raises(InvalidConfigError):
+        gn.estimate("span", {"n": 2, "s": 2, "q": 2**64}, 2, seed=0)
+    # above 2^31 the bracket products leave int64 and ranks leave batch_rank
+    big = {"a": 2, "b": 2, "c": 1, "ell": 2, "q": 2147483659}
+    assert gn.estimate("derived_full", big, 3, seed=1).histogram == {2: 3}
+    assert gn.estimate("nucleus", big, 3, seed=1).histogram == {2: 3}  # as at q = 5
