@@ -1,7 +1,8 @@
 """The thirteen desk-scale acceptance checks.
 
 Each criterion is a function returning a one-line detail string on success
-and raising (AssertionError or a library error) on failure.  The same
+and raising (PropertyViolationError from `errors.require`, or another library
+error) on failure.  The same
 functions back `kinderlab verify` and the test suite, so a criterion can
 only pass one way.
 
@@ -25,6 +26,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import altcodes, arith, bimap, genericity, nursery, smallgrp, twisted
+from .errors import require
 from .gf import make_field
 from .linalg import Matrix, enumerate_subspaces
 
@@ -45,10 +47,10 @@ def _crit_sigma_oracles(tier: str) -> str:
     F2 = make_field(2, 1)
     ut = smallgrp.unitriangular_group(3, F2)
     got = smallgrp.sigma_counts(ut)
-    assert got == (10, 5), got
+    require(got == (10, 5), got)
     a5 = smallgrp.alternating_group(5)
     got5 = smallgrp.sigma_counts(a5)
-    assert got5 == (59, 9), got5
+    require(got5 == (59, 9), got5)
     return "UT3(F2) -> (10, 5); Alt5 -> (59, 9)"
 
 
@@ -113,9 +115,9 @@ def _crit_hom_brute(tier: str) -> str:
             sign = 1 if idx % 2 == 0 else -1
             d = bimap.hom_space(phi, ups, sign).dim_fp
             got = _brute_hom_count(phi, ups, sign)
-            assert got == K.order**d, (K.order, a, s, b, t, sign, d, got)
+            require(got == K.order**d, (K.order, a, s, b, t, sign, d, got))
             checked += 1
-    assert checked >= 50, checked
+    require(checked >= 50, checked)
     return "%d random systems across every shape with a*s+b*t <= 16 (F2) / 10 (F3)" % checked
 
 
@@ -131,7 +133,7 @@ def _crit_witness(tier: str) -> str:
             for m in range(1, n + 1):
                 W = bimap.witness_system(m, n, K)
                 d = bimap.end_space(W).dim_k
-                assert d == 1, (K.order, m, n, d)
+                require(d == 1, (K.order, m, n, d))
                 n_checked += 1
     return "dim End = 1 for all %d witness systems (m <= n <= 4, K in F2/F3/F4)" % n_checked
 
@@ -146,10 +148,10 @@ def _crit_span_grid(tier: str) -> str:
             for s in (1, 2, 3, 4):
                 r = genericity.exhaustive_mode("span", {"n": n, "s": s, "q": q})
                 freq = Fraction(r.success, r.trials)
-                assert freq >= r.bound, (n, s, q, freq, r.bound)
+                require(freq >= r.bound, (n, s, q, freq, r.bound))
     spot = genericity.exhaustive_mode("span", {"n": 2, "s": 3, "q": 2})
-    assert Fraction(spot.success, spot.trials) == Fraction(21, 32)
-    assert spot.bound == Fraction(5, 8)
+    require(Fraction(spot.success, spot.trials) == Fraction(21, 32))
+    require(spot.bound == Fraction(5, 8))
     return "all (n <= 3, s <= 4, q in {2,3}); spot (2,3,2): 0.65625 >= 0.625"
 
 
@@ -167,7 +169,7 @@ def _crit_derived_grid(tier: str) -> str:
                 )
                 freq = Fraction(r.success, r.trials)
                 bound = Fraction(1) - Fraction(q) ** (b - a * ell)
-                assert freq >= bound, (a, b, c, q, ell, freq, bound)
+                require(freq >= bound, (a, b, c, q, ell, freq, bound))
                 rows += 1
     return "frequency >= 1 - q^(b-a*ell) on all %d exhaustive rows (a, b <= 2)" % rows
 
@@ -195,7 +197,7 @@ def _crit_reconstruction(tier: str) -> str:
             kind = nursery.random_kind(nur, ell, rng)
             rho, mu = nursery.random_frames(kind, rng)
             rec = nursery.reconstruct(kind, rho, mu)
-            assert rec.X == g2 and rec.Y == g3 and rec.Z == ident, (label, i)
+            require(rec.X == g2 and rec.Y == g3 and rec.Z == ident, (label, i))
             good += 1
         done.append("%s: %d/100" % (label, good))
     return "; ".join(done)
@@ -214,15 +216,15 @@ def _crit_genericity_trends(tier: str) -> str:
         freqs.append(r.success / r.trials)
     for f0, f1 in zip(freqs, freqs[1:]):
         se = math.sqrt((f0 * (1 - f0) + f1 * (1 - f1)) / trials)
-        assert f1 - f0 >= -3 * se, (freqs, f0, f1, se)
+        require(f1 - f0 >= -3 * se, (freqs, f0, f1, se))
     for q, f in zip(qs, freqs):
         if q >= 8:
-            assert f >= 0.8, (q, f)
+            require(f >= 0.8, (q, f))
     rn = genericity.estimate(
         "nucleus", {"a": 3, "b": 3, "c": 1, "ell": 4, "q": 5}, trials, seed=4242
     )
     nf = rn.success / rn.trials
-    assert nf >= 0.9, nf
+    require(nf >= 0.9, nf)
     return "end_generic freqs %s nondecreasing; nucleus dim c^2 freq %.4f" % (
         ["%.3f" % f for f in freqs],
         nf,
@@ -239,9 +241,9 @@ def _crit_lambda_dims(tier: str) -> str:
     for q in (3, 5):
         r = genericity.estimate("lambda_end", {"a": 2, "b": 3, "c": 4, "q": q}, trials, seed=4242)
         diag_hist = {int(k): v for k, v in r.extra["diag_hist"].items()}
-        assert r.extra["modal_diag"] == 2, r.extra
+        require(r.extra["modal_diag"] == 2, r.extra)
         freq = diag_hist.get(2, 0) / trials
-        assert freq >= 0.9, (q, freq, diag_hist)
+        require(freq >= 0.9, (q, freq, diag_hist))
         parts.append("(2,3,4) q=%d: diagonal dim 2 at %.3f (full modal %d)" % (q, freq, r.extra["modal_dim"]))
     r33 = genericity.estimate("lambda_end", {"a": 3, "b": 3, "c": 4, "q": 5}, trials, seed=4242)
     parts.append("(3,3,4) q=5: modal %d, supports %r" % (r33.extra["modal_dim"], r33.extra["supports"]))
@@ -262,7 +264,7 @@ def _crit_hamming(tier: str) -> str:
                 H = altcodes.subgroup_from_code(gam, code)
                 for h in H.labels:
                     w = altcodes.hamming_recover(H, h)
-                    assert w == gam.weight(h), (k, ell, h, w)
+                    require(w == gam.weight(h), (k, ell, h, w))
                     total += 1
     return "%d recoveries across every code subgroup for k <= 4, all exact" % total
 
@@ -284,7 +286,7 @@ def _crit_code_classes(tier: str) -> str:
     for k in range(1, 6):
         for ell in range(k + 1):
             cnt, bound = altcodes.code_classes(k, ell)
-            assert cnt >= math.ceil(bound), (k, ell, cnt, bound)
+            require(cnt >= math.ceil(bound), (k, ell, cnt, bound))
             table_rows += 1
     # group side, k <= 4: same orbit -> explicit coordinate-permutation
     # isomorphism; different orbit -> the recovered-weight histogram differs
@@ -311,15 +313,15 @@ def _crit_code_classes(tier: str) -> str:
                     )
                     phi = lambda lab, p=perm: tuple(lab[p.index(j)] for j in range(k))
                     Hi = altcodes.subgroup_from_code(gam, spaces[i])
-                    assert {phi(lab) for lab in rep_set} == set(Hi.labels)
+                    require({phi(lab) for lab in rep_set} == set(Hi.labels))
                     for _ in range(50):
                         x = rng.choice(Hrep.labels)
                         y = rng.choice(Hrep.labels)
                         xy = Hrep.labels[Hrep.mul_idx(Hrep.index_of(x), Hrep.index_of(y))]
                         gi = Hi.mul_idx(Hi.index_of(phi(x)), Hi.index_of(phi(y)))
-                        assert Hi.labels[gi] == phi(xy)
+                        require(Hi.labels[gi] == phi(xy))
                         sampled_pairs += 1
-            assert len(set(hists)) == len(hists), (k, ell)
+            require(len(set(hists)) == len(hists), (k, ell))
     return (
         "counts >= ceil(2^(l(k-l))/k!) on all %d (k <= 5) rows; permutation isomorphisms"
         " and weight histograms separate all classes for k <= 4 (%d product samples)"
@@ -337,11 +339,11 @@ def _crit_suzuki_sweep(tier: str) -> str:
     max_s = 0
     for e in range(1, e_max + 1):
         cert = twisted.suzuki_search(e, seed=2024 + e)
-        assert isinstance(cert, twisted.SpanCertificate), (e, cert)
+        require(isinstance(cert, twisted.SpanCertificate), (e, cert))
         degree = 2 * e + 1
         bound = 3 * math.isqrt(degree) if math.isqrt(degree) ** 2 == degree else 3 * (math.isqrt(degree) + 1)
-        assert len(cert.elements) <= bound, (e, len(cert.elements), bound)
-        assert twisted.suzuki_verify(cert)
+        require(len(cert.elements) <= bound, (e, len(cert.elements), bound))
+        require(twisted.suzuki_verify(cert))
         certs.append(cert)
         max_s = max(max_s, len(cert.elements))
     with tempfile.TemporaryDirectory() as tmp:
@@ -355,13 +357,14 @@ def _crit_suzuki_sweep(tier: str) -> str:
             "from kinderlab import twisted\n"
             "for path in sys.argv[1:]:\n"
             "    cert = twisted.SpanCertificate.from_json(open(path).read())\n"
-            "    assert twisted.suzuki_verify(cert), path\n"
+            "    if not twisted.suzuki_verify(cert):\n"
+            "        sys.exit('rejected: ' + path)\n"
             "print('fresh-ok')\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", prog, *paths], capture_output=True, text=True
         )
-        assert out.returncode == 0 and out.stdout.strip() == "fresh-ok", out.stderr
+        require(out.returncode == 0 and out.stdout.strip() == "fresh-ok", out.stderr)
     return "all degrees 2e+1 <= %d certified, max |S| = %d, fresh-process re-verification OK" % (
         2 * e_max + 1,
         max_s,
@@ -384,19 +387,19 @@ def _crit_b2(tier: str) -> str:
         groups[F.order] = (F, b2, G)
         lset = set(G.labels)
         for g in G.labels:
-            assert b2.mul(g, b2.inverse(g)) == b2.identity()
+            require(b2.mul(g, b2.inverse(g)) == b2.identity())
         pairs = (
             itertools.product(G.labels, repeat=2)
             if G.n <= 256
             else ((G.labels[i % G.n], G.labels[(i * 37 + 11) % G.n]) for i in range(20000))
         )
         for g, h in pairs:
-            assert b2.mul(g, h) in lset
+            require(b2.mul(g, h) in lset)
     F2all = groups[2][1]
     for g in groups[2][2].labels:
         for h in groups[2][2].labels:
             for k in groups[2][2].labels:
-                assert F2all.mul(F2all.mul(g, h), k) == F2all.mul(g, F2all.mul(h, k))
+                require(F2all.mul(F2all.mul(g, h), k) == F2all.mul(g, F2all.mul(h, k)))
 
     # recurrence, both sides, on the full group over F8
     F8, b8, G8 = groups[8]
@@ -410,7 +413,7 @@ def _crit_b2(tier: str) -> str:
     for k in range(1, q - 1):
         lhs = b8.mul(comm(series[k + 1], B[-1]), comm(series[k], B[0]))
         rhs = b8.mul(comm(series[k - 2], B[1]), comm(series[k - 1], B[0]))
-        assert lhs == rhs, k
+        require(lhs == rhs, k)
 
     # representative invariance across 100 seeded runs
     baseline = (lab.gamma4, lab.complement, tuple(sorted(lab.coset_value.items())), lab.q_image)
@@ -420,7 +423,7 @@ def _crit_b2(tier: str) -> str:
         B2 = {i: (0, F8.pow(w, i % (q - 1)), rng.randrange(q), rng.randrange(q)) for i in (-1, 0, 1)}
         l2 = twisted.b2_labels(b8, G8, A2, B2)
         got = (l2.gamma4, l2.complement, tuple(sorted(l2.coset_value.items())), l2.q_image)
-        assert got == baseline, seed
+        require(got == baseline, seed)
     return "axioms exhaustive for |F| in {2,4,8}; recurrence holds on F8; labeling invariant over 100 representative choices"
 
 
@@ -431,7 +434,7 @@ def _crit_b2(tier: str) -> str:
 def _crit_arithmetic(tier: str) -> str:
     for p in (2, 3, 5, 7, 11, 13, 17, 19):
         for k in range(0, 21):
-            assert arith.legendre_valuation(k, p) == arith.nu_p(math.factorial(k), p), (k, p)
+            require(arith.legendre_valuation(k, p) == arith.nu_p(math.factorial(k), p), (k, p))
 
     F2 = make_field(2, 1)
     F3 = make_field(3, 1)
@@ -452,16 +455,16 @@ def _crit_arithmetic(tier: str) -> str:
     checked = []
     for G in singles:
         sig, sig_i = smallgrp.sigma_counts(G, cap_order=1024, iso_order_cap=1024)
-        assert sig_i <= sig <= G.n ** (arith.mu(G.n) + 1), (G.name, sig, sig_i)
+        require(sig_i <= sig <= G.n ** (arith.mu(G.n) + 1), (G.name, sig, sig_i))
         checked.append(G.n)
     for A, Bf in prods:
         sa = smallgrp.sigma_counts(A, cap_order=1024, iso_order_cap=1024)
         sb = smallgrp.sigma_counts(Bf, cap_order=1024, iso_order_cap=1024)
         P = smallgrp.direct_product(A, Bf)
-        assert math.gcd(A.n, Bf.n) == 1 and P.n <= 1000
+        require(math.gcd(A.n, Bf.n) == 1 and P.n <= 1000)
         sp = smallgrp.sigma_counts(P, cap_order=1024, iso_order_cap=1024)
-        assert sp == (sa[0] * sb[0], sa[1] * sb[1]), (A.name, Bf.name, sa, sb, sp)
-        assert sp[1] <= sp[0] <= P.n ** (arith.mu(P.n) + 1)
+        require(sp == (sa[0] * sb[0], sa[1] * sb[1]), (A.name, Bf.name, sa, sb, sp))
+        require(sp[1] <= sp[0] <= P.n ** (arith.mu(P.n) + 1))
         checked.append(P.n)
     return "legendre = factorial valuation (k <= 20, p <= 19); sigma bounds and coprime multiplicativity on orders %s" % sorted(set(checked))
 

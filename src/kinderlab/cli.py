@@ -199,7 +199,9 @@ def _cmd_census(config: RunConfig) -> dict:
     if mode not in ("strict", "relaxed"):
         raise InvalidConfigError("census mode must be strict or relaxed")
     max_kinder = config.caps.get("subgroups") or 4096
-    rep = nursery.census(nur, ell, relaxed=(mode == "relaxed"), max_kinder=max_kinder)
+    max_order = config.caps.get("iso", nursery.GROUP_ORDER_CAP)
+    rep = nursery.census(nur, ell, relaxed=(mode == "relaxed"), max_kinder=max_kinder,
+                         max_order=max_order)
     return rep.to_payload()
 
 

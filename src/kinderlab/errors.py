@@ -1,4 +1,5 @@
-"""Shared exception types, and the parameter check that raises the first.
+"""Shared exception types, the parameter check that raises the first, and
+the property check that raises the last.
 
 The CLI maps these onto distinct exit codes, so keep the split coarse:
 configuration problems, blown enumeration caps, and violated properties.
@@ -32,3 +33,13 @@ def need(params: dict, *names, counts: bool = False) -> list:
             if not isinstance(v, int) or v < 0:
                 raise InvalidConfigError("parameter %r must be a nonnegative int" % n)
     return values
+
+
+def require(cond, detail="property check failed"):
+    """Raise PropertyViolationError(detail) unless cond holds.
+
+    The checks the library and the acceptance criteria rely on go through
+    here rather than `assert`, which `python -O` strips.
+    """
+    if not cond:
+        raise PropertyViolationError(detail)

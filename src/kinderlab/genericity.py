@@ -16,6 +16,14 @@ instances, fewer where one instance's largest matrix is big, so that a
 batch's largest stack holds about CHUNK_CELLS entries at most and memory
 stays bounded.  The evaluator assembles the equation or image matrices of
 the whole batch and makes one `linalg.batch_rank` call per rank it needs.
+
+The two dimensions `hom_pm_transpose` records per trial, dim hom(P, P^t)
+and dim hom(P, -P^t), are always equal: (A, B) -> (A, -B) carries the
+solutions of A P_i = P_i^t B^t onto those of A P_i = -P_i^t B^t.  So every
+key of its histogram reads "k,k", and `lambda_end`'s hom_minus_hist, with
+the "supports" verdict built on it, cannot tell the statement hom(P,-P^t) = 0
+from one about hom(P, P^t).  Both ranks stay in the payload, so sampled
+reports repeat byte for byte.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from . import smallgrp
-from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
+from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, require
 from .gf import FieldCtx, make_field
 from .linalg import (
     EchelonAccumulator,
@@ -584,7 +584,7 @@ def census(
         raise CapExceededError("kind order %d over cap %d" % (order, max_order))
 
     spaces = list(enumerate_superspaces(base, ell))
-    assert len(spaces) == total
+    require(len(spaces) == total, "enumerated %d kinder, expected %d" % (len(spaces), total))
     groups = [kind_from_subspace(nursery, v, relaxed=relaxed).group(cap=max_order) for v in spaces]
     classes, _ = smallgrp.iso_classes(groups)
     table = []

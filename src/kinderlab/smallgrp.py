@@ -2,9 +2,17 @@
 isomorphism-class census tooling.
 
 A SmallGroup wraps an explicit element list plus a multiplication callable on
-labels.  Everything downstream works on integer indices; generator columns of
-the multiplication table are cached lazily so that full n x n tables are never
-materialized.
+labels.  Everything downstream works on integer indices.  Products are kept
+in one column-major table: column j holds i*j for every i.  By default the
+columns fill lazily, one product at a time, so a group of 2^14 elements that
+is only ever multiplied by a few generators never pays for n^2 products.
+`table()` completes every column (groups up to SUBGROUP_ORDER_CAP only); the
+subgroup lattice needs it, and subgroups of a group with a complete table
+get theirs by restriction instead of new label products.
+
+The subgroup lattice is built by cyclic extension (Neubueser 1960) on the
+complete table, with joins of cyclic subgroups to finish groups that are not
+solvable.
 
 The isomorphism test is a backtracking search over generator images, pruned
 by element invariants, with the homomorphism property enforced incrementally
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import arith
-from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
+from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, require
 
 SUBGROUP_ORDER_CAP = 2048
 ISO_ORDER_CAP = 512
@@ -30,7 +38,15 @@ _ISO_NODE_BUDGET = 5 * 10**6
 
 
 class SmallGroup:
-    def __init__(self, labels, mul, name=None):
+    """A finite group on explicit labels.
+
+    `columns`, when given, is a complete table on this label order
+    (columns[j][i] is the index of i*j), as `subgroup` restricts it from a
+    parent; the identity is then read from its diagonal instead of from
+    label products.
+    """
+
+    def __init__(self, labels, mul, name=None, columns=None):
         self.labels = tuple(labels)
         self.n = len(self.labels)
         self.name = name
@@ -38,16 +54,21 @@ class SmallGroup:
         if len(self._idx) != self.n:
             raise InvalidConfigError("duplicate labels")
         self._mul_label = mul
-        self._col_cache = {}
+        # column j: i*j for each i, -1 where not computed yet; None until used
+        self._cols = [None] * self.n if columns is None else columns
+        self._complete = columns is not None
         self._orders = None
         self._inverses = None
         self._classes = None
         self._gens = None
         self._fp = None
-        # direct label products: mul_idx here would allocate a column per element
-        idempotents = [
-            i for i, lab in enumerate(self.labels) if self._mul_label(lab, lab) == lab
-        ]
+        if columns is not None:
+            idempotents = [i for i in range(self.n) if columns[i][i] == i]
+        else:
+            # direct label products: mul_idx here would allocate a column per element
+            idempotents = [
+                i for i, lab in enumerate(self.labels) if self._mul_label(lab, lab) == lab
+            ]
         if len(idempotents) != 1:
             raise InvalidConfigError("element set is not a group (idempotents: %d)" % len(idempotents))
         self.identity = idempotents[0]
@@ -78,16 +99,56 @@ class SmallGroup:
         return self._idx[label]
 
     def mul_idx(self, i: int, j: int) -> int:
-        col = self._col_cache.get(j)
+        col = self._cols[j]
         if col is not None:
             v = col[i]
             if v >= 0:
                 return v
         else:
-            col = self._col_cache[j] = [-1] * self.n
+            col = self._cols[j] = [-1] * self.n
         v = self._idx[self._mul_label(self.labels[i], self.labels[j])]
         col[i] = v
         return v
+
+    def _column(self, j: int) -> list:
+        col = self._cols[j]
+        if col is None:
+            col = self._cols[j] = [-1] * self.n
+        return col
+
+    def table(self) -> list:
+        """The complete multiplication table: table()[j][i] is the index of i*j.
+
+        Built on first call, then read by mul_idx and closure_idx.  Only the
+        columns of a generating set, picked in index order, cost label
+        products; every other column is a composition of known ones, since
+        i*(x*g) = (i*x)*g.
+        """
+        if not self._complete:
+            if self.n > SUBGROUP_ORDER_CAP:
+                raise CapExceededError(
+                    "group order %d over table cap %d" % (self.n, SUBGROUP_ORDER_CAP))
+            idx, labels, mul = self._idx, self.labels, self._mul_label
+            cols = [None] * self.n
+            cols[self.identity] = list(range(self.n))
+            gens = []
+            for j, b in enumerate(labels):
+                if cols[j] is not None:
+                    continue
+                cols[j] = [idx[mul(a, b)] for a in labels]
+                gens.append(j)
+                queue = [i for i, c in enumerate(cols) if c is not None]
+                for x in queue:
+                    cx = cols[x]
+                    for g in gens:
+                        cg = cols[g]
+                        y = cg[x]
+                        if cols[y] is None:
+                            cols[y] = [cg[v] for v in cx]
+                            queue.append(y)
+            self._cols = cols
+            self._complete = True
+        return self._cols
 
     def inverse_idx(self, i: int) -> int:
         if self._inverses is None:
@@ -103,10 +164,12 @@ class SmallGroup:
         if self._orders is None:
             self._orders = [0] * self.n
         if not self._orders[i]:
+            col = self._column(i)
             k = 1
             x = i
             while x != self.identity:
-                x = self.mul_idx(x, i)
+                y = col[x]
+                x = y if y >= 0 else self.mul_idx(x, i)
                 k += 1
             self._orders[i] = k
         return self._orders[i]
@@ -128,9 +191,12 @@ class SmallGroup:
         seeds = list(dict.fromkeys(seeds)) or [self.identity]
         seen = set(seeds)
         queue = list(seeds)
+        steps = [(g, self._column(g)) for g in seeds]
         for x in queue:
-            for g in seeds:
-                y = self.mul_idx(x, g)
+            for g, col in steps:
+                y = col[x]
+                if y < 0:
+                    y = self.mul_idx(x, g)
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
@@ -235,8 +301,20 @@ class SmallGroup:
         return tuple(out)
 
     def subgroup(self, idx_subset) -> "SmallGroup":
+        """The subgroup on the given indices, in that order.
+
+        With a complete table here, the subgroup's table is its restriction.
+        """
         labs = [self.labels[i] for i in idx_subset]
-        return SmallGroup(labs, self._mul_label)
+        if not self._complete:
+            return SmallGroup(labs, self._mul_label)
+        pos = [-1] * self.n
+        for k, i in enumerate(idx_subset):
+            pos[i] = k
+        cols = [[pos[c[i]] for i in idx_subset] for c in [self._cols[j] for j in idx_subset]]
+        if any(-1 in c for c in cols):
+            raise InvalidConfigError("subset is not closed under the group law")
+        return SmallGroup(labs, self._mul_label, columns=cols)
 
     def quotient(self, normal_idx) -> "SmallGroup":
         """Quotient by a normal subgroup given as an index collection."""
@@ -426,35 +504,95 @@ def verify_isomorphism(G: SmallGroup, H: SmallGroup, mapping) -> bool:
 # subgroup lattice and census
 
 def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGROUP_COUNT_CAP):
-    """Every subgroup of G as sorted index tuples (bottom-up join closure)."""
+    """Every subgroup of G as sorted index tuples, smallest first.
+
+    Cyclic extension (Neubueser 1960; GAP's LatticeByCyclicExtension): a
+    solvable U > 1 has a normal subgroup V of prime index p, and U = V<x>
+    for any x of p-power order in U but not in V; such an x normalizes V
+    and has x^p in V.  So the lattice grows layer by layer from the trivial
+    group: each V is extended by every x of prime-power order p^a with x
+    not in V, x^p in V and x normalizing V, and V<x> is the union of the
+    cosets V x^k, k < p, read off the table without a closure.  An x inside
+    a V<x'> already found from V gives V<x'> again and is skipped.  The
+    layers reach G exactly when G is solvable.  Otherwise only the
+    non-solvable subgroups are missing, and joins with the cyclic
+    subgroups, from everything found, complete the lattice.
+    """
     if G.n > cap_order:
         raise CapExceededError("group order %d over enumeration cap %d" % (G.n, cap_order))
-    trivial = (G.identity,)
-    cyclic = {}
-    for i in range(G.n):
-        c = G.closure_idx([i])
-        if c not in cyclic:
-            cyclic[c] = (i,)
-    subs = {trivial: ()}
-    subs.update(cyclic)
-    frontier = list(subs)
-    cyclic_items = sorted(cyclic.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    while frontier:
+    cols = G.table()
+    n, e = G.n, G.identity
+    subs = {}  # subgroup -> generators
+
+    def add(sub, gens):
+        if len(subs) >= cap_count:
+            raise CapExceededError("subgroup count cap %d hit" % cap_count)
+        subs[sub] = gens
+
+    # (x, p, x^p, x^-1) for every x of order p^a > 1
+    extenders = []
+    for x in range(n):
+        cx = cols[x]
+        powers = [x]  # x^1 .. x^order
+        while powers[-1] != e:
+            powers.append(cx[powers[-1]])
+        if len(powers) > 1:
+            factors = arith.factorize(len(powers))
+            if len(factors) == 1:
+                p = factors[0][0]
+                extenders.append((x, p, powers[p - 1], powers[-2]))
+
+    add((e,), ())
+    layer = [((e,), ())]
+    while layer:
         fresh = []
-        for S in frontier:
-            sset = set(S)
-            sgens = subs[S]
-            for C, cgens in cyclic_items:
-                if set(C) <= sset:
+        for V, gens in layer:
+            in_v = bytearray(n)
+            for v in V:
+                in_v[v] = 1
+            covered = bytearray(in_v)
+            gcols = [cols[g] for g in gens]
+            for x, p, xp, xinv in extenders:
+                if covered[x] or not in_v[xp]:
                     continue
-                gens = tuple(dict.fromkeys(sgens + cgens))
-                J = G.closure_idx(gens)
-                if J not in subs:
-                    if len(subs) >= cap_count:
-                        raise CapExceededError("subgroup count cap %d hit" % cap_count)
-                    subs[J] = gens
-                    fresh.append(J)
-        frontier = fresh
+                cx = cols[x]
+                if any(not in_v[cx[gc[xinv]]] for gc in gcols):  # some x^-1 g x not in V
+                    continue
+                mask = bytearray(in_v)
+                coset_rep = x
+                for _ in range(1, p):
+                    cy = cols[coset_rep]
+                    for v in V:
+                        w = cy[v]
+                        mask[w] = covered[w] = 1
+                    coset_rep = cx[coset_rep]
+                W = tuple(itertools.compress(range(n), mask))
+                if W in subs:
+                    continue
+                add(W, gens + (x,))
+                fresh.append((W, gens + (x,)))
+        layer = fresh
+
+    if tuple(range(n)) not in subs:
+        cyclic = {}
+        for i in range(n):
+            cyclic.setdefault(G.closure_idx([i]), (i,))
+        cyclic_items = sorted(cyclic.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        frontier = list(subs)
+        while frontier:
+            fresh = []
+            for S in frontier:
+                sset = set(S)
+                sgens = subs[S]
+                for C, cgens in cyclic_items:
+                    if cgens[0] in sset:
+                        continue
+                    gens = tuple(dict.fromkeys(sgens + cgens))
+                    J = G.closure_idx(gens)
+                    if J not in subs:
+                        add(J, gens)
+                        fresh.append(J)
+            frontier = fresh
     return sorted(subs, key=lambda t: (len(t), t))
 
 
@@ -500,7 +638,7 @@ def sigma_counts(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, iso_order_cap=ISO_
     classes, _ = iso_classes(groups)
     sigma = len(subs)
     sigma_iso = len(classes)
-    assert sigma_iso <= sigma
+    require(sigma_iso <= sigma, "more isomorphism types than subgroups")
     if math.log2(sigma) > arith.wall_log_bound(G.n) + 1e-9:
         raise PropertyViolationError("subgroup count violates the generation bound")
     return sigma, sigma_iso

@@ -5,6 +5,11 @@ The detail strings are printed so a failing run shows exactly which
 quantity missed its tolerance.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from kinderlab import acceptance
@@ -25,3 +30,20 @@ def test_criterion(index, name):
     )
     print(line)
     assert result.passed, line
+
+
+def test_checks_survive_python_O():
+    # a broken sigma oracle must still fail criterion 1 when asserts are stripped
+    prog = (
+        "import sys\n"
+        "from kinderlab import acceptance, smallgrp\n"
+        "smallgrp.sigma_counts = lambda *args, **kwargs: (0, 0)\n"
+        "r = acceptance.run_criterion(1, tier='fast')\n"
+        "print(sys.flags.optimize, r.passed, r.detail)\n"
+    )
+    src = str(Path(acceptance.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", prog], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("1 False PropertyViolationError"), out.stdout

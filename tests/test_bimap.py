@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinderlab import bimap as bm
 from kinderlab.errors import InvalidConfigError
@@ -150,6 +152,20 @@ def test_hom_dim_fast_matches_exact_at_large_primes(p):
         for sign in (1, -1):
             assert bm.hom_dim(phi, ups, sign, fast=True) == bm.hom_dim(phi, ups, sign, fast=False)
         assert bm.hom_dim(phi, phi, fast=True) == bm.hom_dim(phi, phi, fast=False) >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([3, 5, 7, 9, 191]), m=st.integers(1, 3), n=st.integers(1, 3),
+       s=st.integers(1, 3), transposed=st.booleans(), seed=st.integers(0, 2**32))
+def test_hom_dim_equal_for_both_signs(q, m, n, s, transposed, seed):
+    # (A, B) -> (A, -B) carries the solutions of A Phi_i = Ups_i B^t onto those
+    # of A Phi_i = -Ups_i B^t, so the hom_pm_transpose pair is always "k,k"
+    K = make_field_from_order(q)
+    rng = random.Random(seed)
+    phi = bm.MatrixSystem.random(K, (m, n), s, rng)
+    ups = phi.transpose() if transposed else bm.MatrixSystem.random(K, (n, m), s, rng)
+    for fast in (True, False):
+        assert bm.hom_dim(phi, ups, 1, fast=fast) == bm.hom_dim(phi, ups, -1, fast=fast)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

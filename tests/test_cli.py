@@ -118,6 +118,19 @@ def test_nursery_census_command():
     assert rep.results["kinder_count"] == 1 and rep.results["class_count"] == 1
 
 
+def test_nursery_census_cap_iso_enforced(tmp_path, capsys):
+    # the kinder of matrix(1,1,F2) at ell = 1 have order 8
+    args = ["nursery-census", "--kind", "matrix", "--a", "1", "--c", "1", "--q", "2",
+            "--ell", "1", "--mode", "relaxed"]
+    out = tmp_path / "r.json"
+    assert cli.main(args + ["--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["results"]["kinder_count"] == 1
+    assert cli.main(args + ["--cap-iso", "8"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(args + ["--cap-iso", "4"]) == cli.EXIT_CAP
+    assert "kind order 8 over cap 4" in capsys.readouterr().err
+
+
 def test_reconstruct_command():
     rep = run_config(
         "reconstruct",

@@ -1,0 +1,142 @@
+"""The subgroup lattice by cyclic extension against an independent oracle.
+
+The oracle is the bottom-up join closure `all_subgroups` used before the
+cyclic extension method: every subgroup found so far is joined with every
+cyclic subgroup, closing each join from its generators, until nothing new
+appears.  It shares nothing with the new code but `closure_idx`.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kinderlab import smallgrp as sg
+from kinderlab.errors import CapExceededError, InvalidConfigError
+from kinderlab.gf import make_field
+
+
+def join_lattice(G):
+    cyclic = {}
+    for i in range(G.n):
+        c = G.closure_idx([i])
+        if c not in cyclic:
+            cyclic[c] = (i,)
+    subs = {(G.identity,): ()}
+    subs.update(cyclic)
+    frontier = list(subs)
+    cyclic_items = sorted(cyclic.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    while frontier:
+        fresh = []
+        for S in frontier:
+            sset = set(S)
+            for C, cgens in cyclic_items:
+                if set(C) <= sset:
+                    continue
+                gens = tuple(dict.fromkeys(subs[S] + cgens))
+                J = G.closure_idx(gens)
+                if J not in subs:
+                    subs[J] = gens
+                    fresh.append(J)
+        frontier = fresh
+    return sorted(subs, key=lambda t: (len(t), t))
+
+
+def _s3():
+    return sg.symmetric_group(3)
+
+
+SOLVABLE = {
+    "Sym4": lambda: sg.symmetric_group(4),
+    "UT3(F3)": lambda: sg.unitriangular_group(3, make_field(3, 1)),
+    "Sym3^2": lambda: sg.direct_product(_s3(), _s3()),
+    "D4xC3": lambda: sg.direct_product(sg.dihedral_group(4), sg.cyclic_group(3)),
+}
+NOT_SOLVABLE = {
+    "Alt5": lambda: sg.alternating_group(5),
+    "Sym5": lambda: sg.symmetric_group(5),
+}
+GROUPS = {name: make() for name, make in {**SOLVABLE, **NOT_SOLVABLE}.items()}
+
+
+def relabelled(G, seed):
+    labels = list(G.labels)
+    random.Random(seed).shuffle(labels)
+    return sg.SmallGroup(labels, G._mul_label)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(SOLVABLE)), seed=st.integers(0, 2**32))
+def test_cyclic_extension_matches_join_oracle_solvable(name, seed):
+    G = relabelled(GROUPS[name], seed)
+    assert sg.all_subgroups(G) == join_lattice(relabelled(GROUPS[name], seed))
+
+
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(NOT_SOLVABLE)), seed=st.integers(0, 2**32))
+def test_completion_matches_join_oracle_not_solvable(name, seed):
+    G = relabelled(GROUPS[name], seed)
+    assert sg.all_subgroups(G) == join_lattice(relabelled(GROUPS[name], seed))
+
+
+def _count_closures(G):
+    calls = []
+    inner = G.closure_idx
+
+    def counted(seeds):
+        calls.append(1)
+        return inner(seeds)
+
+    G.closure_idx = counted
+    return calls
+
+
+def test_solvable_lattice_needs_no_closure():
+    G = relabelled(GROUPS["Sym4"], 3)
+    calls = _count_closures(G)
+    assert len(sg.all_subgroups(G)) == 30
+    assert not calls
+
+
+@pytest.mark.parametrize("name,count", [("Sym4", 30), ("D4xC3", 20)])
+def test_cap_count_on_the_extension_path(name, count):
+    G = relabelled(GROUPS[name], 5)
+    assert len(sg.all_subgroups(G, cap_count=count)) == count
+    calls = _count_closures(G)
+    with pytest.raises(CapExceededError):
+        sg.all_subgroups(G, cap_count=count - 1)
+    assert not calls
+
+
+def test_cap_count_on_the_completion_path():
+    # the 58 proper subgroups of Alt5 are solvable; Alt5 itself is the 59th
+    G = relabelled(GROUPS["Alt5"], 7)
+    assert len(sg.all_subgroups(G, cap_count=59)) == 59
+    calls = _count_closures(G)
+    with pytest.raises(CapExceededError):
+        sg.all_subgroups(G, cap_count=58)
+    assert calls
+
+
+def test_restricted_tables_equal_label_products():
+    G = relabelled(GROUPS["Sym4"], 11)
+    G.table()
+    for sub in sg.all_subgroups(G):
+        H = G.subgroup(sub)
+        fresh = sg.SmallGroup(H.labels, G._mul_label)
+        assert H.identity == fresh.identity
+        assert H.table() == fresh.table()
+    with pytest.raises(InvalidConfigError):
+        G.subgroup([G.identity, next(i for i in range(G.n) if G.order_of(i) == 3)])
+
+
+def test_table_completes_lazy_columns():
+    G = relabelled(GROUPS["D4xC3"], 2)
+    ref = relabelled(GROUPS["D4xC3"], 2)
+    # a few products first, so the table has partial columns to complete
+    for i in range(0, G.n, 5):
+        G.mul_idx(i, (3 * i + 1) % G.n)
+    cols = G.table()
+    assert all(cols[j][i] == ref.mul_idx(i, j) for i in range(G.n) for j in range(G.n))
+    assert G.closure_idx([1, 2]) == ref.closure_idx([1, 2])
