@@ -9,6 +9,7 @@ A then B, row-major) and c*a*b equations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
@@ -70,12 +71,17 @@ class HomSpace:
     dim_k: int
     dim_fp: int
 
+    @functools.cached_property
+    def _echelon(self) -> EchelonAccumulator:
+        """Echelon form of the basis, built on the first `contains`."""
+        flat = [_flatten_pair(pa, pb) for pa, pb in self.basis]
+        acc = EchelonAccumulator(self.ctx, len(flat[0]) if flat else 0)
+        for v in flat:
+            acc.add(v)
+        return acc
+
     def contains(self, A: Matrix, B: Matrix) -> bool:
-        probe = _flatten_pair(A, B)
-        acc = EchelonAccumulator(self.ctx, len(probe))
-        for pa, pb in self.basis:
-            acc.add(_flatten_pair(pa, pb))
-        return not any(acc.residue(probe))
+        return not any(self._echelon.residue(_flatten_pair(A, B)))
 
 
 def _flatten_pair(A: Matrix, B: Matrix) -> tuple:

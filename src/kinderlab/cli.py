@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the JSON report here instead of stdout")
     common.add_argument("--cap-subgroups", type=int, help="enumeration cap for subgroup counts")
     common.add_argument("--cap-iso", type=int, help="order cap for isomorphism classification")
-    common.add_argument("--mode", help="command-specific mode switch")
 
     ap = argparse.ArgumentParser(
         prog="kinderlab",
@@ -423,11 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("generic", parents=[common], help="genericity frequency, sampled or exhaustive")
     sp.add_argument("--kind", required=True, choices=genericity.KINDS)
+    sp.add_argument("--mode", choices=("estimate", "exhaustive"), help="default estimate")
     for flag in ("--n", "--s", "--m", "--a", "--b", "--c", "--ell", "--q"):
         sp.add_argument(flag, type=int)
 
     sp = sub.add_parser("nursery-census", parents=[common], help="classify every kind of one dimension")
     sp.add_argument("--kind", required=True, choices=("matrix", "unitary", "b2_odd", "ree_small"))
+    sp.add_argument("--mode", choices=("strict", "relaxed"), help="default strict")
     for flag in ("--a", "--c", "--p", "--e", "--q", "--ell"):
         sp.add_argument(flag, type=int)
 

@@ -12,6 +12,11 @@ filtered by Gamma_2 = {x = 0} > Gamma_3 = {x = 0, u = 0} > Gamma_4 = 1.
 Subgroups squeezed between Gamma_2 and Gamma_1 ("kinder") correspond to
 F_p-subspaces of R, and `reconstruct` recovers the whole filtration from
 one such subgroup presented as an abstract multiplication table.
+
+Up to smallgrp.SUBGROUP_ORDER_CAP elements, a kind's complete table comes
+from one numpy evaluation of the law on integer codes (`_law_table`), and
+is checked against `mul_label` when it is built; above that, products are
+label products filled in as they are asked for.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from . import smallgrp
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, require
@@ -77,6 +84,13 @@ class _CoordSolver:
         if any(work[: self.n]):
             return None
         return tuple(ctx.neg(x) for x in work[self.n :])
+
+
+def _digit_sums(p: int, d: int):
+    """The base-p digits of 0 .. p^d - 1 (first digit most significant) and
+    the [p^d, p^d] table of the codes of their digitwise sums mod p."""
+    digits = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64).reshape(p**d, d)
+    return digits, (digits[:, None, :] + digits[None, :, :]) % p @ p ** np.arange(d - 1, -1, -1)
 
 
 class ModuleNursery:
@@ -264,8 +278,64 @@ class ModuleNursery:
     def gamma1_group(self, cap=GROUP_ORDER_CAP) -> smallgrp.SmallGroup:
         if self.order > cap:
             raise CapExceededError("group order %d over cap %d" % (self.order, cap))
-        name = "%s nursery Gamma_1" % self.kind
-        return smallgrp.SmallGroup(list(self.labels()), self.mul_label, name=name)
+        full = Subspace.full(self.ctx, self.rdim)
+        return self.group_on(full, name="%s nursery Gamma_1" % self.kind)
+
+    def group_on(self, subspace: Subspace, name=None) -> smallgrp.SmallGroup:
+        """The group of the triples with x in the subspace, in `labels` order.
+
+        Up to SUBGROUP_ORDER_CAP elements the complete table comes from
+        `_law_table`; each of its columns must be a permutation, and it must
+        agree with `mul_label` on every pair of a transversal of the basis
+        directions, or PropertyViolationError is raised.
+        """
+        labels = list(self.labels(x_vectors=[tuple(v) for v in subspace.enumerate_vectors()]))
+        n = len(labels)
+        if n > smallgrp.SUBGROUP_ORDER_CAP:
+            return smallgrp.SmallGroup(labels, self.mul_label, name=name)
+        table = self._law_table(subspace)
+        if not (np.sort(table, axis=1) == np.arange(n, dtype=table.dtype)).all():
+            raise PropertyViolationError("a column of the vectorised law is not a permutation")
+        # the columns share the int objects of range(n): tolist() would make
+        # a fresh int for every entry above the small-int cache
+        ints = np.empty(n, dtype=object)
+        ints[:] = range(n)
+        columns = [ints[row].tolist() for row in table]
+        G = smallgrp.SmallGroup(labels, self.mul_label, name=name, columns=columns)
+        # the identity, the last element, and (v_k, 0, 0), (0, e_k, 0), (0, 0, e_k)
+        nm = self.p**self.mdim
+        probe = {0, n - 1}
+        probe.update(nm * nm * self.p**k for k in range(subspace.dim))
+        probe.update(step * self.p**k for k in range(self.mdim) for step in (nm, 1))
+        for i in probe:
+            for j in probe:
+                if columns[j][i] != G.index_of(self.mul_label(labels[i], labels[j])):
+                    raise PropertyViolationError("the vectorised law disagrees with mul_label")
+        return G
+
+    def _law_table(self, subspace: Subspace):
+        """[n, n] int16 array whose row j holds the index of i*j for each i.
+
+        The index of (x, u, w) is (ix |M| + iu) |M| + iw, where ix is the
+        base-p code of x's coefficients in the subspace basis and iu, iw
+        are the codes of u and w (first digit most significant, the order
+        of `enumerate_vectors` and `labels`).  The law reads three small
+        tables: codes of x + x', of u + u' and of x.u'.
+        """
+        p, md = self.p, self.mdim
+        vdig, vadd = _digit_sums(p, subspace.dim)
+        mdig, madd = _digit_sums(p, md)
+        nv, nm = len(vdig), len(mdig)
+        basis = np.array(subspace.basis, dtype=np.int64).reshape(subspace.dim, self.rdim)
+        R = np.array([b.rows for b in self.rbasis], dtype=np.int64)
+        xmats = np.einsum("vk,kl,lab->vab", vdig, basis, R) % p
+        xu = np.einsum("vab,ub->vua", xmats, mdig) % p @ p ** np.arange(md - 1, -1, -1)
+        vadd, madd, xu = (a.astype(np.int16) for a in (vadd, madd, xu))
+        # axes (jx, ju, jw, ix, iu, iw): (x_i + x_j, u_i + u_j, w_i + w_j + x_i.u_j)
+        w_part = madd[madd.reshape(1, 1, nm, 1, 1, nm), xu.T.reshape(1, nm, 1, nv, 1, 1)]
+        table = (vadd.reshape(nv, 1, 1, nv, 1, 1) * nm + madd.reshape(1, nm, 1, 1, nm, 1)) * nm
+        n = nv * nm * nm
+        return (table + w_part).reshape(n, n)
 
     def gamma2_labels(self):
         zr = (0,) * self.rdim
@@ -327,7 +397,7 @@ class Kind:
         if self.order > cap:
             raise CapExceededError("kind order %d over cap %d" % (self.order, cap))
         name = "%s kind dim %d" % (self.nursery.kind, self.subspace.dim)
-        self._group = smallgrp.SmallGroup(list(self.labels()), self.nursery.mul_label, name=name)
+        self._group = self.nursery.group_on(self.subspace, name=name)
         return self._group
 
     def __repr__(self):
@@ -442,8 +512,15 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
         )
 
     one_idx = G.index_of(rho[n.one_coords])
-    comms = {G.commutator_idx(one_idx, x) for x in x_idx}
-    y_idx = G.closure_idx(comms)
+    comms = sorted({G.commutator_idx(one_idx, x) for x in x_idx})
+    # seed the closure only with brackets that enlarge it: at most mdim of
+    # them, so above the table cap it starts at most mdim columns
+    y_idx, y_set, seeds = (G.identity,), {G.identity}, []
+    for c in comms:
+        if c not in y_set:
+            seeds.append(c)
+            y_idx = G.closure_idx(seeds)
+            y_set = set(y_idx)
     if len(y_idx) != p**n.mdim:
         raise PropertyViolationError("bracketing with rho(1) missed the third term")
     z_seed = {
@@ -460,7 +537,6 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
         label = G.labels[i]
         beta_rep.setdefault(label[1], i)
     chi = {}
-    y_set = set(y_idx)
     for i in range(G.n):
         cols = []
         for j in range(n.mdim):

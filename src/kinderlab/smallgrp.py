@@ -41,9 +41,11 @@ class SmallGroup:
     """A finite group on explicit labels.
 
     `columns`, when given, is a complete table on this label order
-    (columns[j][i] is the index of i*j), as `subgroup` restricts it from a
-    parent; the identity is then read from its diagonal instead of from
-    label products.
+    (columns[j][i] is the index of i*j): `subgroup` restricts it from a
+    parent, and a family with an integer encoding evaluates its law on
+    every pair at once (`nursery.ModuleNursery.group_on`).  The table is
+    taken as given, so whoever builds it checks it.  The identity is then
+    read from its diagonal instead of from label products.
     """
 
     def __init__(self, labels, mul, name=None, columns=None):
@@ -99,15 +101,23 @@ class SmallGroup:
         return self._idx[label]
 
     def mul_idx(self, i: int, j: int) -> int:
+        """The index of i*j.
+
+        A product missing from the table is a label product.  It starts a
+        column for j only up to SUBGROUP_ORDER_CAP; above it, one product per
+        element on the right would fill n columns of n entries, so columns are
+        started only by `_column` (closure steps, element orders).
+        """
         col = self._cols[j]
         if col is not None:
             v = col[i]
             if v >= 0:
                 return v
-        else:
+        elif self.n <= SUBGROUP_ORDER_CAP:
             col = self._cols[j] = [-1] * self.n
         v = self._idx[self._mul_label(self.labels[i], self.labels[j])]
-        col[i] = v
+        if col is not None:
+            col[i] = v
         return v
 
     def _column(self, j: int) -> list:
@@ -154,9 +164,9 @@ class SmallGroup:
         if self._inverses is None:
             self._inverses = [-1] * self.n
         if self._inverses[i] < 0:
-            y = self.identity
-            while self.mul_idx(y, i) != self.identity:
-                y = self.mul_idx(y, i)
+            y, z = self.identity, i
+            while z != self.identity:
+                y, z = z, self.mul_idx(z, i)
             self._inverses[i] = y
         return self._inverses[i]
 

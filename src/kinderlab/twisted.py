@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import smallgrp
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, FieldError, make_field
@@ -69,6 +71,26 @@ class B2Group:
         gh = self.mul(g, h)
         hg = self.mul(h, g)
         return self.mul(self.inverse(hg), gh)
+
+    # the same law on [..., 4] integer arrays, through the field's lookup
+    # tables (order <= 512); `commutator` stays the reference
+
+    def mul_batch(self, g, h):
+        mul = self.ctx.table_arrays()[1]
+        r, s, z1, z2 = (g[..., k] for k in range(4))
+        r2, s2, w1, w2 = (h[..., k] for k in range(4))
+        return np.stack(
+            (r ^ r2, s ^ s2, z1 ^ w1 ^ mul[r2, s], z2 ^ w2 ^ mul[r2, mul[s, s]]), axis=-1
+        )
+
+    def inverse_batch(self, g):
+        mul = self.ctx.table_arrays()[1]
+        r, s, z1, z2 = (g[..., k] for k in range(4))
+        return np.stack((r, s, z1 ^ mul[r, s], z2 ^ mul[r, mul[s, s]]), axis=-1)
+
+    def commutator_batch(self, g, h):
+        """[x, y] for every row pair of g and h, which broadcast like arrays."""
+        return self.mul_batch(self.inverse_batch(self.mul_batch(h, g)), self.mul_batch(g, h))
 
     # the two derived invariants --------------------------------------
 
@@ -196,8 +218,9 @@ def b2_labels(b2: B2Group, Q: smallgrp.SmallGroup, A: dict, B: dict) -> B2Labeli
 
         [A_{k+1}, B_{-1}][A_k, B_0] = [A_{k-2}, B_1][A_{k-1}, B_0]
 
-    is solved by scanning Q, and each A_{k+1} is pinned exactly up to the
-    centralizer of B_{-1}, which the later commutators cannot see.
+    is solved by taking the first x of Q, in label order, with the required
+    [x, B_{-1}], so each A_{k+1} is pinned exactly up to the centralizer of
+    B_{-1}, which the later commutators cannot see.
     """
     F = b2.ctx
     q = F.order
@@ -221,9 +244,25 @@ def b2_labels(b2: B2Group, Q: smallgrp.SmallGroup, A: dict, B: dict) -> B2Labeli
         if (B[i][0], B[i][1]) != (0, opow(i)):
             raise InvalidConfigError("B_%d does not represent the (0, omega^%d) coset" % (i, i))
 
-    # arithmetic runs on labels: idx-based products would warm per-element
-    # column caches, which is hopeless for the larger kinder
+    # the scans read Q's labels once as an [n, 4] array: x -> [x, B_-1] and
+    # x -> [x, A_0] are one batched commutator each, compared by the integer
+    # code of the quadruple; the recurrence itself runs on labels
     comm = b2.commutator
+    labs = np.array(Q.labels, dtype=np.int16).reshape(Q.n, 4)
+    if labs.min() < 0 or labs.max() >= q:
+        raise InvalidConfigError("Q's labels are not quadruples over GF(%d)" % q)
+
+    def code(quad):
+        # of one quadruple, or of each column of a [4, n] array
+        return ((quad[0] * q + quad[1]) * q + quad[2]) * q + quad[3]
+
+    def bracket_codes(h):
+        brackets = b2.commutator_batch(labs, np.array(h, dtype=np.int16))
+        return code(brackets.T.astype(np.int64))
+
+    # the first x in Q's order with each value of [x, B_-1], as a scan finds it
+    values, first = np.unique(bracket_codes(B[-1]), return_index=True)
+    first_hit = dict(zip(values.tolist(), first.tolist()))
 
     a_lab = dict(A)
     for k in range(1, q - 1):
@@ -231,16 +270,12 @@ def b2_labels(b2: B2Group, Q: smallgrp.SmallGroup, A: dict, B: dict) -> B2Labeli
             comm(a_lab[k - 2], B[1]),
             b2.mul(comm(a_lab[k - 1], B[0]), b2.inverse(comm(a_lab[k], B[0]))),
         )
-        found = None
-        for x in Q.labels:
-            if comm(x, B[-1]) == target:
-                found = x
-                break
+        found = first_hit.get(code(target))
         if found is None:
             raise PropertyViolationError(
                 "recurrence has no solution at step %d: the kind is too small" % (k + 1)
             )
-        a_lab[k + 1] = found
+        a_lab[k + 1] = Q.labels[found]
     # cycle closure: A_{q-1} must commute with the B's exactly like A_0
     if comm(a_lab[q - 2 + 1], B[0]) != comm(a_lab[0], B[0]):
         raise PropertyViolationError("recurrence did not close up after a full cycle")
@@ -268,9 +303,8 @@ def b2_labels(b2: B2Group, Q: smallgrp.SmallGroup, A: dict, B: dict) -> B2Labeli
         raise PropertyViolationError("omega labels do not tile the center")
 
     # the payoff: Q maps onto an additive subgroup of F
-    image = set()
-    for x in Q.labels:
-        image.add(coset_value[comm(x, A[0])])
+    value_of = {code(lab): val for lab, val in coset_value.items()}
+    image = {value_of[c] for c in np.unique(bracket_codes(A[0])).tolist()}
     return B2Labeling(
         a_series=dict(sorted(a_lab.items())),
         gamma4=gamma4,

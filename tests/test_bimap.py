@@ -239,3 +239,25 @@ def test_system_validation():
     phi3 = bm.MatrixSystem.random(F3, (2, 2), 2, rng)
     with pytest.raises(InvalidConfigError):
         bm.hom_space(phi2, phi3)
+
+
+def test_hom_space_contains_builds_its_echelon_once(monkeypatch):
+    built = []
+
+    class Counting(bm.EchelonAccumulator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bm, "EchelonAccumulator", Counting)
+    mm = bm.matrix_multiplication_bimap(F2, 2, 2, 1)
+    nuc0 = bm.right_nucleus(mm, Subspace.zero(F2, mm.left_dim))
+    # the identity and dim^2 composites are all tested against one echelon form
+    assert nuc0.dim_k == mm.right_dim**2 + mm.target_dim**2 and len(built) == 1
+    nuc = bm.right_nucleus(mm, Subspace.full(F2, mm.left_dim))
+    assert nuc.dim_k == 1 and len(built) == 2
+    gi, hi = Matrix.identity(F2, mm.right_dim), Matrix.identity(F2, mm.target_dim)
+    assert nuc.contains(gi, hi) and not nuc.contains(gi, hi.scale(0))
+    empty = bm.HomSpace(ctx=F2, basis=(), dim_k=0, dim_fp=0)
+    zero = (Matrix.zero(F2, 2, 2), Matrix.zero(F2, 1, 1))
+    assert empty.contains(*zero) and not empty.contains(Matrix.identity(F2, 2), zero[1])

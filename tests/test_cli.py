@@ -183,3 +183,32 @@ def test_verify_tier_validation():
 def test_unknown_command_rejected():
     with pytest.raises(Exception):
         cli.run(cli.RunConfig(command="mystery", params={}))
+
+
+def test_mode_only_where_it_is_read(capsys):
+    assert cli.main(["generic", "--kind", "span", "--n", "2", "--s", "3", "--q", "2",
+                     "--mode", "exhaustive"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]["exact"] is True
+    assert cli.main(["nursery-census", "--kind", "matrix", "--a", "1", "--c", "1", "--q", "2",
+                     "--ell", "0", "--mode", "relaxed"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]["relaxed"] is True
+    rejected = [
+        ["generic", "--kind", "span", "--n", "2", "--s", "3", "--q", "2", "--mode", "relaxed"],
+        ["nursery-census", "--kind", "matrix", "--a", "1", "--c", "1", "--q", "2",
+         "--mode", "exhaustive"],
+        ["hom", "--a", "1", "--s", "1", "--b", "1", "--t", "1", "--seed", "1", "--mode", "x"],
+        ["field-check", "--p", "2", "--e", "1", "--mode", "estimate"],
+        ["witness", "--m", "1", "--n", "1", "--mode", "estimate"],
+        ["reconstruct", "--kind", "matrix", "--a", "1", "--c", "1", "--q", "2", "--seed", "1",
+         "--mode", "strict"],
+        ["alt-codes", "--k", "1", "--l", "1", "--mode", "strict"],
+        ["suzuki-search", "--e", "1", "--seed", "1", "--mode", "estimate"],
+        ["suzuki-verify", "--cert", "c.json", "--mode", "estimate"],
+        ["arith", "--op", "mu", "--n", "8", "--mode", "estimate"],
+        ["b2-demo", "--q", "4", "--mode", "estimate"],
+        ["verify", "--mode", "estimate"],
+    ]
+    for argv in rejected:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_INVALID, argv

@@ -1,0 +1,235 @@
+"""The vectorised group laws against their label-level references.
+
+A nursery kind up to SUBGROUP_ORDER_CAP gets its complete table from one
+numpy evaluation of (x, u, w)(x', u', w') = (x + x', u + u', w + w' + x.u');
+the reference is a SmallGroup on the same labels whose table is completed
+from `mul_label` products.  The B2 law on [n, 4] arrays is compared with
+`B2Group.commutator` row by row, and `b2_labels` with the label scan it
+replaced, kept here as `b2_labels_by_scan`.
+"""
+
+import functools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kinderlab import nursery, smallgrp, twisted
+from kinderlab.errors import PropertyViolationError
+from kinderlab.gf import make_field
+from kinderlab.linalg import Subspace
+
+F2 = make_field(2, 1)
+
+NURSERIES = {
+    "matrix(1,1,F2)": ("matrix", dict(a=1, c=1, ctx=F2)),
+    "matrix(1,1,F3)": ("matrix", dict(a=1, c=1, ctx=make_field(3, 1))),
+    "matrix(1,1,F4)": ("matrix", dict(a=1, c=1, ctx=make_field(2, 2))),
+    "matrix(2,1,F2)": ("matrix", dict(a=2, c=1, ctx=F2)),
+    "matrix(2,1,F3)": ("matrix", dict(a=2, c=1, ctx=make_field(3, 1))),
+    "matrix(2,1,F4)": ("matrix", dict(a=2, c=1, ctx=make_field(2, 2))),
+    "b2_odd(F3)": ("b2_odd", dict(ctx=make_field(3, 1))),
+    "b2_odd(F5)": ("b2_odd", dict(ctx=make_field(5, 1))),
+    "b2_odd(F9)": ("b2_odd", dict(ctx=make_field(3, 2))),
+    "unitary(2,1)": ("unitary", dict(p=2, e=1)),
+    "unitary(3,1)": ("unitary", dict(p=3, e=1)),
+    "unitary(2,2)": ("unitary", dict(p=2, e=2)),
+    "unitary(3,2)": ("unitary", dict(p=3, e=2)),
+    "ree_small(1)": ("ree_small", dict(e=1)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def stock(name):
+    kind, params = NURSERIES[name]
+    return nursery.make_nursery(kind, **params)
+
+
+def tabled_dims(N):
+    return [ell for ell in range(N.rdim + 1)
+            if N.p ** (ell + 2 * N.mdim) <= smallgrp.SUBGROUP_ORDER_CAP]
+
+
+def reference_table(labels, mul):
+    return smallgrp.SmallGroup(labels, mul).table()
+
+
+def test_every_stock_nursery_has_tabled_kinder():
+    for name in NURSERIES:
+        assert tabled_dims(stock(name)), name
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(NURSERIES)), pick=st.integers(0, 2**16),
+       seed=st.integers(0, 2**32))
+def test_kind_table_equals_label_products(name, pick, seed):
+    N = stock(name)
+    dims = tabled_dims(N)
+    K = nursery.random_kind(N, dims[pick % len(dims)], random.Random(seed), relaxed=True)
+    G = K.group()
+    labels = list(K.labels())
+    assert G.labels == tuple(labels)
+    assert G.table() == reference_table(labels, N.mul_label)
+    assert G.identity == G.index_of(N.identity_label())
+
+
+@pytest.mark.parametrize("name", ["matrix(1,1,F2)", "matrix(1,1,F4)", "unitary(3,1)",
+                                  "b2_odd(F5)", "matrix(2,1,F2)"])
+def test_gamma1_table_equals_label_products(name):
+    N = stock(name)
+    G = N.gamma1_group()
+    assert G.table() == reference_table(list(N.labels()), N.mul_label)
+
+
+def test_columns_share_the_index_ints():
+    N = stock("matrix(2,1,F3)")
+    G = nursery.random_kind(N, 2, random.Random(0), relaxed=True).group()
+    assert G.n == 729
+    cols = G.table()
+    assert all(cols[j][i] is cols[G.identity][cols[j][i]] for j in (1, 500) for i in (3, 700))
+
+
+def _corrupt(monkeypatch, edit):
+    law = nursery.ModuleNursery._law_table
+
+    def broken(self, xs):
+        table = law(self, xs).copy()
+        edit(table)
+        return table
+
+    monkeypatch.setattr(nursery.ModuleNursery, "_law_table", broken)
+
+
+def test_wrong_law_fails_loudly(monkeypatch):
+    N = stock("matrix(2,1,F2)")
+
+    def swap(table):
+        # column 4 stays a permutation but is wrong on the probed pair (1, 4)
+        table[4, [1, 3]] = table[4, [3, 1]]
+
+    _corrupt(monkeypatch, swap)
+    with pytest.raises(PropertyViolationError, match="disagrees with mul_label"):
+        nursery.kind_from_subspace(N, N.s_subspace()).group()
+
+
+def test_non_permutation_column_fails_loudly(monkeypatch):
+    N = stock("matrix(2,1,F2)")
+
+    def repeat(table):
+        table[5, 7] = table[5, 8]
+
+    _corrupt(monkeypatch, repeat)
+    with pytest.raises(PropertyViolationError, match="not a permutation"):
+        nursery.kind_from_subspace(N, N.s_subspace()).group()
+
+
+def test_kind_above_table_cap_stays_lazy():
+    N = stock("matrix(2,1,F3)")
+    K = nursery.random_kind(N, 3, random.Random(1))
+    assert K.order == 2187 > smallgrp.SUBGROUP_ORDER_CAP
+    G = K.group()
+    assert all(c is None for c in G._cols)
+
+
+# ---------------------------------------------------------------------------
+# B2
+
+
+B2_FIELDS = {4: make_field(2, 2), 8: make_field(2, 3), 16: make_field(2, 4)}
+
+
+@functools.lru_cache(maxsize=None)
+def b2_over(q):
+    return twisted.b2_build(B2_FIELDS[q])
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from(sorted(B2_FIELDS)), data=st.data())
+def test_batched_b2_law_equals_labels(q, data):
+    b2 = b2_over(q)
+    quad = st.tuples(*[st.integers(0, q - 1)] * 4)
+    gs = data.draw(st.lists(quad, min_size=1, max_size=20))
+    hs = data.draw(st.lists(quad, min_size=len(gs), max_size=len(gs)))
+    g, h = np.array(gs, dtype=np.int16), np.array(hs, dtype=np.int16)
+    comm = b2.commutator_batch(g, h)
+    prod = b2.mul_batch(g, h)
+    inv = b2.inverse_batch(g)
+    for k, (x, y) in enumerate(zip(gs, hs)):
+        assert tuple(comm[k].tolist()) == b2.commutator(x, y)
+        assert tuple(prod[k].tolist()) == b2.mul(x, y)
+        assert tuple(inv[k].tolist()) == b2.inverse(x)
+    # one fixed right factor broadcasts against every row
+    row = b2.commutator_batch(g, h[0])
+    assert [tuple(r) for r in row.tolist()] == [b2.commutator(x, hs[0]) for x in gs]
+
+
+def b2_labels_by_scan(b2, Q, A, B):
+    """The A series and the image of Q by the scans `b2_labels` replaced."""
+    F = b2.ctx
+    q = F.order
+    comm = b2.commutator
+    a_lab = dict(A)
+    for k in range(1, q - 1):
+        target = b2.mul(
+            comm(a_lab[k - 2], B[1]),
+            b2.mul(comm(a_lab[k - 1], B[0]), b2.inverse(comm(a_lab[k], B[0]))),
+        )
+        found = next((x for x in Q.labels if comm(x, B[-1]) == target), None)
+        if found is None:
+            return None
+        a_lab[k + 1] = found
+    return dict(sorted(a_lab.items())), {comm(x, A[0]) for x in Q.labels}
+
+
+def _reps(F, rng=None):
+    w, q = F.primitive, F.order
+
+    def z():
+        return rng.randrange(q) if rng else 0
+
+    A = {i: (F.pow(w, i % (q - 1)), 0, z(), z()) for i in (-1, 0, 1)}
+    B = {i: (0, F.pow(w, i % (q - 1)), z(), z()) for i in (-1, 0, 1)}
+    return A, B
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_b2_labels_match_the_scan_on_full_groups(q):
+    b2 = b2_over(q)
+    G = b2.group()
+    for seed in [None, 0, 1, 2, 3]:
+        A, B = _reps(b2.ctx, None if seed is None else random.Random(seed))
+        lab = twisted.b2_labels(b2, G, A, B)
+        series, brackets = b2_labels_by_scan(b2, G, A, B)
+        assert lab.a_series == series
+        assert lab.q_image == frozenset(lab.coset_value[c] for c in brackets)
+
+
+def _f16_code():
+    F16 = B2_FIELDS[16]
+    w = F16.primitive
+    vecs = [F16.to_vector(1), F16.to_vector(w), F16.to_vector(F16.pow(w, 14))]
+    return Subspace.from_vectors(F2, 4, vecs)
+
+
+def test_b2_labels_match_the_scan_on_the_f16_kind():
+    b16 = b2_over(16)
+    K = b16.kind(_f16_code(), cap=1 << 15)
+    assert K.n == 2**15
+    A, B = _reps(b16.ctx)
+    lab = twisted.b2_labels(b16, K, A, B)
+    series, brackets = b2_labels_by_scan(b16, K, A, B)
+    assert lab.a_series == series
+    assert lab.q_image == frozenset(lab.coset_value[c] for c in brackets)
+
+
+def test_b2_labels_non_generic_subgroup_raises_like_the_scan():
+    b16 = b2_over(16)
+    wset = sorted(B2_FIELDS[16].from_vector(v) for v in _f16_code().enumerate_vectors())
+    labels = [(r, s, z1, z2) for r in wset for s in wset for z1 in range(16) for z2 in range(16)]
+    NG = smallgrp.SmallGroup(labels, b16.mul)
+    A, B = _reps(b16.ctx)
+    assert b2_labels_by_scan(b16, NG, A, B) is None
+    with pytest.raises(PropertyViolationError, match="no solution at step 2"):
+        twisted.b2_labels(b16, NG, A, B)

@@ -218,3 +218,19 @@ def test_kind_group_cap():
     K = nursery.kind_from_subspace(N2, Subspace.full(F2, 4))
     with pytest.raises(CapExceededError):
         K.group(cap=16)
+
+
+def test_reconstruct_above_table_cap_starts_few_columns():
+    # order 3^7 = 2187, above SUBGROUP_ORDER_CAP: the kind has no table and
+    # reconstruct must not start a column per element (n^2 entries)
+    N = nursery.make_nursery("matrix", a=2, c=1, ctx=F3)
+    rng = random.Random(3)
+    K = nursery.random_kind(N, 3, rng)
+    assert K.order == 2187 > smallgrp.SUBGROUP_ORDER_CAP
+    rho, mu = nursery.random_frames(K, rng)
+    rec = nursery.reconstruct(K, rho, mu)
+    assert rec.X == N.gamma2_labels() and rec.Y == N.gamma3_labels()
+    assert rec.Z == {N.identity_label()}
+    assert len(rec.chi) == K.order and all(rec.chi[lab] == lab[0] for lab in K.labels())
+    started = sum(col is not None for col in K.group()._cols)
+    assert started <= len(N.t_vectors) + N.mdim + 1

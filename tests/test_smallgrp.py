@@ -192,3 +192,13 @@ def test_sigma_multiplicative_coprime():
     b = sg.sigma_counts(sg.cyclic_group(27))
     ab = sg.sigma_counts(sg.direct_product(sg.dihedral_group(4), sg.cyclic_group(27)))
     assert ab == (a[0] * b[0], a[1] * b[1])
+
+
+def test_mul_idx_starts_columns_only_up_to_the_table_cap():
+    small = sg.cyclic_group(12)
+    assert small.mul_idx(3, 5) == 8 and small._cols[5] is not None
+    big = sg.cyclic_group(sg.SUBGROUP_ORDER_CAP + 1)
+    assert big.mul_idx(3, 5) == 8 and big._cols[5] is None
+    assert big.inverse_idx(5) == big.n - 5 and all(c is None for c in big._cols)
+    # closures still cache the columns of their seeds
+    assert len(big.closure_idx([7])) == big.n and big._cols[7] is not None
