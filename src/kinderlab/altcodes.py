@@ -142,6 +142,10 @@ def _swap_bits(m: int, i: int, j: int) -> int:
 
 def _orbits(k: int, l: int):
     """Partition the l-dim subspaces of F_2^k into coordinate-permutation orbits."""
+    if k < 1 or l < 0 or l > k:
+        raise InvalidConfigError("need k >= 1 and 0 <= l <= k")
+    if k > 6:
+        raise CapExceededError("orbit enumeration capped at k = 6")
     ctx = make_field(2, 1)
     spaces = list(enumerate_subspaces(k, l, ctx))
     masks = [_mask_set(s, k) for s in spaces]
@@ -167,10 +171,6 @@ def _orbits(k: int, l: int):
 
 def code_classes(k: int, l: int):
     """(orbit count under Sym_k, the 2^(l(k-l))/k! lower bound as a Fraction)."""
-    if k < 1 or l < 0 or l > k:
-        raise InvalidConfigError("need 0 <= l <= k")
-    if k > 6:
-        raise CapExceededError("orbit enumeration capped at k = 6")
     _, orbits = _orbits(k, l)
     count = len(orbits)
     bound = Fraction(2 ** (l * (k - l)), math.factorial(k))
@@ -181,8 +181,6 @@ def code_classes(k: int, l: int):
 
 def code_class_table(k: int, l: int) -> dict:
     """JSON-ready table: canonical generator matrix and size of each class."""
-    if k > 6:
-        raise CapExceededError("orbit enumeration capped at k = 6")
     spaces, orbits = _orbits(k, l)
     classes = []
     for orbit in orbits:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, make_field
-from .linalg import EchelonAccumulator, Matrix, Subspace, batch_neg, np_rank, rank_nullspace, rref
+from .linalg import (CoordSolver, EchelonAccumulator, Matrix, Subspace, batch_neg, rank_nullspace,
+                     ranks, rref, unflatten_matrix)
 
 _ROOT_SEARCH_CAP = 1 << 20
 
@@ -142,21 +143,28 @@ def hom_equations_batch(P, U, sign: int, ctx: FieldCtx):
     return eqs.reshape(T, c * a * b, na + b * t)
 
 
+def _solution_pairs(ctx: FieldCtx, rows, left, right) -> list:
+    """A basis of the solutions of the homogeneous system `rows` (all of the
+    space when there are no rows), each solution split row-major into a
+    left[0] x left[1] matrix and then a right[0] x right[1] matrix."""
+    (ra, ca), (rb, cb) = left, right
+    na = ra * ca
+    if rows:
+        vecs = rank_nullspace(Matrix(ctx, rows))[2].basis
+    else:
+        vecs = Subspace.full(ctx, na + rb * cb).basis
+    return [
+        (Matrix(ctx, [v[i * ca : (i + 1) * ca] for i in range(ra)]),
+         Matrix(ctx, [v[na + i * cb : na + (i + 1) * cb] for i in range(rb)]))
+        for v in vecs
+    ]
+
+
 def hom_space(phi: MatrixSystem, ups: MatrixSystem, sign: int = 1) -> HomSpace:
     """Basis of {(A,B) : A Phi_i = sign * Ups_i B^t for all i}."""
     ctx = phi.ctx
     rows, (a, s, b, t) = _hom_equations(phi, ups, sign)
-    na, nb = a * s, b * t
-    if not rows:
-        vecs = [tuple(1 if k == i else 0 for k in range(na + nb)) for i in range(na + nb)]
-    else:
-        _, _, null = rank_nullspace(Matrix(ctx, rows))
-        vecs = list(null.basis)
-    basis = []
-    for v in vecs:
-        A = Matrix(ctx, [v[r * s : (r + 1) * s] for r in range(a)])
-        B = Matrix(ctx, [v[na + r * t : na + (r + 1) * t] for r in range(b)])
-        basis.append((A, B))
+    basis = _solution_pairs(ctx, rows, (a, s), (b, t))
     for A, B in basis:
         for P, U in zip(phi.mats, ups.mats):
             lhs = A.mul(P)
@@ -170,18 +178,15 @@ def hom_space(phi: MatrixSystem, ups: MatrixSystem, sign: int = 1) -> HomSpace:
 
 
 def hom_dim(phi: MatrixSystem, ups: MatrixSystem, sign: int = 1, fast=True) -> int:
-    """dim_K of the hom space without materializing a basis."""
+    """dim_K of the hom space without materializing a basis; fast=False
+    takes the `rref` rank, the reference `linalg.ranks` is checked against."""
     rows, (a, s, b, t) = _hom_equations(phi, ups, sign)
     n_unknowns = a * s + b * t
     if not rows:
         return n_unknowns
     if fast:
-        try:
-            return n_unknowns - np_rank(rows, phi.ctx)
-        except InvalidConfigError:
-            pass
-    rank, _, _ = rank_nullspace(Matrix(phi.ctx, rows))
-    return n_unknowns - rank
+        return n_unknowns - int(ranks([rows], phi.ctx)[0])
+    return n_unknowns - len(rref(rows, phi.ctx)[0])
 
 
 def end_space(phi: MatrixSystem) -> HomSpace:
@@ -320,18 +325,8 @@ def right_nucleus(bm: Bimap, left_sub: Subspace) -> HomSpace:
     if left_sub.ambient_dim != bm.left_dim or left_sub.ctx != ctx:
         raise InvalidConfigError("left subspace does not match the bimap")
     r, t = bm.right_dim, bm.target_dim
-    ng, nh = r * r, t * t
     rows = [row for q in left_sub.basis for row in nucleus_equations(bm, q)]
-    if not rows:
-        vecs = [tuple(1 if k == i else 0 for k in range(ng + nh)) for i in range(ng + nh)]
-    else:
-        _, _, null = rank_nullspace(Matrix(ctx, rows))
-        vecs = list(null.basis)
-    basis = []
-    for v in vecs:
-        g = Matrix(ctx, [v[i * r : (i + 1) * r] for i in range(r)])
-        h = Matrix(ctx, [v[ng + i * t : ng + (i + 1) * t] for i in range(t)])
-        basis.append((g, h))
+    basis = _solution_pairs(ctx, rows, (r, r), (t, t))
     space = HomSpace(ctx=ctx, basis=tuple(basis), dim_k=len(basis), dim_fp=ctx.e * len(basis))
     ident = (Matrix.identity(ctx, r), Matrix.identity(ctx, t))
     if not space.contains(*ident):
@@ -370,52 +365,6 @@ def _embed_root(E: FieldCtx, K: FieldCtx) -> int:
     raise PropertyViolationError("no root of the subfield polynomial found")
 
 
-class _KCoords:
-    """Coordinates of elements of E in the K-basis {alpha^i}, via the
-    F_p-basis {beta^j alpha^i}."""
-
-    def __init__(self, E: FieldCtx, K: FieldCtx, beta: int, alpha: int, m: int):
-        self.E, self.K, self.m = E, K, m
-        e = K.e
-        d = e * m
-        Fp = make_field(K.p, 1)
-        cols = []
-        for i in range(m):
-            ai = E.pow(alpha, i)
-            for j in range(e):
-                x = E.mul(ai, E.pow(beta, j))
-                cols.append(E.to_vector(x))
-        # invert the basis matrix over F_p by row reducing [M | I]
-        aug = []
-        for rr in range(d):
-            aug.append([cols[cc][rr] for cc in range(d)] + [1 if k == rr else 0 for k in range(d)])
-        red, pivots = rref(aug, Fp)
-        if list(pivots) != list(range(d)):
-            raise PropertyViolationError("power basis is not an F_p-basis")
-        self._inv = [row[d:] for row in red]
-        self._fp = Fp
-
-    def coords(self, x: int) -> tuple:
-        """K-coordinates (length m) of x in the alpha power basis."""
-        E, K, m = self.E, self.K, self.m
-        e = K.e
-        vec = E.to_vector(x)
-        d = e * m
-        z = [0] * d
-        for rr in range(d):
-            acc = 0
-            row = self._inv[rr]
-            for cc in range(d):
-                if row[cc] and vec[cc]:
-                    acc = (acc + row[cc] * vec[cc]) % K.p
-            z[rr] = acc
-        out = []
-        for i in range(m):
-            digits = z[i * e : (i + 1) * e]
-            out.append(K.from_vector(digits))
-        return tuple(out)
-
-
 def witness_system(m: int, n: int, K: FieldCtx) -> MatrixSystem:
     """An explicit m x n system over K whose End is the scalars.
 
@@ -438,11 +387,18 @@ def witness_system(m: int, n: int, K: FieldCtx) -> MatrixSystem:
     E = make_field(K.p, K.e * m)
     beta = _embed_root(E, K)
     alpha = E.primitive
-    coords = _KCoords(E, K, beta, alpha, m)
-    basis = [E.pow(alpha, i) for i in range(m)]
+    # F_p-coordinates in {alpha^i beta^j}: each run of e of them is one
+    # K-coordinate in the K-basis {alpha^i}, as unflatten_matrix reads them
+    fp_basis = [E.mul(E.pow(alpha, i), E.pow(beta, j)) for i in range(m) for j in range(K.e)]
+    try:
+        solver = CoordSolver([E.to_vector(x) for x in fp_basis], make_field(K.p, 1))
+    except InvalidConfigError:
+        raise PropertyViolationError("power basis is not an F_p-basis") from None
+
     def map_matrix(fn):
-        cols = [coords.coords(fn(x)) for x in basis]
-        return Matrix(K, [[cols[j][i] for j in range(m)] for i in range(m)])
+        # row j holds the coordinates of fn(alpha^j), so the map is its transpose
+        z = [c for x in fp_basis[:: K.e] for c in solver.coords(E.to_vector(fn(x)))]
+        return unflatten_matrix(z, K, m, m).transpose()
     ident = Matrix.identity(K, m)
     mult_alpha = map_matrix(lambda x: E.mul(alpha, x))
     sigma = map_matrix(lambda x: E.frobenius(x, K.e))

@@ -95,6 +95,20 @@ def _require_seed(config: RunConfig):
         raise InvalidConfigError("--seed is required for stochastic commands")
 
 
+def _get(values: dict, name: str, default):
+    """values[name], or default only where it is absent or None (so 0 stays 0)."""
+    value = values.get(name)
+    return default if value is None else value
+
+
+def _count(values: dict, name: str, default: int, low: int = 0) -> int:
+    """`_get` for a count: InvalidConfigError unless an int of at least low."""
+    (value,) = need({name: _get(values, name, default)}, name, counts=True)
+    if value < low:
+        raise InvalidConfigError("parameter %r must be at least %d" % (name, low))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -114,11 +128,11 @@ def _cmd_field_check(config: RunConfig) -> dict:
 
 def _cmd_hom(config: RunConfig) -> dict:
     _require_seed(config)
-    a, s, b, t = need(config.params, "a", "s", "b", "t")
-    c = config.params.get("c") or 2
-    q = config.params.get("q") or 2
-    sign = config.params.get("sign") or 1
-    trials = config.trials or 10
+    a, s, b, t = (_count(config.params, n, None, low=1) for n in ("a", "s", "b", "t"))
+    c = _count(config.params, "c", 2)
+    q = _get(config.params, "q", 2)
+    sign = _get(config.params, "sign", 1)
+    trials = _count({"trials": config.trials}, "trials", 10, low=1)
     K = make_field_from_order(q)
     rng = random.Random(config.seed)
     dims = []
@@ -141,7 +155,7 @@ def _cmd_hom(config: RunConfig) -> dict:
 
 def _cmd_witness(config: RunConfig) -> dict:
     m, n = need(config.params, "m", "n")
-    q = config.params.get("q") or 2
+    q = _get(config.params, "q", 2)
     K = make_field_from_order(q)
     W = bimap.witness_system(m, n, K)
     hs = bimap.end_space(W)
@@ -157,7 +171,7 @@ def _cmd_witness(config: RunConfig) -> dict:
 
 def _cmd_generic(config: RunConfig) -> dict:
     (kind,) = need(config.params, "kind")
-    mode = config.params.get("mode") or "estimate"
+    mode = _get(config.params, "mode", "estimate")
     if mode not in ("estimate", "exhaustive"):
         raise InvalidConfigError("generic mode must be estimate or exhaustive")
     params = {
@@ -169,7 +183,8 @@ def _cmd_generic(config: RunConfig) -> dict:
         rep = genericity.exhaustive_mode(kind, params)
     else:
         _require_seed(config)
-        rep = genericity.estimate(kind, params, config.trials or 1000, seed=config.seed)
+        trials = _count({"trials": config.trials}, "trials", 1000, low=1)
+        rep = genericity.estimate(kind, params, trials, seed=config.seed)
     return rep.to_payload()
 
 
@@ -192,14 +207,12 @@ def _make_nursery(params: dict) -> nursery.ModuleNursery:
 
 def _cmd_census(config: RunConfig) -> dict:
     nur = _make_nursery(config.params)
-    ell = config.params.get("ell")
-    if ell is None:
-        ell = nur.s_subspace().dim
-    mode = config.params.get("mode") or "strict"
+    ell = _get(config.params, "ell", nur.s_subspace().dim)
+    mode = _get(config.params, "mode", "strict")
     if mode not in ("strict", "relaxed"):
         raise InvalidConfigError("census mode must be strict or relaxed")
-    max_kinder = config.caps.get("subgroups") or 4096
-    max_order = config.caps.get("iso", nursery.GROUP_ORDER_CAP)
+    max_kinder = _count(config.caps, "subgroups", 4096)
+    max_order = _count(config.caps, "iso", nursery.GROUP_ORDER_CAP)
     rep = nursery.census(nur, ell, relaxed=(mode == "relaxed"), max_kinder=max_kinder,
                          max_order=max_order)
     return rep.to_payload()
@@ -207,8 +220,8 @@ def _cmd_census(config: RunConfig) -> dict:
 
 def _cmd_reconstruct(config: RunConfig) -> dict:
     _require_seed(config)
+    trials = _count({"trials": config.trials}, "trials", 10, low=1)
     nur = _make_nursery(config.params)
-    trials = config.trials or 10
     rng = random.Random(config.seed)
     lo = nur.s_subspace().dim
     ell_fixed = config.params.get("ell")
@@ -241,7 +254,7 @@ def _cmd_alt_codes(config: RunConfig) -> dict:
 def _cmd_suzuki_search(config: RunConfig) -> dict:
     _require_seed(config)
     (e,) = need(config.params, "e")
-    budget = config.params.get("budget") or 40
+    budget = _count(config.params, "budget", 40, low=1)
     res = twisted.suzuki_search(e, budget=budget, seed=config.seed)
     if isinstance(res, twisted.SearchFailure):
         return {
@@ -252,9 +265,12 @@ def _cmd_suzuki_search(config: RunConfig) -> dict:
             "needed": res.needed,
             "restarts": res.restarts,
         }
-    path = config.params.get("cert") or ("suzuki_cert_e%d.json" % e)
-    with open(path, "w") as fh:
-        fh.write(res.to_json())
+    path = _get(config.params, "cert", "suzuki_cert_e%d.json" % e)
+    try:
+        with open(path, "w") as fh:
+            fh.write(res.to_json())
+    except OSError as exc:
+        raise InvalidConfigError("cannot write certificate: %s" % exc) from None
     return {
         "found": True,
         "e": res.e,
@@ -304,7 +320,7 @@ def _cmd_arith(config: RunConfig) -> dict:
 
 
 def _cmd_b2_demo(config: RunConfig) -> dict:
-    q = config.params.get("q") or 8
+    q = _get(config.params, "q", 8)
     F = make_field_from_order(q)
     b2 = twisted.b2_build(F)
     G = b2.group()
@@ -391,12 +407,13 @@ def verify_suite(tier: str = "fast", stream=None) -> tuple[dict, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # --out is common; every other flag belongs to the subcommands that read it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, help="PRNG seed (required for stochastic commands)")
-    common.add_argument("--trials", type=int, help="number of random trials")
     common.add_argument("--out", help="write the JSON report here instead of stdout")
-    common.add_argument("--cap-subgroups", type=int, help="enumeration cap for subgroup counts")
-    common.add_argument("--cap-iso", type=int, help="order cap for isomorphism classification")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, help="PRNG seed (required for stochastic commands)")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    sampled.add_argument("--trials", type=int, help="number of random trials")
 
     ap = argparse.ArgumentParser(
         prog="kinderlab",
@@ -408,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--e", type=int, required=True)
 
-    sp = sub.add_parser("hom", parents=[common], help="solve random twisted hom systems")
+    sp = sub.add_parser("hom", parents=[sampled], help="solve random twisted hom systems")
     for flag in ("--a", "--s", "--b", "--t"):
         sp.add_argument(flag, type=int, required=True)
     sp.add_argument("--c", type=int, default=2)
@@ -420,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--q", type=int, default=2)
 
-    sp = sub.add_parser("generic", parents=[common], help="genericity frequency, sampled or exhaustive")
+    sp = sub.add_parser("generic", parents=[sampled], help="genericity frequency, sampled or exhaustive")
     sp.add_argument("--kind", required=True, choices=genericity.KINDS)
     sp.add_argument("--mode", choices=("estimate", "exhaustive"), help="default estimate")
     for flag in ("--n", "--s", "--m", "--a", "--b", "--c", "--ell", "--q"):
@@ -429,10 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("nursery-census", parents=[common], help="classify every kind of one dimension")
     sp.add_argument("--kind", required=True, choices=("matrix", "unitary", "b2_odd", "ree_small"))
     sp.add_argument("--mode", choices=("strict", "relaxed"), help="default strict")
+    sp.add_argument("--cap-subgroups", type=int, help="enumeration cap for subgroup counts")
+    sp.add_argument("--cap-iso", type=int, help="order cap for isomorphism classification")
     for flag in ("--a", "--c", "--p", "--e", "--q", "--ell"):
         sp.add_argument(flag, type=int)
 
-    sp = sub.add_parser("reconstruct", parents=[common], help="rebuild the filtration from group multiplication")
+    sp = sub.add_parser("reconstruct", parents=[sampled], help="rebuild the filtration from group multiplication")
     sp.add_argument("--kind", required=True, choices=("matrix", "unitary", "b2_odd", "ree_small"))
     for flag in ("--a", "--c", "--p", "--e", "--q", "--ell"):
         sp.add_argument(flag, type=int)
@@ -441,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
 
-    sp = sub.add_parser("suzuki-search", parents=[common], help="search for a small spanning certificate")
+    sp = sub.add_parser("suzuki-search", parents=[seeded], help="search for a small spanning certificate")
     sp.add_argument("--e", type=int, required=True)
     sp.add_argument("--budget", type=int, default=40)
     sp.add_argument("--cert", help="certificate output path (default suzuki_cert_e<e>.json)")
@@ -467,17 +486,18 @@ _COMMON_KEYS = {"command", "seed", "trials", "out", "cap_subgroups", "cap_iso"}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {k: v for k, v in vars(args).items() if k not in _COMMON_KEYS and v is not None}
+    opts = vars(args)
+    params = {k: v for k, v in opts.items() if k not in _COMMON_KEYS and v is not None}
     caps = {}
-    if args.cap_subgroups is not None:
-        caps["subgroups"] = args.cap_subgroups
-    if args.cap_iso is not None:
-        caps["iso"] = args.cap_iso
+    if opts.get("cap_subgroups") is not None:
+        caps["subgroups"] = opts["cap_subgroups"]
+    if opts.get("cap_iso") is not None:
+        caps["iso"] = opts["cap_iso"]
     return RunConfig(
         command=args.command,
         params=params,
-        seed=args.seed,
-        trials=args.trials,
+        seed=opts.get("seed"),
+        trials=opts.get("trials"),
         caps=caps,
         out=args.out,
     )

@@ -15,7 +15,7 @@ evaluator [T, ...] arrays of element codes in batches of at most CHUNK
 instances, fewer where one instance's largest matrix is big, so that a
 batch's largest stack holds about CHUNK_CELLS entries at most and memory
 stays bounded.  The evaluator assembles the equation or image matrices of
-the whole batch and makes one `linalg.batch_rank` call per rank it needs.
+the whole batch and makes one `linalg.ranks` call per rank it needs.
 
 The two dimensions `hom_pm_transpose` records per trial, dim hom(P, P^t)
 and dim hom(P, -P^t), are always equal: (A, B) -> (A, -B) carries the
@@ -42,7 +42,7 @@ import numpy as np
 from . import bimap as bm
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, need
 from .gf import FieldCtx, make_field, make_field_from_order
-from .linalg import batch_neg, batch_rank, gaussian_binomial, rref, unflatten_matrix
+from .linalg import batch_neg, gaussian_binomial, ranks, unflatten_matrix
 
 KINDS = ("span", "end_generic", "hom_pm_transpose", "lambda_end", "nucleus", "derived_full")
 EXHAUSTIVE_CAP = 1 << 24
@@ -209,7 +209,7 @@ class _Subspaces:
         it already made, so no generator outlives its draw."""
         p, ell, dim = self.fp.p, self.ell, self.dim
         out = _Entries(self.fp, (ell, dim)).draw(seed, lo, hi)
-        todo = [i for i, r in enumerate(_ranks(out, self.fp)) if r < ell]
+        todo = [i for i, r in enumerate(ranks(out, self.fp)) if r < ell]
         made = ell * dim
         while todo:
             for i in todo:
@@ -218,7 +218,7 @@ class _Subspaces:
                     rng.randrange(p)
                 out[i] = [[rng.randrange(p) for _ in range(dim)] for _ in range(ell)]
             made += ell * dim
-            todo = [i for i, r in zip(todo, _ranks(out[todo], self.fp)) if r < ell]
+            todo = [i for i, r in zip(todo, ranks(out[todo], self.fp)) if r < ell]
         return out
 
     def total(self) -> int:
@@ -256,17 +256,10 @@ def _rebatch(pieces, size):
 # ---------------------------------------------------------------------------
 # batched evaluators
 
-def _ranks(arr, ctx: FieldCtx):
-    try:
-        return batch_rank(arr, ctx)
-    except InvalidConfigError:  # GF(p^e) above the lookup tables: exact per instance
-        return np.array([len(rref(m, ctx)[0]) for m in arr.tolist()], dtype=np.int64)
-
-
 def _hom_dims(P, U, sign: int, ctx: FieldCtx):
     """dim_K hom(P_t, U_t) with the given sign for each instance t."""
     eqs = bm.hom_equations_batch(P, U, sign, ctx)
-    return eqs.shape[2] - _ranks(eqs, ctx)
+    return eqs.shape[2] - ranks(eqs, ctx)
 
 
 def _fp_matmul(x, y, p: int):
@@ -323,7 +316,7 @@ def _spec(kind: str, params: dict) -> _Spec:
             raise InvalidConfigError("span needs n, s >= 1")
 
         def evaluate(vecs):
-            r = _ranks(vecs, ctx)
+            r = ranks(vecs, ctx)
             return r.tolist(), r == n
 
         return _Spec(_Entries(ctx, (s, n)), evaluate, s * n, span_bound(n, s, q), {})
@@ -399,7 +392,7 @@ def _spec(kind: str, params: dict) -> _Spec:
 
         def evaluate(Q):
             eqs = _fp_matmul(Q, unit_eqs, fp.p).reshape(len(Q), ell * r * t, unknowns)
-            d = unknowns - _ranks(eqs, fp)
+            d = unknowns - ranks(eqs, fp)
             return d.tolist(), d == target
 
         return _Spec(source, evaluate, ell * r * t * unknowns, None, {"target_dim_fp": target})
@@ -409,7 +402,7 @@ def _spec(kind: str, params: dict) -> _Spec:
     def evaluate(Q):
         """F_p-rank of {x * u : x in the kind's top layer, u a basis element
         of the middle layer}, the flattened image of the commutator map."""
-        d = _ranks(_fp_matmul(Q, structure, fp.p).reshape(len(Q), ell * r, t), fp)
+        d = ranks(_fp_matmul(Q, structure, fp.p).reshape(len(Q), ell * r, t), fp)
         return d.tolist(), d == full
 
     # the stated exponent b - a*ell is unambiguous (and provable) at a == b;

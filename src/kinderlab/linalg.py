@@ -5,7 +5,8 @@ in reduced row echelon form, so equal subspaces compare equal and hash equal.
 Everything here is plain Gaussian elimination.  The numpy fast path at the
 bottom is `batch_rank`: one vectorized elimination over a [T, r, c] stack of
 matrices, in int64 arithmetic mod p over prime fields and through the field's
-lookup tables over GF(p^e) up to order 512.  `np_rank` is its T = 1 case.
+lookup tables over GF(p^e) up to order 512.  `np_rank` is its T = 1 case,
+and `ranks` is the one place that sends a field outside that range to `rref`.
 """
 
 from __future__ import annotations
@@ -136,6 +137,50 @@ def rref(rows, ctx: FieldCtx):
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
+def _reduce(work: list, rows, ctx: FieldCtx) -> list:
+    """Subtract f * row from work, in place, for each (pivot, row) in turn,
+    f being work's entry at the pivot; zero entries are skipped."""
+    sub, mul = ctx.sub, ctx.mul
+    for c, row in rows:
+        f = work[c]
+        if f:
+            for j, r in enumerate(row):
+                if r:
+                    work[j] = sub(work[j], mul(f, r))
+    return work
+
+
+class CoordSolver:
+    """Coordinates with respect to a fixed independent family of rows.
+
+    Row-reduces [rows | I] once; `coords` then expresses any vector in the
+    original family (not the echelon one) or returns None.
+    """
+
+    def __init__(self, rows, ctx: FieldCtx):
+        n = len(rows[0]) if rows else 0
+        k = len(rows)
+        aug = []
+        for i, row in enumerate(rows):
+            tail = [0] * k
+            tail[i] = 1
+            aug.append(list(row) + tail)
+        basis, pivots = rref(aug, ctx)
+        if len(basis) != k or any(piv >= n for piv in pivots):
+            raise InvalidConfigError("coordinate rows are linearly dependent")
+        self.ctx = ctx
+        self.n = n
+        self.k = k
+        self.rows = tuple(zip(pivots, basis))
+
+    def coords(self, vec):
+        ctx = self.ctx
+        work = _reduce(list(vec) + [0] * self.k, self.rows, ctx)
+        if any(work[: self.n]):
+            return None
+        return tuple(ctx.neg(x) for x in work[self.n :])
+
+
 class Subspace:
     """A subspace of ctx^ambient_dim held as a canonical RREF basis."""
 
@@ -176,13 +221,7 @@ class Subspace:
 
     def reduce(self, vec):
         """Residue of vec modulo the subspace (zero iff vec is a member)."""
-        ctx = self.ctx
-        vec = list(vec)
-        for row, c in zip(self.basis, self.pivots):
-            f = vec[c]
-            if f:
-                vec = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(vec, row)]
-        return tuple(vec)
+        return tuple(_reduce(list(vec), zip(self.pivots, self.basis), self.ctx))
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -232,13 +271,7 @@ class EchelonAccumulator:
         return len(self.rows)
 
     def residue(self, vec):
-        ctx = self.ctx
-        vec = list(vec)
-        for c, row in self.rows:
-            f = vec[c]
-            if f:
-                vec = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(vec, row)]
-        return vec
+        return _reduce(list(vec), self.rows, self.ctx)
 
     def add(self, vec) -> bool:
         """Returns True when vec enlarged the span."""
@@ -433,6 +466,20 @@ def batch_rank(arr, ctx: FieldCtx):
         sub[...] = combine(sub, pv[:, None, None], sub[:, :, :1], prow[:, None, :])
         rank += has
     return rank
+
+
+def ranks(arr, ctx: FieldCtx):
+    """int64 ranks of a [T, r, c] array of element codes, one per instance:
+    one batch_rank where the field fits it (p < PRIME_CAP, or an order the
+    lookup tables cover), the rref rank of each instance otherwise."""
+    import numpy as np
+
+    if ctx.p < PRIME_CAP if ctx.e == 1 else ctx.order <= 512:
+        return batch_rank(arr, ctx)
+    a = np.asarray(arr)
+    if a.ndim != 3:
+        raise InvalidConfigError("ranks needs a [T, rows, cols] array")
+    return np.array([len(rref(m, ctx)[0]) for m in a.tolist()], dtype=np.int64)
 
 
 def np_rank(mat, ctx: FieldCtx) -> int:

@@ -31,6 +31,7 @@ from . import smallgrp
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, require
 from .gf import FieldCtx, make_field
 from .linalg import (
+    CoordSolver,
     EchelonAccumulator,
     Matrix,
     Subspace,
@@ -46,44 +47,6 @@ GROUP_ORDER_CAP = 1 << 14
 # below this Gamma_1 order the constructor checks the filtration on every
 # pair of elements instead of only on basis transversals
 EXHAUSTIVE_ORDER_CAP = 1 << 9
-
-
-class _CoordSolver:
-    """Coordinates with respect to a fixed independent family of rows.
-
-    Row-reduces [rows | I] once; `coords` then expresses any vector in the
-    original family (not the echelon one) or returns None.
-    """
-
-    def __init__(self, rows, ctx: FieldCtx):
-        n = len(rows[0]) if rows else 0
-        k = len(rows)
-        aug = []
-        for i, row in enumerate(rows):
-            tail = [0] * k
-            tail[i] = 1
-            aug.append(list(row) + tail)
-        basis, pivots = rref(aug, ctx)
-        if len(basis) != k or any(piv >= n for piv in pivots):
-            raise InvalidConfigError("coordinate rows are linearly dependent")
-        self.ctx = ctx
-        self.n = n
-        self.k = k
-        self.rows = basis
-        self.pivots = pivots
-
-    def coords(self, vec):
-        ctx = self.ctx
-        work = list(vec) + [0] * self.k
-        for row, piv in zip(self.rows, self.pivots):
-            c = work[piv]
-            if c:
-                for j, r in enumerate(row):
-                    if r:
-                        work[j] = ctx.sub(work[j], ctx.mul(c, r))
-        if any(work[: self.n]):
-            return None
-        return tuple(ctx.neg(x) for x in work[self.n :])
 
 
 def _digit_sums(p: int, d: int):
@@ -118,7 +81,7 @@ class ModuleNursery:
             if b.ctx != ctx or b.shape != (self.mdim, self.mdim):
                 raise InvalidConfigError("algebra basis matrices must share one shape")
         self.rbasis = tuple(rbasis)
-        self._solver = _CoordSolver([flatten_matrix(b) for b in rbasis], ctx)
+        self._solver = CoordSolver([flatten_matrix(b) for b in rbasis], ctx)
         self.one_coords = self.r_coords(Matrix.identity(ctx, self.mdim))
         if self.one_coords is None:
             raise InvalidConfigError("algebra span lacks a unit")
@@ -807,7 +770,7 @@ def _unitary_kind(p: int, e: int) -> ModuleNursery:
     skew = kernel_of(F.add)  # alpha^sigma = -alpha
     if len(fixed) != e or len(skew) != e:
         raise InvalidConfigError("sigma eigenspaces have unexpected dimensions")
-    skew_solver = _CoordSolver([F.to_vector(v) for v in skew], pf)
+    skew_solver = CoordSolver([F.to_vector(v) for v in skew], pf)
 
     def mult_matrix(g: int) -> Matrix:
         images = []

@@ -151,3 +151,10 @@ def test_code_class_table_payload():
     assert table["classes"] == altcodes.code_classes(4, 2)[0]
     assert sum(c["size"] for c in table["table"]) == 35
     assert table["bound"] == {"numerator": 2, "denominator": 3}
+
+
+@pytest.mark.parametrize("k, l", [(3, 9), (2, -1), (-1, 1), (0, 0), (3, 4)])
+def test_code_class_table_rejects_k_and_l_out_of_range(k, l):
+    for fn in (altcodes.code_class_table, altcodes.code_classes):
+        with pytest.raises(InvalidConfigError):
+            fn(k, l)

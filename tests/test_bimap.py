@@ -1,8 +1,10 @@
 """Hom pairs of matrix systems: identities, brute-force counts, nuclei."""
 
 import itertools
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinderlab import bimap as bm
-from kinderlab.errors import InvalidConfigError
+from kinderlab.errors import InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field, make_field_from_order
 from kinderlab.linalg import Matrix, Subspace
 
@@ -261,3 +263,23 @@ def test_hom_space_contains_builds_its_echelon_once(monkeypatch):
     empty = bm.HomSpace(ctx=F2, basis=(), dim_k=0, dim_fp=0)
     zero = (Matrix.zero(F2, 2, 2), Matrix.zero(F2, 1, 1))
     assert empty.contains(*zero) and not empty.contains(Matrix.identity(F2, 2), zero[1])
+
+
+# witness_system(m, m, K) for each "q,m": its three matrices, row by row.
+# Written from the commit that preceded the shared CoordSolver (aba0a8b),
+# when the K-coordinates came from bimap's own inverse of the power basis.
+WITNESS_GOLDEN = Path(__file__).parent / "data" / "witness_golden.json"
+
+
+@pytest.mark.parametrize("key", sorted(json.loads(WITNESS_GOLDEN.read_text())))
+def test_witness_system_matrices_frozen(key):
+    q, m = map(int, key.split(","))
+    W = bm.witness_system(m, m, make_field_from_order(q))
+    assert [[list(r) for r in M.rows] for M in W] == json.loads(WITNESS_GOLDEN.read_text())[key]
+
+
+def test_witness_power_basis_must_span(monkeypatch):
+    # beta = 0 makes every alpha^i beta^j with j >= 1 zero
+    monkeypatch.setattr(bm, "_embed_root", lambda E, K: 0)
+    with pytest.raises(PropertyViolationError, match="power basis is not an F_p-basis"):
+        bm.witness_system(2, 2, F4)

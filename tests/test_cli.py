@@ -212,3 +212,115 @@ def test_mode_only_where_it_is_read(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_INVALID, argv
+
+
+def test_zero_is_not_replaced_by_the_default():
+    rep = run_config("hom", {"a": 1, "s": 1, "b": 1, "t": 1, "c": 0, "q": 3}, seed=1, trials=2)
+    # no matrices, so no equations: every pair (A, B) is a hom
+    assert rep.results["shape"]["c"] == 0
+    assert rep.results["systems"] == [{"dim_k": 2, "dim_fp": 2}] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["generic", "--kind", "span", "--n", "2", "--s", "2", "--q", "2", "--seed", "1",
+     "--trials", "0"],
+    ["hom", "--a", "1", "--s", "1", "--b", "1", "--t", "1", "--seed", "1", "--trials", "-2"],
+    ["hom", "--a", "1", "--s", "1", "--b", "1", "--t", "1", "--seed", "1", "--c", "-1"],
+    ["reconstruct", "--kind", "matrix", "--a", "1", "--c", "1", "--q", "2", "--seed", "1",
+     "--trials", "-3"],
+    ["suzuki-search", "--e", "1", "--seed", "1", "--budget", "0"],
+    ["alt-codes", "--k", "3", "--l", "9"],
+    ["alt-codes", "--k", "2", "--l", "-1"],
+    ["alt-codes", "--k", "-1", "--l", "1"],
+], ids=["generic-trials-0", "hom-trials-neg", "hom-c-neg", "reconstruct-trials-neg",
+        "suzuki-budget-0", "alt-codes-l-over-k", "alt-codes-l-neg", "alt-codes-k-neg"])
+def test_counts_out_of_range_exit_invalid(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error (invalid-config)") and "Traceback" not in err
+
+
+# one cheap valid invocation per subcommand, int flags first
+CHEAP = {
+    "field-check": ["--p", "2", "--e", "2"],
+    "hom": ["--a", "1", "--s", "1", "--b", "1", "--t", "1", "--c", "1", "--q", "2",
+            "--seed", "1", "--trials", "1"],
+    "witness": ["--m", "1", "--n", "2", "--q", "2"],
+    "generic": ["--n", "1", "--s", "1", "--q", "2", "--seed", "1", "--trials", "1",
+                "--kind", "span"],
+    "nursery-census": ["--a", "1", "--c", "1", "--q", "2", "--ell", "1", "--cap-subgroups", "8",
+                       "--cap-iso", "8", "--kind", "matrix"],
+    "reconstruct": ["--a", "1", "--c", "1", "--q", "2", "--seed", "1", "--trials", "1",
+                    "--kind", "matrix"],
+    "alt-codes": ["--k", "2", "--l", "1"],
+    "suzuki-search": ["--e", "1", "--seed", "1", "--budget", "1"],
+    "suzuki-verify": ["--cert", "missing.json"],
+    "arith": ["--k", "3", "--p", "2", "--n", "3", "--op", "legendre"],
+    "b2-demo": ["--q", "2"],
+}
+# values just over a cap, where the subcommand has one (exit 3, or 2 for the
+# Suzuki degree range)
+OVER_CAP = [
+    ("witness", ["--n", "21", "--m", "21"]),
+    ("generic", ["--mode", "exhaustive", "--n", "5", "--s", "5"]),
+    ("alt-codes", ["--k", "7", "--l", "1"]),
+    ("suzuki-search", ["--e", "501"]),
+    ("b2-demo", ["--q", "32"]),
+    ("nursery-census", ["--cap-iso", "7"]),
+    ("nursery-census", ["--cap-subgroups", "0"]),
+]
+
+
+def _with(argv, extra):
+    out = list(argv)
+    for flag, value in zip(extra[::2], extra[1::2]):
+        if flag in out:
+            out[out.index(flag) + 1] = value
+        else:
+            out += [flag, value]
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(CHEAP))
+def test_boundary_integers_end_in_a_documented_exit(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # suzuki-search writes its certificate here
+    base = CHEAP[command]
+    flags = [f for f, v in zip(base[::2], base[1::2]) if v.lstrip("-").isdigit()]
+    runs = [(_with(base, [f, v]), (0, 2, 3, 4)) for f in flags for v in ("0", "-1")]
+    runs += [(_with(base, extra), (2, 3)) for cmd, extra in OVER_CAP if cmd == command]
+    for argv, allowed in runs:
+        try:
+            code = cli.main([command] + argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in allowed and "Traceback" not in err, (command, argv, code, err)
+
+
+# the per-subcommand flags besides --out, and who reads them
+READERS = {
+    "--seed": {"hom", "generic", "reconstruct", "suzuki-search"},
+    "--trials": {"hom", "generic", "reconstruct"},
+    "--cap-subgroups": {"nursery-census"},
+    "--cap-iso": {"nursery-census"},
+}
+
+
+def test_seed_trials_and_caps_only_where_they_are_read():
+    parser = cli.build_parser()
+    for command, base in sorted(CHEAP.items()):
+        for flag, readers in READERS.items():
+            argv = [command] + _with(base, [flag, "4"])
+            if command in readers:
+                args = parser.parse_args(argv)
+                config = cli._config_from_args(args)
+                assert 4 in (config.seed, config.trials, *config.caps.values()), argv
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == cli.EXIT_INVALID, argv
+    for flag in READERS:
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", flag, "1"])
+    args = parser.parse_args(["field-check", "--p", "2", "--e", "1", "--out", "r.json"])
+    assert cli._config_from_args(args).echo()["seed"] is None
