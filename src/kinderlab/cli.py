@@ -512,7 +512,12 @@ def _emit(text: str, out: str | None):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "generic" and args.mode == "exhaustive":
+        for flag in ("seed", "trials"):
+            if getattr(args, flag) is not None:
+                parser.error("--%s is not read in exhaustive mode" % flag)
     if args.command == "verify":
         payload, code = verify_suite(args.tier)
         _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)

@@ -158,7 +158,9 @@ class CoordSolver:
     """
 
     def __init__(self, rows, ctx: FieldCtx):
-        n = len(rows[0]) if rows else 0
+        if not rows:
+            raise InvalidConfigError("an empty family spans no space to take coordinates in")
+        n = len(rows[0])
         k = len(rows)
         aug = []
         for i, row in enumerate(rows):

@@ -618,9 +618,9 @@ def census(
     total = gaussian_binomial(nursery.rdim - base.dim, ell - base.dim, nursery.p)
     if total > max_kinder:
         raise CapExceededError("%d kinder over cap %d" % (total, max_kinder))
-    order = nursery.p ** (ell + 2 * nursery.mdim)
-    if order > max_order:
-        raise CapExceededError("kind order %d over cap %d" % (order, max_order))
+    order, cap = nursery.p ** (ell + 2 * nursery.mdim), min(max_order, smallgrp.SUBGROUP_ORDER_CAP)
+    if order > cap:  # fingerprints read the complete table
+        raise CapExceededError("kind order %d over cap %d" % (order, cap))
 
     spaces = list(enumerate_superspaces(base, ell))
     require(len(spaces) == total, "enumerated %d kinder, expected %d" % (len(spaces), total))

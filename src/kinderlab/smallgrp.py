@@ -14,6 +14,11 @@ The subgroup lattice is built by cyclic extension (Neubueser 1960) on the
 complete table, with joins of cyclic subgroups to finish groups that are not
 solvable.
 
+Invariants (element orders, class sizes, centre, derived series,
+abelianisation) come from one numpy pass over the complete table for any
+number of subgroups: `sigma_counts` runs it once for the whole lattice, and
+a lone group's `fingerprint` is the same pass over [G].
+
 The isomorphism test is a backtracking search over generator images, pruned
 by element invariants, with the homomorphism property enforced incrementally
 during closure.  When the search exhausts, the groups really are
@@ -26,7 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from math import gcd
+
+import numpy as np
 
 from . import arith
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, require
@@ -35,6 +41,7 @@ SUBGROUP_ORDER_CAP = 2048
 ISO_ORDER_CAP = 512
 _SUBGROUP_COUNT_CAP = 100000
 _ISO_NODE_BUDGET = 5 * 10**6
+_BATCH_CELLS = 1 << 20
 
 
 class SmallGroup:
@@ -61,7 +68,7 @@ class SmallGroup:
         self._complete = columns is not None
         self._orders = None
         self._inverses = None
-        self._classes = None
+        self._elem_inv = None
         self._gens = None
         self._fp = None
         if columns is not None:
@@ -249,66 +256,11 @@ class SmallGroup:
         self._gens = tuple(gens)
         return self._gens
 
-    def conjugacy_classes(self):
-        if self._classes is None:
-            gens = self.generating_set()
-            unseen = set(range(self.n))
-            classes = []
-            while unseen:
-                start = min(unseen)
-                orbit = {start}
-                queue = [start]
-                for x in queue:
-                    for g in gens:
-                        y = self.conjugate_idx(x, g)
-                        if y not in orbit:
-                            orbit.add(y)
-                            queue.append(y)
-                unseen -= orbit
-                classes.append(tuple(sorted(orbit)))
-            self._classes = classes
-        return self._classes
-
     def center_idx(self) -> tuple:
-        gens = self.generating_set()
-        out = [
-            i
-            for i in range(self.n)
-            if all(self.mul_idx(i, g) == self.mul_idx(g, i) for g in gens)
-        ]
-        return tuple(out)
-
-    def normal_closure_idx(self, seeds) -> tuple:
-        gens = self.generating_set()
-        current = set(self.closure_idx(seeds))
-        while True:
-            extra = [
-                y
-                for x in current
-                for g in gens
-                if (y := self.conjugate_idx(x, g)) not in current
-            ]
-            if not extra:
-                return tuple(sorted(current))
-            current = set(self.closure_idx(list(current) + extra))
-
-    def derived_subgroup_idx(self) -> tuple:
-        gens = self.generating_set()
-        comms = [self.commutator_idx(i, j) for i in gens for j in gens]
-        return self.normal_closure_idx(comms)
+        return tuple(i for i in range(self.n) if self.element_invariant(i)[1] == 1)
 
     def derived_series_orders(self) -> tuple:
-        out = [self.n]
-        current = self
-        while True:
-            d = current.derived_subgroup_idx()
-            if len(d) == len(current.labels):
-                break
-            current = current.subgroup(d)
-            out.append(current.n)
-            if current.n == 1:
-                break
-        return tuple(out)
+        return self.fingerprint().derived_orders
 
     def subgroup(self, idx_subset) -> "SmallGroup":
         """The subgroup on the given indices, in that order.
@@ -346,50 +298,115 @@ class SmallGroup:
         return SmallGroup(sorted(reps), qmul)
 
     def is_abelian(self) -> bool:
-        gens = self.generating_set()
-        return all(self.mul_idx(a, b) == self.mul_idx(b, a) for a in gens for b in gens)
+        return self.fingerprint().center_order == self.n
 
     def exponent(self) -> int:
-        out = 1
-        for o in set(self.element_orders()):
-            out = out * o // gcd(out, o)
-        return out
+        return self.fingerprint().exponent
 
     # -- invariants
 
     def element_invariant(self, i: int):
-        classes = self.conjugacy_classes()
-        if not hasattr(self, "_class_size_of"):
-            self._class_size_of = [0] * self.n
-            for cl in classes:
-                for x in cl:
-                    self._class_size_of[x] = len(cl)
-        return (self.order_of(i), self._class_size_of[i])
+        """(order, conjugacy class size) of element i."""
+        if self._elem_inv is None:
+            self.fingerprint()
+        return self._elem_inv[i]
 
     def fingerprint(self) -> "IsoFingerprint":
+        """The subset invariants of [G]: needs the table, so n <= SUBGROUP_ORDER_CAP."""
         if self._fp is None:
-            hist = {}
-            for o in self.element_orders():
-                hist[o] = hist.get(o, 0) + 1
-            profile = {}
-            for i in range(self.n):
-                key = self.element_invariant(i)
-                profile[key] = profile.get(key, 0) + 1
-            derived = self.derived_series_orders()
-            ab = self.quotient(self.derived_subgroup_idx())
-            ab_hist = {}
-            for o in ab.element_orders():
-                ab_hist[o] = ab_hist.get(o, 0) + 1
-            self._fp = IsoFingerprint(
-                order=self.n,
-                order_hist=tuple(sorted(hist.items())),
-                center_order=len(self.center_idx()),
-                derived_orders=derived,
-                abelian_hist=tuple(sorted(ab_hist.items())),
-                exponent=self.exponent(),
-                class_profile=tuple(sorted(profile.items())),
-            )
+            [(self._fp, self._elem_inv)] = self.subset_invariants([range(self.n)])
         return self._fp
+
+    def subset_invariants(self, subsets) -> list:
+        """(IsoFingerprint, [(order, class size) per member]) of each subgroup.
+
+        One numpy pass over the complete table T, T[j, i] = i*j, serves all
+        the subgroups (sorted index tuples).  One power walk over G gives the
+        orders, inverses and powers x^d, d | n.  A self-join of H's members
+        gives the commutators [i, j] = (ji)^-1 ij and |C_H(j)| = #{i : ij = ji};
+        j's class has |H| / |C_H(j)| elements, 1 in Z(H).  H' is looked up
+        among the subgroups, or closed by squaring and appended so that its
+        own H' follows.  xH' has order the least k >= 1 with x^k in H', a
+        divisor of n.  Batches hold about _BATCH_CELLS entries (a squaring,
+        |H'|^2).
+        """
+        n, e, R = self.n, self.identity, max(1, _BATCH_CELLS // self.n)
+        T = np.fromiter(itertools.chain.from_iterable(self.table()), np.int16, n * n).reshape(n, n)
+        orders, inv = np.zeros(n, np.int64), np.zeros(n, np.int32)
+        powers, prev, cur, k = [], np.full(n, e), np.arange(n), 1
+        while not orders.all():
+            if n % k == 0:
+                powers.append((k, cur))
+            hit = (cur == e) & (orders == 0)
+            orders[hit], inv[hit] = k, prev[hit]
+            prev, cur, k = cur, T[np.arange(n), cur], k + 1
+
+        def members(batch):  # (row, element) of every member, in order
+            rr = np.repeat(np.arange(len(batch)), [len(s) for s in batch])
+            return rr, np.fromiter(itertools.chain.from_iterable(batch), np.int64, len(rr))
+
+        subs = [tuple(s) for s in subsets]
+        count, index, link, cents = len(subs), {s: r for r, s in enumerate(subs)}, [], []
+        while len(link) < len(subs):
+            end = len(subs)
+            for r0 in range(len(link), end, R):
+                batch, by_size = subs[r0:min(r0 + R, end)], {}
+                for r, s in enumerate(batch):
+                    by_size.setdefault(len(s), []).append(r)
+                D, cent = np.zeros((len(batch), n), bool), np.zeros((len(batch), n), np.int16)
+                for m, rs in by_size.items():
+                    H, rs = np.array([batch[r] for r in rs]), np.array(rs)
+                    step, width = max(1, _BATCH_CELLS // (m * m)), min(m, max(1, _BATCH_CELLS // m))
+                    for b0 in range(0, len(rs), step):
+                        J, at = H[b0:b0 + step, None, :], rs[b0:b0 + step, None]
+                        for i0 in range(0, m, width):
+                            I = H[b0:b0 + step, i0:i0 + width, None]
+                            ij, ji = T[J, I], T[I, J]  # p*q = T[q, p]
+                            D[at[..., None], T[ij, inv[ji]]] = True
+                            cent[at, J[:, 0]] += (ij == ji).sum(axis=1, dtype=np.int16)
+                cents.append(cent[members(batch)])
+                for row in D:
+                    X = np.flatnonzero(row)
+                    while (key := tuple(X.tolist())) not in index and len(Y := np.unique(T[np.ix_(X, X)])) > len(X):
+                        X = Y
+                    link.append(index.setdefault(key, len(subs)))
+                    if link[-1] == len(subs):
+                        subs.append(key)
+
+        def series(r):  # |H|, |H'|, ... until H^(k+1) = H^(k)
+            return (len(subs[r]),) + (series(link[r]) if len(subs[link[r]]) < len(subs[r]) else ())
+
+        def per_row(rr, vals, rows):  # [(value, count), ...] per row, by value
+            base = int(vals.max()) + 1
+            u, c = np.unique(rr * base + vals, return_counts=True)
+            out = [[] for _ in range(rows)]
+            for code, cnt in zip(u.tolist(), c.tolist()):
+                out[code // base].append((code % base, cnt))
+            return out
+
+        out = []
+        for r0, cent in zip(range(0, count, R), cents):
+            batch = subs[r0:min(r0 + R, count)]
+            (rr, xx), Dm = members(batch), np.zeros((len(batch), n), bool)
+            Dm[members([subs[link[r]] for r in range(r0, r0 + len(batch))])] = True
+            first = np.zeros(len(rr), np.int64)
+            for k, pk in powers:
+                first[Dm[rr, pk[xx]] & (first == 0)] = k
+            codes, at = np.unique(orders[xx] * (n + 1) + np.array([len(s) for s in batch])[rr] // cent,
+                                  return_inverse=True)
+            pairs = [divmod(v, n + 1) for v in codes.tolist()]  # (order, class size), one tuple each
+            flat, off = [pairs[i] for i in at.tolist()], 0
+            for r, hist, profile, ab in zip(range(r0, r0 + len(batch)), *(
+                    per_row(rr, v, len(batch)) for v in (orders[xx], at, first))):
+                m, profile = len(subs[r]), tuple((pairs[v], c) for v, c in profile)
+                out.append((IsoFingerprint(
+                    order=m, order_hist=tuple(hist), derived_orders=series(r),
+                    center_order=sum(c for (_, z), c in profile if z == 1),
+                    abelian_hist=tuple((v, c // len(subs[link[r]])) for v, c in ab),
+                    exponent=math.lcm(*(o for o, _ in hist)), class_profile=profile,
+                ), flat[off:off + m]))
+                off += m
+        return out
 
     def __repr__(self):
         return "SmallGroup(n=%d%s)" % (self.n, ", %s" % self.name if self.name else "")
@@ -627,7 +644,7 @@ def iso_classes(groups, node_budget=_ISO_NODE_BUDGET):
                 mapping = find_isomorphism(groups[rep_idx], groups[k], node_budget)
                 if mapping is not None:
                     if not verify_isomorphism(groups[rep_idx], groups[k], mapping):
-                        raise InvalidConfigError("search returned a non-isomorphism")
+                        raise PropertyViolationError("search returned a non-isomorphism")
                     classes[ci].append(k)
                     witnesses[k] = mapping
                     placed = True
@@ -644,7 +661,10 @@ def sigma_counts(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, iso_order_cap=ISO_
     subs = all_subgroups(G, cap_order=cap_order)
     if any(len(s) > iso_order_cap for s in subs):
         raise CapExceededError("a subgroup exceeds the iso cap %d" % iso_order_cap)
-    groups = [G.subgroup(s) for s in subs]
+    groups = []
+    for s, invariants in zip(subs, G.subset_invariants(subs)):
+        groups.append(G.subgroup(s))
+        groups[-1]._fp, groups[-1]._elem_inv = invariants
     classes, _ = iso_classes(groups)
     sigma = len(subs)
     sigma_iso = len(classes)

@@ -207,6 +207,11 @@ def test_mode_only_where_it_is_read(capsys):
         ["arith", "--op", "mu", "--n", "8", "--mode", "estimate"],
         ["b2-demo", "--q", "4", "--mode", "estimate"],
         ["verify", "--mode", "estimate"],
+        # exhaustive mode enumerates every instance: no trial count, no seed
+        ["generic", "--kind", "span", "--n", "2", "--s", "3", "--q", "2", "--mode", "exhaustive",
+         "--trials", "5"],
+        ["generic", "--kind", "span", "--n", "2", "--s", "3", "--q", "2", "--mode", "exhaustive",
+         "--seed", "3"],
     ]
     for argv in rejected:
         with pytest.raises(SystemExit) as exc:

@@ -60,6 +60,12 @@ def test_coords_reject_dependent_rows(F):
             CoordSolver(rows, F)
 
 
+def test_coords_reject_an_empty_family():
+    # an empty family once took n = 0 and returned the probe itself as its coordinates
+    with pytest.raises(InvalidConfigError):
+        CoordSolver([], make_field(2, 1))
+
+
 @st.composite
 def stacks(draw):
     F = draw(st.sampled_from(RANK_FIELDS))

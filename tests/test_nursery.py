@@ -211,6 +211,11 @@ def test_census_caps():
         nursery.census(N2, 2, relaxed=True, max_kinder=10)
     with pytest.raises(InvalidConfigError):
         nursery.census(N2, 9)
+    # kinder of order 2^12 under the default order cap, but their fingerprints need
+    # complete tables: refused before any of the 1395 groups is built
+    N3 = nursery.make_nursery("matrix", a=3, c=1, ctx=F2)
+    with pytest.raises(CapExceededError, match="over cap %d" % smallgrp.SUBGROUP_ORDER_CAP):
+        nursery.census(N3, 6)
 
 
 def test_kind_group_cap():

@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from kinderlab import nursery
 from kinderlab import smallgrp as sg
-from kinderlab.errors import CapExceededError
+from kinderlab.errors import CapExceededError, PropertyViolationError
 from kinderlab.gf import make_field
-from kinderlab.linalg import gaussian_binomial
+from kinderlab.linalg import Subspace, enumerate_superspaces, gaussian_binomial
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -125,7 +128,7 @@ def test_quotient():
         for t in sg.all_subgroups(S4)
         if len(t) == 4
         and all(S4.order_of(i) <= 2 for i in t)
-        and t == S4.normal_closure_idx(t)
+        and all(S4.conjugate_idx(x, g) in t for x in t for g in range(S4.n))
     )
     Q = S4.quotient(v4)
     assert Q.n == 6
@@ -202,3 +205,44 @@ def test_mul_idx_starts_columns_only_up_to_the_table_cap():
     assert big.inverse_idx(5) == big.n - 5 and all(c is None for c in big._cols)
     # closures still cache the columns of their seeds
     assert len(big.closure_idx([7])) == big.n and big._cols[7] is not None
+
+
+def _census_kind():
+    nur = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
+    v = next(enumerate_superspaces(Subspace.zero(F2, nur.rdim), 2))
+    return nursery.kind_from_subspace(nur, v, relaxed=True).group()
+
+
+ISO_GROUPS = {
+    "D4": sg.dihedral_group(4),
+    "Q8": _quaternion_group(),
+    "UT3(F3)": sg.unitriangular_group(3, F3),
+    "Sym3^2": sg.direct_product(sg.symmetric_group(3), sg.symmetric_group(3)),
+    "kind": _census_kind(),
+}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(ISO_GROUPS)), seed=st.integers(0, 2**32))
+def test_find_isomorphism_on_relabellings(name, seed):
+    G = ISO_GROUPS[name]
+    labels = list(G.labels)
+    random.Random(seed).shuffle(labels)
+    H = sg.SmallGroup(labels, G._mul_label)
+    mapping = sg.find_isomorphism(G, H)
+    assert mapping is not None and sg.verify_isomorphism(G, H, mapping)
+    assert G.fingerprint() == H.fingerprint()
+
+
+def test_iso_classes_rejects_a_wrong_map(monkeypatch):
+    # a bijection that is no isomorphism is a failed self-check, not a bad parameter
+    def swapped(G, H, node_budget=None):
+        # the identity map with the identity's image swapped: a bijection, not a homomorphism
+        mapping = list(range(H.n))
+        other = (G.identity + 1) % G.n
+        mapping[G.identity], mapping[other] = other, G.identity
+        return mapping
+
+    monkeypatch.setattr(sg, "find_isomorphism", swapped)
+    with pytest.raises(PropertyViolationError):
+        sg.iso_classes([sg.cyclic_group(4), sg.cyclic_group(4)])
