@@ -154,8 +154,8 @@ def _solution_pairs(ctx: FieldCtx, rows, left, right) -> list:
     else:
         vecs = Subspace.full(ctx, na + rb * cb).basis
     return [
-        (Matrix(ctx, [v[i * ca : (i + 1) * ca] for i in range(ra)]),
-         Matrix(ctx, [v[na + i * cb : na + (i + 1) * cb] for i in range(rb)]))
+        (Matrix(ctx, [v[i * ca : (i + 1) * ca] for i in range(ra)], ca),
+         Matrix(ctx, [v[na + i * cb : na + (i + 1) * cb] for i in range(rb)], cb))
         for v in vecs
     ]
 

@@ -8,14 +8,19 @@ Each kind is an instance source times a batched evaluator.  There are two
 sources.  The seeded sampler (`estimate`) gives trial i its own
 Random("{seed}:{i}") and draws the entries row-major, matrix by matrix, as
 `Matrix.random` does; a subspace is the row space of a matrix redrawn whole
-until it has full rank.  A report depends on the seed alone, not on
-batching.  The exhaustive enumerator (`exhaustive_mode`, cap 2^24) yields
-every configuration once and marks the report exact.  Both hand the
-evaluator [T, ...] arrays of element codes in batches of at most CHUNK
-instances, fewer where one instance's largest matrix is big, so that a
-batch's largest stack holds about CHUNK_CELLS entries at most and memory
-stays bounded.  The evaluator assembles the equation or image matrices of
-the whole batch and makes one `linalg.ranks` call per rank it needs.
+until it has full rank.  The entries are the values `randrange(q)` would
+return, but for q < 2^32 they come from one `getrandbits` call per trial,
+cut into words and filtered by randrange's rejection rule in one numpy pass
+per batch.  A report depends on the seed alone, not on batching.  The
+exhaustive enumerator (`exhaustive_mode`, cap 2^24) yields every
+configuration once, as int32 digit tables, and marks the report exact.
+Both hand the evaluator [T, ...] arrays of element codes in batches of at
+most CHUNK instances, fewer where one instance's largest matrix is big, so
+that a batch's largest stack holds about CHUNK_CELLS entries at most and
+memory stays bounded.  The evaluator assembles the equation or image
+matrices of the whole batch, makes one `linalg.ranks` call per rank it
+needs, and returns the histogram keys as an array that `_tally` counts with
+one `np.unique`.
 
 The two dimensions `hom_pm_transpose` records per trial, dim hom(P, P^t)
 and dim hom(P, -P^t), are always equal: (A, B) -> (A, -B) carries the
@@ -32,7 +37,6 @@ import functools
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -162,13 +166,54 @@ def _nucleus_bimap(ctx: FieldCtx, a: int, b: int, c: int) -> bm.Bimap:
 # instance sources
 
 def _digits(start: int, stop: int, base: int, width: int):
-    """Rows start..stop-1 of the base-`base` counting table, [k, width]."""
-    place = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return np.arange(start, stop, dtype=np.int64)[:, None] // place % base
+    """The base-`base` digits of start..stop-1, most significant first, as a
+    [width, k] int32 array, the k numbers innermost (int32 is exact: stop is
+    at most EXHAUSTIVE_CAP).  One division by the scalar base per digit."""
+    x = np.arange(start, stop, dtype=np.int32)
+    out = np.empty((width, len(x)), dtype=np.int32)
+    for j in range(width - 1, -1, -1):
+        quot = x // base
+        out[j] = x - quot * base
+        x = quot
+    return out
 
 
 def _trial_rng(seed, i: int) -> random.Random:
     return random.Random("%s:%d" % (seed, i))
+
+
+def _draws(seed, trials, q: int, k: int):
+    """[len(trials), k]: the first k values `randrange(q)` returns from each
+    trial's generator.
+
+    For q < 2^32, randrange(q) takes the top b = q.bit_length() bits of the
+    generator's next 32-bit word and rejects values >= q.  getrandbits(32 n)
+    returns the next n words, the first lowest, so one call per trial and one
+    numpy pass per batch give the same values; a trial whose n words hold
+    fewer than k accepted values is drawn again with twice the words.
+    """
+    b = q.bit_length()
+    if b > 32:
+        rngs = (_trial_rng(seed, i) for i in trials)
+        return np.array([[r.randrange(q) for _ in range(k)] for r in rngs],
+                        dtype=np.int64).reshape(len(trials), k)
+    trials = np.asarray(trials)
+    n = (k << b) // q  # the expected count, k over the acceptance rate q / 2^b
+    n += 4 * math.isqrt(n) + 8  # so that a trial rarely runs short
+    out = np.empty((len(trials), k), dtype=np.int64)
+    todo = np.arange(len(trials))
+    while len(todo):
+        words = b"".join(_trial_rng(seed, i).getrandbits(32 * n).to_bytes(4 * n, "little")
+                         for i in trials[todo].tolist())
+        vals = np.frombuffer(words, dtype="<u4").reshape(len(todo), n) >> (32 - b)
+        keep = vals < q
+        made = keep.cumsum(axis=1)
+        full = made[:, -1] >= k
+        keep &= made <= k
+        done = todo[full]
+        out[done] = vals[full][keep[full]].reshape(len(done), k)
+        todo, n = todo[~full], 2 * n
+    return out
 
 
 class _Entries:
@@ -180,12 +225,8 @@ class _Entries:
 
     def draw(self, seed, lo: int, hi: int):
         """Trials lo..hi-1, one generator alive at a time (each holds ~3 KB)."""
-        q, k = self.order, self.count
-        flat = []
-        for i in range(lo, hi):
-            rng = _trial_rng(seed, i)
-            flat += [rng.randrange(q) for _ in range(k)]
-        return np.array(flat, dtype=np.int64).reshape((hi - lo,) + self.shape)
+        return _draws(seed, range(lo, hi), self.order, self.count).reshape(
+            (hi - lo,) + self.shape)
 
     def total(self) -> int:
         return self.order ** self.count
@@ -194,7 +235,8 @@ class _Entries:
         total = self.total()
         for lo in range(0, total, size):
             hi = min(total, lo + size)
-            yield _digits(lo, hi, self.order, self.count).reshape((hi - lo,) + self.shape)
+            digits = _digits(lo, hi, self.order, self.count)
+            yield np.moveaxis(digits.reshape(self.shape + (hi - lo,)), -1, 0)
 
 
 class _Subspaces:
@@ -209,16 +251,12 @@ class _Subspaces:
         it already made, so no generator outlives its draw."""
         p, ell, dim = self.fp.p, self.ell, self.dim
         out = _Entries(self.fp, (ell, dim)).draw(seed, lo, hi)
-        todo = [i for i, r in enumerate(ranks(out, self.fp)) if r < ell]
-        made = ell * dim
-        while todo:
-            for i in todo:
-                rng = _trial_rng(seed, lo + i)
-                for _ in range(made):
-                    rng.randrange(p)
-                out[i] = [[rng.randrange(p) for _ in range(dim)] for _ in range(ell)]
-            made += ell * dim
-            todo = [i for i, r in zip(todo, ranks(out[todo], self.fp)) if r < ell]
+        todo = np.flatnonzero(ranks(out, self.fp) < ell)
+        made = k = ell * dim
+        while len(todo):
+            out[todo] = _draws(seed, lo + todo, p, made + k)[:, made:].reshape(-1, ell, dim)
+            made += k
+            todo = todo[ranks(out[todo], self.fp) < ell]
         return out
 
     def total(self) -> int:
@@ -236,7 +274,7 @@ class _Subspaces:
                 hi = min(n, lo + size)
                 out = np.zeros((hi - lo, ell, dim), dtype=np.int64)
                 out[:, range(ell), pivots] = 1
-                out[:, rows, cols] = _digits(lo, hi, p, len(free))
+                out[:, rows, cols] = _digits(lo, hi, p, len(free)).T
                 yield out
 
 
@@ -270,7 +308,8 @@ def _fp_matmul(x, y, p: int):
 
 
 def _tally(into: dict, values):
-    for k, v in Counter(values).items():
+    keys, counts = np.unique(values, return_counts=True)
+    for k, v in zip(keys.tolist(), counts.tolist()):
         into[k] = into.get(k, 0) + v
 
 
@@ -317,7 +356,7 @@ def _spec(kind: str, params: dict) -> _Spec:
 
         def evaluate(vecs):
             r = ranks(vecs, ctx)
-            return r.tolist(), r == n
+            return r, r == n
 
         return _Spec(_Entries(ctx, (s, n)), evaluate, s * n, span_bound(n, s, q), {})
 
@@ -331,7 +370,7 @@ def _spec(kind: str, params: dict) -> _Spec:
         def evaluate(P):
             if kind == "end_generic":
                 d = _hom_dims(P, P, 1, ctx)
-                return d.tolist(), d == 1
+                return d, d == 1
             Pt = P.transpose(0, 1, 3, 2)
             dp, dm = _hom_dims(P, Pt, 1, ctx), _hom_dims(P, Pt, -1, ctx)
             return ["%d,%d" % k for k in zip(dp.tolist(), dm.tolist())], (dp == 0) & (dm == 0)
@@ -367,9 +406,9 @@ def _spec(kind: str, params: dict) -> _Spec:
                 raise PropertyViolationError("Lambda block decomposition failed")
             for name, vals in (("diag_hist", diag), ("offdiag_hist", off),
                                ("hom_minus_hist", d_minus)):
-                _tally(side[name], vals.tolist())
+                _tally(side[name], vals)
             # success is filled in post hoc from the modal dim
-            return total.tolist(), np.zeros(len(P), dtype=bool)
+            return total, np.zeros(len(P), dtype=bool)
 
         cells = 2 * c * (a + b) ** 4
         return _Spec(_Entries(ctx, (c, a, b)), evaluate, cells, None, side)
@@ -393,7 +432,7 @@ def _spec(kind: str, params: dict) -> _Spec:
         def evaluate(Q):
             eqs = _fp_matmul(Q, unit_eqs, fp.p).reshape(len(Q), ell * r * t, unknowns)
             d = unknowns - ranks(eqs, fp)
-            return d.tolist(), d == target
+            return d, d == target
 
         return _Spec(source, evaluate, ell * r * t * unknowns, None, {"target_dim_fp": target})
 
@@ -403,7 +442,7 @@ def _spec(kind: str, params: dict) -> _Spec:
         """F_p-rank of {x * u : x in the kind's top layer, u a basis element
         of the middle layer}, the flattened image of the commutator map."""
         d = ranks(_fp_matmul(Q, structure, fp.p).reshape(len(Q), ell * r, t), fp)
-        return d.tolist(), d == full
+        return d, d == full
 
     # the stated exponent b - a*ell is unambiguous (and provable) at a == b;
     # otherwise both readings are recorded and nothing is asserted

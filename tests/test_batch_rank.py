@@ -64,6 +64,28 @@ def test_batch_rank_mixed_full_and_deficient(F):
     assert batch_rank(np.array(mats), F).tolist() == [4, 1, 2, 0, 4] == _exact(mats, F)
 
 
+# batch_rank eliminates a batch with at least as many instances as a row has
+# entries (on the shorter side) with the instances innermost, and any other
+# batch with them outermost; these shapes sit clearly on either side
+LAYOUT_SHAPES = {"many": (300, 4, 6), "few": (3, 9, 8), "one": (1, 5, 5)}
+
+
+@pytest.mark.parametrize("shape", sorted(LAYOUT_SHAPES), ids=str)
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: "F%d" % F.order)
+def test_batch_rank_on_both_layouts(F, shape):
+    T, R, C = LAYOUT_SHAPES[shape]
+    rng = np.random.default_rng(F.order * T)
+    arr = rng.integers(0, F.order, size=(T, R, C))
+    arr[::3, 1] = arr[::3, 0]  # a repeated row
+    arr[1::4, :, 2] = 0  # a zero column
+    arr[2::5, 2:] = arr[2::5, :1]  # rank at most 2
+    arr[3::7] = 0
+    want = _exact(arr.tolist(), F)
+    assert batch_rank(arr, F).tolist() == want
+    assert batch_rank(arr.transpose(0, 2, 1), F).tolist() == want
+    assert len(set(want)) > 1 or T == 1
+
+
 @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 4), (2, 4, 0), (3, 4, 5), (1, 1, 1)])
 def test_batch_rank_empty_and_zero(shape):
     for F in (make_field(5, 1), make_field(2, 2)):

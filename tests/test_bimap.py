@@ -79,12 +79,12 @@ def _brute_hom_count(phi, ups, sign):
     a, t = ups.shape
     cnt = Counter()
     for entries in itertools.product(range(q), repeat=a * s):
-        A = Matrix(ctx, [entries[i * s:(i + 1) * s] for i in range(a)])
+        A = Matrix(ctx, [entries[i * s:(i + 1) * s] for i in range(a)], s)
         key = tuple(x for P in phi.mats for row in A.mul(P).rows for x in row)
         cnt[key] += 1
     total = 0
     for entries in itertools.product(range(q), repeat=b * t):
-        B = Matrix(ctx, [entries[i * t:(i + 1) * t] for i in range(b)])
+        B = Matrix(ctx, [entries[i * t:(i + 1) * t] for i in range(b)], t)
         out = []
         for U in ups.mats:
             M = U.mul(B.transpose())
@@ -105,6 +105,21 @@ def test_hom_dim_vs_bruteforce(q, shapes):
             ups = bm.MatrixSystem.random(K, (a, t), 2, rng)
             d = bm.hom_space(phi, ups, sign).dim_fp
             assert _brute_hom_count(phi, ups, sign) == q**d
+
+
+@pytest.mark.parametrize("a,s,b,t", [(1, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1), (0, 1, 1, 1),
+                                     (2, 0, 0, 2), (1, 2, 1, 0)])
+def test_hom_space_with_a_zero_dimension(a, s, b, t):
+    rng = random.Random(a + 2 * s + 4 * b + 8 * t)
+    for K in (F2, F3):
+        for sign in (1, -1):
+            phi = bm.MatrixSystem.random(K, (s, b), 2, rng)
+            ups = bm.MatrixSystem.random(K, (a, t), 2, rng)
+            H = bm.hom_space(phi, ups, sign)
+            assert H.dim_k == bm.hom_dim(phi, ups, sign) == bm.hom_dim(phi, ups, sign, fast=False)
+            assert _brute_hom_count(phi, ups, sign) == K.order**H.dim_fp
+            for A, B in H.basis:
+                assert (A.shape, B.shape) == ((a, s), (b, t))
 
 
 def test_scalar_pairs_in_end():

@@ -1,5 +1,6 @@
 """Frequency experiments: exact enumerations, seeded sampling, bounds."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -157,3 +158,44 @@ def test_estimate_beyond_the_lookup_tables():
     big = {"a": 2, "b": 2, "c": 1, "ell": 2, "q": 2147483659}
     assert gn.estimate("derived_full", big, 3, seed=1).histogram == {2: 3}
     assert gn.estimate("nucleus", big, 3, seed=1).histogram == {2: 3}  # as at q = 5
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 49, 1009, 2**31 + 11, 2**32, 2**32 + 15,
+                               2**61 - 1])
+def test_bulk_draws_repeat_randrange(q):
+    trials, k = [0, 1, 5, 17, 300], 30
+    want = []
+    for i in trials:
+        rng = random.Random("7:%d" % i)
+        want.append([rng.randrange(q) for _ in range(k)])
+    assert gn._draws(7, trials, q, k).tolist() == want
+    assert gn._draws(7, trials, q, 0).shape == (len(trials), 0)
+
+
+def test_bulk_draws_refill_a_short_trial():
+    # q just above 2^31 rejects almost half of the words; with one value
+    # wanted, _draws starts with 13 words per trial, and here some trials need
+    # more, so they are drawn again
+    q, trials = 2**31 + 11, range(11000)
+    want, words = [], []
+    for i in trials:
+        rng, used = random.Random("3:%d" % i), 1
+        while (x := rng.getrandbits(32)) >= q:
+            used += 1
+        want.append(x)
+        words.append(used)
+    assert max(words) > 13
+    assert gn._draws(3, trials, q, 1)[:, 0].tolist() == want
+
+
+def test_subspace_redraws_skip_the_consumed_draws():
+    # over F_2, half of all 2 x 2 matrices are singular, so many trials redraw
+    F2 = make_field(2, 1)
+    got = gn._Subspaces(F2, 2, 2).draw(4, 0, 60).tolist()
+    for i, basis in enumerate(got):
+        rng = random.Random("4:%d" % i)
+        while True:
+            m = [[rng.randrange(2) for _ in range(2)] for _ in range(2)]
+            if (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % 2:
+                break
+        assert basis == m

@@ -53,6 +53,8 @@ EXHAUSTIVE_GRID = [
     ("span", {"n": 3, "s": 3, "q": 2}),
     ("span", {"n": 2, "s": 2, "q": 3}),
     ("span", {"n": 1, "s": 2, "q": 4}),
+    ("span", {"n": 3, "s": 4, "q": 2}),
+    ("span", {"n": 3, "s": 4, "q": 3}),
     ("end_generic", {"m": 1, "n": 1, "s": 1, "q": 2}),
     ("end_generic", {"m": 1, "n": 2, "s": 2, "q": 2}),
     ("end_generic", {"m": 2, "n": 2, "s": 2, "q": 2}),

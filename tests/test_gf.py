@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kinderlab.gf import FieldError, make_field
+from kinderlab.arith import factorize
+from kinderlab.gf import _SMALL_ORDER, FieldError, make_field, make_field_from_order
 
 # GF(4) with modulus x^2 + x + 1; elements 0, 1, x=2, x+1=3.
 F4_MUL = {
@@ -128,3 +131,53 @@ def test_large_binary_field():
         a = F.random_nonzero(rng)
         assert F.mul(a, F.inv(a)) == 1
         assert F.frobenius(a, 257) == a
+
+
+# GF(p^e) with e > 1 on both sides of _SMALL_ORDER = 2^16: exp/log tables at
+# and below it (GF(2^16), GF(251^2)), polynomial arithmetic above (GF(257^2))
+EXTENSIONS = [make_field(p, e) for p, e in (
+    (2, 2), (3, 2), (2, 8), (5, 3), (3, 5), (2, 16), (251, 2),
+    (257, 2), (2, 17), (5, 7), (7, 6), (3, 11), (2, 32))]
+
+
+@st.composite
+def _elements(draw):
+    F = draw(st.sampled_from(EXTENSIONS))
+    return (F,) + tuple(draw(st.integers(0, F.order - 1)) for _ in range(3))
+
+
+def test_extensions_straddle_the_table_cutoff():
+    assert {F.order <= _SMALL_ORDER for F in EXTENSIONS} == {True, False}
+    assert all(F.e > 1 for F in EXTENSIONS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_elements())
+def test_extension_field_axioms(case):
+    F, a, b, c = case
+    add, mul = F.add, F.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+    assert add(a, F.neg(a)) == 0 and F.sub(a, b) == add(a, F.neg(b))
+    assert mul(a, b) == F._raw_mul(a, b)
+    if a:
+        assert mul(a, F.inv(a)) == 1 and F.pow(a, F.order - 1) == 1
+        assert F.div(mul(b, a), a) == b
+
+
+EXTENSION_ORDERS_TO_512 = [q for q in range(4, 513)
+                           if len(factorize(q)) == 1 and factorize(q)[0][1] > 1]
+
+
+@pytest.mark.parametrize("q", EXTENSION_ORDERS_TO_512)
+def test_table_arrays_agree_with_the_field(q):
+    F = make_field_from_order(q)
+    add, mul, neg, inv = F.table_arrays()
+    els = range(q)
+    assert add.tolist() == [[F.add(a, b) for b in els] for a in els]
+    assert mul.tolist() == [[F.mul(a, b) for b in els] for a in els]
+    assert neg.tolist() == [F.neg(a) for a in els]
+    assert inv.tolist() == [0] + [F.inv(a) for a in range(1, q)]

@@ -36,6 +36,18 @@ def test_matrix_mul_vs_numpy(p):
         assert (got == want).all()
 
 
+def test_zero_dimensions_keep_their_shape():
+    row = Matrix(F2, [()])
+    assert row.shape == (1, 0) and row.transpose().shape == (0, 1)
+    assert row.transpose().transpose() == row != Matrix(F2, [])
+    empty = Matrix.zero(F3, 0, 3)
+    assert empty.shape == (0, 3) and empty.transpose().shape == (3, 0)
+    assert empty.neg().shape == empty.add(empty).shape == (0, 3)
+    assert Matrix.zero(F3, 2, 0).mul(empty) == Matrix.zero(F3, 2, 3)
+    assert empty.transpose().mul(empty) == Matrix.zero(F3, 3, 3)
+    assert unflatten_matrix((), F4, 0, 2).shape == (0, 2)
+
+
 def test_matrix_ops_extension_field():
     rng = random.Random(9)
     a = Matrix.random(F4, 3, 3, rng)
