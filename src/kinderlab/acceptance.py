@@ -25,10 +25,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import altcodes, arith, bimap, genericity, nursery, smallgrp, twisted
-from .errors import require
+from .errors import InvalidConfigError, require
 from .gf import make_field
-from .linalg import Matrix, enumerate_subspaces
+from .linalg import enumerate_subspaces
 
 
 class CriterionResult(NamedTuple):
@@ -72,36 +74,51 @@ def _hom_shapes(cap: int):
     return out
 
 
-def _brute_hom_count(phi: bimap.MatrixSystem, ups: bimap.MatrixSystem, sign: int) -> int:
-    """|{(A, B) : A Phi_i = sign Ups_i B^t}| by meeting left and right values."""
+def _all_matrices(p: int, rows: int, cols: int):
+    """Every rows x cols matrix over F_p, as one [p^(rows*cols), rows, cols] array."""
+    n = p ** (rows * cols)
+    return genericity._digits(0, n, p, rows * cols).T.reshape(n, rows, cols)
+
+
+def _value_counts(vals):
+    """The distinct values of vals ([n, ...] ints), each keyed as the bytes of
+    its entries, and how often each occurs."""
+    rows = np.ascontiguousarray(vals).reshape(len(vals), -1)
+    return np.unique(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel(),
+                     return_counts=True)
+
+
+def _hom_sides(phi: bimap.MatrixSystem, ups: bimap.MatrixSystem, sign: int):
+    """Both sides of A Phi_i = sign Ups_i B^t: the left for every A and the
+    right for every B, as [p^(a*s), c, a, b] and [p^(b*t), c, a, b] arrays,
+    the matrices in mixed-radix order.  Products mod p only, no elimination,
+    so they owe nothing to the solver they check.  Prime fields only."""
     ctx = phi.ctx
-    q = ctx.order
+    if ctx.e != 1:
+        raise InvalidConfigError("the brute-force hom count needs a prime field, not GF(%d)" % ctx.order)
+    p = ctx.p
     s, b = phi.shape
     a, t = ups.shape
+    P = np.array([m.rows for m in phi.mats], dtype=np.int64).reshape(len(phi), s, b)
+    U = np.array([m.rows for m in ups.mats], dtype=np.int64).reshape(len(ups), a, t)
+    left = np.einsum("nrk,ckj->ncrj", _all_matrices(p, a, s), P) % p
+    right = sign * np.einsum("crk,njk->ncrj", U, _all_matrices(p, b, t)) % p
+    # the smallest dtype that holds a residue keeps the byte keys short
+    residue = np.min_scalar_type(p - 1)
+    return left.astype(residue), right.astype(residue)
 
-    def left_val(A):
-        out = []
-        for P in phi.mats:
-            out.extend(x for row in A.mul(P).rows for x in row)
-        return tuple(out)
 
-    def right_val(B):
-        out = []
-        Bt = B.transpose()
-        for U in ups.mats:
-            M = U.mul(Bt)
-            if sign == -1:
-                M = M.neg()
-            out.extend(x for row in M.rows for x in row)
-        return tuple(out)
-
-    cnt = Counter()
-    for entries in itertools.product(range(q), repeat=a * s):
-        cnt[left_val(Matrix(ctx, [entries[i * s:(i + 1) * s] for i in range(a)]))] += 1
-    total = 0
-    for entries in itertools.product(range(q), repeat=b * t):
-        total += cnt.get(right_val(Matrix(ctx, [entries[i * t:(i + 1) * t] for i in range(b)])), 0)
-    return total
+def _brute_hom_count(phi: bimap.MatrixSystem, ups: bimap.MatrixSystem, sign: int) -> int:
+    """|{(A, B) : A Phi_i = sign Ups_i B^t}| by meeting left and right values:
+    the sum, over the values both sides reach, of the products of how often
+    each side reaches them."""
+    left, right = _hom_sides(phi, ups, sign)
+    if not left[0].size:
+        return len(left) * len(right)  # every value is empty
+    left_keys, left_counts = _value_counts(left)
+    right_keys, right_counts = _value_counts(right)
+    _, il, ir = np.intersect1d(left_keys, right_keys, assume_unique=True, return_indices=True)
+    return int(left_counts[il] @ right_counts[ir])
 
 
 def _crit_hom_brute(tier: str) -> str:

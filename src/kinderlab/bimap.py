@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, make_field
-from .linalg import (CoordSolver, EchelonAccumulator, Matrix, Subspace, batch_neg, rank_nullspace,
-                     ranks, rref, unflatten_matrix)
+from .linalg import (CoordSolver, EchelonAccumulator, Matrix, Subspace, batch_neg, flatten_matrix,
+                     rank_nullspace, ranks, rref, unflatten_matrix)
 
 _ROOT_SEARCH_CAP = 1 << 20
 
@@ -271,15 +271,15 @@ class Bimap:
 
 
 def matrix_multiplication_bimap(ctx, a: int, c: int, d: int) -> Bimap:
-    """The bimap M_{a x c} x M_{c x d} -> M_{a x d}, all spaces flattened row-major."""
+    """The bimap M_{a x c}(K) x M_{c x d}(K) -> M_{a x d}(K) over the prime
+    field, each space flattened as `linalg.flatten_matrix` does (row-major,
+    each entry as its e coordinates; over a prime field, plain row-major)."""
+    e = ctx.e
 
     def f(u, v):
-        X = Matrix(ctx, [u[i * c : (i + 1) * c] for i in range(a)])
-        Y = Matrix(ctx, [v[i * d : (i + 1) * d] for i in range(c)])
-        Z = X.mul(Y)
-        return tuple(x for row in Z.rows for x in row)
+        return flatten_matrix(unflatten_matrix(u, ctx, a, c).mul(unflatten_matrix(v, ctx, c, d)))
 
-    return Bimap.from_function(ctx, a * c, c * d, a * d, f)
+    return Bimap.from_function(make_field(ctx.p, 1), a * c * e, c * d * e, a * d * e, f)
 
 
 def nucleus_equations(bm: Bimap, q) -> list:

@@ -45,8 +45,8 @@ import numpy as np
 
 from . import bimap as bm
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, need
-from .gf import FieldCtx, make_field, make_field_from_order
-from .linalg import batch_neg, gaussian_binomial, ranks, unflatten_matrix
+from .gf import FieldCtx, make_field_from_order
+from .linalg import batch_neg, gaussian_binomial, ranks
 
 KINDS = ("span", "end_generic", "hom_pm_transpose", "lambda_end", "nucleus", "derived_full")
 EXHAUSTIVE_CAP = 1 << 24
@@ -141,25 +141,6 @@ def _lambda_post(params: dict, histogram: dict, extra: dict) -> int:
     for k in ("diag_hist", "offdiag_hist", "hom_minus_hist"):
         extra[k] = {str(kk): vv for kk, vv in sorted(extra[k].items())}
     return histogram[modal]
-
-
-def _nucleus_bimap(ctx: FieldCtx, a: int, b: int, c: int) -> bm.Bimap:
-    """The bracket M_{a x b}(K) x M_{b x c}(K) -> M_{a x c}(K), flattened to
-    the prime field."""
-    p, e = ctx.p, ctx.e
-    fp = make_field(p, 1)
-
-    def f(u, v):
-        X = unflatten_matrix(u, ctx, a, b)
-        Y = unflatten_matrix(v, ctx, b, c)
-        Z = X.mul(Y)
-        out = []
-        for row in Z.rows:
-            for x in row:
-                out.extend(ctx.to_vector(x))
-        return tuple(out)
-
-    return bm.Bimap.from_function(fp, a * b * e, b * c * e, a * c * e, f)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +299,7 @@ def _bracket(ctx: FieldCtx, a: int, b: int, c: int):
     """Structure constants of the bracket M_{a x b}(K) x M_{b x c}(K) ->
     M_{a x c}(K) over F_p, as [left, right * target], and the right nucleus
     equations of each left basis vector, as [left, rows * unknowns]."""
-    nb = _nucleus_bimap(ctx, a, b, c)
+    nb = bm.matrix_multiplication_bimap(ctx, a, b, c)
     left = nb.left_dim
     S = np.array([m.rows for m in nb.structure], dtype=np.int64).reshape(
         nb.target_dim, left, nb.right_dim)

@@ -222,23 +222,27 @@ class FieldCtx:
             k >>= 1
         return r
 
-    def _build_log_tables(self):
+    def _find_generator(self) -> int:
+        """The least element whose powers cover the nonzero elements, certified
+        by the primes dividing p^e - 1."""
         q1 = self.order - 1
         if q1 == 0:
             raise FieldError("empty field")
-        if q1 == 1:
-            self._primitive = 1
-            self._exp = [1]
-            self._log = [None, 0]
-            return
-        prime_parts = [r for r, _ in arith.factorize(q1)]
-        g = None
-        for cand in range(2, self.order):
+        try:
+            prime_parts = [r for r, _ in arith.factorize(q1)]
+        except InvalidConfigError as exc:
+            raise FieldError(
+                "cannot certify a generator: %d is out of factoring range" % q1
+            ) from exc
+        # 1 passes only in GF(2), where there are no primes to test
+        for cand in range(1, self.order):
             if all(self._raw_pow(cand, q1 // r) != 1 for r in prime_parts):
-                g = cand
-                break
-        if g is None:
-            raise FieldError("no multiplicative generator found (modulus reducible?)")
+                return cand
+        raise FieldError("no multiplicative generator found (modulus reducible?)")
+
+    def _build_log_tables(self):
+        g = self._find_generator()
+        q1 = self.order - 1
         exp = [1] * q1
         for i in range(1, q1):
             exp[i] = self._raw_mul(exp[i - 1], g)
@@ -261,22 +265,8 @@ class FieldCtx:
         attempted lazily and fails loudly when out of trial-division range.
         """
         if self._primitive is None:
-            self._build_log_tables_large()
+            self._primitive = self._find_generator()
         return self._primitive
-
-    def _build_log_tables_large(self):
-        q1 = self.order - 1
-        try:
-            prime_parts = [r for r, _ in arith.factorize(q1)]
-        except InvalidConfigError as exc:
-            raise FieldError(
-                "cannot certify a generator: %d is out of factoring range" % q1
-            ) from exc
-        for cand in range(2, self.order):
-            if all(self._raw_pow(cand, q1 // r) != 1 for r in prime_parts):
-                self._primitive = cand
-                return
-        raise FieldError("no multiplicative generator found")
 
     def check_element(self, a: int):
         if not isinstance(a, int) or not 0 <= a < self.order:

@@ -63,11 +63,6 @@ class Matrix:
         return Matrix(self.ctx, [[f(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
                       self.ncols)
 
-    def sub(self, other):
-        f = self.ctx.sub
-        return Matrix(self.ctx, [[f(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-                      self.ncols)
-
     def neg(self):
         f = self.ctx.neg
         return Matrix(self.ctx, [[f(a) for a in r] for r in self.rows], self.ncols)

@@ -286,8 +286,8 @@ def b2_labels(b2: B2Group, Q: smallgrp.SmallGroup, A: dict, B: dict) -> B2Labeli
     pair_comp = [
         b2.mul(comm(a_lab[k + 1], B[-1]), comm(a_lab[k - 1], B[0])) for k in range(0, q - 1)
     ]
-    gamma4 = _label_closure(b2, pair_g4)
-    complement = _label_closure(b2, pair_comp)
+    gamma4 = frozenset(smallgrp.SmallGroup.from_generators(b2.mul, pair_g4).labels)
+    complement = frozenset(smallgrp.SmallGroup.from_generators(b2.mul, pair_comp).labels)
 
     # label Gamma_3 / Gamma_4 by omega powers through the [A_k, B_0] cosets
     coset_value = {lab: 0 for lab in gamma4}
@@ -312,19 +312,6 @@ def b2_labels(b2: B2Group, Q: smallgrp.SmallGroup, A: dict, B: dict) -> B2Labeli
         coset_value=coset_value,
         q_image=frozenset(image),
     )
-
-
-def _label_closure(b2: B2Group, seeds) -> frozenset:
-    seen = {b2.identity()}
-    queue = list(seen)
-    gens = list(dict.fromkeys(seeds))
-    for x in queue:
-        for g in gens:
-            y = b2.mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------

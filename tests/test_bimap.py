@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinderlab import acceptance
 from kinderlab import bimap as bm
 from kinderlab.errors import InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field, make_field_from_order
-from kinderlab.linalg import Matrix, Subspace
+from kinderlab.linalg import Matrix, Subspace, unflatten_matrix
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -72,17 +73,19 @@ def test_hom_basis_satisfies_equations():
                     assert left == right
 
 
-def _brute_hom_count(phi, ups, sign):
+def _reference_sides(phi, ups, sign):
+    """Both sides of A Phi_i = sign Ups_i B^t, entries flattened: the left for
+    every A and the right for every B, in `itertools.product` order, with one
+    `Matrix` per candidate."""
     ctx = phi.ctx
     q = ctx.order
     s, b = phi.shape
     a, t = ups.shape
-    cnt = Counter()
+    lefts = []
     for entries in itertools.product(range(q), repeat=a * s):
         A = Matrix(ctx, [entries[i * s:(i + 1) * s] for i in range(a)], s)
-        key = tuple(x for P in phi.mats for row in A.mul(P).rows for x in row)
-        cnt[key] += 1
-    total = 0
+        lefts.append(tuple(x for P in phi.mats for row in A.mul(P).rows for x in row))
+    rights = []
     for entries in itertools.product(range(q), repeat=b * t):
         B = Matrix(ctx, [entries[i * t:(i + 1) * t] for i in range(b)], t)
         out = []
@@ -91,8 +94,16 @@ def _brute_hom_count(phi, ups, sign):
             if sign == -1:
                 M = M.neg()
             out.extend(x for row in M.rows for x in row)
-        total += cnt.get(tuple(out), 0)
-    return total
+        rights.append(tuple(out))
+    return lefts, rights
+
+
+def _brute_hom_count(phi, ups, sign):
+    """The reference count, which criterion 2's oracle
+    (`acceptance._brute_hom_count`) is tested against."""
+    lefts, rights = _reference_sides(phi, ups, sign)
+    cnt = Counter(lefts)
+    return sum(cnt.get(v, 0) for v in rights)
 
 
 @pytest.mark.parametrize("q,shapes", [(2, ((1, 2, 1, 2), (2, 2, 2, 2))), (3, ((1, 2, 1, 2),))])
@@ -107,6 +118,40 @@ def test_hom_dim_vs_bruteforce(q, shapes):
             assert _brute_hom_count(phi, ups, sign) == q**d
 
 
+# (a, s, b, t); b == t in some, so that B in place of B^t changes a count
+# rather than only failing on shapes, and a * s = 8 in two
+ORACLE_SHAPES = {
+    2: ((1, 2, 1, 2), (2, 2, 2, 2), (4, 2, 1, 2), (2, 4, 2, 2), (1, 3, 2, 1), (3, 1, 1, 3)),
+    3: ((1, 1, 1, 1), (1, 2, 1, 2), (2, 2, 2, 2), (1, 3, 2, 1), (2, 1, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_SHAPES))
+def test_array_hom_count_matches_reference(q):
+    K = make_field(q, 1)
+    rng = random.Random(40 + q)
+    for a, s, b, t in ORACLE_SHAPES[q]:
+        for c in (1, 2, 3):
+            for sign in (1, -1):
+                phi = bm.MatrixSystem.random(K, (s, b), c, rng)
+                ups = bm.MatrixSystem.random(K, (a, t), c, rng)
+                # the count is the same for both signs ((A, B) -> (A, -B)),
+                # so the sides are compared value by value as well
+                left, right = acceptance._hom_sides(phi, ups, sign)
+                got = [list(map(tuple, side.reshape(len(side), -1).tolist())) for side in (left, right)]
+                assert got == list(_reference_sides(phi, ups, sign)), (a, s, b, t, c, sign)
+                want = _brute_hom_count(phi, ups, sign)
+                assert acceptance._brute_hom_count(phi, ups, sign) == want, (a, s, b, t, c, sign)
+                assert want == q ** bm.hom_space(phi, ups, sign).dim_fp
+
+
+def test_array_hom_count_needs_a_prime_field():
+    rng = random.Random(4)
+    phi = bm.MatrixSystem.random(F4, (1, 1), 1, rng)
+    with pytest.raises(InvalidConfigError):
+        acceptance._brute_hom_count(phi, phi, 1)
+
+
 @pytest.mark.parametrize("a,s,b,t", [(1, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1), (0, 1, 1, 1),
                                      (2, 0, 0, 2), (1, 2, 1, 0)])
 def test_hom_space_with_a_zero_dimension(a, s, b, t):
@@ -118,6 +163,7 @@ def test_hom_space_with_a_zero_dimension(a, s, b, t):
             H = bm.hom_space(phi, ups, sign)
             assert H.dim_k == bm.hom_dim(phi, ups, sign) == bm.hom_dim(phi, ups, sign, fast=False)
             assert _brute_hom_count(phi, ups, sign) == K.order**H.dim_fp
+            assert acceptance._brute_hom_count(phi, ups, sign) == K.order**H.dim_fp
             for A, B in H.basis:
                 assert (A.shape, B.shape) == ((a, s), (b, t))
 
@@ -236,6 +282,21 @@ def test_matrix_multiplication_bimap():
         u = tuple(rng.randrange(2) for _ in range(4))
         v = tuple(rng.randrange(2) for _ in range(2))
         assert mm.evaluate(u, v) == direct(u, v)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_matrix_multiplication_bimap_flattens_to_the_prime_field(q):
+    K = make_field_from_order(q)
+    a, c, d = 2, 2, 1
+    mm = bm.matrix_multiplication_bimap(K, a, c, d)
+    assert mm.ctx == make_field(K.p, 1)
+    assert (mm.left_dim, mm.right_dim, mm.target_dim) == (a * c * K.e, c * d * K.e, a * d * K.e)
+    rng = random.Random(q)
+    for _ in range(30):
+        u = [rng.randrange(K.p) for _ in range(mm.left_dim)]
+        v = [rng.randrange(K.p) for _ in range(mm.right_dim)]
+        Z = unflatten_matrix(u, K, a, c).mul(unflatten_matrix(v, K, c, d))
+        assert mm.evaluate(u, v) == tuple(x for row in Z.rows for y in row for x in K.to_vector(y))
 
 
 def test_right_nucleus():
