@@ -20,6 +20,7 @@ from . import arith
 from .errors import InvalidConfigError
 
 _SMALL_ORDER = 1 << 16
+TABLE_ORDER_CAP = 512  # table_arrays' limit, so batch_rank's for non-prime orders
 
 
 class FieldError(ValueError):
@@ -387,22 +388,21 @@ class FieldCtx:
         return rng.randrange(1, self.order)
 
     def table_arrays(self):
-        """(add, mul, neg, inv) numpy lookup tables for vectorized elimination."""
+        """(add, mul, neg, inv) int16 lookup tables, built once from the digits and exp/log."""
         if self._tables is None:
-            if self.order > 512:
-                raise InvalidConfigError("lookup tables only built for order <= 512")
+            if self.order > TABLE_ORDER_CAP:
+                raise InvalidConfigError("lookup tables only built for order <= %d" % TABLE_ORDER_CAP)
             import numpy as np
 
-            q = self.order
-            add = np.zeros((q, q), dtype=np.int16)
-            mul = np.zeros((q, q), dtype=np.int16)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    mul[a, b] = self.mul(a, b)
-            neg = np.array([self.neg(a) for a in range(q)], dtype=np.int16)
-            inv = np.array([0] + [self.inv(a) for a in range(1, q)], dtype=np.int16)
-            self._tables = (add, mul, neg, inv)
+            q, p = self.order, self.p
+            digits = [np.arange(q) // p**i % p for i in range(self.e)]
+            add = sum((d[:, None] + d) % p * p**i for i, d in enumerate(digits))
+            log = np.array([0] + self._log[1:])
+            exp = np.array(self._exp * 2)
+            mul, inv = exp[log[:, None] + log], exp[q - 1 - log]
+            mul[0] = mul[:, 0] = inv[0] = 0
+            tables = (add, mul, (add == 0).argmax(axis=1), inv)
+            self._tables = tuple(t.astype(np.int16) for t in tables)
         return self._tables
 
     def modulus_string(self) -> str:

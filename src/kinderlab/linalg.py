@@ -5,9 +5,9 @@ in reduced row echelon form, so equal subspaces compare equal and hash equal.
 Everything here is plain Gaussian elimination.  The numpy fast path at the
 bottom is `batch_rank`: one vectorized elimination over a [T, r, c] stack of
 matrices, laid out by the batch shape, in integer arithmetic mod p over
-prime fields and through the field's lookup tables over GF(p^e) up to order
-512.  `np_rank` is its T = 1 case, and `ranks` is the one place that sends
-a field outside that range to `rref`.
+prime fields and through the field's lookup tables, pivot rows normalised,
+over GF(p^e) up to order TABLE_ORDER_CAP.  `np_rank` is its T = 1 case, and
+`ranks` is the one place that sends a field outside that range to `rref`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 import random
 
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
-from .gf import FieldCtx
+from .gf import TABLE_ORDER_CAP, FieldCtx
 
 ENUM_CAP = 10**7
 
@@ -406,8 +406,8 @@ PRIME_CAP = 1 << 31
 
 
 def _eliminator(ctx: FieldCtx):
-    """(working dtype, combine) where combine(x, pv, f, prow) = pv*x - f*prow
-    entrywise in ctx, on arrays of element codes."""
+    """(working dtype, combine) where combine(x, pv, f, prow) = pv*x - f*prow,
+    divided by pv over GF(p^e), entrywise in ctx, on arrays of element codes."""
     import numpy as np
 
     if ctx.e == 1:
@@ -424,28 +424,28 @@ def _eliminator(ctx: FieldCtx):
             return y - y // p * p
 
         return dtype, combine
-    add_t, mul_t, neg_t, _ = ctx.table_arrays()  # order <= 512, else InvalidConfigError
-    q = np.int32(ctx.order)  # a numpy scalar, so int16 entries * q widen to int32
-    add1, mul1 = add_t.ravel(), mul_t.ravel()
+    # order <= TABLE_ORDER_CAP, else InvalidConfigError; neg and inv are 1-d already
+    add1, mul1, neg, inv = (t.ravel() for t in ctx.table_arrays())
+    q = np.int32(ctx.order)  # a numpy scalar, so int16 codes * q widen to int32: q^2 reaches 2^18
 
     def combine(x, pv, f, prow):
-        idx = pv * q + x
-        np.multiply(mul1[idx], q, out=idx)  # in place: these are the largest arrays
-        idx += mul1[neg_t[f] * q + prow]
-        return add1[idx]
+        pn = mul1[inv[pv] * q + prow]  # each pivot row over its pivot, once
+        if ctx.p == 2:  # x - y is x ^ y
+            return x ^ mul1[f * q + pn]
+        return add1[x * q + mul1[neg[f] * q + pn]]  # x * q is int32 before the add
 
-    return np.int32, combine
+    return np.int16, combine
 
 
 def batch_rank(arr, ctx: FieldCtx):
     """int64 ranks of a [T, r, c] array of element codes, one per instance.
 
-    Fraction-free elimination of the whole stack, column by column: in each
-    instance the first row with a nonzero entry is the pivot row, and every
-    row becomes pivot * row - entry * pivot row.  That clears the column and
-    turns the pivot row itself to zero, so it can never be picked again and
-    no rows move.  InvalidConfigError for p >= PRIME_CAP or a non-prime order
-    above 512.
+    Elimination of the whole stack, column by column: in each instance the
+    first row with a nonzero entry is the pivot row, and every row becomes
+    pivot * row - entry * pivot row, divided by the pivot over GF(p^e).  That
+    clears the column and turns the pivot row itself to zero, so it can never
+    be picked again and no rows move.  InvalidConfigError for p >= PRIME_CAP
+    or a non-prime order above TABLE_ORDER_CAP.
 
     The layout follows the batch shape.  numpy runs every step as loops over
     the innermost axis, which in a [T, rows, cols] stack is one row, as short
@@ -502,7 +502,7 @@ def ranks(arr, ctx: FieldCtx):
     lookup tables cover), the rref rank of each instance otherwise."""
     import numpy as np
 
-    if ctx.p < PRIME_CAP if ctx.e == 1 else ctx.order <= 512:
+    if ctx.p < PRIME_CAP if ctx.e == 1 else ctx.order <= TABLE_ORDER_CAP:
         return batch_rank(arr, ctx)
     a = np.asarray(arr)
     if a.ndim != 3:

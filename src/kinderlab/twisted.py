@@ -73,7 +73,7 @@ class B2Group:
         return self.mul(self.inverse(hg), gh)
 
     # the same law on [..., 4] integer arrays, through the field's lookup
-    # tables (order <= 512); `commutator` stays the reference
+    # tables (order <= gf.TABLE_ORDER_CAP); `commutator` stays the reference
 
     def mul_batch(self, g, h):
         mul = self.ctx.table_arrays()[1]

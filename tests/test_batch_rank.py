@@ -1,5 +1,6 @@
 """batch_rank against the exact rref rank, instance by instance (hypothesis)."""
 
+import itertools
 import random
 
 import numpy as np
@@ -119,3 +120,38 @@ def test_hom_dim_falls_back_to_exact_beyond_the_fast_path():
 def test_batch_neg_matches_field_negation(F):
     xs = np.array(sorted({0, 1, F.order - 1} | {(F.order * k) // 7 for k in range(7)}))
     assert batch_neg(xs, F).tolist() == [F.neg(int(x)) for x in xs]
+
+
+def _echelon_stack(F, T=40, R=6, C=5):
+    """T matrices of rank t % (C + 1): k echelon rows, then R - k combinations
+    of them.  Entries cycle through the largest codes, q - 1 down to 2, so
+    no entry of an echelon row is 0 or 1.  The echelon rows come first, and
+    each is zero before its leading column, so the elimination meets them
+    unchanged: every pivot is one of their leading entries, never 1."""
+    top = list(range(F.order - 1, 1, -1))
+    code = itertools.cycle(top)
+    mats = []
+    for t in range(T):
+        k = t % (C + 1)
+        start = t % 2 if k < C else 0
+        rows = [[0] * (start + j) + [next(code) for _ in range(C - start - j)] for j in range(k)]
+        for _ in range(R - k):
+            comb = [0] * C
+            for row in rows[:k]:
+                c = next(code)
+                comb = [F.add(a, F.mul(c, b)) for a, b in zip(comb, row)]
+            rows.append(comb)
+        mats.append(rows)
+    return np.array(mats, dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", EXTENSION_ORDERS)
+def test_batch_rank_with_non_unit_pivots_and_the_largest_codes(q):
+    F = make_field_from_order(q)
+    arr = _echelon_stack(F)
+    T, R, C = arr.shape
+    want = _exact(arr.tolist(), F)
+    assert want == [t % (C + 1) for t in range(T)]
+    assert arr.max() == q - 1
+    assert batch_rank(arr, F).tolist() == want  # T >= C: the instances innermost
+    assert [r for i in range(0, T, 4) for r in batch_rank(arr[i:i + 4], F).tolist()] == want
