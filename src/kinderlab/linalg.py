@@ -426,13 +426,13 @@ def _eliminator(ctx: FieldCtx):
         return dtype, combine
     # order <= TABLE_ORDER_CAP, else InvalidConfigError; neg and inv are 1-d already
     add1, mul1, neg, inv = (t.ravel() for t in ctx.table_arrays())
-    q = np.int32(ctx.order)  # a numpy scalar, so int16 codes * q widen to int32: q^2 reaches 2^18
+    q = np.full(1, ctx.order, dtype=np.int32)  # no scalar: codes * q (< 2^18) are int32 on numpy 1.x too
 
     def combine(x, pv, f, prow):
         pn = mul1[inv[pv] * q + prow]  # each pivot row over its pivot, once
         if ctx.p == 2:  # x - y is x ^ y
             return x ^ mul1[f * q + pn]
-        return add1[x * q + mul1[neg[f] * q + pn]]  # x * q is int32 before the add
+        return add1[x * q + mul1[neg[f] * q + pn]]
 
     return np.int16, combine
 

@@ -1,14 +1,14 @@
 """Alternating parent/change runs of the perfbench workloads, into BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --base REV --head REV --out BENCH_9.json \
-        --seed 900 --pairs sampling=10,lattice=3,exact=3 [--seconds 25]
+    python3 tools/bench_pairs.py --base REV --head REV --out BENCH_9.json --seed 900
 
 Run from the root of a git checkout that has both revisions. Each revision
 is checked out with `git worktree add --detach` under a temporary directory,
 and both worktrees are removed at the end. For each workload, pair i runs
-`perfbench/run.py --seed <seed + i>` on both checkouts, one process at a
-time, the base first on even pairs and the head first on odd ones, so that
-a drift in the host's speed falls on both sides alike.
+`perfbench/run.py --seed <seed + i>` on both checkouts for BENCHMARK.json's
+`run_seconds`, PAIRS[workload] pairs in all, one process at a time, the
+base first on even pairs and the head first on odd ones, so that a drift in
+the host's speed falls on both sides alike.
 
 The output records the machine, both revisions, the seeds, and per workload
 and side the median, quartiles and raw values of every end-to-end metric;
@@ -26,6 +26,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# pairs per workload: enough on sampling to back a 9-of-10 claim, three on
+# the workloads a change only has to leave within their bounds
+PAIRS = {"sampling": 10, "lattice": 3, "exact": 3}
 
 
 def git(*args, cwd="."):
@@ -93,29 +97,26 @@ def main():
     ap.add_argument("--head", required=True, help="the revision of the change")
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     ap.add_argument("--seed", type=int, required=True, help="pair i runs seed + i")
-    ap.add_argument("--pairs", default="sampling=10,lattice=3,exact=3",
-                    help="workload=pairs, comma separated")
-    ap.add_argument("--seconds", type=float, default=25.0, help="perfbench --seconds")
     args = ap.parse_args()
 
-    plan = [(w, int(n)) for w, n in (item.split("=") for item in args.pairs.split(","))]
-    end_to_end = {m["name"]: m["better"]
-                  for m in json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads(Path("BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    end_to_end = {m["name"]: m["better"] for m in bench["end_to_end"]}
     revs = {side: git("rev-parse", rev) for side, rev in (("base", args.base), ("head", args.head))}
     out = {"machine": {"nproc": os.cpu_count(), "cpu_model": cpu_model()},
-           "revisions": revs, "seconds": args.seconds, "workloads": {}}
+           "revisions": revs, "seconds": seconds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in revs}
         try:
             for side, rev in revs.items():
                 git("worktree", "add", "--detach", str(trees[side]), rev)
             out["src_lines"] = {side: src_lines(trees[side]) for side in revs}
-            for workload, n in plan:
+            for workload, n in PAIRS.items():
                 seeds = [args.seed + i for i in range(n)]
                 runs = {side: [] for side in revs}
                 for i, seed in enumerate(seeds):
                     for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                        metrics, context = run_bench(trees[side], workload, seed, args.seconds)
+                        metrics, context = run_bench(trees[side], workload, seed, seconds)
                         runs[side].append(metrics)
                         out["machine"].update(context)
                         print("%s pair %d seed %d %s: jobs_per_s %.2f"
