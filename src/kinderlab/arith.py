@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidConfigError
 
@@ -47,23 +46,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if rest > 1:
         out.append((rest, 1))
     return out
-
-
-@dataclass(frozen=True)
-class FactoredInteger:
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prod = 1
-        for p, k in self.factors:
-            prod *= p**k
-        if prod != self.value:
-            raise InvalidConfigError("factorization does not multiply back to %d" % self.value)
-
-    @classmethod
-    def of(cls, n: int) -> "FactoredInteger":
-        return cls(n, tuple(factorize(n)))
 
 
 def nu_p(n: int, p: int) -> int:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, make_field
-from .linalg import (CoordSolver, EchelonAccumulator, Matrix, Subspace, batch_neg, flatten_matrix,
-                     rank_nullspace, ranks, rref, unflatten_matrix)
+from .linalg import (CoordSolver, Matrix, Subspace, batch_neg, flatten_matrix, rank_nullspace, ranks,
+                     rref, unflatten_matrix)
 
 _ROOT_SEARCH_CAP = 1 << 20
 
@@ -73,16 +73,13 @@ class HomSpace:
     dim_fp: int
 
     @functools.cached_property
-    def _echelon(self) -> EchelonAccumulator:
-        """Echelon form of the basis, built on the first `contains`."""
+    def _span(self) -> Subspace:
+        """The span of the flattened basis, built on the first `contains`."""
         flat = [_flatten_pair(pa, pb) for pa, pb in self.basis]
-        acc = EchelonAccumulator(self.ctx, len(flat[0]) if flat else 0)
-        for v in flat:
-            acc.add(v)
-        return acc
+        return Subspace.from_vectors(self.ctx, len(flat[0]) if flat else 0, flat)
 
     def contains(self, A: Matrix, B: Matrix) -> bool:
-        return not any(self._echelon.residue(_flatten_pair(A, B)))
+        return self._span.contains(_flatten_pair(A, B))
 
 
 def _flatten_pair(A: Matrix, B: Matrix) -> tuple:

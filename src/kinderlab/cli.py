@@ -36,21 +36,6 @@ EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_PROPERTY = 4
 
-COMMANDS = (
-    "field-check",
-    "hom",
-    "witness",
-    "generic",
-    "nursery-census",
-    "reconstruct",
-    "alt-codes",
-    "suzuki-search",
-    "suzuki-verify",
-    "arith",
-    "b2-demo",
-)
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -257,14 +242,7 @@ def _cmd_suzuki_search(config: RunConfig) -> dict:
     budget = _count(config.params, "budget", 40, low=1)
     res = twisted.suzuki_search(e, budget=budget, seed=config.seed)
     if isinstance(res, twisted.SearchFailure):
-        return {
-            "found": False,
-            "e": res.e,
-            "s_bound": res.s_bound,
-            "best_rank": res.best_rank,
-            "needed": res.needed,
-            "restarts": res.restarts,
-        }
+        return {"found": False, **res._asdict()}
     path = _get(config.params, "cert", "suzuki_cert_e%d.json" % e)
     try:
         with open(path, "w") as fh:
@@ -340,6 +318,23 @@ def _cmd_b2_demo(config: RunConfig) -> dict:
     }
 
 
+def _cmd_verify(config: RunConfig) -> dict:
+    tier = _get(config.params, "tier", "fast")
+    if tier not in ("fast", "full"):
+        raise InvalidConfigError("tier must be fast or full")
+    rows = []
+    for idx, _, _ in acceptance.CRITERIA:
+        r = acceptance.run_criterion(idx, tier)
+        rows.append({"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail,
+                     "elapsed_s": round(r.elapsed_s, 3)})
+        print("[%2d/%d] %s %-24s (%.1fs) %s" % (r.index, len(acceptance.CRITERIA),
+              "PASS" if r.passed else "FAIL", r.name, r.elapsed_s, r.detail), file=sys.stderr)
+    failing = [r["name"] for r in rows if not r["passed"]]
+    if failing:
+        print("FAILED criteria: %s" % ", ".join(failing), file=sys.stderr)
+    return {"tier": tier, "criteria": rows, "all_passed": not failing}
+
+
 _HANDLERS = {
     "field-check": _cmd_field_check,
     "hom": _cmd_hom,
@@ -352,6 +347,7 @@ _HANDLERS = {
     "suzuki-verify": _cmd_suzuki_verify,
     "arith": _cmd_arith,
     "b2-demo": _cmd_b2_demo,
+    "verify": _cmd_verify,
 }
 
 
@@ -362,44 +358,6 @@ def run(config: RunConfig) -> Report:
     t0 = time.time()
     results = _HANDLERS[config.command](config)
     return Report(config, ARTIFACT_VERSION, results, round(time.time() - t0, 6))
-
-
-def verify_suite(tier: str = "fast", stream=None) -> tuple[dict, int]:
-    """Run the acceptance criteria; returns (payload, exit_code)."""
-    if tier not in ("fast", "full"):
-        raise InvalidConfigError("tier must be fast or full")
-    stream = stream if stream is not None else sys.stderr
-    rows = []
-    failing = []
-    t0 = time.time()
-    for idx, name, _ in acceptance.CRITERIA:
-        r = acceptance.run_criterion(idx, tier)
-        rows.append(
-            {
-                "index": r.index,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "elapsed_s": round(r.elapsed_s, 3),
-            }
-        )
-        print(
-            "[%2d/13] %s %-24s (%.1fs) %s"
-            % (r.index, "PASS" if r.passed else "FAIL", r.name, r.elapsed_s, r.detail),
-            file=stream,
-        )
-        if not r.passed:
-            failing.append(r.name)
-    payload = {
-        "version": ARTIFACT_VERSION,
-        "tier": tier,
-        "criteria": rows,
-        "all_passed": not failing,
-        "elapsed_s": round(time.time() - t0, 3),
-    }
-    if failing:
-        print("FAILED criteria: %s" % ", ".join(failing), file=stream)
-    return payload, (EXIT_OK if not failing else EXIT_SUITE)
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +476,6 @@ def main(argv=None) -> int:
         for flag in ("seed", "trials"):
             if getattr(args, flag) is not None:
                 parser.error("--%s is not read in exhaustive mode" % flag)
-    if args.command == "verify":
-        payload, code = verify_suite(args.tier)
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
-        return code
     config = _config_from_args(args)
     try:
         report = run(config)
@@ -535,7 +489,7 @@ def main(argv=None) -> int:
         print("error (property-violation): %s" % exc, file=sys.stderr)
         return EXIT_PROPERTY
     _emit(report.to_json(), config.out)
-    return EXIT_OK
+    return EXIT_OK if report.results.get("all_passed", True) else EXIT_SUITE
 
 
 if __name__ == "__main__":

@@ -263,35 +263,6 @@ class Subspace:
         return "Subspace(dim %d of GF(%d^%d)^%d)" % (self.dim, self.ctx.p, self.ctx.e, self.ambient_dim)
 
 
-class EchelonAccumulator:
-    """Incremental span tracker: feed vectors, watch the rank grow."""
-
-    def __init__(self, ctx: FieldCtx, ambient_dim: int):
-        self.ctx = ctx
-        self.ambient_dim = ambient_dim
-        self.rows = []  # (pivot index, reduced row)
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def residue(self, vec):
-        return _reduce(list(vec), self.rows, self.ctx)
-
-    def add(self, vec) -> bool:
-        """Returns True when vec enlarged the span."""
-        vec = self.residue(vec)
-        pivot = next((j for j, a in enumerate(vec) if a), None)
-        if pivot is None:
-            return False
-        inv = self.ctx.inv(vec[pivot])
-        if inv != 1:
-            vec = [self.ctx.mul(inv, a) for a in vec]
-        self.rows.append((pivot, vec))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-
 def rank_nullspace(m: Matrix):
     """(rank, row space, null space) of m, the latter two canonical."""
     basis, pivots = rref(m.rows, m.ctx)

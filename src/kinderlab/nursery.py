@@ -32,7 +32,6 @@ from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, make_field
 from .linalg import (
     CoordSolver,
-    EchelonAccumulator,
     Matrix,
     Subspace,
     enumerate_superspaces,
@@ -116,20 +115,19 @@ class ModuleNursery:
                     raise InvalidConfigError("algebra basis span is not closed under products")
 
     def _check_s_generates(self):
-        acc = EchelonAccumulator(self.ctx, self.mdim * self.mdim)
+        d = self.mdim * self.mdim
         mats = [self.r_matrix(c) for c in self.s_coords]
-        for m in mats:
-            acc.add(flatten_matrix(m))
-        while True:
-            grew = False
-            for a, b in itertools.product(list(mats), repeat=2):
+        span = Subspace.from_vectors(self.ctx, d, [flatten_matrix(m) for m in mats])
+        grown = 0
+        while grown < len(mats):  # until a pass over the products adds none
+            grown = len(mats)
+            for a, b in itertools.product(mats[:grown], repeat=2):
                 prod = a.mul(b)
-                if acc.add(flatten_matrix(prod)):
+                v = flatten_matrix(prod)
+                if not span.contains(v):
+                    span = Subspace.from_vectors(self.ctx, d, span.basis + (v,))
                     mats.append(prod)
-                    grew = True
-            if not grew:
-                break
-        if acc.rank != self.rdim:
+        if span.dim != self.rdim:
             raise InvalidConfigError("S generates a proper subalgebra")
 
     def _check_annihilators(self):
@@ -379,34 +377,22 @@ def kind_from_subspace(nursery: ModuleNursery, subspace: Subspace, relaxed=False
 
 def random_kind(nursery: ModuleNursery, ell: int, rng, relaxed=False) -> Kind:
     """A uniform dimension-ell kind; anchored to contain S unless relaxed."""
-    base = [] if relaxed else list(nursery.s_coords)
-    acc = EchelonAccumulator(nursery.ctx, nursery.rdim)
-    rows = []
-    for v in base:
-        if acc.add(v):
-            rows.append(v)
-    if ell < acc.rank or ell > nursery.rdim:
+    span = Subspace.zero(nursery.ctx, nursery.rdim) if relaxed else nursery.s_subspace()
+    if ell < span.dim or ell > nursery.rdim:
         raise InvalidConfigError("no kinder of dimension %d here" % ell)
     p = nursery.p
-    while acc.rank < ell:
+    while span.dim < ell:
         v = tuple(rng.randrange(p) for _ in range(nursery.rdim))
-        if acc.add(v):
-            rows.append(v)
-    return kind_from_subspace(
-        nursery, Subspace.from_vectors(nursery.ctx, nursery.rdim, rows), relaxed=relaxed
-    )
+        if not span.contains(v):
+            span = Subspace.from_vectors(nursery.ctx, nursery.rdim, span.basis + (v,))
+    return kind_from_subspace(nursery, span, relaxed=relaxed)
 
 
 def derived_equals_gamma3(kind: Kind) -> bool:
     """Whether [Q,Q] is all of Gamma_3, i.e. V.M spans M."""
     n = kind.nursery
-    acc = EchelonAccumulator(n.ctx, n.mdim)
-    for xc in kind.subspace.basis:
-        mat = n.r_matrix(tuple(xc))
-        for col in zip(*mat.rows):
-            if acc.add(col) and acc.rank == n.mdim:
-                return True
-    return acc.rank == n.mdim
+    cols = [col for xc in kind.subspace.basis for col in zip(*n.r_matrix(xc).rows)]
+    return Subspace.from_vectors(n.ctx, n.mdim, cols).dim == n.mdim
 
 
 class Reconstruction(NamedTuple):
@@ -588,15 +574,7 @@ class CensusReport(NamedTuple):
     classes: list
 
     def to_payload(self) -> dict:
-        return {
-            "nursery": self.nursery,
-            "ell": self.ell,
-            "relaxed": self.relaxed,
-            "kinder_count": self.kinder_count,
-            "class_count": self.class_count,
-            "bound_exponent": self.bound_exponent,
-            "classes": self.classes,
-        }
+        return self._asdict()
 
 
 def census(

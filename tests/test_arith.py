@@ -74,13 +74,6 @@ def test_wall_log_bound():
     assert 2 ** arith.wall_log_bound(60) >= 59  # sigma(A5) = 59
 
 
-def test_factored_integer():
-    fi = arith.FactoredInteger.of(360)
-    assert fi.value == 360 and fi.factors == ((2, 3), (3, 2), (5, 1))
-    with pytest.raises(InvalidConfigError):
-        arith.FactoredInteger(12, ((2, 1), (3, 1)))
-
-
 def test_bad_inputs():
     with pytest.raises(InvalidConfigError):
         arith.nu_p(0, 2)

@@ -322,12 +322,13 @@ def test_system_validation():
 def test_hom_space_contains_builds_its_echelon_once(monkeypatch):
     built = []
 
-    class Counting(bm.EchelonAccumulator):
-        def __init__(self, *args):
+    class Counting(bm.Subspace):
+        @classmethod
+        def from_vectors(cls, *args):
             built.append(args)
-            super().__init__(*args)
+            return super().from_vectors(*args)
 
-    monkeypatch.setattr(bm, "EchelonAccumulator", Counting)
+    monkeypatch.setattr(bm, "Subspace", Counting)
     mm = bm.matrix_multiplication_bimap(F2, 2, 2, 1)
     nuc0 = bm.right_nucleus(mm, Subspace.zero(F2, mm.left_dim))
     # the identity and dim^2 composites are all tested against one echelon form

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from kinderlab import cli, genericity
-from kinderlab.errors import PropertyViolationError
+from kinderlab import acceptance, cli, genericity
+from kinderlab.errors import InvalidConfigError, PropertyViolationError
 
 
 def run_config(command, params, **kw):
@@ -176,8 +176,26 @@ def test_main_property_violation_exit(monkeypatch):
 
 
 def test_verify_tier_validation():
-    with pytest.raises(Exception):
-        cli.verify_suite("nope")
+    with pytest.raises(InvalidConfigError, match="tier"):
+        run_config("verify", {"tier": "nope"})
+
+
+def test_verify_writes_the_report_envelope_and_exits_1_on_a_failure(tmp_path, monkeypatch, capsys):
+    def fails(tier):
+        raise PropertyViolationError("synthetic")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", ((1, "passes", lambda tier: "ok"), (2, "fails", fails)))
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_SUITE
+    payload = json.loads(out.read_text())
+    assert payload["version"] == cli.ARTIFACT_VERSION
+    assert payload["config"]["command"] == "verify" and payload["config"]["params"] == {"tier": "fast"}
+    results = payload["results"]
+    assert results["tier"] == "fast" and results["all_passed"] is False
+    assert [(c["index"], c["name"], c["passed"], c["detail"]) for c in results["criteria"]] == [
+        (1, "passes", True, "ok"), (2, "fails", False, "PropertyViolationError: synthetic")]
+    err = capsys.readouterr().err
+    assert "PASS passes" in err and "FAIL fails" in err and "FAILED criteria: fails" in err
 
 
 def test_unknown_command_rejected():

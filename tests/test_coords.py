@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kinderlab import linalg
 from kinderlab.errors import InvalidConfigError
 from kinderlab.gf import make_field, make_field_from_order
-from kinderlab.linalg import CoordSolver, EchelonAccumulator, Matrix, ranks, rref
+from kinderlab.linalg import CoordSolver, Matrix, Subspace, ranks, rref
 
 COORD_FIELDS = [make_field(p, 1) for p in (2, 3, 5, 191)] + [make_field_from_order(q) for q in (4, 9)]
 BIG_PRIME = make_field(2147483659, 1)  # 2^31 + 11, the least prime above PRIME_CAP
@@ -30,8 +30,10 @@ def families(draw):
     n = draw(st.integers(1, 6))
     elem = st.integers(0, F.order - 1)
     vec = st.lists(elem, min_size=n, max_size=n)
-    acc = EchelonAccumulator(F, n)
-    rows = [v for v in draw(st.lists(vec, min_size=n, max_size=n)) if acc.add(v)]
+    rows = []
+    for v in draw(st.lists(vec, min_size=n, max_size=n)):
+        if not Subspace.from_vectors(F, n, rows).contains(v):
+            rows.append(v)
     assume(rows)
     coeffs = draw(st.lists(elem, min_size=len(rows), max_size=len(rows)))
     return F, n, rows, coeffs, draw(vec)

@@ -7,7 +7,6 @@ import pytest
 
 from kinderlab.gf import make_field
 from kinderlab.linalg import (
-    EchelonAccumulator,
     Matrix,
     Subspace,
     enumerate_subspaces,
@@ -105,19 +104,6 @@ def test_subspace_membership():
     assert S.contains_subspace(Subspace.zero(F3, 3))
     got = set(S.enumerate_vectors())
     assert len(got) == 9 and all(S.contains(v) for v in got)
-
-
-def test_echelon_accumulator():
-    rng = random.Random(8)
-    for _ in range(20):
-        vecs = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(6)]
-        acc = EchelonAccumulator(F3, 4)
-        for v in vecs:
-            acc.add(v)
-        S = Subspace.from_vectors(F3, 4, vecs)
-        assert acc.rank == S.dim
-        probe = tuple(rng.randrange(3) for _ in range(4))
-        assert (tuple(acc.residue(probe)) == (0, 0, 0, 0)) == S.contains(probe)
 
 
 def test_gaussian_binomial_frozen():
