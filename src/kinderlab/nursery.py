@@ -15,8 +15,11 @@ one such subgroup presented as an abstract multiplication table.
 
 Up to smallgrp.SUBGROUP_ORDER_CAP elements, a kind's complete table comes
 from one numpy evaluation of the law on integer codes (`_law_table`), and
-is checked against `mul_label` when it is built; above that, products are
-label products filled in as they are asked for.
+is tied to `mul_label` when it is built (`_checked_law_table`: permutation
+columns, products with the generators, Light's associativity test); above
+that, products are label products filled in as they are asked for.  The
+constructor checks Gamma_1 on its complete table up to EXHAUSTIVE_ORDER_CAP
+elements, and on the commutators of basis transversals above it.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .linalg import (
 )
 
 GROUP_ORDER_CAP = 1 << 14
-# below this Gamma_1 order the constructor checks the filtration on every
-# pair of elements instead of only on basis transversals
+# up to this Gamma_1 order the constructor checks the law and every
+# commutator on Gamma_1's complete table, above it on basis transversals
 EXHAUSTIVE_ORDER_CAP = 1 << 9
 
 
@@ -55,13 +58,24 @@ def _digit_sums(p: int, d: int):
     return digits, (digits[:, None, :] + digits[None, :, :]) % p @ p ** np.arange(d - 1, -1, -1)
 
 
+def commutator_table(table):
+    """The [n, n] indices of [g, h] = (hg)^-1 gh from a `_law_table`-style
+    table (row j holds i*j), whose identity is index 0."""
+    inv = table.argmin(axis=1).astype(table.dtype)  # row h is 0 at i = h^-1
+    return table[table.T, inv[table]]
+
+
 class ModuleNursery:
     """An F_p-algebra of matrices with marked generators and module probes.
 
     `rbasis` lists independent mdim x mdim matrices over GF(p) whose span
     is closed under multiplication and contains the identity; S and T are
     checked at construction (S generates, the T annihilators meet in 0),
-    as is the commutator law gamma([x, u]) = x.u on basis transversals.
+    as is the group law.  Up to EXHAUSTIVE_ORDER_CAP elements, Gamma_1's
+    table equals `mul_label` on every product of an element and a
+    generator, is associative, realizes the action (gamma([x, u]) = x.u),
+    and puts every commutator in Gamma_3 with Gamma_2 abelian; above it,
+    the action and Gamma_2's commutators are checked on basis transversals.
     """
 
     def __init__(self, kind, rbasis, s_matrices, t_vectors, meta=None):
@@ -102,9 +116,10 @@ class ModuleNursery:
         self._check_s_generates()
         self._check_annihilators()
         self._rows_cache = {}
-        self._check_transversal_commutators()
         if self.order <= EXHAUSTIVE_ORDER_CAP:
-            self._check_exhaustive()
+            self._check_gamma1_table()
+        else:
+            self._check_commutators(self.commutator_label)
 
     # -- validation ---------------------------------------------------
 
@@ -132,46 +147,39 @@ class ModuleNursery:
 
     def _check_annihilators(self):
         # x in R annihilates every probe iff the stacked action rows kill x
-        rows = []
-        for b in self.rbasis:
-            row = []
-            for t in self.t_vectors:
-                row.extend(b.apply(t))
-            rows.append(row)
+        rows = [[c for t in self.t_vectors for c in b.apply(t)] for b in self.rbasis]
         basis, _ = rref(rows, self.ctx)
         if len(basis) != self.rdim:
             raise InvalidConfigError("annihilator condition unsatisfiable for this T")
 
-    def _check_transversal_commutators(self):
+    def _check_commutators(self, comm):
+        """[x, u] = x.u on basis transversals, and [u, v] = 1 in Gamma_2;
+        `comm(g, h)` is the label of [g, h]."""
         zr = (0,) * self.rdim
         zm = (0,) * self.mdim
-        for i in range(self.rdim):
+        units = [tuple(1 if k == j else 0 for k in range(self.mdim)) for j in range(self.mdim)]
+        for i, b in enumerate(self.rbasis):
             x = tuple(1 if k == i else 0 for k in range(self.rdim))
-            g = (x, zm, zm)
-            for j in range(self.mdim):
-                u = tuple(1 if k == j else 0 for k in range(self.mdim))
-                h = (zr, u, zm)
-                got = self.commutator_label(g, h)
-                want = (zr, zm, tuple(self.rbasis[i].apply(u)))
-                if got != want:
+            for u in units:
+                if comm((x, zm, zm), (zr, u, zm)) != (zr, zm, tuple(b.apply(u))):
                     raise PropertyViolationError("commutator does not realize the action")
-        for j in range(self.mdim):
-            u = tuple(1 if k == j else 0 for k in range(self.mdim))
-            for jj in range(self.mdim):
-                v = tuple(1 if k == jj else 0 for k in range(self.mdim))
-                if self.commutator_label((zr, u, zm), (zr, v, zm)) != self.identity_label():
+        for u in units:
+            for v in units:
+                if comm((zr, u, zm), (zr, v, zm)) != self.identity_label():
                     raise PropertyViolationError("second filtration term is not abelian")
 
-    def _check_exhaustive(self):
-        idl = self.identity_label()
+    def _check_gamma1_table(self):
+        """The commutator checks on every pair of Gamma_1's checked table."""
         labels = list(self.labels())
-        for g in labels:
-            for h in labels:
-                c = self.commutator_label(g, h)
-                if any(c[0]) or any(c[1]):
-                    raise PropertyViolationError("a commutator escapes the third term")
-                if not any(g[0]) and not any(h[0]) and c != idl:
-                    raise PropertyViolationError("second filtration term is not abelian")
+        full = Subspace.full(self.ctx, self.rdim)
+        comm = commutator_table(self._checked_law_table(full, labels, factors=range(len(labels))))
+        index = {lab: i for i, lab in enumerate(labels)}
+        self._check_commutators(lambda g, h: labels[comm[index[g], index[h]]])
+        nm = self.p**self.mdim  # the indices below nm make up Gamma_3, below nm^2 Gamma_2
+        if (comm >= nm).any():
+            raise PropertyViolationError("a commutator escapes the third term")
+        if comm[: nm * nm, : nm * nm].any():
+            raise PropertyViolationError("second filtration term is not abelian")
 
     # -- algebra ------------------------------------------------------
 
@@ -246,33 +254,53 @@ class ModuleNursery:
         """The group of the triples with x in the subspace, in `labels` order.
 
         Up to SUBGROUP_ORDER_CAP elements the complete table comes from
-        `_law_table`; each of its columns must be a permutation, and it must
-        agree with `mul_label` on every pair of a transversal of the basis
-        directions, or PropertyViolationError is raised.
+        `_checked_law_table`, compared with mul_label on the products of the
+        generators with each other, the identity and the last element; above
+        it, products are label products.
         """
         labels = list(self.labels(x_vectors=[tuple(v) for v in subspace.enumerate_vectors()]))
         n = len(labels)
         if n > smallgrp.SUBGROUP_ORDER_CAP:
             return smallgrp.SmallGroup(labels, self.mul_label, name=name)
-        table = self._law_table(subspace)
-        if not (np.sort(table, axis=1) == np.arange(n, dtype=table.dtype)).all():
-            raise PropertyViolationError("a column of the vectorised law is not a permutation")
+        table = self._checked_law_table(subspace, labels, factors=(0, n - 1))
         # the columns share the int objects of range(n): tolist() would make
         # a fresh int for every entry above the small-int cache
         ints = np.empty(n, dtype=object)
         ints[:] = range(n)
         columns = [ints[row].tolist() for row in table]
-        G = smallgrp.SmallGroup(labels, self.mul_label, name=name, columns=columns)
-        # the identity, the last element, and (v_k, 0, 0), (0, e_k, 0), (0, 0, e_k)
+        return smallgrp.SmallGroup(labels, self.mul_label, name=name, columns=columns)
+
+    def _checked_law_table(self, subspace: Subspace, labels, factors):
+        """`_law_table(subspace)`, once it is tied to `mul_label` on `labels`.
+
+        Each column must be a permutation; the table must agree with
+        mul_label on the products of each generator g = (v_k, 0, 0),
+        (0, e_k, 0) or (0, 0, e_k) with each generator and each index in
+        `factors`, in either order; and Light's test must hold for each g:
+        (i g) j = i (g j) for all i, j.  With every index in `factors`, the
+        last two make the table associative and equal to mul_label on every
+        pair, as the generators generate the group.  Otherwise
+        PropertyViolationError is raised.
+        """
+        table = self._law_table(subspace)
+        n = len(labels)
+        if not (np.sort(table, axis=1) == np.arange(n, dtype=table.dtype)).all():
+            raise PropertyViolationError("a column of the vectorised law is not a permutation")
         nm = self.p**self.mdim
-        probe = {0, n - 1}
-        probe.update(nm * nm * self.p**k for k in range(subspace.dim))
-        probe.update(step * self.p**k for k in range(self.mdim) for step in (nm, 1))
-        for i in probe:
-            for j in probe:
-                if columns[j][i] != G.index_of(self.mul_label(labels[i], labels[j])):
+        gens = [nm * nm * self.p**k for k in range(subspace.dim)]
+        gens += [step * self.p**k for k in range(self.mdim) for step in (nm, 1)]
+        factors = sorted(set(gens).union(factors))
+        mul = self.mul_label
+        for g in gens:
+            right, left = table[g].tolist(), table[:, g].tolist()  # a*g and g*a at a
+            for a in factors:
+                if labels[right[a]] != mul(labels[a], labels[g]) or \
+                        labels[left[a]] != mul(labels[g], labels[a]):
                     raise PropertyViolationError("the vectorised law disagrees with mul_label")
-        return G
+        # take() permutes the columns of a C-order table far faster than table[:, perm]
+        if not all((table.take(table[g], axis=1) == table[table[:, g]]).all() for g in gens):
+            raise PropertyViolationError("the vectorised law is not associative")
+        return table
 
     def _law_table(self, subspace: Subspace):
         """[n, n] int16 array whose row j holds the index of i*j for each i.
@@ -303,36 +331,20 @@ class ModuleNursery:
         return frozenset((zr, u, w) for _, u, w in self.labels(x_vectors=[zr]))
 
     def gamma3_labels(self):
-        zr = (0,) * self.rdim
-        zm = (0,) * self.mdim
-        return frozenset(
-            (zr, zm, tuple(w))
-            for w in itertools.product(range(self.p), repeat=self.mdim)
-        )
+        zr, zm = (0,) * self.rdim, (0,) * self.mdim
+        return frozenset((zr, zm, w) for w in itertools.product(range(self.p), repeat=self.mdim))
 
     def s_subspace(self) -> Subspace:
         return Subspace.from_vectors(self.ctx, self.rdim, list(self.s_coords))
 
     def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "rdim": self.rdim,
-            "mdim": self.mdim,
-            "order": self.order,
-            "s_size": len(self.s_coords),
-            "t_size": len(self.t_vectors),
-            **self.meta,
-        }
+        return {"kind": self.kind, "p": self.p, "rdim": self.rdim, "mdim": self.mdim,
+                "order": self.order, "s_size": len(self.s_coords),
+                "t_size": len(self.t_vectors), **self.meta}
 
     def __repr__(self):
         return "ModuleNursery(%s, |R|=%d^%d, |M|=%d^%d)" % (
-            self.kind,
-            self.p,
-            self.rdim,
-            self.p,
-            self.mdim,
-        )
+            self.kind, self.p, self.rdim, self.p, self.mdim)
 
 
 class Kind:
@@ -353,12 +365,11 @@ class Kind:
         return self.nursery.labels(x_vectors=xs)
 
     def group(self, cap=GROUP_ORDER_CAP) -> smallgrp.SmallGroup:
-        if self._group is not None:
-            return self._group
         if self.order > cap:
             raise CapExceededError("kind order %d over cap %d" % (self.order, cap))
-        name = "%s kind dim %d" % (self.nursery.kind, self.subspace.dim)
-        self._group = self.nursery.group_on(self.subspace, name=name)
+        if self._group is None:
+            name = "%s kind dim %d" % (self.nursery.kind, self.subspace.dim)
+            self._group = self.nursery.group_on(self.subspace, name=name)
         return self._group
 
     def __repr__(self):
@@ -485,16 +496,20 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
     for i in x_idx:
         label = G.labels[i]
         beta_rep.setdefault(label[1], i)
-    chi = {}
+    betas = [beta_rep[tuple(1 if k == j else 0 for k in range(n.mdim))] for j in range(n.mdim)]
+    chi, solved = {}, {}
     for i in range(G.n):
         cols = []
-        for j in range(n.mdim):
-            unit = tuple(1 if k == j else 0 for k in range(n.mdim))
-            c = G.commutator_idx(i, beta_rep[unit])
+        for b in betas:
+            c = G.commutator_idx(i, b)
             if c not in y_set:
                 raise PropertyViolationError("a chi column escapes the third term")
             cols.append(G.labels[c][2])
-        coords = n.r_coords(Matrix(n.ctx, list(zip(*cols))))
+        # chi is constant on X-cosets: one solve per coset, the rest are copies
+        cols = tuple(cols)
+        if cols not in solved:
+            solved[cols] = n.r_coords(Matrix(n.ctx, list(zip(*cols))))
+        coords = solved[cols]
         if coords is None:
             raise PropertyViolationError("chi image escapes the algebra")
         chi[G.labels[i]] = coords
@@ -577,13 +592,8 @@ class CensusReport(NamedTuple):
         return self._asdict()
 
 
-def census(
-    nursery: ModuleNursery,
-    ell: int,
-    relaxed=False,
-    max_kinder=4096,
-    max_order=GROUP_ORDER_CAP,
-) -> CensusReport:
+def census(nursery: ModuleNursery, ell: int, relaxed=False, max_kinder=4096,
+           max_order=GROUP_ORDER_CAP) -> CensusReport:
     """Enumerate and classify every dimension-ell kind of the nursery.
 
     Strict mode anchors the kinder to contain S and checks the class count
@@ -608,41 +618,22 @@ def census(
     for members in classes:
         rep = members[0]
         fp = groups[rep].fingerprint()
-        table.append(
-            {
-                "members": len(members),
-                "order": fp.order,
-                "exponent": fp.exponent,
-                "center_order": fp.center_order,
-                "derived_orders": list(fp.derived_orders),
-                "representative_basis": [list(row) for row in spaces[rep].basis],
-            }
-        )
+        table.append({"members": len(members), "order": fp.order, "exponent": fp.exponent,
+                      "center_order": fp.center_order, "derived_orders": list(fp.derived_orders),
+                      "representative_basis": [list(row) for row in spaces[rep].basis]})
 
     bound = None
     if not relaxed:
-        bound = bound_log(
-            "nursery_count",
-            r=nursery.rdim,
-            ell=ell,
-            s=len(nursery.s_coords),
-            m=nursery.mdim,
-            t=len(nursery.t_vectors),
-        )
+        bound = bound_log("nursery_count", r=nursery.rdim, ell=ell, s=len(nursery.s_coords),
+                          m=nursery.mdim, t=len(nursery.t_vectors))
         if len(classes) < nursery.p ** int(round(bound)):
             raise PropertyViolationError(
                 "census found %d classes, below the guaranteed %d"
                 % (len(classes), nursery.p ** int(round(bound)))
             )
-    return CensusReport(
-        nursery=nursery.describe(),
-        ell=ell,
-        relaxed=relaxed,
-        kinder_count=len(spaces),
-        class_count=len(classes),
-        bound_exponent=bound,
-        classes=table,
-    )
+    return CensusReport(nursery=nursery.describe(), ell=ell, relaxed=relaxed,
+                        kinder_count=len(spaces), class_count=len(classes),
+                        bound_exponent=bound, classes=table)
 
 
 # ---------------------------------------------------------------------------

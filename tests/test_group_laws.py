@@ -3,9 +3,11 @@
 A nursery kind up to SUBGROUP_ORDER_CAP gets its complete table from one
 numpy evaluation of (x, u, w)(x', u', w') = (x + x', u + u', w + w' + x.u');
 the reference is a SmallGroup on the same labels whose table is completed
-from `mul_label` products.  The B2 law on [n, 4] arrays is compared with
-`B2Group.commutator` row by row, and `b2_labels` with the label scan it
-replaced, kept here as `b2_labels_by_scan`.
+from `mul_label` products, and each construction-time check of a nursery
+must reject a mutated law, action or commutator gather.  The B2 law on
+[n, 4] arrays is compared with `B2Group.commutator` row by row, and
+`b2_labels` with the label scan it replaced, kept here as
+`b2_labels_by_scan`.
 """
 
 import functools
@@ -56,6 +58,17 @@ def reference_table(labels, mul):
     return smallgrp.SmallGroup(labels, mul).table()
 
 
+@functools.lru_cache(maxsize=None)
+def gamma1_reference(name):
+    N = stock(name)
+    return reference_table(list(N.labels()), N.mul_label)
+
+
+def fresh(name):
+    kind, params = NURSERIES[name]
+    return nursery.make_nursery(kind, **params)
+
+
 def test_every_stock_nursery_has_tabled_kinder():
     for name in NURSERIES:
         assert tabled_dims(stock(name)), name
@@ -78,9 +91,25 @@ def test_kind_table_equals_label_products(name, pick, seed):
 @pytest.mark.parametrize("name", ["matrix(1,1,F2)", "matrix(1,1,F4)", "unitary(3,1)",
                                   "b2_odd(F5)", "matrix(2,1,F2)"])
 def test_gamma1_table_equals_label_products(name):
+    assert stock(name).gamma1_group().table() == gamma1_reference(name)
+
+
+@functools.lru_cache(maxsize=None)
+def tabled_gamma1s():
+    return sorted(name for name in NURSERIES
+                  if stock(name).order <= nursery.EXHAUSTIVE_ORDER_CAP)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_commutator_gather_equals_commutator_label(data):
+    name = data.draw(st.sampled_from(tabled_gamma1s()))
     N = stock(name)
-    G = N.gamma1_group()
-    assert G.table() == reference_table(list(N.labels()), N.mul_label)
+    labels = list(N.labels())
+    comm = nursery.commutator_table(np.array(gamma1_reference(name), dtype=np.int16))
+    pairs = st.tuples(st.integers(0, N.order - 1), st.integers(0, N.order - 1))
+    for g, h in data.draw(st.lists(pairs, min_size=1, max_size=30)):
+        assert labels[comm[g, h]] == N.commutator_label(labels[g], labels[h])
 
 
 def test_columns_share_the_index_ints():
@@ -123,6 +152,102 @@ def test_non_permutation_column_fails_loudly(monkeypatch):
     _corrupt(monkeypatch, repeat)
     with pytest.raises(PropertyViolationError, match="not a permutation"):
         nursery.kind_from_subspace(N, N.s_subspace()).group()
+
+
+# construction-time failures: Gamma_1 of matrix(2,1,F2) has 256 elements,
+# so its law is checked on the complete table
+
+
+def test_column_swap_away_from_the_probes_fails_loudly(monkeypatch):
+    # column 77 stays a permutation, and 77, 101 and 203 are none of the
+    # generators (v_k, 0, 0), (0, e_k, 0), (0, 0, e_k) or the identity
+    N = stock("matrix(2,1,F2)")
+
+    def swap(table):
+        table[77, [101, 203]] = table[77, [203, 101]]
+
+    _corrupt(monkeypatch, swap)
+    with pytest.raises(PropertyViolationError, match="not associative"):
+        fresh("matrix(2,1,F2)")
+    with pytest.raises(PropertyViolationError, match="not associative"):
+        N.gamma1_group()
+
+
+def test_wrong_action_off_the_basis_fails_loudly(monkeypatch):
+    act = nursery.ModuleNursery.act
+
+    def wrong(self, x, u):
+        got = act(self, x, u)
+        return ((got[0] + 1) % self.p,) + got[1:] if x == (1, 1, 0, 1) else got
+
+    monkeypatch.setattr(nursery.ModuleNursery, "act", wrong)
+    with pytest.raises(PropertyViolationError, match="disagrees with mul_label"):
+        fresh("matrix(2,1,F2)")
+
+
+def test_non_permutation_column_fails_at_construction(monkeypatch):
+    def repeat(table):
+        table[5, 7] = table[5, 8]
+
+    _corrupt(monkeypatch, repeat)
+    with pytest.raises(PropertyViolationError, match="not a permutation"):
+        fresh("matrix(2,1,F2)")
+
+
+def _plant(monkeypatch, edit):
+    gather = nursery.commutator_table
+
+    def planted(table):
+        return edit(gather(table).copy())
+
+    monkeypatch.setattr(nursery, "commutator_table", planted)
+
+
+def test_swapped_commutator_factors_fail_loudly(monkeypatch):
+    # [u, x] = (0, 0, -x.u) differs from [x, u] in odd characteristic
+    _plant(monkeypatch, lambda comm: comm.T)
+    with pytest.raises(PropertyViolationError, match="realize the action"):
+        fresh("matrix(1,1,F3)")
+
+
+def test_swapped_commutator_factors_fail_above_the_table_cap(monkeypatch):
+    comm = nursery.ModuleNursery.commutator_label
+    monkeypatch.setattr(nursery.ModuleNursery, "commutator_label",
+                        lambda self, g, h: comm(self, h, g))
+    assert stock("b2_odd(F9)").order > nursery.EXHAUSTIVE_ORDER_CAP
+    with pytest.raises(PropertyViolationError, match="realize the action"):
+        fresh("b2_odd(F9)")
+
+
+def test_commutator_outside_the_third_term_fails_loudly(monkeypatch):
+    def escape(comm):
+        comm[3, 5] = 4  # (0, u, 0) with u != 0: |M| = 4, so Gamma_3 is 0..3
+        return comm
+
+    _plant(monkeypatch, escape)
+    with pytest.raises(PropertyViolationError, match="escapes the third term"):
+        fresh("matrix(2,1,F2)")
+
+
+def test_nonabelian_second_term_fails_loudly(monkeypatch):
+    def bracket(comm):
+        comm[1, 2] = 1  # a bracket of two elements of Gamma_3, in Gamma_3 but not 1
+        return comm
+
+    _plant(monkeypatch, bracket)
+    with pytest.raises(PropertyViolationError, match="not abelian"):
+        fresh("matrix(2,1,F2)")
+
+
+def test_nonabelian_second_term_fails_above_the_table_cap(monkeypatch):
+    comm = nursery.ModuleNursery.commutator_label
+
+    def bracket(self, g, h):
+        return h if not any(g[0]) and not any(h[0]) else comm(self, g, h)
+
+    monkeypatch.setattr(nursery.ModuleNursery, "commutator_label", bracket)
+    with pytest.raises(PropertyViolationError, match="not abelian"):
+        fresh("b2_odd(F9)")
 
 
 def test_kind_above_table_cap_stays_lazy():

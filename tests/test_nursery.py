@@ -225,6 +225,32 @@ def test_kind_group_cap():
         K.group(cap=16)
 
 
+def test_kind_group_cap_holds_once_the_group_is_cached():
+    N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
+    K = nursery.kind_from_subspace(N2, N2.s_subspace())
+    assert K.group().n == K.order
+    with pytest.raises(CapExceededError):
+        K.group(cap=K.order - 1)
+
+
+def test_reconstruct_solves_chi_once_per_coset(monkeypatch):
+    N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
+    K = nursery.kind_from_subspace(N2, Subspace.full(F2, 4))
+    rho, mu = nursery.random_frames(K, random.Random(9))
+    want = nursery.reconstruct(K, rho, mu)
+    solves = []
+    r_coords = nursery.ModuleNursery.r_coords
+
+    def counted(self, mat):
+        solves.append(mat)
+        return r_coords(self, mat)
+
+    monkeypatch.setattr(nursery.ModuleNursery, "r_coords", counted)
+    got = nursery.reconstruct(K, rho, mu)
+    assert got == want and len(got.chi) == K.order == 256
+    assert len(solves) == 2**4  # |Q / X|: one solve per coset of the second term
+
+
 def test_reconstruct_above_table_cap_starts_few_columns():
     # order 3^7 = 2187, above SUBGROUP_ORDER_CAP: the kind has no table and
     # reconstruct must not start a column per element (n^2 entries)

@@ -1,14 +1,17 @@
 """Alternating parent/change runs of the perfbench workloads, into BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --base REV --head REV --out BENCH_9.json --seed 900
+    python3 tools/bench_pairs.py --base REV --head REV --out BENCH_9.json --seed 900 \
+        [--claim WORKLOAD]
 
 Run from the root of a git checkout that has both revisions. Each revision
-is checked out with `git worktree add --detach` under a temporary directory,
-and both worktrees are removed at the end. For each workload, pair i runs
-`perfbench/run.py --seed <seed + i>` on both checkouts for BENCHMARK.json's
-`run_seconds`, PAIRS[workload] pairs in all, one process at a time, the
-base first on even pairs and the head first on odd ones, so that a drift in
-the host's speed falls on both sides alike.
+is exported with `git archive` into a temporary directory, which is removed
+at the end. For each workload, pair i runs `perfbench/run.py --seed
+<seed + i>` on both trees for BENCHMARK.json's `run_seconds`, one process
+at a time, the base first on even pairs and the head first on odd ones, so
+that a drift in the host's speed falls on both sides alike. The workload
+named by --claim (sampling by default) gets CLAIM_PAIRS pairs, enough to
+back a 9-of-10 claim; the others, which a change only has to leave within
+their bounds, get PAIRS.
 
 The output records the machine, both revisions, the seeds, and per workload
 and side the median, quartiles and raw values of every end-to-end metric;
@@ -27,9 +30,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-# pairs per workload: enough on sampling to back a 9-of-10 claim, three on
-# the workloads a change only has to leave within their bounds
-PAIRS = {"sampling": 10, "lattice": 3, "exact": 3}
+CLAIM_PAIRS = 10
+PAIRS = 3
 
 
 def git(*args, cwd="."):
@@ -97,49 +99,52 @@ def main():
     ap.add_argument("--head", required=True, help="the revision of the change")
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     ap.add_argument("--seed", type=int, required=True, help="pair i runs seed + i")
+    ap.add_argument("--claim", default="sampling", help="the workload whose gain is claimed")
     args = ap.parse_args()
 
     bench = json.loads(Path("BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    if args.claim not in workloads:
+        ap.error("--claim must be one of %s" % ", ".join(workloads))
     seconds = bench["run_seconds"]
     end_to_end = {m["name"]: m["better"] for m in bench["end_to_end"]}
     revs = {side: git("rev-parse", rev) for side, rev in (("base", args.base), ("head", args.head))}
     out = {"machine": {"nproc": os.cpu_count(), "cpu_model": cpu_model()},
-           "revisions": revs, "seconds": seconds, "workloads": {}}
+           "revisions": revs, "seconds": seconds, "claim": args.claim, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in revs}
-        try:
-            for side, rev in revs.items():
-                git("worktree", "add", "--detach", str(trees[side]), rev)
-            out["src_lines"] = {side: src_lines(trees[side]) for side in revs}
-            for workload, n in PAIRS.items():
-                seeds = [args.seed + i for i in range(n)]
-                runs = {side: [] for side in revs}
-                for i, seed in enumerate(seeds):
-                    for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                        metrics, context = run_bench(trees[side], workload, seed, seconds)
-                        runs[side].append(metrics)
-                        out["machine"].update(context)
-                        print("%s pair %d seed %d %s: jobs_per_s %.2f"
-                              % (workload, i, seed, side, metrics["jobs_per_s"]), flush=True)
-                shared, differ = shared_hashes(trees.values(), workload, seeds)
-                out["workloads"][workload] = {
-                    "seeds": seeds,
-                    "payload_hashes_shared": shared,
-                    "payload_hashes_differ": differ,
-                    "metrics": {
-                        name: {
-                            "better": better,
-                            "base": summary([r[name] for r in runs["base"]]),
-                            "head": summary([r[name] for r in runs["head"]]),
-                            "head_won": pairs_won([r[name] for r in runs["base"]],
-                                                  [r[name] for r in runs["head"]], better),
-                            "pairs": n,
-                        } for name, better in end_to_end.items()},
-                }
-        finally:
-            for tree in trees.values():
-                subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
-                               capture_output=True)
+        for side, rev in revs.items():
+            trees[side].mkdir()
+            archive = subprocess.run(["git", "archive", rev], check=True, capture_output=True)
+            subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive.stdout,
+                           check=True)
+        out["src_lines"] = {side: src_lines(trees[side]) for side in revs}
+        for workload in workloads:
+            n = CLAIM_PAIRS if workload == args.claim else PAIRS
+            seeds = [args.seed + i for i in range(n)]
+            runs = {side: [] for side in revs}
+            for i, seed in enumerate(seeds):
+                for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+                    metrics, context = run_bench(trees[side], workload, seed, seconds)
+                    runs[side].append(metrics)
+                    out["machine"].update(context)
+                    print("%s pair %d seed %d %s: jobs_per_s %.2f"
+                          % (workload, i, seed, side, metrics["jobs_per_s"]), flush=True)
+            shared, differ = shared_hashes(trees.values(), workload, seeds)
+            out["workloads"][workload] = {
+                "seeds": seeds,
+                "payload_hashes_shared": shared,
+                "payload_hashes_differ": differ,
+                "metrics": {
+                    name: {
+                        "better": better,
+                        "base": summary([r[name] for r in runs["base"]]),
+                        "head": summary([r[name] for r in runs["head"]]),
+                        "head_won": pairs_won([r[name] for r in runs["base"]],
+                                              [r[name] for r in runs["head"]], better),
+                        "pairs": n,
+                    } for name, better in end_to_end.items()},
+            }
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 
 
