@@ -278,9 +278,9 @@ class ModuleNursery:
         (0, e_k, 0) or (0, 0, e_k) with each generator and each index in
         `factors`, in either order; and Light's test must hold for each g:
         (i g) j = i (g j) for all i, j.  With every index in `factors`, the
-        last two make the table associative and equal to mul_label on every
-        pair, as the generators generate the group.  Otherwise
-        PropertyViolationError is raised.
+        last two make the table associative and, mul_label being associative,
+        equal to it on every pair, as the generators generate the group.
+        Otherwise PropertyViolationError is raised.
         """
         table = self._law_table(subspace)
         n = len(labels)
