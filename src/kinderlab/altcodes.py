@@ -67,9 +67,14 @@ def build_gamma(k: int, cap=ELEMENT_CAP) -> GammaK:
     odd = [i for i, lab in enumerate(labels) if all(SIGN3[c] == 0 for c in lab)]
     if len(odd) != 3**k:
         raise PropertyViolationError("odd-order part has the wrong size")
+    # a transposition and a 3-cycle in each coordinate generate Gamma_k, and
     # conjugating by a generating set is enough to certify normality
+    gens = [G.index_of((0,) * c + (g,) + (0,) * (k - 1 - c))
+            for c in range(k) for g in (PERMS3.index((0, 2, 1)), PERMS3.index((1, 2, 0)))]
+    if len(G.closure_idx(gens)) != G.n:
+        raise PropertyViolationError("the coordinate generators do not generate Gamma_k")
     odd_set = set(odd)
-    for i in G.generating_set():
+    for i in gens:
         for j in odd:
             if G.conjugate_idx(j, i) not in odd_set:
                 raise PropertyViolationError("C_3^k is not normal")
@@ -83,7 +88,8 @@ def subgroup_from_code(gamma: GammaK, code: Subspace) -> smallgrp.SmallGroup:
     """Full preimage of the code under the sign map."""
     if code.ambient_dim != gamma.k or code.ctx.order != 2:
         raise InvalidConfigError("code must live in F_2^k")
-    labels = [lab for lab in gamma.group.labels if code.contains(gamma.sign(lab))]
+    signs = set(code.enumerate_vectors())
+    labels = [lab for lab in gamma.group.labels if gamma.sign(lab) in signs]
     H = smallgrp.SmallGroup(labels, _mul_tuple, name="code subgroup")
     if H.n != 3**gamma.k * 2**code.dim:
         raise PropertyViolationError("preimage has the wrong order")

@@ -51,13 +51,9 @@ def _mulmod2(a: int, b: int, f: int) -> int:
 
 
 def _sqmod2(a: int, f: int) -> int:
-    # squaring in char 2: spread the bits, then reduce
-    r = 0
-    while a:
-        low = a & -a
-        r |= 1 << (2 * (low.bit_length() - 1))
-        a ^= low
-    return _mod2(r, f)
+    # squaring in char 2 moves bit i to bit 2i: the binary digits read in base 4
+    # (power-of-two bases parse in linear time, exempt from the digit limit)
+    return _mod2(int(bin(a)[2:], 4), f)
 
 
 def _gcd2(a: int, b: int) -> int:

@@ -350,12 +350,17 @@ class BitEchelon:
         return out
 
 
+def _form(F: FieldCtx, x: int, xf: int, y: int, yf: int) -> int:
+    # the form from x, y and their images xf, yf under x -> x^(2^(e+1))
+    return F.mul(x, yf) ^ F.mul(y, xf)
+
+
 def suzuki_form(F: FieldCtx, x: int, y: int) -> int:
     """x*y^(2^(e+1)) + y*x^(2^(e+1)) over F_2^(2e+1)."""
     if F.p != 2 or F.e % 2 == 0:
         raise InvalidConfigError("the form lives over F_2 fields of odd degree")
     e = (F.e - 1) // 2
-    return F.mul(x, F.frobenius(y, e + 1)) ^ F.mul(y, F.frobenius(x, e + 1))
+    return _form(F, x, F.frobenius(x, e + 1), y, F.frobenius(y, e + 1))
 
 
 def _smax(degree: int) -> int:
@@ -421,26 +426,11 @@ def suzuki_search(e: int, budget: int = 40, seed=0):
     F = make_field(2, degree)
     smax = _smax(degree)
 
-    # x -> x^(2^(e+1)) is F_2-linear; fold precomputed basis images instead
-    # of squaring e+1 times per evaluation
-    fr_rows = [F.frobenius(1 << j, e + 1) for j in range(degree)]
-
-    def frob_fast(x: int) -> int:
-        acc = 0
-        while x:
-            low = x & -x
-            acc ^= fr_rows[low.bit_length() - 1]
-            x ^= low
-        return acc
-
-    def form(x, xf, y, yf):
-        return F.mul(x, yf) ^ F.mul(y, xf)
-
     best = 0
     for start in range(budget):
         rng = random.Random("%s:%d" % (seed, start))
         S = [rng.randrange(1, F.order)]
-        Sf = [frob_fast(S[0])]
+        Sf = [F.frobenius(S[0], e + 1)]
         ech = BitEchelon()
         while len(S) < smax and ech.rank < degree:
             cand_count = 24 + 8 * len(S)
@@ -448,18 +438,18 @@ def suzuki_search(e: int, budget: int = 40, seed=0):
             best_gain, best_cand, best_cf = -1, None, 0
             for _ in range(cand_count):
                 c = rng.randrange(1, F.order)
-                cf = frob_fast(c)
+                cf = F.frobenius(c, e + 1)
                 probe = ech.copy()
                 gain = 0
                 for s, sf in zip(S, Sf):
-                    if probe.add(form(c, cf, s, sf)):
+                    if probe.add(_form(F, c, cf, s, sf)):
                         gain += 1
                 if gain > best_gain:
                     best_gain, best_cand, best_cf = gain, c, cf
                 if gain >= gain_cap:
                     break
             for s, sf in zip(S, Sf):
-                ech.add(form(best_cand, best_cf, s, sf))
+                ech.add(_form(F, best_cand, best_cf, s, sf))
             S.append(best_cand)
             Sf.append(best_cf)
         best = max(best, ech.rank)
@@ -468,7 +458,7 @@ def suzuki_search(e: int, budget: int = 40, seed=0):
             check = BitEchelon()
             for i in range(len(S)):
                 for j in range(i + 1, len(S)):
-                    if check.add(form(S[i], Sf[i], S[j], Sf[j])):
+                    if check.add(_form(F, S[i], Sf[i], S[j], Sf[j])):
                         pairs.append((i, j))
                     if check.rank == degree:
                         break
@@ -505,7 +495,9 @@ def suzuki_verify(cert: SpanCertificate) -> bool:
         return False
     if len(cert.pairs) != degree:
         return False
+    S = cert.elements
+    Sf = [F.frobenius(x, cert.e + 1) for x in S]
     ech = BitEchelon()
     for i, j in cert.pairs:
-        ech.add(suzuki_form(F, cert.elements[i], cert.elements[j]))
+        ech.add(_form(F, S[i], Sf[i], S[j], Sf[j]))
     return ech.rank == degree

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kinderlab import altcodes, smallgrp
-from kinderlab.errors import CapExceededError, InvalidConfigError
+from kinderlab.errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_subspaces, rref
 
@@ -45,6 +45,21 @@ def test_build_gamma_shapes():
 def test_build_gamma_cap():
     with pytest.raises(CapExceededError):
         altcodes.build_gamma(7)
+
+
+def test_build_gamma_checks_that_its_generators_generate(monkeypatch):
+    monkeypatch.setattr(smallgrp.SmallGroup, "closure_idx", lambda self, seeds: tuple(seeds))
+    with pytest.raises(PropertyViolationError, match="coordinate generators"):
+        altcodes.build_gamma(2)
+
+
+def test_subgroup_from_code_keeps_the_labels_the_sign_map_selects():
+    G3 = altcodes.build_gamma(3)
+    for ell in range(4):
+        for code in enumerate_subspaces(3, ell, F2):
+            H = altcodes.subgroup_from_code(G3, code)
+            assert H.labels == tuple(
+                lab for lab in G3.group.labels if code.contains(G3.sign(lab)))
 
 
 def test_subgroup_orders():

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinderlab.arith import factorize
-from kinderlab.gf import _SMALL_ORDER, FieldError, make_field, make_field_from_order
+from kinderlab.gf import (
+    _SMALL_ORDER, FieldCtx, FieldError, _irreducible2, _mod2, _sqmod2, make_field,
+    make_field_from_order)
 
 # GF(4) with modulus x^2 + x + 1; elements 0, 1, x=2, x+1=3.
 F4_MUL = {
@@ -131,6 +133,52 @@ def test_large_binary_field():
         a = F.random_nonzero(rng)
         assert F.mul(a, F.inv(a)) == 1
         assert F.frobenius(a, 257) == a
+
+
+def _sqmod2_bit_loop(a: int, f: int) -> int:
+    """The bit-at-a-time squaring that `_sqmod2` replaced, kept as its reference."""
+    r = 0
+    while a:
+        low = a & -a
+        r |= 1 << (2 * (low.bit_length() - 1))
+        a ^= low
+    return _mod2(r, f)
+
+
+def _check_squaring(F, a, i):
+    assert _sqmod2(a, F._mod_int) == _sqmod2_bit_loop(a, F._mod_int)
+    want = a
+    for _ in range(i % F.e):
+        want = _sqmod2_bit_loop(want, F._mod_int)
+    assert F.frobenius(a, i) == want
+
+
+@pytest.mark.parametrize("degree", [3, 11, 101, 1001])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_squaring_matches_the_bit_loop_on_default_moduli(degree, data):
+    F = make_field(2, degree)
+    _check_squaring(F, data.draw(st.integers(0, F.order - 1)), data.draw(st.integers(0, 40)))
+
+
+@st.composite
+def _random_binary_fields(draw):
+    """GF(2^d), d <= 101, on a random irreducible modulus: about half of its
+    low coefficients set, or about three quarters when dense."""
+    d = draw(st.integers(2, 101))
+    dense = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    while True:
+        f = 1 << d | rng.getrandbits(d) | (rng.getrandbits(d) if dense else 0) | 1
+        if _irreducible2(f, d):
+            # not through make_field, whose cache would fill up with these
+            return FieldCtx(2, d, tuple(f >> k & 1 for k in range(d + 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(F=_random_binary_fields(), data=st.data())
+def test_squaring_matches_the_bit_loop_on_random_moduli(F, data):
+    _check_squaring(F, data.draw(st.integers(0, F.order - 1)), data.draw(st.integers(0, 40)))
 
 
 # GF(p^e) with e > 1 on both sides of _SMALL_ORDER = 2^16: exp/log tables at

@@ -16,8 +16,9 @@ their bounds, get PAIRS.
 The output records the machine, both revisions, the seeds, and per workload
 and side the median, quartiles and raw values of every end-to-end metric;
 how many pairs the head won on each (better and worse as BENCHMARK.json
-says, ties counting for neither); whether the payload hashes the two sides
-share are identical; and the line count of each side's `src/`, per module.
+says, ties counting for neither); a verdict on each (see `verdict`); whether
+the payload hashes the two sides share are identical; and the line count of
+each side's `src/`, per module.
 """
 
 import argparse
@@ -66,6 +67,23 @@ def pairs_won(base, head, better):
     return sum(sign * (h - b) > 0 for b, h in zip(base, head))
 
 
+def verdict(base, head, better, bound):
+    """`within_bound`, `worse` or `unresolved` for one metric's summaries.
+
+    The head's median is `worse` when it trails the base median by more than
+    BENCHMARK.json's relative bound. When the base's own interquartile range,
+    relative to its median, is wider than the bound, the runs cannot tell, so
+    the verdict is `unresolved`, unless every head run beats every base run.
+    """
+    sign = 1 if better == "higher" else -1
+    if all(sign * (h - b) > 0 for h in head["runs"] for b in base["runs"]):
+        return "within_bound"
+    scale = abs(base["median"]) or 1.0  # a metric at 0 is read on an absolute scale
+    if (base["q3"] - base["q1"]) / scale > bound:
+        return "unresolved"
+    return "worse" if sign * (base["median"] - head["median"]) / scale > bound else "within_bound"
+
+
 def shared_hashes(checkouts, workload, seeds):
     """(payload hashes both sides recorded, how many of them differ)."""
     shared = differ = 0
@@ -107,7 +125,7 @@ def main():
     if args.claim not in workloads:
         ap.error("--claim must be one of %s" % ", ".join(workloads))
     seconds = bench["run_seconds"]
-    end_to_end = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     revs = {side: git("rev-parse", rev) for side, rev in (("base", args.base), ("head", args.head))}
     out = {"machine": {"nproc": os.cpu_count(), "cpu_model": cpu_model()},
            "revisions": revs, "seconds": seconds, "claim": args.claim, "workloads": {}}
@@ -131,19 +149,18 @@ def main():
                     print("%s pair %d seed %d %s: jobs_per_s %.2f"
                           % (workload, i, seed, side, metrics["jobs_per_s"]), flush=True)
             shared, differ = shared_hashes(trees.values(), workload, seeds)
+            per_metric = {}
+            for name, (better, bound) in end_to_end.items():
+                base, head = (summary([r[name] for r in runs[side]]) for side in revs)
+                per_metric[name] = {
+                    "better": better, "bound": bound, "base": base, "head": head,
+                    "head_won": pairs_won(base["runs"], head["runs"], better), "pairs": n,
+                    "verdict": verdict(base, head, better, bound)}
             out["workloads"][workload] = {
                 "seeds": seeds,
                 "payload_hashes_shared": shared,
                 "payload_hashes_differ": differ,
-                "metrics": {
-                    name: {
-                        "better": better,
-                        "base": summary([r[name] for r in runs["base"]]),
-                        "head": summary([r[name] for r in runs["head"]]),
-                        "head_won": pairs_won([r[name] for r in runs["base"]],
-                                              [r[name] for r in runs["head"]], better),
-                        "pairs": n,
-                    } for name, better in end_to_end.items()},
+                "metrics": per_metric,
             }
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 
