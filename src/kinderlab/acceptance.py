@@ -30,7 +30,7 @@ import numpy as np
 from . import altcodes, arith, bimap, genericity, nursery, smallgrp, twisted
 from .errors import InvalidConfigError, require
 from .gf import make_field
-from .linalg import enumerate_subspaces
+from .linalg import digits, enumerate_subspaces
 
 
 class CriterionResult(NamedTuple):
@@ -77,7 +77,7 @@ def _hom_shapes(cap: int):
 def _all_matrices(p: int, rows: int, cols: int):
     """Every rows x cols matrix over F_p, as one [p^(rows*cols), rows, cols] array."""
     n = p ** (rows * cols)
-    return genericity._digits(0, n, p, rows * cols).T.reshape(n, rows, cols)
+    return digits(0, n, p, rows * cols).T.reshape(n, rows, cols)
 
 
 def _value_counts(vals):

@@ -17,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import smallgrp
+from . import arith, smallgrp
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import make_field
 from .linalg import Subspace, enumerate_subspaces, gaussian_binomial
@@ -39,9 +39,10 @@ class GammaK:
         self.k = k
         self.group = group
         self.gamma2_idx = gamma2_idx
+        self._signs = {lab: tuple(SIGN3[c] for c in lab) for lab in group.labels}  # once per label
 
     def sign(self, label) -> tuple:
-        return tuple(SIGN3[c] for c in label)
+        return self._signs[label]
 
     def weight(self, label) -> int:
         return sum(self.sign(label))
@@ -89,7 +90,7 @@ def subgroup_from_code(gamma: GammaK, code: Subspace) -> smallgrp.SmallGroup:
     if code.ambient_dim != gamma.k or code.ctx.order != 2:
         raise InvalidConfigError("code must live in F_2^k")
     signs = set(code.enumerate_vectors())
-    labels = [lab for lab in gamma.group.labels if gamma.sign(lab) in signs]
+    labels = [lab for lab, sign in gamma._signs.items() if sign in signs]
     H = smallgrp.SmallGroup(labels, _mul_tuple, name="code subgroup")
     if H.n != 3**gamma.k * 2**code.dim:
         raise PropertyViolationError("preimage has the wrong order")
@@ -108,12 +109,7 @@ def hamming_recover(H: smallgrp.SmallGroup, h) -> int:
     except KeyError:
         raise InvalidConfigError("h is not an element of H") from None
     cube = [i for i in range(H.n) if H.order_of(i) in (1, 3)]
-    k3 = 0
-    n = H.n
-    while n % 3 == 0:
-        n //= 3
-        k3 += 1
-    if len(cube) != 3**k3:
+    if len(cube) != 3 ** arith.nu_p(H.n, 3):
         raise InvalidConfigError("H does not contain the full odd-order part")
     comms = {H.commutator_idx(hi, g) for g in cube}
     sub = H.closure_idx(comms)
@@ -128,14 +124,7 @@ def hamming_recover(H: smallgrp.SmallGroup, h) -> int:
 
 
 def _mask_set(space: Subspace, k: int) -> frozenset:
-    out = set()
-    for vec in space.enumerate_vectors():
-        m = 0
-        for i, b in enumerate(vec):
-            if b:
-                m |= 1 << i
-        out.add(m)
-    return frozenset(out)
+    return frozenset(sum(b << i for i, b in enumerate(vec)) for vec in space.enumerate_vectors())
 
 
 def _swap_bits(m: int, i: int, j: int) -> int:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, make_field
 from .linalg import (CoordSolver, Matrix, Subspace, batch_neg, flatten_matrix, rank_nullspace, ranks,
@@ -124,8 +126,6 @@ def hom_equations_batch(P, U, sign: int, ctx: FieldCtx):
     P is [T, c, s, b] and U is [T, c, a, t]; the result is [T, c*a*b, a*s + b*t]
     with the rows and unknowns in `_hom_equations` order.
     """
-    import numpy as np
-
     if sign not in (1, -1):
         raise InvalidConfigError("sign must be +1 or -1")
     T, c, s, b = P.shape

@@ -13,7 +13,7 @@ return, but for q < 2^32 they come from one `getrandbits` call per trial,
 cut into words and filtered by randrange's rejection rule in one numpy pass
 per batch.  A report depends on the seed alone, not on batching.  The
 exhaustive enumerator (`exhaustive_mode`, cap 2^24) yields every
-configuration once, as int32 digit tables, and marks the report exact.
+configuration once, as `linalg.digits` tables, and marks the report exact.
 Both hand the evaluator [T, ...] arrays of element codes in batches of at
 most CHUNK instances, fewer where one instance's largest matrix is big, so
 that a batch's largest stack holds about CHUNK_CELLS entries at most and
@@ -34,7 +34,6 @@ writes its dimension in both places of the key.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -46,7 +45,7 @@ import numpy as np
 from . import bimap as bm
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, need
 from .gf import FieldCtx, make_field_from_order
-from .linalg import batch_neg, gaussian_binomial, ranks
+from .linalg import batch_neg, digits, gaussian_binomial, ranks, rref_bases
 
 KINDS = ("span", "end_generic", "hom_pm_transpose", "lambda_end", "nucleus", "derived_full")
 EXHAUSTIVE_CAP = 1 << 24
@@ -146,19 +145,6 @@ def _lambda_post(params: dict, histogram: dict, extra: dict) -> int:
 # ---------------------------------------------------------------------------
 # instance sources
 
-def _digits(start: int, stop: int, base: int, width: int):
-    """The base-`base` digits of start..stop-1, most significant first, as a
-    [width, k] int32 array, the k numbers innermost (int32 is exact: stop is
-    at most EXHAUSTIVE_CAP).  One division by the scalar base per digit."""
-    x = np.arange(start, stop, dtype=np.int32)
-    out = np.empty((width, len(x)), dtype=np.int32)
-    for j in range(width - 1, -1, -1):
-        quot = x // base
-        out[j] = x - quot * base
-        x = quot
-    return out
-
-
 def _trial_rng(seed, i: int) -> random.Random:
     return random.Random("%s:%d" % (seed, i))
 
@@ -216,8 +202,8 @@ class _Entries:
         total = self.total()
         for lo in range(0, total, size):
             hi = min(total, lo + size)
-            digits = _digits(lo, hi, self.order, self.count)
-            yield np.moveaxis(digits.reshape(self.shape + (hi - lo,)), -1, 0)
+            block = digits(lo, hi, self.order, self.count)
+            yield np.moveaxis(block.reshape(self.shape + (hi - lo,)), -1, 0)
 
 
 class _Subspaces:
@@ -245,18 +231,7 @@ class _Subspaces:
 
     def pieces(self, size):
         """Each subspace once as its RREF basis, one pivot pattern at a time."""
-        p, ell, dim = self.fp.p, self.ell, self.dim
-        for pivots in itertools.combinations(range(dim), ell):
-            free = [(i, j) for i in range(ell) for j in range(pivots[i] + 1, dim)
-                    if j not in pivots]
-            rows, cols = [f[0] for f in free], [f[1] for f in free]
-            n = p ** len(free)
-            for lo in range(0, n, size):
-                hi = min(n, lo + size)
-                out = np.zeros((hi - lo, ell, dim), dtype=np.int64)
-                out[:, range(ell), pivots] = 1
-                out[:, rows, cols] = _digits(lo, hi, p, len(free)).T
-                yield out
+        return (bases for _, bases in rref_bases(self.dim, self.ell, self.fp.p, size))
 
 
 def _rebatch(pieces, size):

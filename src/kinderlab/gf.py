@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import arith
 from .errors import InvalidConfigError
 
@@ -388,8 +390,6 @@ class FieldCtx:
         if self._tables is None:
             if self.order > TABLE_ORDER_CAP:
                 raise InvalidConfigError("lookup tables only built for order <= %d" % TABLE_ORDER_CAP)
-            import numpy as np
-
             q, p = self.order, self.p
             digits = [np.arange(q) // p**i % p for i in range(self.e)]
             add = sum((d[:, None] + d) % p * p**i for i, d in enumerate(digits))

@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import TABLE_ORDER_CAP, FieldCtx
 
@@ -213,12 +215,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ctx, ambient_dim):
-        return cls(
-            ctx,
-            ambient_dim,
-            [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)],
-            range(ambient_dim),
-        )
+        return cls(ctx, ambient_dim, Matrix.identity(ctx, ambient_dim).rows, range(ambient_dim))
 
     @property
     def dim(self):
@@ -297,29 +294,49 @@ def gaussian_binomial(n: int, l: int, q: int) -> int:
     return num // den
 
 
+def digits(start: int, stop: int, base: int, width: int):
+    """The base-`base` digits of start..stop-1, most significant first, as a
+    [width, k] array, the k numbers innermost: the one mixed-radix
+    enumerator.  int32 while stop fits it (numpy divides int32 by a scalar
+    about 2.7 times as fast as int64), int64 up to 2^63, refused beyond, so
+    no range wraps.  One division by the scalar base per digit."""
+    if stop > 1 << 63:
+        raise InvalidConfigError("digits of numbers up to %d exceed int64" % stop)
+    x = np.arange(start, stop, dtype=np.int32 if stop <= 1 << 31 else np.int64)
+    out = np.empty((width, len(x)), dtype=x.dtype)
+    for j in range(width - 1, -1, -1):
+        quot = x // base
+        out[j] = x - quot * base
+        x = quot
+    return out
+
+
+def rref_bases(ambient_dim: int, l: int, order: int, size: int = 1 << 12):
+    """Every l-dimensional subspace of GF(order)^ambient_dim once, as its RREF
+    basis: (pivots, [T, l, ambient_dim] int64 array of bases) for each pivot
+    pattern in lexicographic order, T at most `size`.  Within a pattern the
+    free entries, row by row, count up in mixed radix, the first most
+    significant."""
+    for pivots in itertools.combinations(range(ambient_dim), l):
+        free = [(i, j) for i in range(l) for j in range(pivots[i] + 1, ambient_dim)
+                if j not in pivots]
+        rows, cols = [f[0] for f in free], [f[1] for f in free]
+        n = order ** len(free)
+        for lo in range(0, n, size):
+            hi = min(n, lo + size)
+            out = np.zeros((hi - lo, l, ambient_dim), dtype=np.int64)
+            out[:, range(l), pivots] = 1
+            out[:, rows, cols] = digits(lo, hi, order, len(free)).T
+            yield pivots, out
+
+
 def enumerate_subspaces(ambient_dim: int, l: int, ctx: FieldCtx, cap=ENUM_CAP):
-    """Yield every l-dimensional subspace exactly once, via RREF patterns."""
+    """Yield every l-dimensional subspace exactly once, in `rref_bases` order."""
     total = gaussian_binomial(ambient_dim, l, ctx.order)
     if total > cap:
         raise CapExceededError("%d subspaces exceed cap %d" % (total, cap))
-    if l == 0:
-        yield Subspace.zero(ctx, ambient_dim)
-        return
-    order = ctx.order
-    for pivots in itertools.combinations(range(ambient_dim), l):
-        pivset = set(pivots)
-        free = [
-            (i, j)
-            for i in range(l)
-            for j in range(pivots[i] + 1, ambient_dim)
-            if j not in pivset
-        ]
-        for values in itertools.product(range(order), repeat=len(free)):
-            rows = [[0] * ambient_dim for _ in range(l)]
-            for i, c in enumerate(pivots):
-                rows[i][c] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
+    for pivots, bases in rref_bases(ambient_dim, l, ctx.order):
+        for rows in bases.tolist():
             yield Subspace(ctx, ambient_dim, rows, pivots)
 
 
@@ -379,8 +396,6 @@ PRIME_CAP = 1 << 31
 def _eliminator(ctx: FieldCtx):
     """(working dtype, combine) where combine(x, pv, f, prow) = pv*x - f*prow,
     divided by pv over GF(p^e), entrywise in ctx, on arrays of element codes."""
-    import numpy as np
-
     if ctx.e == 1:
         p = ctx.p
         if p >= PRIME_CAP:
@@ -427,8 +442,6 @@ def batch_rank(arr, ctx: FieldCtx):
     [T, rows, cols]: with few instances innermost, the long rows would become
     strided loops, and 8 x [144, 72] runs 2-4 times slower that way.
     """
-    import numpy as np
-
     dtype, combine = _eliminator(ctx)
     a = np.asarray(arr)
     if a.ndim != 3:
@@ -471,8 +484,6 @@ def ranks(arr, ctx: FieldCtx):
     """int64 ranks of a [T, r, c] array of element codes, one per instance:
     one batch_rank where the field fits it (p < PRIME_CAP, or an order the
     lookup tables cover), the rref rank of each instance otherwise."""
-    import numpy as np
-
     if ctx.p < PRIME_CAP if ctx.e == 1 else ctx.order <= TABLE_ORDER_CAP:
         return batch_rank(arr, ctx)
     a = np.asarray(arr)
@@ -483,8 +494,6 @@ def ranks(arr, ctx: FieldCtx):
 
 def np_rank(mat, ctx: FieldCtx) -> int:
     """Rank of one 2-d array of element codes: batch_rank with T = 1."""
-    import numpy as np
-
     a = np.asarray(mat)
     if a.size == 0:
         return 0

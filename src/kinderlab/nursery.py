@@ -15,11 +15,12 @@ one such subgroup presented as an abstract multiplication table.
 
 Up to smallgrp.SUBGROUP_ORDER_CAP elements, a kind's complete table comes
 from one numpy evaluation of the law on integer codes (`_law_table`), and
-is tied to `mul_label` when it is built (`_checked_law_table`: permutation
-columns, products with the generators, Light's associativity test); above
-that, products are label products filled in as they are asked for.  The
-constructor checks Gamma_1 on its complete table up to EXHAUSTIVE_ORDER_CAP
-elements, and on the commutators of basis transversals above it.
+is tied to `mul_label` when it is built (`smallgrp.check_law_table`:
+permutation columns, products with the generators, Light's associativity
+test); above that, products are label products filled in as they are asked
+for.  The constructor checks Gamma_1 on its complete table up to
+EXHAUSTIVE_ORDER_CAP elements, and on the commutators of basis transversals
+above it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .linalg import (
     CoordSolver,
     Matrix,
     Subspace,
+    digits,
     enumerate_superspaces,
     flatten_matrix,
     gaussian_binomial,
@@ -54,8 +56,8 @@ EXHAUSTIVE_ORDER_CAP = 1 << 9
 def _digit_sums(p: int, d: int):
     """The base-p digits of 0 .. p^d - 1 (first digit most significant) and
     the [p^d, p^d] table of the codes of their digitwise sums mod p."""
-    digits = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64).reshape(p**d, d)
-    return digits, (digits[:, None, :] + digits[None, :, :]) % p @ p ** np.arange(d - 1, -1, -1)
+    dig = digits(0, p**d, p, d).T
+    return dig, (dig[:, None, :] + dig[None, :, :]) % p @ p ** np.arange(d - 1, -1, -1)
 
 
 def commutator_table(table):
@@ -157,9 +159,8 @@ class ModuleNursery:
         `comm(g, h)` is the label of [g, h]."""
         zr = (0,) * self.rdim
         zm = (0,) * self.mdim
-        units = [tuple(1 if k == j else 0 for k in range(self.mdim)) for j in range(self.mdim)]
-        for i, b in enumerate(self.rbasis):
-            x = tuple(1 if k == i else 0 for k in range(self.rdim))
+        units = Matrix.identity(self.ctx, self.mdim).rows
+        for x, b in zip(Matrix.identity(self.ctx, self.rdim).rows, self.rbasis):
             for u in units:
                 if comm((x, zm, zm), (zr, u, zm)) != (zr, zm, tuple(b.apply(u))):
                     raise PropertyViolationError("commutator does not realize the action")
@@ -263,44 +264,17 @@ class ModuleNursery:
         if n > smallgrp.SUBGROUP_ORDER_CAP:
             return smallgrp.SmallGroup(labels, self.mul_label, name=name)
         table = self._checked_law_table(subspace, labels, factors=(0, n - 1))
-        # the columns share the int objects of range(n): tolist() would make
-        # a fresh int for every entry above the small-int cache
-        ints = np.empty(n, dtype=object)
-        ints[:] = range(n)
-        columns = [ints[row].tolist() for row in table]
-        return smallgrp.SmallGroup(labels, self.mul_label, name=name, columns=columns)
+        return smallgrp.SmallGroup(labels, self.mul_label, name=name, columns=table)
 
     def _checked_law_table(self, subspace: Subspace, labels, factors):
-        """`_law_table(subspace)`, once it is tied to `mul_label` on `labels`.
-
-        Each column must be a permutation; the table must agree with
-        mul_label on the products of each generator g = (v_k, 0, 0),
-        (0, e_k, 0) or (0, 0, e_k) with each generator and each index in
-        `factors`, in either order; and Light's test must hold for each g:
-        (i g) j = i (g j) for all i, j.  With every index in `factors`, the
-        last two make the table associative and, mul_label being associative,
-        equal to it on every pair, as the generators generate the group.
-        Otherwise PropertyViolationError is raised.
-        """
-        table = self._law_table(subspace)
-        n = len(labels)
-        if not (np.sort(table, axis=1) == np.arange(n, dtype=table.dtype)).all():
-            raise PropertyViolationError("a column of the vectorised law is not a permutation")
+        """`_law_table(subspace)` once `smallgrp.check_law_table` has tied it to
+        mul_label on `labels`, probing with the generators (v_k, 0, 0),
+        (0, e_k, 0) and (0, 0, e_k) and the indices in `factors`."""
         nm = self.p**self.mdim
         gens = [nm * nm * self.p**k for k in range(subspace.dim)]
         gens += [step * self.p**k for k in range(self.mdim) for step in (nm, 1)]
-        factors = sorted(set(gens).union(factors))
-        mul = self.mul_label
-        for g in gens:
-            right, left = table[g].tolist(), table[:, g].tolist()  # a*g and g*a at a
-            for a in factors:
-                if labels[right[a]] != mul(labels[a], labels[g]) or \
-                        labels[left[a]] != mul(labels[g], labels[a]):
-                    raise PropertyViolationError("the vectorised law disagrees with mul_label")
-        # take() permutes the columns of a C-order table far faster than table[:, perm]
-        if not all((table.take(table[g], axis=1) == table[table[:, g]]).all() for g in gens):
-            raise PropertyViolationError("the vectorised law is not associative")
-        return table
+        return smallgrp.check_law_table(self._law_table(subspace), labels, self.mul_label,
+                                        gens, factors)
 
     def _law_table(self, subspace: Subspace):
         """[n, n] int16 array whose row j holds the index of i*j for each i.
@@ -496,7 +470,7 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
     for i in x_idx:
         label = G.labels[i]
         beta_rep.setdefault(label[1], i)
-    betas = [beta_rep[tuple(1 if k == j else 0 for k in range(n.mdim))] for j in range(n.mdim)]
+    betas = [beta_rep[u] for u in Matrix.identity(n.ctx, n.mdim).rows]
     chi, solved = {}, {}
     for i in range(G.n):
         cols = []
@@ -650,24 +624,14 @@ def _matrix_kind(a: int, c: int, ctx: FieldCtx) -> ModuleNursery:
         raise InvalidConfigError("block sizes must be positive")
     pf = make_field(ctx.p, 1)
     e = ctx.e
-    munits = []
-    for i in range(a):
-        for j in range(c):
-            for d in range(e):
-                vec = [0] * (a * c * e)
-                vec[(i * c + j) * e + d] = 1
-                munits.append(unflatten_matrix(vec, ctx, a, c))
+    # the unit vectors of the flattened a x c and a x a matrices over GF(p)
+    mvecs, rvecs = Matrix.identity(pf, a * c * e).rows, Matrix.identity(pf, a * a * e).rows
+    munits = [unflatten_matrix(v, ctx, a, c) for v in mvecs]
 
     def left_action(x: Matrix) -> Matrix:
         return _action_matrix(pf, [flatten_matrix(x.mul(u)) for u in munits])
 
-    rbasis = []
-    for i in range(a):
-        for j in range(a):
-            for d in range(e):
-                vec = [0] * (a * a * e)
-                vec[(i * a + j) * e + d] = 1
-                rbasis.append(left_action(unflatten_matrix(vec, ctx, a, a)))
+    rbasis = [left_action(unflatten_matrix(v, ctx, a, a)) for v in rvecs]
 
     omega = ctx.primitive if ctx.order > 2 else 1
     ident = Matrix.identity(ctx, a)
@@ -676,12 +640,7 @@ def _matrix_kind(a: int, c: int, ctx: FieldCtx) -> ModuleNursery:
     # reaches every matrix position)
     cycle = Matrix(ctx, [[1 if j == (i + 1) % a else 0 for j in range(a)] for i in range(a)])
     s_matrices = [left_action(ident), left_action(corner), left_action(cycle)]
-    t_vectors = []
-    for i in range(a):
-        for j in range(c):
-            vec = [0] * (a * c * e)
-            vec[(i * c + j) * e] = 1
-            t_vectors.append(tuple(vec))
+    t_vectors = mvecs[::e]  # the entries' constant coordinates
     meta = {"a": a, "c": c, "field": "GF(%d^%d)" % (ctx.p, ctx.e)}
     return ModuleNursery("matrix", rbasis, s_matrices, t_vectors, meta=meta)
 
@@ -689,7 +648,7 @@ def _matrix_kind(a: int, c: int, ctx: FieldCtx) -> ModuleNursery:
 def _field_action_nursery(kind, K: FieldCtx, scale: int, s_elements, meta) -> ModuleNursery:
     # R = M = K with x.u = scale*x*u; the matrix picture absorbs the twist
     pf = make_field(K.p, 1)
-    basis = [K.from_vector(tuple(1 if i == d else 0 for i in range(K.e))) for d in range(K.e)]
+    basis = [K.from_vector(v) for v in Matrix.identity(pf, K.e).rows]
 
     def mult_matrix(g: int) -> Matrix:
         images = [K.to_vector(K.mul(K.mul(scale, g), b)) for b in basis]
@@ -726,7 +685,7 @@ def _unitary_kind(p: int, e: int) -> ModuleNursery:
         raise InvalidConfigError("need e >= 1 for the degree 2e field")
     F = make_field(p, 2 * e)
     pf = make_field(p, 1)
-    basis = [F.from_vector(tuple(1 if i == d else 0 for i in range(F.e))) for d in range(F.e)]
+    basis = [F.from_vector(v) for v in Matrix.identity(pf, F.e).rows]
 
     def kernel_of(combine):
         # columns = images of the digit basis, so the right nullspace holds

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class SmallGroup:
     `columns`, when given, is a complete table on this label order
     (columns[j][i] is the index of i*j): `subgroup` restricts it from a
     parent, and a family with an integer encoding evaluates its law on
-    every pair at once (`nursery.ModuleNursery.group_on`).  The table is
-    taken as given, so whoever builds it checks it.  The identity is then
+    every pair at once, as an [n, n] array (`check_law_table`).  The table
+    is taken as given, so whoever builds it checks it.  The identity is then
     read from its diagonal instead of from label products.
     """
 
@@ -63,6 +64,10 @@ class SmallGroup:
         if len(self._idx) != self.n:
             raise InvalidConfigError("duplicate labels")
         self._mul_label = mul
+        if isinstance(columns, np.ndarray):
+            # lists of the int objects of range(n): tolist() makes one per entry
+            ints = np.array(range(self.n), dtype=object)
+            columns = [ints[row].tolist() for row in columns]
         # column j: i*j for each i, -1 where not computed yet; None until used
         self._cols = [None] * self.n if columns is None else columns
         self._complete = columns is not None
@@ -423,14 +428,44 @@ class IsoFingerprint:
     class_profile: tuple
 
 
+def check_law_table(table, labels, mul, gens, factors=()):
+    """`table` ([n, n] ints, row j holding the index of i*j for each i, on
+    `labels`), once it is tied to the label product `mul`.
+
+    Each row must be a permutation; the table must agree with mul on the
+    products of each index g in `gens` with each generator and each index in
+    `factors`, in either order; and Light's test must hold for each g:
+    (i g) j = i (g j) for all i, j.  With every index in `factors`, the last
+    two make the table associative and, mul being associative, equal to it
+    on every pair, as long as `gens` generate the group.  Otherwise
+    PropertyViolationError is raised.
+    """
+    n = len(labels)
+    if table.shape != (n, n):
+        raise InvalidConfigError("a law table of shape %s on %d labels" % (table.shape, n))
+    if not (np.sort(table, axis=1) == np.arange(n, dtype=table.dtype)).all():
+        raise PropertyViolationError("a column of the vectorised law is not a permutation")
+    factors = sorted(set(gens).union(factors))
+    for g in gens:
+        right, left = table[g].tolist(), table[:, g].tolist()  # a*g and g*a at a
+        for a in factors:
+            if labels[right[a]] != mul(labels[a], labels[g]) or \
+                    labels[left[a]] != mul(labels[g], labels[a]):
+                raise PropertyViolationError("the vectorised law disagrees with mul_label")
+    # take() permutes the columns of a C-order table far faster than table[:, perm]
+    if not all((table.take(table[g], axis=1) == table[table[:, g]]).all() for g in gens):
+        raise PropertyViolationError("the vectorised law is not associative")
+    return table
+
+
 # ---------------------------------------------------------------------------
 # isomorphism search
 
-def find_isomorphism(G: SmallGroup, H: SmallGroup, node_budget=_ISO_NODE_BUDGET):
+def find_isomorphism(G: SmallGroup, H: SmallGroup):
     """An explicit isomorphism G -> H as an index list, or None.
 
     None means proven non-isomorphic (search space exhausted).  Raises
-    CapExceededError when the node budget runs out first.
+    CapExceededError when the search visits _ISO_NODE_BUDGET nodes first.
     """
     if G.n != H.n:
         return None
@@ -453,7 +488,7 @@ def find_isomorphism(G: SmallGroup, H: SmallGroup, node_budget=_ISO_NODE_BUDGET)
     hmap = [-1] * H.n
     gmap[G.identity] = H.identity
     hmap[H.identity] = G.identity
-    budget = [node_budget]
+    budget = [_ISO_NODE_BUDGET]
 
     def extend(depth: int, assigned: list) -> bool:
         """Close the partial map over <gens[0..depth]>; log additions in assigned."""
@@ -543,12 +578,11 @@ def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGRO
     a V<x'> already found from V gives V<x'> again and is skipped.  The
     layers reach G exactly when G is solvable.  Otherwise only the
     non-solvable subgroups are missing, and joins with the cyclic
-    subgroups, from everything found, complete the lattice.
+    subgroups, from everything found, complete the lattice.  Either way the
+    p-subgroup counts must obey Frobenius and Sylow (`_require_p_counts`).
     """
     if G.n > cap_order:
         raise CapExceededError("group order %d over enumeration cap %d" % (G.n, cap_order))
-    cols = G.table()
-    n, e = G.n, G.identity
     subs = {}  # subgroup -> generators
 
     def add(sub, gens):
@@ -556,6 +590,17 @@ def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGRO
             raise CapExceededError("subgroup count cap %d hit" % cap_count)
         subs[sub] = gens
 
+    _cyclic_extension(G, subs, add)
+    if tuple(range(G.n)) not in subs:
+        _join_completion(G, subs, add)
+    _require_p_counts(G.n, subs)
+    return sorted(subs, key=lambda t: (len(t), t))
+
+
+def _cyclic_extension(G: SmallGroup, subs: dict, add):
+    """The layers of cyclic extension from the trivial group, through add."""
+    cols = G.table()
+    n, e = G.n, G.identity
     # (x, p, x^p, x^-1) for every x of order p^a > 1
     extenders = []
     for x in range(n):
@@ -600,30 +645,43 @@ def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGRO
                 fresh.append((W, gens + (x,)))
         layer = fresh
 
-    if tuple(range(n)) not in subs:
-        cyclic = {}
-        for i in range(n):
-            cyclic.setdefault(G.closure_idx([i]), (i,))
-        cyclic_items = sorted(cyclic.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        frontier = list(subs)
-        while frontier:
-            fresh = []
-            for S in frontier:
-                sset = set(S)
-                sgens = subs[S]
-                for C, cgens in cyclic_items:
-                    if cgens[0] in sset:
-                        continue
-                    gens = tuple(dict.fromkeys(sgens + cgens))
-                    J = G.closure_idx(gens)
-                    if J not in subs:
-                        add(J, gens)
-                        fresh.append(J)
-            frontier = fresh
-    return sorted(subs, key=lambda t: (len(t), t))
+
+def _join_completion(G: SmallGroup, subs: dict, add):
+    """Joins of everything found with the cyclic subgroups, until none is new."""
+    cyclic = {}
+    for i in range(G.n):
+        cyclic.setdefault(G.closure_idx([i]), (i,))
+    cyclic_items = sorted(cyclic.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    frontier = list(subs)
+    while frontier:
+        fresh = []
+        for S in frontier:
+            sset = set(S)
+            sgens = subs[S]
+            for C, cgens in cyclic_items:
+                if cgens[0] in sset:
+                    continue
+                gens = tuple(dict.fromkeys(sgens + cgens))
+                J = G.closure_idx(gens)
+                if J not in subs:
+                    add(J, gens)
+                    fresh.append(J)
+        frontier = fresh
 
 
-def iso_classes(groups, node_budget=_ISO_NODE_BUDGET):
+def _require_p_counts(n: int, subs):
+    """Frobenius (1895): for every p^k dividing n, the subgroups of order p^k
+    number 1 mod p.  Sylow: the Sylow p-subgroups number a divisor of n/p^a."""
+    counts = Counter(len(s) for s in subs)
+    for p, a in arith.factorize(n):
+        for k in range(1, a + 1):
+            require(counts[p**k] % p == 1, "%d subgroups of order %d^%d, not 1 mod %d"
+                    % (counts[p**k], p, k, p))
+        require(n // p**a % counts[p**a] == 0, "%d Sylow %d-subgroups do not divide %d"
+                % (counts[p**a], p, n // p**a))
+
+
+def iso_classes(groups):
     """Partition groups into isomorphism classes.
 
     Returns (classes, witnesses): classes is a list of index lists, each led
@@ -641,7 +699,7 @@ def iso_classes(groups, node_budget=_ISO_NODE_BUDGET):
             placed = False
             for ci in reps:
                 rep_idx = classes[ci][0]
-                mapping = find_isomorphism(groups[rep_idx], groups[k], node_budget)
+                mapping = find_isomorphism(groups[rep_idx], groups[k])
                 if mapping is not None:
                     if not verify_isomorphism(groups[rep_idx], groups[k], mapping):
                         raise PropertyViolationError("search returned a non-isomorphism")

@@ -363,6 +363,13 @@ def suzuki_form(F: FieldCtx, x: int, y: int) -> int:
     return _form(F, x, F.frobenius(x, e + 1), y, F.frobenius(y, e + 1))
 
 
+def _degree(e: int) -> int:
+    """2e + 1, once e >= 1 and 2e + 1 <= SUZUKI_DEGREE_CAP are checked."""
+    if e < 1 or 2 * e + 1 > SUZUKI_DEGREE_CAP:
+        raise InvalidConfigError("supported degrees are odd, 3..%d" % SUZUKI_DEGREE_CAP)
+    return 2 * e + 1
+
+
 def _smax(degree: int) -> int:
     # 3 * ceil(sqrt(degree))
     r = math.isqrt(degree)
@@ -420,9 +427,7 @@ def suzuki_search(e: int, budget: int = 40, seed=0):
     form values against the current S add the most rank.  Failure is
     inconclusive by design.
     """
-    degree = 2 * e + 1
-    if e < 1 or degree > SUZUKI_DEGREE_CAP:
-        raise InvalidConfigError("supported degrees are odd, 3..%d" % SUZUKI_DEGREE_CAP)
+    degree = _degree(e)
     F = make_field(2, degree)
     smax = _smax(degree)
 
@@ -477,8 +482,8 @@ def suzuki_verify(cert: SpanCertificate) -> bool:
     """Recheck a certificate from scratch; malformed input raises instead."""
     if not isinstance(cert, SpanCertificate):
         raise InvalidConfigError("not a span certificate")
-    degree = 2 * cert.e + 1
-    if cert.e < 1 or len(cert.modulus) != degree + 1:
+    degree = _degree(cert.e)  # before make_field: its modulus check grows faster than degree^2
+    if len(cert.modulus) != degree + 1:
         raise InvalidConfigError("modulus length does not match the declared degree")
     try:
         F = make_field(2, degree, modulus=cert.modulus)

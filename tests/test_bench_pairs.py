@@ -1,6 +1,8 @@
-"""The verdict `tools/bench_pairs.py` records per workload and end-to-end metric."""
+"""The verdict `tools/bench_pairs.py` records per workload and end-to-end metric,
+and its reading of pytest's summary line and of a `verify` report."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,23 @@ def _verdict(base_runs, head_runs, better, bound=0.2):
 ])
 def test_verdict_on_synthetic_runs(base, head, better, want):
     assert _verdict(base, head, better) == want
+
+
+@pytest.mark.parametrize("stdout, want", [
+    ("....\n575 passed in 54.40s\n", {"passed": 575, "seconds": 54.4}),
+    ("F.\nFAILED tests/test_x.py::test_y - assert 1 in (2, 3)\n"
+     "1 failed, 3 passed, 2 skipped in 62.21s (0:01:02)\n",
+     {"failed": 1, "passed": 3, "skipped": 2, "seconds": 62.21}),
+    ("slowest durations\n0.50s call tests/test_x.py::test_y\n1 error in 0.30s\n",
+     {"error": 1, "seconds": 0.3}),
+])
+def test_pytest_summary_reads_the_last_summary_line(stdout, want):
+    assert bench_pairs.pytest_summary(stdout) == want
+
+
+def test_criterion_seconds_reads_the_verify_report():
+    report = json.dumps({"config": {"command": "verify"}, "results": {"tier": "fast", "criteria": [
+        {"index": 1, "name": "census", "passed": True, "detail": "ok", "elapsed_s": 0.52},
+        {"index": 2, "name": "hom-solver-vs-brute", "passed": False, "detail": "x", "elapsed_s": 1.9},
+    ], "all_passed": False}})
+    assert bench_pairs.criterion_seconds(report) == {"1 census": 0.52, "2 hom-solver-vs-brute": 1.9}

@@ -167,6 +167,16 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["alt-codes", "--k", "9", "--l", "2"]) == 3
 
 
+def test_suzuki_verify_refuses_a_degree_over_the_cap(tmp_path, capsys):
+    # a well-formed certificate over GF(2^1003), an irreducible modulus: the
+    # cap, not the field check, must refuse it
+    cert = tmp_path / "cert.json"
+    modulus = [int(i in (0, 1, 4, 5, 6, 8, 1003)) for i in range(1004)]
+    cert.write_text(json.dumps({"e": 501, "modulus": modulus, "elements": ["1"], "pairs": [[0, 0]]}))
+    assert cli.main(["suzuki-verify", "--cert", str(cert)]) == cli.EXIT_INVALID
+    assert "supported degrees" in capsys.readouterr().err
+
+
 def test_main_property_violation_exit(monkeypatch):
     def boom(config):
         raise PropertyViolationError("synthetic")

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kinderlab import nursery, smallgrp, twisted
-from kinderlab.errors import PropertyViolationError
+from kinderlab.errors import InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace
 
@@ -118,6 +118,33 @@ def test_columns_share_the_index_ints():
     assert G.n == 729
     cols = G.table()
     assert all(cols[j][i] is cols[G.identity][cols[j][i]] for j in (1, 500) for i in (3, 700))
+
+
+def _dihedral(n):
+    """D_2n on labels (r, s), r + s n its code, with its label product and
+    its law evaluated on every pair of codes at once (row j holds i*j)."""
+    labels = [(r, s) for s in (0, 1) for r in range(n)]
+
+    def mul(g, h):
+        return ((g[0] + (-h[0] if g[1] else h[0])) % n, (g[1] + h[1]) % 2)
+
+    i, j = np.arange(2 * n)[None, :], np.arange(2 * n)[:, None]
+    table = (i // n + j // n) % 2 * n + (i % n + np.where(i // n, -1, 1) * (j % n)) % n
+    return labels, mul, table.astype(np.int16)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_check_law_table_hands_any_integer_family_to_smallgroup(n):
+    labels, mul, table = _dihedral(n)
+    gens = [1, n]  # a rotation and a reflection
+    G = smallgrp.SmallGroup(labels, mul, columns=smallgrp.check_law_table(table, labels, mul, gens))
+    assert G.table() == smallgrp.SmallGroup(labels, mul).table()
+    bad = table.copy()
+    bad[n + 1, [0, 1]] = bad[n + 1, [1, 0]]  # a row that is no generator's
+    with pytest.raises(PropertyViolationError, match="not associative"):
+        smallgrp.check_law_table(bad, labels, mul, gens)
+    with pytest.raises(InvalidConfigError):
+        smallgrp.check_law_table(table[:-1], labels, mul, gens)
 
 
 def _corrupt(monkeypatch, edit):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kinderlab import smallgrp as sg
-from kinderlab.errors import CapExceededError, InvalidConfigError
+from kinderlab.errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
 
 
@@ -117,6 +117,29 @@ def test_cap_count_on_the_completion_path():
     with pytest.raises(CapExceededError):
         sg.all_subgroups(G, cap_count=58)
     assert calls
+
+
+@pytest.mark.parametrize("name, stage, order, drop, match", [
+    # Sym4 is solvable: cyclic extension alone builds its lattice
+    ("Sym4", "_cyclic_extension", 8, 1, "not 1 mod 2"),  # 3 Sylow 2-subgroups
+    ("Sym4", "_cyclic_extension", 3, 1, "not 1 mod 3"),  # 4 subgroups of order 3
+    # Alt5 is not: joins complete it, and the check follows them
+    ("Alt5", "_join_completion", 4, 1, "not 1 mod 2"),  # 5 Klein four-groups
+    ("Alt5", "_join_completion", 5, 1, "not 1 mod 5"),  # 6 Sylow 5-subgroups
+    ("Alt5", "_join_completion", 3, 3, "do not divide"),  # 10 -> 7, still 1 mod 3
+])
+def test_a_lattice_short_of_a_p_subgroup_fails_loudly(monkeypatch, name, stage, order, drop, match):
+    G = relabelled(GROUPS[name], 13)
+    run = getattr(sg, stage)
+
+    def lossy(G, subs, add):
+        run(G, subs, add)
+        for sub in [s for s in subs if len(s) == order][:drop]:
+            del subs[sub]
+
+    monkeypatch.setattr(sg, stage, lossy)
+    with pytest.raises(PropertyViolationError, match=match):
+        sg.all_subgroups(G)
 
 
 def test_restricted_tables_equal_label_products():

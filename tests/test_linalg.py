@@ -1,20 +1,27 @@
 """Matrices, subspaces, counting: numpy cross-checks and frozen counts."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kinderlab.gf import make_field
+from kinderlab.errors import InvalidConfigError
+from kinderlab.gf import make_field, make_field_from_order
 from kinderlab.linalg import (
     Matrix,
     Subspace,
+    digits,
     enumerate_subspaces,
     enumerate_superspaces,
     flatten_matrix,
     gaussian_binomial,
     np_rank,
     rank_nullspace,
+    rref,
+    rref_bases,
     unflatten_matrix,
 )
 
@@ -127,6 +134,47 @@ def test_enumerate_subspaces_counts(q, n):
         assert len(got) == gaussian_binomial(n, l, q)
         assert len({s.basis for s in got}) == len(got)
         assert all(s.dim == l for s in got)
+
+
+def _product_loop_subspaces(n, l, order):
+    """(pivots, basis rows) in the order of the itertools.product loop that
+    enumerate_subspaces ran before it read rref_bases."""
+    for pivots in itertools.combinations(range(n), l):
+        free = [(i, j) for i in range(l) for j in range(pivots[i] + 1, n) if j not in pivots]
+        for values in itertools.product(range(order), repeat=len(free)):
+            rows = [[0] * n for _ in range(l)]
+            for i, c in enumerate(pivots):
+                rows[i][c] = 1
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            yield pivots, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), n=st.integers(0, 5), data=st.data())
+def test_enumerate_subspaces_reads_the_shared_rref_bases(q, n, data):
+    ell = data.draw(st.integers(0, n), label="ell")
+    size = data.draw(st.integers(1, 64), label="size")
+    F = make_field_from_order(q)
+    shared = [(pivots, rows) for pivots, bases in rref_bases(n, ell, q, size)
+              for rows in bases.tolist()]
+    assert all(len(bases) <= size for _, bases in rref_bases(n, ell, q, size))
+    got = [(s.pivots, [list(r) for r in s.basis]) for s in enumerate_subspaces(n, ell, F)]
+    assert got == shared == list(_product_loop_subspaces(n, ell, q))
+    assert len(got) == gaussian_binomial(n, ell, q)
+    # each basis is already reduced, and its pivots are where rref puts them
+    assert all(rref(rows, F) == (tuple(map(tuple, rows)), pivots) for pivots, rows in got)
+
+
+def test_digits_are_exact_past_int32():
+    lo = (1 << 31) - 3
+    d = digits(lo, lo + 6, 10, 10)
+    assert d.dtype == np.int64
+    assert [int("".join(map(str, col))) for col in d.T.tolist()] == list(range(lo, lo + 6))
+    assert digits(0, 27, 3, 3).dtype == np.int32
+    assert digits(0, 27, 3, 3)[:, 11].tolist() == [1, 0, 2]
+    with pytest.raises(InvalidConfigError):
+        digits(0, 1 << 64, 2, 64)
 
 
 def test_enumerate_superspaces():

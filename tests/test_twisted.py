@@ -260,6 +260,17 @@ def test_search_degree_cap():
         twisted.suzuki_search(501, seed=0)  # degree 1003 over the cap
 
 
+# x^1003 + x^8 + x^6 + x^5 + x^4 + x + 1, irreducible over F_2
+MODULUS_1003 = tuple(int(i in (0, 1, 4, 5, 6, 8, 1003)) for i in range(1004))
+
+
+def test_verify_degree_cap_comes_before_the_field(monkeypatch):
+    monkeypatch.setattr(twisted, "make_field", lambda *a, **k: pytest.fail("make_field reached"))
+    cert = twisted.SpanCertificate(501, MODULUS_1003, (1,), ((0, 0),))
+    with pytest.raises(InvalidConfigError, match="supported degrees"):
+        twisted.suzuki_verify(cert)
+
+
 def test_bit_echelon_matches_subspace():
     rng = random.Random(4)
     for _ in range(20):

@@ -17,22 +17,29 @@ The output records the machine, both revisions, the seeds, and per workload
 and side the median, quartiles and raw values of every end-to-end metric;
 how many pairs the head won on each (better and worse as BENCHMARK.json
 says, ties counting for neither); a verdict on each (see `verdict`); whether
-the payload hashes the two sides share are identical; and the line count of
-each side's `src/`, per module.
+the payload hashes the two sides share are identical; the line count of
+each side's `src/`, per module; and, from one run per side after the pairs,
+the Tier-1 pytest wall time with pytest's own counts and seconds, and the
+seconds of each `verify --tier fast` criterion.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 CLAIM_PAIRS = 10
 PAIRS = 3
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+VERIFY_FAST = [sys.executable, "-c", "import sys; from kinderlab.cli import main; sys.exit(main())",
+               "verify", "--tier", "fast"]
 
 
 def git(*args, cwd="."):
@@ -95,6 +102,39 @@ def shared_hashes(checkouts, workload, seeds):
         shared += len(keys)
         differ += sum(a[k] != b[k] for k in keys)
     return shared, differ
+
+
+def pytest_summary(stdout):
+    """{outcome: count, "seconds": s} from the last summary line pytest prints,
+    such as "575 passed, 2 skipped in 54.40s" or "1 failed, 3 passed in 62.21s (0:01:02)"."""
+    line = next(ln for ln in reversed(stdout.splitlines()) if re.search(r" in [\d.]+s\b", ln))
+    out = {word: int(count) for count, word in re.findall(r"(\d+) ([a-z]+)", line.split(" in ")[0])}
+    out["seconds"] = float(re.search(r" in ([\d.]+)s\b", line).group(1))
+    return out
+
+
+def criterion_seconds(report):
+    """{"<index> <name>": elapsed_s} of each criterion in a `verify` JSON report."""
+    return {"%d %s" % (r["index"], r["name"]): r["elapsed_s"]
+            for r in json.loads(report)["results"]["criteria"]}
+
+
+def end_to_end_runs(checkout):
+    """One Tier-1 run and one `verify --tier fast` run in the checkout."""
+    print("Tier-1 and verify --tier fast in %s" % checkout, flush=True)
+    env = dict(os.environ, PYTHONPATH="src")
+    runs = {}
+    for name, command, read in (("tier1", TIER1, pytest_summary),
+                                ("verify_fast", VERIFY_FAST, criterion_seconds)):
+        start = time.perf_counter()
+        proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
+        try:
+            parsed = read(proc.stdout)
+        except (StopIteration, ValueError, KeyError, AttributeError):
+            raise SystemExit("%s gave no summary in %s:\n%s" % (name, checkout, proc.stderr[-2000:]))
+        runs[name] = {"wall_s": round(time.perf_counter() - start, 2), "exit": proc.returncode,
+                      "parsed": parsed}
+    return runs
 
 
 def src_lines(checkout):
@@ -162,6 +202,7 @@ def main():
                 "payload_hashes_differ": differ,
                 "metrics": per_metric,
             }
+        out["end_to_end_runs"] = {side: end_to_end_runs(trees[side]) for side in revs}
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 
 
