@@ -7,8 +7,8 @@ in one column-major table: column j holds i*j for every i.  By default the
 columns fill lazily, one product at a time, so a group of 2^14 elements that
 is only ever multiplied by a few generators never pays for n^2 products.
 `table()` completes every column (groups up to SUBGROUP_ORDER_CAP only); the
-subgroup lattice needs it, and subgroups of a group with a complete table
-get theirs by restriction instead of new label products.
+subgroup lattice needs it, and `sigma_counts` classifies every subgroup on
+it, each kept as its sorted index tuple, without a SmallGroup of its own.
 
 The subgroup lattice is built by cyclic extension (Neubueser 1960) on the
 complete table, with joins of cyclic subgroups to finish groups that are not
@@ -21,17 +21,20 @@ a lone group's `fingerprint` is the same pass over [G].
 
 The isomorphism test is a backtracking search over generator images, pruned
 by element invariants, with the homomorphism property enforced incrementally
-during closure.  When the search exhausts, the groups really are
-non-isomorphic; a found map is verified on every (element, generator) pair,
-which is sufficient by induction on word length.
+during closure.  It maps one member list onto another, on one table (two
+subgroups of G) or two (two whole groups).  When the search exhausts, the
+groups really are non-isomorphic; a found map is verified on every
+(element, generator) pair, which is sufficient by induction on word length.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -226,39 +229,9 @@ class SmallGroup:
         return tuple(sorted(seen))
 
     def generating_set(self) -> tuple:
-        """A small generating set, greedy by closure growth."""
-        if self._gens is not None:
-            return self._gens
-        if self.n == 1:
-            self._gens = ()
-            return self._gens
-        orders = self.element_orders()
-        first = max(range(self.n), key=lambda i: (orders[i], -i))
-        gens = [first]
-        current = set(self.closure_idx(gens))
-        while len(current) < self.n:
-            outside = [i for i in range(self.n) if i not in current]
-            best = None
-            best_size = -1
-            for cand in outside[:48]:
-                size = len(self.closure_idx(gens + [cand]))
-                if size > best_size:
-                    best, best_size = cand, size
-                if size == self.n:
-                    break
-            gens.append(best)
-            current = set(self.closure_idx(gens))
-        # drop redundant generators, smallest sets help the iso search
-        changed = True
-        while changed and len(gens) > 1:
-            changed = False
-            for k in range(len(gens)):
-                trial = gens[:k] + gens[k + 1 :]
-                if len(self.closure_idx(trial)) == self.n:
-                    gens = trial
-                    changed = True
-                    break
-        self._gens = tuple(gens)
+        """A small generating set, greedy by closure growth (`_generators`)."""
+        if self._gens is None:
+            self._gens = _generators(self, range(self.n), self.element_orders())
         return self._gens
 
     def center_idx(self) -> tuple:
@@ -461,105 +434,146 @@ def check_law_table(table, labels, mul, gens, factors=()):
 # ---------------------------------------------------------------------------
 # isomorphism search
 
+class _Members(NamedTuple):
+    """A subgroup of `group` as its sorted member indices, with each member's
+    (order, class size) in the subgroup, as `subset_invariants` gives them."""
+    group: SmallGroup
+    members: Sequence
+    inv: list
+
+
+def _whole(G: SmallGroup) -> _Members:
+    G.fingerprint()
+    return _Members(G, range(G.n), G._elem_inv)
+
+
+def _generators(G: SmallGroup, members, orders) -> tuple:
+    """A small generating set of the subgroup on `members` (in index order,
+    `orders` theirs), greedy by closure growth on G: the member of highest
+    order (the first among equals), then whichever of the first 48 members
+    outside the closure grows it most, then redundant generators dropped,
+    since the isomorphism search branches once per generator."""
+    m = len(members)
+    if m == 1:
+        return ()
+    gens = [members[max(range(m), key=lambda k: (orders[k], -k))]]
+    current = set(G.closure_idx(gens))
+    while len(current) < m:
+        best, best_size = None, -1
+        for cand in [i for i in members if i not in current][:48]:
+            size = len(G.closure_idx(gens + [cand]))
+            if size > best_size:
+                best, best_size = cand, size
+            if size == m:
+                break
+        gens.append(best)
+        current = set(G.closure_idx(gens))
+    changed = True
+    while changed and len(gens) > 1:
+        changed = False
+        for k in range(len(gens)):
+            trial = gens[:k] + gens[k + 1:]
+            if len(G.closure_idx(trial)) == m:
+                gens, changed = trial, True
+                break
+    return tuple(gens)
+
+
+def _search(A: _Members, gens, B: _Members):
+    """An isomorphism from A onto B, as the image of each of A's members, or
+    None when there is none (the search space is exhausted).
+
+    Each generator in turn is sent to a member of B with its invariants, and
+    the map is closed on the tables over the generators fixed so far: x*g
+    goes to f(x)f(g), a clash or a repeated image undoing the choice.  The
+    closure is incremental: members mapped before g was fixed are closed
+    under g alone, since they are closed under the earlier generators, and
+    members mapped since then under every fixed generator.  Raises
+    CapExceededError when the search visits _ISO_NODE_BUDGET nodes first.
+    """
+    wanted = [A.inv[A.members.index(g)] for g in gens]
+    candidates = [list(itertools.compress(B.members, map(w.__eq__, B.inv))) for w in wanted]
+    if not all(candidates):
+        return None
+    TA, TB, eA, eB = A.group.table(), B.group.table(), A.group.identity, B.group.identity
+    gmap, hmap = [-1] * A.group.n, [-1] * B.group.n
+    gmap[eA], hmap[eB] = eB, eA
+    mapped, budget = [eA], [_ISO_NODE_BUDGET]
+
+    def close(depth: int, start: int) -> bool:  # mapped[:start] is closed under gens[:depth]
+        active = [(TA[g], TB[gmap[g]]) for g in gens[:depth + 1]]
+        newest, qi = active[-1:], 0
+        while qi < len(mapped):
+            x = mapped[qi]
+            fx = gmap[x]
+            for ca, cb in newest if qi < start else active:
+                y, fy = ca[x], cb[fx]
+                if gmap[y] < 0:
+                    if hmap[fy] >= 0:
+                        return False
+                    gmap[y], hmap[fy] = fy, y
+                    mapped.append(y)
+                elif gmap[y] != fy:
+                    return False
+            qi += 1
+        return True
+
+    def undo(start: int):
+        for y in mapped[start:]:
+            hmap[gmap[y]] = -1
+            gmap[y] = -1
+        del mapped[start:]
+
+    def dfs(depth: int) -> bool:
+        if depth == len(gens):
+            return len(mapped) == len(A.members)
+        g, start = gens[depth], len(mapped)
+        forced = gmap[g] >= 0  # by an earlier level's closure: no choice left
+        for h in [gmap[g]] if forced else candidates[depth]:
+            if not forced:
+                if hmap[h] >= 0:
+                    continue
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise CapExceededError("isomorphism search budget exhausted")
+                gmap[g], hmap[h] = h, g
+                mapped.append(g)
+            if close(depth, start) and dfs(depth + 1):
+                return True
+            undo(start)
+        return False
+
+    return [gmap[x] for x in A.members] if dfs(0) else None
+
+
+def _is_isomorphism(A: _Members, gens, B: _Members, image) -> bool:
+    """Whether `image` (of each of A's members) is a bijection onto B's
+    members that takes the identity to the identity and x*g to
+    image(x)*image(g) for every member x and generator g; that suffices, by
+    induction on word length, when `gens` generate A."""
+    if len(image) != len(A.members) or sorted(image) != list(B.members):
+        return False
+    TA, TB, f = A.group.table(), B.group.table(), [-1] * A.group.n
+    for x, y in zip(A.members, image):
+        f[x] = y
+    return f[A.group.identity] == B.group.identity and all(
+        f[TA[g][x]] == TB[f[g]][f[x]] for g in gens for x in A.members)
+
+
 def find_isomorphism(G: SmallGroup, H: SmallGroup):
     """An explicit isomorphism G -> H as an index list, or None.
 
     None means proven non-isomorphic (search space exhausted).  Raises
     CapExceededError when the search visits _ISO_NODE_BUDGET nodes first.
     """
-    if G.n != H.n:
+    if G.n != H.n or G.fingerprint() != H.fingerprint():
         return None
-    if G.n == 1:
-        return [H.identity]
-    if G.fingerprint() != H.fingerprint():
-        return None
-    gens = G.generating_set()
-    buckets = {}
-    for j in range(H.n):
-        buckets.setdefault(H.element_invariant(j), []).append(j)
-    candidates = []
-    for g in gens:
-        cand = buckets.get(G.element_invariant(g), [])
-        if not cand:
-            return None
-        candidates.append(cand)
-
-    gmap = [-1] * G.n
-    hmap = [-1] * H.n
-    gmap[G.identity] = H.identity
-    hmap[H.identity] = G.identity
-    budget = [_ISO_NODE_BUDGET]
-
-    def extend(depth: int, assigned: list) -> bool:
-        """Close the partial map over <gens[0..depth]>; log additions in assigned."""
-        known = [i for i in range(G.n) if gmap[i] >= 0]
-        active = gens[: depth + 1]
-        queue = list(known)
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            fx = gmap[x]
-            for g in active:
-                y = G.mul_idx(x, g)
-                fy = H.mul_idx(fx, gmap[g])
-                if gmap[y] < 0:
-                    if hmap[fy] >= 0:
-                        return False
-                    gmap[y] = fy
-                    hmap[fy] = y
-                    assigned.append(y)
-                    queue.append(y)
-                elif gmap[y] != fy:
-                    return False
-        return True
-
-    def dfs(depth: int) -> bool:
-        if depth == len(gens):
-            return all(v >= 0 for v in gmap)
-        g = gens[depth]
-        if gmap[g] >= 0:
-            # already forced by closure at an earlier level
-            assigned = []
-            if extend(depth, assigned) and dfs(depth + 1):
-                return True
-            for y in assigned:
-                hmap[gmap[y]] = -1
-                gmap[y] = -1
-            return False
-        for h in candidates[depth]:
-            if hmap[h] >= 0:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceededError("isomorphism search budget exhausted")
-            gmap[g] = h
-            hmap[h] = g
-            assigned = [g]
-            if extend(depth, assigned) and dfs(depth + 1):
-                return True
-            for y in assigned:
-                hmap[gmap[y]] = -1
-                gmap[y] = -1
-        return False
-
-    if dfs(0):
-        return list(gmap)
-    return None
+    return _search(_whole(G), G.generating_set(), _whole(H))
 
 
 def verify_isomorphism(G: SmallGroup, H: SmallGroup, mapping) -> bool:
     """Check mapping on every (element, generator) product; that suffices."""
-    if sorted(mapping) != list(range(H.n)):
-        return False
-    gens = G.generating_set() or (G.identity,)
-    if mapping[G.identity] != H.identity:
-        return False
-    for x in range(G.n):
-        for g in gens:
-            if mapping[G.mul_idx(x, g)] != H.mul_idx(mapping[x], mapping[g]):
-                return False
-    return True
+    return _is_isomorphism(_whole(G), G.generating_set(), _whole(H), mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +695,37 @@ def _require_p_counts(n: int, subs):
                 % (counts[p**a], p, n // p**a))
 
 
+def _classify(fps, search, check):
+    """Isomorphism classes of the objects 0, 1, ... with fingerprints `fps`.
+
+    Objects are compared only within a fingerprint, each with the
+    representative of every class found so far there: search(r, k) returns
+    a map from r onto k or None, and a map that check(r, k, map) rejects
+    raises PropertyViolationError.  Returns (classes, witnesses) as
+    `iso_classes` does.
+    """
+    buckets = {}
+    for k, fp in enumerate(fps):
+        buckets.setdefault(fp, []).append(k)
+    classes, witnesses = [], {}
+    for fp in sorted(buckets, key=lambda f: (f.order, f.order_hist, f.class_profile)):
+        reps = []  # indices into classes
+        for k in buckets[fp]:
+            for ci in reps:
+                mapping = search(classes[ci][0], k)
+                if mapping is not None:
+                    if not check(classes[ci][0], k, mapping):
+                        raise PropertyViolationError("search returned a non-isomorphism")
+                    classes[ci].append(k)
+                    witnesses[k] = mapping
+                    break
+            else:
+                reps.append(len(classes))
+                classes.append([k])
+    classes.sort(key=lambda c: c[0])
+    return classes, witnesses
+
+
 def iso_classes(groups):
     """Partition groups into isomorphism classes.
 
@@ -688,42 +733,30 @@ def iso_classes(groups):
     by its representative; witnesses maps a member index to a verified
     mapping list from the class representative onto that member.
     """
-    buckets = {}
-    for k, g in enumerate(groups):
-        buckets.setdefault(g.fingerprint(), []).append(k)
-    classes = []
-    witnesses = {}
-    for fp in sorted(buckets, key=lambda f: (f.order, f.order_hist, f.class_profile)):
-        reps = []  # indices into classes
-        for k in buckets[fp]:
-            placed = False
-            for ci in reps:
-                rep_idx = classes[ci][0]
-                mapping = find_isomorphism(groups[rep_idx], groups[k])
-                if mapping is not None:
-                    if not verify_isomorphism(groups[rep_idx], groups[k], mapping):
-                        raise PropertyViolationError("search returned a non-isomorphism")
-                    classes[ci].append(k)
-                    witnesses[k] = mapping
-                    placed = True
-                    break
-            if not placed:
-                reps.append(len(classes))
-                classes.append([k])
-    classes.sort(key=lambda c: c[0])
-    return classes, witnesses
+    return _classify([g.fingerprint() for g in groups],
+                     lambda r, k: find_isomorphism(groups[r], groups[k]),
+                     lambda r, k, mapping: verify_isomorphism(groups[r], groups[k], mapping))
 
 
 def sigma_counts(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, iso_order_cap=ISO_ORDER_CAP):
-    """(number of subgroups, number of isomorphism types of subgroups)."""
-    subs = all_subgroups(G, cap_order=cap_order)
-    if any(len(s) > iso_order_cap for s in subs):
+    """(number of subgroups, number of isomorphism types of subgroups).
+
+    The subgroups stay index tuples on G's table: their invariants come from
+    one `subset_invariants` pass, and each isomorphism is searched for and
+    verified on G's table, from one member list to another.
+    """
+    if G.n > iso_order_cap:  # G is one of its own subgroups
         raise CapExceededError("a subgroup exceeds the iso cap %d" % iso_order_cap)
-    groups = []
-    for s, invariants in zip(subs, G.subset_invariants(subs)):
-        groups.append(G.subgroup(s))
-        groups[-1]._fp, groups[-1]._elem_inv = invariants
-    classes, _ = iso_classes(groups)
+    subs = all_subgroups(G, cap_order=cap_order)
+    invariants = G.subset_invariants(subs)
+    parts = [_Members(G, s, inv) for s, (_, inv) in zip(subs, invariants)]
+    @functools.cache
+    def gens_of(r):  # a class representative's generators, chosen once
+        return _generators(G, subs[r], [o for o, _ in parts[r].inv])
+
+    classes, _ = _classify([fp for fp, _ in invariants],
+                           lambda r, k: _search(parts[r], gens_of(r), parts[k]),
+                           lambda r, k, image: _is_isomorphism(parts[r], gens_of(r), parts[k], image))
     sigma = len(subs)
     sigma_iso = len(classes)
     require(sigma_iso <= sigma, "more isomorphism types than subgroups")

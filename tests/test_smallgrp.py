@@ -1,6 +1,7 @@
 """Concrete groups with published subgroup counts, plus structural laws."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -246,3 +247,129 @@ def test_iso_classes_rejects_a_wrong_map(monkeypatch):
     monkeypatch.setattr(sg, "find_isomorphism", swapped)
     with pytest.raises(PropertyViolationError):
         sg.iso_classes([sg.cyclic_group(4), sg.cyclic_group(4)])
+
+
+def test_sigma_counts_refuses_a_group_over_the_iso_cap_before_its_lattice(monkeypatch):
+    # G is one of its own subgroups, so its order alone decides the iso cap
+    def no_lattice(*args, **kwargs):
+        pytest.fail("the lattice of a group over the iso cap was enumerated")
+
+    monkeypatch.setattr(sg, "all_subgroups", no_lattice)
+    s3 = sg.symmetric_group(3)
+    G = sg.direct_product(sg.direct_product(s3, s3), sg.direct_product(s3, s3))
+    assert G.n == 1296
+    with pytest.raises(CapExceededError, match="a subgroup exceeds the iso cap 512"):
+        sg.sigma_counts(G)
+    with pytest.raises(CapExceededError, match="a subgroup exceeds the iso cap 8"):
+        sg.sigma_counts(sg.cyclic_group(16), iso_order_cap=8)
+
+
+def _relabelled(G, seed):
+    labels = list(G.labels)
+    random.Random(seed).shuffle(labels)
+    return sg.SmallGroup(labels, G._mul_label)
+
+
+def _reference_sigma(G):
+    """(sigma, sigma_iso) and the class partition by the path `sigma_counts`
+    took before: one SmallGroup per subgroup, its table restricted from G's,
+    and `iso_classes` on those groups (fingerprints and searches on each
+    subgroup's own table)."""
+    subs = sg.all_subgroups(G)
+    classes, _ = sg.iso_classes([G.subgroup(s) for s in subs])
+    return (len(subs), len(classes)), classes
+
+
+def _sigma_with_classes(G):
+    """sigma_counts(G) and the class partition it counted."""
+    seen, classify = [], sg._classify
+
+    def spy(*args):
+        seen.append(classify(*args))
+        return seen[-1]
+
+    with mock.patch.object(sg, "_classify", spy):
+        counts = sg.sigma_counts(G)
+    [(classes, _)] = seen
+    return counts, classes
+
+
+_S3 = sg.symmetric_group(3)
+LATTICE_GROUPS = {
+    "UT3(F2)": sg.unitriangular_group(3, F2),
+    "UT3(F3)": sg.unitriangular_group(3, F3),
+    "Alt5": sg.alternating_group(5),
+    "D4": sg.dihedral_group(4),
+    "C8xC27": sg.direct_product(sg.cyclic_group(8), sg.cyclic_group(27)),
+    "D4xC27": sg.direct_product(sg.dihedral_group(4), sg.cyclic_group(27)),
+    "Sym3^2": sg.direct_product(_S3, _S3),
+    "Sym4": sg.symmetric_group(4),
+    "D4xC2": sg.direct_product(sg.dihedral_group(4), sg.cyclic_group(2)),
+    "C4xC4": sg.direct_product(sg.cyclic_group(4), sg.cyclic_group(4)),
+}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(LATTICE_GROUPS)), seed=st.integers(0, 2**32))
+def test_sigma_counts_classes_equal_the_per_subgroup_path(name, seed):
+    G = _relabelled(LATTICE_GROUPS[name], seed)
+    assert _sigma_with_classes(G) == _reference_sigma(G)
+
+
+def test_sigma_counts_classes_equal_the_per_subgroup_path_on_sym3_cubed():
+    # one fixed relabelling: the reference path takes about half a second here
+    G = _relabelled(sg.direct_product(_S3, sg.direct_product(_S3, _S3)), 3)
+    got, ref = _sigma_with_classes(G), _reference_sigma(G)
+    assert got == ref and got[0] == (904, 26)
+
+
+# (group factory, sigma, sigma_iso, whether two types share an order)
+@pytest.mark.parametrize("factory,count,classes,shared", [
+    (lambda: sg.dihedral_group(4), 10, 5, True),  # C4, C2^2
+    (_quaternion_group, 6, 4, False),
+    (lambda: sg.symmetric_group(4), 30, 9, True),  # C4, C2^2
+    (lambda: sg.direct_product(_S3, _S3), 60, 11, True),  # C6, Sym3
+], ids=["D4", "Q8", "Sym4", "Sym3^2"])
+def test_sigma_counts_with_fingerprints_of_order_alone(monkeypatch, factory, count, classes, shared):
+    # every subgroup of one order shares a bucket, so only the search (element
+    # invariants and exhausted branches) tells the types apart
+    invariants, search, misses = sg.SmallGroup.subset_invariants, sg._search, []
+
+    def order_only(self, subsets):
+        return [(sg.IsoFingerprint(order=fp.order, order_hist=(), center_order=0, derived_orders=(),
+                                   abelian_hist=(), exponent=0, class_profile=()), inv)
+                for fp, inv in invariants(self, subsets)]
+
+    def counted(A, gens, B):
+        image = search(A, gens, B)
+        misses.append(image is None)
+        return image
+
+    monkeypatch.setattr(sg.SmallGroup, "subset_invariants", order_only)
+    monkeypatch.setattr(sg, "_search", counted)
+    assert sg.sigma_counts(factory()) == (count, classes)
+    assert any(misses) == shared
+
+
+@pytest.mark.parametrize("factory,swap", [
+    # the identity's image traded with the next member's
+    (lambda: sg.dihedral_group(4), lambda orders: (orders.index(1), (orders.index(1) + 1) % len(orders))),
+    # an involution's image traded with an element of order 4's: the identity stays, the law breaks
+    (lambda: sg.direct_product(sg.cyclic_group(4), sg.cyclic_group(2)),
+     lambda orders: (orders.index(2), orders.index(4)) if 4 in orders else None),
+], ids=["identity", "law"])
+def test_sigma_counts_rejects_a_wrong_map(monkeypatch, factory, swap):
+    # the counterpart of test_iso_classes_rejects_a_wrong_map on member lists
+    search = sg._search
+
+    def spoiled(A, gens, B):
+        image = search(A, gens, B)
+        pair = swap([order for order, _ in A.inv])
+        if image is not None and pair is not None:
+            i, j = pair
+            image[i], image[j] = image[j], image[i]
+        return image
+
+    monkeypatch.setattr(sg, "_search", spoiled)
+    with pytest.raises(PropertyViolationError, match="search returned a non-isomorphism"):
+        sg.sigma_counts(factory())
