@@ -210,6 +210,13 @@ class Subspace:
         return cls(ctx, ambient_dim, basis, pivots)
 
     @classmethod
+    def _from_rref(cls, ctx, ambient_dim, basis, pivots):
+        """From an RREF basis that is already a tuple of row tuples, kept as is."""
+        space = object.__new__(cls)
+        space.ctx, space.ambient_dim, space.basis, space.pivots = ctx, ambient_dim, basis, pivots
+        return space
+
+    @classmethod
     def zero(cls, ctx, ambient_dim):
         return cls(ctx, ambient_dim, [], [])
 
@@ -336,8 +343,10 @@ def enumerate_subspaces(ambient_dim: int, l: int, ctx: FieldCtx, cap=ENUM_CAP):
     if total > cap:
         raise CapExceededError("%d subspaces exceed cap %d" % (total, cap))
     for pivots, bases in rref_bases(ambient_dim, l, ctx.order):
-        for rows in bases.tolist():
-            yield Subspace(ctx, ambient_dim, rows, pivots)
+        # every row a tuple once, and each basis l consecutive ones
+        rows = map(tuple, bases.reshape(len(bases) * l, ambient_dim).tolist())
+        for basis in zip(*[rows] * l) if l else [()] * len(bases):
+            yield Subspace._from_rref(ctx, ambient_dim, basis, pivots)
 
 
 def enumerate_superspaces(sub: Subspace, l: int, cap=ENUM_CAP):

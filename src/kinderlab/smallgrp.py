@@ -6,18 +6,21 @@ labels.  Everything downstream works on integer indices.  Products are kept
 in one column-major table: column j holds i*j for every i.  By default the
 columns fill lazily, one product at a time, so a group of 2^14 elements that
 is only ever multiplied by a few generators never pays for n^2 products.
-`table()` completes every column (groups up to SUBGROUP_ORDER_CAP only); the
+`table()` completes every column (groups up to SUBGROUP_ORDER_CAP only) as
+one int16 [n, n] array, whose rows the Python paths read as lists; the
 subgroup lattice needs it, and `sigma_counts` classifies every subgroup on
 it, each kept as its sorted index tuple, without a SmallGroup of its own.
+One power walk over the array gives every element's order, inverse and
+powers, for `order_of`, `inverse_idx`, the invariants and the lattice.
 
 The subgroup lattice is built by cyclic extension (Neubueser 1960) on the
 complete table, with joins of cyclic subgroups to finish groups that are not
 solvable.
 
 Invariants (element orders, class sizes, centre, derived series,
-abelianisation) come from one numpy pass over the complete table for any
-number of subgroups: `sigma_counts` runs it once for the whole lattice, and
-a lone group's `fingerprint` is the same pass over [G].
+abelianisation) come from one numpy pass over the array for any number of
+subgroups: `sigma_counts` runs it once for the whole lattice, and a lone
+group's `fingerprint` is the same pass over [G].
 
 The isomorphism test is a backtracking search over generator images, pruned
 by element invariants, with the homomorphism property enforced incrementally
@@ -32,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -48,15 +52,22 @@ _ISO_NODE_BUDGET = 5 * 10**6
 _BATCH_CELLS = 1 << 20
 
 
+def _lists(T) -> list:
+    """T's rows as lists, sharing the int objects of range(n) above 256, up to
+    which CPython shares them: tolist() makes one per entry, 4.5x the memory."""
+    return (T if len(T) <= 257 else np.array(range(len(T)), dtype=object)[T]).tolist()
+
+
 class SmallGroup:
     """A finite group on explicit labels.
 
-    `columns`, when given, is a complete table on this label order
-    (columns[j][i] is the index of i*j): `subgroup` restricts it from a
-    parent, and a family with an integer encoding evaluates its law on
-    every pair at once, as an [n, n] array (`check_law_table`).  The table
-    is taken as given, so whoever builds it checks it.  The identity is then
-    read from its diagonal instead of from label products.
+    `columns`, when given, is the complete table on this label order, an
+    [n, n] int16 array (columns[j][i] is the index of i*j) kept as the
+    group's own: `subgroup` restricts it from a parent, and a family with an
+    integer encoding evaluates its law on every pair at once
+    (`check_law_table`).  Whoever builds it checks it.  The identity is read
+    from its diagonal, and orders and inverses from its power walk (`_walk`);
+    without a complete table they are found one product at a time.
     """
 
     def __init__(self, labels, mul, name=None, columns=None):
@@ -67,20 +78,16 @@ class SmallGroup:
         if len(self._idx) != self.n:
             raise InvalidConfigError("duplicate labels")
         self._mul_label = mul
-        if isinstance(columns, np.ndarray):
-            # lists of the int objects of range(n): tolist() makes one per entry
-            ints = np.array(range(self.n), dtype=object)
-            columns = [ints[row].tolist() for row in columns]
+        self._T = None if columns is None else np.asarray(columns, np.int16)
         # column j: i*j for each i, -1 where not computed yet; None until used
-        self._cols = [None] * self.n if columns is None else columns
-        self._complete = columns is not None
+        self._cols = [None] * self.n if columns is None else _lists(self._T)
         self._orders = None
         self._inverses = None
         self._elem_inv = None
         self._gens = None
         self._fp = None
         if columns is not None:
-            idempotents = [i for i in range(self.n) if columns[i][i] == i]
+            idempotents = [i for i in range(self.n) if self._cols[i][i] == i]
         else:
             # direct label products: mul_idx here would allocate a column per element
             idempotents = [
@@ -144,40 +151,53 @@ class SmallGroup:
     def table(self) -> list:
         """The complete multiplication table: table()[j][i] is the index of i*j.
 
-        Built on first call, then read by mul_idx and closure_idx.  Only the
-        columns of a generating set, picked in index order, cost label
-        products; every other column is a composition of known ones, since
-        i*(x*g) = (i*x)*g.
+        Built on first call as the int16 array T, T[j] = table()[j].  Only
+        the columns of a generating set, picked in index order, cost label
+        products; every other is a composition of known ones, T[x*g] =
+        T[g][T[x]], since i*(x*g) = (i*x)*g.
         """
-        if not self._complete:
+        if self._T is None:
             if self.n > SUBGROUP_ORDER_CAP:
                 raise CapExceededError(
                     "group order %d over table cap %d" % (self.n, SUBGROUP_ORDER_CAP))
             idx, labels, mul = self._idx, self.labels, self._mul_label
-            cols = [None] * self.n
-            cols[self.identity] = list(range(self.n))
+            T, known = np.empty((self.n, self.n), np.int16), bytearray(self.n)
+            T[self.identity], known[self.identity] = range(self.n), 1
             gens = []
             for j, b in enumerate(labels):
-                if cols[j] is not None:
+                if known[j]:
                     continue
-                cols[j] = [idx[mul(a, b)] for a in labels]
-                gens.append(j)
-                queue = [i for i, c in enumerate(cols) if c is not None]
+                gens.append((j, [idx[mul(a, b)] for a in labels]))
+                T[j], known[j] = gens[-1][1], 1
+                queue = [i for i in range(self.n) if known[i]]
                 for x in queue:
-                    cx = cols[x]
-                    for g in gens:
-                        cg = cols[g]
+                    for g, cg in gens:
                         y = cg[x]
-                        if cols[y] is None:
-                            cols[y] = [cg[v] for v in cx]
+                        if not known[y]:
+                            T[g].take(T[x], out=T[y])
+                            known[y] = 1
                             queue.append(y)
-            self._cols = cols
-            self._complete = True
+            self._T, self._cols = T, _lists(T)
         return self._cols
+
+    @functools.cached_property
+    def _walk(self):
+        """(orders, inverses, S) of every element, S[k, x] = x^k for k up to
+        the exponent: one power walk over the complete table, which
+        order_of, inverse_idx, subset_invariants and cyclic extension read."""
+        self.table()
+        at = np.arange(self.n)
+        S, row, flat = [np.full(self.n, self.identity), at], at * self.n, self._T.ravel()
+        ident = at.astype(flat.dtype).tobytes()
+        while len(S) < 3 or S[-1].tobytes() != ident:  # until x^k = x for every x
+            S.append(flat.take(row + S[-1]))  # x^(k+1) = T[x, x^k]
+        S = np.array(S[:-1], np.int16)
+        orders = (S[1:] == self.identity).argmax(axis=0) + 1
+        return orders, S[orders - 1, at], S
 
     def inverse_idx(self, i: int) -> int:
         if self._inverses is None:
-            self._inverses = [-1] * self.n
+            self._inverses = [-1] * self.n if self._T is None else self._walk[1].tolist()
         if self._inverses[i] < 0:
             y, z = self.identity, i
             while z != self.identity:
@@ -187,7 +207,7 @@ class SmallGroup:
 
     def order_of(self, i: int) -> int:
         if self._orders is None:
-            self._orders = [0] * self.n
+            self._orders = [0] * self.n if self._T is None else self._walk[0].tolist()
         if not self._orders[i]:
             col = self._column(i)
             k = 1
@@ -246,13 +266,12 @@ class SmallGroup:
         With a complete table here, the subgroup's table is its restriction.
         """
         labs = [self.labels[i] for i in idx_subset]
-        if not self._complete:
+        if self._T is None:
             return SmallGroup(labs, self._mul_label)
-        pos = [-1] * self.n
-        for k, i in enumerate(idx_subset):
-            pos[i] = k
-        cols = [[pos[c[i]] for i in idx_subset] for c in [self._cols[j] for j in idx_subset]]
-        if any(-1 in c for c in cols):
+        pos = np.full(self.n, -1, np.int16)
+        pos[list(idx_subset)] = range(len(labs))
+        cols = pos[self._T[np.ix_(idx_subset, idx_subset)]]
+        if (cols < 0).any():
             raise InvalidConfigError("subset is not closed under the group law")
         return SmallGroup(labs, self._mul_label, columns=cols)
 
@@ -298,26 +317,17 @@ class SmallGroup:
     def subset_invariants(self, subsets) -> list:
         """(IsoFingerprint, [(order, class size) per member]) of each subgroup.
 
-        One numpy pass over the complete table T, T[j, i] = i*j, serves all
-        the subgroups (sorted index tuples).  One power walk over G gives the
-        orders, inverses and powers x^d, d | n.  A self-join of H's members
-        gives the commutators [i, j] = (ji)^-1 ij and |C_H(j)| = #{i : ij = ji};
-        j's class has |H| / |C_H(j)| elements, 1 in Z(H).  H' is looked up
-        among the subgroups, or closed by squaring and appended so that its
-        own H' follows.  xH' has order the least k >= 1 with x^k in H', a
-        divisor of n.  Batches hold about _BATCH_CELLS entries (a squaring,
-        |H'|^2).
+        One numpy pass over the group's array T, T[j, i] = i*j, and its power
+        walk serves all the subgroups (sorted index tuples).  A self-join of
+        H's members gives the commutators [i, j] = (ji)^-1 ij and |C_H(j)| =
+        #{i : ij = ji}; j's class has |H| / |C_H(j)| elements, 1 in Z(H).  H'
+        is looked up among the subgroups, or closed by squaring and appended
+        so that its own H' follows.  xH' has order the least k >= 1 with x^k
+        in H', a divisor of n.  Batches hold about _BATCH_CELLS entries (a
+        squaring, |H'|^2).
         """
-        n, e, R = self.n, self.identity, max(1, _BATCH_CELLS // self.n)
-        T = np.fromiter(itertools.chain.from_iterable(self.table()), np.int16, n * n).reshape(n, n)
-        orders, inv = np.zeros(n, np.int64), np.zeros(n, np.int32)
-        powers, prev, cur, k = [], np.full(n, e), np.arange(n), 1
-        while not orders.all():
-            if n % k == 0:
-                powers.append((k, cur))
-            hit = (cur == e) & (orders == 0)
-            orders[hit], inv[hit] = k, prev[hit]
-            prev, cur, k = cur, T[np.arange(n), cur], k + 1
+        n, R = self.n, max(1, _BATCH_CELLS // self.n)
+        (orders, inv, S), T = self._walk, self._T
 
         def members(batch):  # (row, element) of every member, in order
             rr = np.repeat(np.arange(len(batch)), [len(s) for s in batch])
@@ -342,9 +352,9 @@ class SmallGroup:
                             ij, ji = T[J, I], T[I, J]  # p*q = T[q, p]
                             D[at[..., None], T[ij, inv[ji]]] = True
                             cent[at, J[:, 0]] += (ij == ji).sum(axis=1, dtype=np.int16)
-                cents.append(cent[members(batch)])
+                cents.append(((mem := members(batch)), cent[mem]))
                 for row in D:
-                    X = np.flatnonzero(row)
+                    X = row.nonzero()[0]
                     while (key := tuple(X.tolist())) not in index and len(Y := np.unique(T[np.ix_(X, X)])) > len(X):
                         X = Y
                     link.append(index.setdefault(key, len(subs)))
@@ -356,20 +366,20 @@ class SmallGroup:
 
         def per_row(rr, vals, rows):  # [(value, count), ...] per row, by value
             base = int(vals.max()) + 1
-            u, c = np.unique(rr * base + vals, return_counts=True)
-            out = [[] for _ in range(rows)]
-            for code, cnt in zip(u.tolist(), c.tolist()):
+            c = np.bincount(rr * base + vals)
+            u, out = c.nonzero()[0], [[] for _ in range(rows)]
+            for code, cnt in zip(u.tolist(), c[u].tolist()):
                 out[code // base].append((code % base, cnt))
             return out
 
         out = []
-        for r0, cent in zip(range(0, count, R), cents):
+        for r0, ((rr, xx), cent) in zip(range(0, count, R), cents):
             batch = subs[r0:min(r0 + R, count)]
-            (rr, xx), Dm = members(batch), np.zeros((len(batch), n), bool)
+            Dm = np.zeros((len(batch), n), bool)
             Dm[members([subs[link[r]] for r in range(r0, r0 + len(batch))])] = True
             first = np.zeros(len(rr), np.int64)
-            for k, pk in powers:
-                first[Dm[rr, pk[xx]] & (first == 0)] = k
+            for k in [k for k in range(1, len(S)) if n % k == 0]:
+                first[Dm[rr, S[k, xx]] & (first == 0)] = k
             codes, at = np.unique(orders[xx] * (n + 1) + np.array([len(s) for s in batch])[rr] // cent,
                                   return_inverse=True)
             pairs = [divmod(v, n + 1) for v in codes.tolist()]  # (order, class size), one tuple each
@@ -612,21 +622,22 @@ def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGRO
 
 
 def _cyclic_extension(G: SmallGroup, subs: dict, add):
-    """The layers of cyclic extension from the trivial group, through add."""
-    cols = G.table()
-    n, e = G.n, G.identity
-    # (x, p, x^p, x^-1) for every x of order p^a > 1
-    extenders = []
-    for x in range(n):
-        cx = cols[x]
-        powers = [x]  # x^1 .. x^order
-        while powers[-1] != e:
-            powers.append(cx[powers[-1]])
-        if len(powers) > 1:
-            factors = arith.factorize(len(powers))
-            if len(factors) == 1:
-                p = factors[0][0]
-                extenders.append((x, p, powers[p - 1], powers[-2]))
+    """The layers of cyclic extension from the trivial group, through add.
+
+    V's extenders, the x of order p^a > 1 with x not in V, x^p in V and
+    x^-1 g x in V for each generator g of V, are one mask ANDed from C-level
+    gathers of V's membership bytes, each generator's conjugates made once."""
+    cols, (orders, inverse, S) = G.table(), G._walk
+    n, e, ords, inv = G.n, G.identity, orders.tolist(), inverse.tolist()
+    prime = {o: f[0][0] for o in set(ords) if len(f := arith.factorize(o)) == 1}
+    ext = [x for x in range(n) if ords[x] in prime]
+
+    def gather(images):  # two trailing identities keep itemgetter's result a tuple
+        get = operator.itemgetter(*images, e, e)
+        return lambda in_v: int.from_bytes(bytes(get(in_v)), "little")
+
+    inside, pth = gather(ext), gather(S[[prime[ords[x]] for x in ext], ext].tolist())
+    conj = {}  # generator g -> the gather at x^-1 g x for each extender x
 
     add((e,), ())
     layer = [((e,), ())]
@@ -636,22 +647,21 @@ def _cyclic_extension(G: SmallGroup, subs: dict, add):
             in_v = bytearray(n)
             for v in V:
                 in_v[v] = 1
+            ok = pth(in_v) & ~inside(in_v)
+            for g in gens:
+                if g not in conj:
+                    conj[g] = gather([cols[x][cols[g][inv[x]]] for x in ext])
+                ok &= conj[g](in_v)
             covered = bytearray(in_v)
-            gcols = [cols[g] for g in gens]
-            for x, p, xp, xinv in extenders:
-                if covered[x] or not in_v[xp]:
-                    continue
-                cx = cols[x]
-                if any(not in_v[cx[gc[xinv]]] for gc in gcols):  # some x^-1 g x not in V
+            for x in itertools.compress(ext, ok.to_bytes(len(ext) + 2, "little")):
+                if covered[x]:
                     continue
                 mask = bytearray(in_v)
-                coset_rep = x
-                for _ in range(1, p):
-                    cy = cols[coset_rep]
+                for k in range(1, prime[ords[x]]):
+                    cy = cols[S[k, x]]
                     for v in V:
                         w = cy[v]
                         mask[w] = covered[w] = 1
-                    coset_rep = cx[coset_rep]
                 W = tuple(itertools.compress(range(n), mask))
                 if W in subs:
                     continue

@@ -3,11 +3,12 @@
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kinderlab import nursery
+from kinderlab import nursery, twisted
 from kinderlab import smallgrp as sg
 from kinderlab.errors import CapExceededError, PropertyViolationError
 from kinderlab.gf import make_field
@@ -212,6 +213,54 @@ def _census_kind():
     nur = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
     v = next(enumerate_superspaces(Subspace.zero(F2, nur.rdim), 2))
     return nursery.kind_from_subspace(nur, v, relaxed=True).group()
+
+
+WALK_GROUPS = {
+    "C8xC27": sg.direct_product(sg.cyclic_group(8), sg.cyclic_group(27)),  # an element of order 216
+    "Sym3^3": sg.direct_product(sg.symmetric_group(3),
+                                sg.direct_product(sg.symmetric_group(3), sg.symmetric_group(3))),
+    "kind": _census_kind(),  # its table given as an array (`check_law_table`)
+}
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(WALK_GROUPS)), seed=st.integers(0, 2**32))
+def test_power_walk_equals_repeated_products(name, seed):
+    G0 = WALK_GROUPS[name]
+    perm = list(range(G0.n))
+    random.Random(seed).shuffle(perm)
+    labels = [G0.labels[i] for i in perm]
+    table = None
+    if name == "kind":  # the kind's array on the new label order, as a family hands it over
+        table = np.argsort(perm)[G0._T[np.ix_(perm, perm)]].astype(np.int16)
+    G = sg.SmallGroup(labels, G0._mul_label, columns=table)
+    ref = sg.SmallGroup(labels, G0._mul_label)  # no table: every product a label product
+    orders, inverses, S = G._walk
+    assert table is None or G._T is table  # kept as given
+    for x in range(G.n):
+        powers = [ref.identity, x]  # x^0, x^1, ... up to x^order = e
+        while powers[-1] != ref.identity:
+            powers.append(ref.mul_idx(powers[-1], x))
+        order = len(powers) - 1
+        assert orders[x] == order == G.order_of(x)
+        assert inverses[x] == powers[-2] == G.inverse_idx(x)
+        assert all(S[k, x] == powers[k % order] for k in range(len(S)))
+    assert len(S) - 1 == G0.exponent() == max(orders)
+    assert ref._T is None
+
+
+def test_order_and_inverse_above_the_table_cap_stay_lazy():
+    G = twisted.b2_build(make_field(2, 3)).group()
+    assert G.n == 4096 > sg.SUBGROUP_ORDER_CAP
+    for i in range(0, G.n, 97):
+        assert G.mul_idx(i, G.inverse_idx(i)) == G.identity
+        x, k = i, 1
+        while x != G.identity:
+            x, k = G.mul_idx(x, i), k + 1
+        assert G.order_of(i) == k
+    assert G._T is None and "_walk" not in vars(G)
+    with pytest.raises(CapExceededError):
+        G._walk
 
 
 ISO_GROUPS = {
