@@ -47,9 +47,6 @@ class GammaK:
     def weight(self, label) -> int:
         return sum(self.sign(label))
 
-    def quotient(self) -> smallgrp.SmallGroup:
-        return self.group.quotient(self.gamma2_idx)
-
     def __repr__(self):
         return "GammaK(k=%d, order %d)" % (self.k, self.group.n)
 

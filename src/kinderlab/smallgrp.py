@@ -20,7 +20,13 @@ solvable.
 Invariants (element orders, class sizes, centre, derived series,
 abelianisation) come from one numpy pass over the array for any number of
 subgroups: `sigma_counts` runs it once for the whole lattice, and a lone
-group's `fingerprint` is the same pass over [G].
+group's `fingerprint` is the same pass over [G].  It forms no |H|^2
+products: H' is generated by the [x, g], x in H and g in a generating set
+of H (their subgroup N is normal, as [x, g]^h = [xh, g][h, g]^-1, and H/N
+is abelian, as every generator is central in it).  The lattice records the
+generators it extends by for each subgroup; any other subset is generated
+by its own members.  Centraliser orders are one float32 product of the
+membership rows with the commuting mask.
 
 The isomorphism test is a backtracking search over generator images, pruned
 by element invariants, with the homomorphism property enforced incrementally
@@ -37,7 +43,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -63,11 +68,11 @@ class SmallGroup:
 
     `columns`, when given, is the complete table on this label order, an
     [n, n] int16 array (columns[j][i] is the index of i*j) kept as the
-    group's own: `subgroup` restricts it from a parent, and a family with an
-    integer encoding evaluates its law on every pair at once
-    (`check_law_table`).  Whoever builds it checks it.  The identity is read
-    from its diagonal, and orders and inverses from its power walk (`_walk`);
-    without a complete table they are found one product at a time.
+    group's own: a family with an integer encoding evaluates its law on
+    every pair at once (`check_law_table`).  Whoever builds it checks it.
+    The identity is read from its diagonal, and orders and inverses from its
+    power walk (`_walk`); without a complete table they are found one
+    product at a time.
     """
 
     def __init__(self, labels, mul, name=None, columns=None):
@@ -86,6 +91,7 @@ class SmallGroup:
         self._elem_inv = None
         self._gens = None
         self._fp = None
+        self._sub_gens = {}  # subgroup (sorted index tuple) -> generators, from all_subgroups
         if columns is not None:
             idempotents = [i for i in range(self.n) if self._cols[i][i] == i]
         else:
@@ -260,40 +266,6 @@ class SmallGroup:
     def derived_series_orders(self) -> tuple:
         return self.fingerprint().derived_orders
 
-    def subgroup(self, idx_subset) -> "SmallGroup":
-        """The subgroup on the given indices, in that order.
-
-        With a complete table here, the subgroup's table is its restriction.
-        """
-        labs = [self.labels[i] for i in idx_subset]
-        if self._T is None:
-            return SmallGroup(labs, self._mul_label)
-        pos = np.full(self.n, -1, np.int16)
-        pos[list(idx_subset)] = range(len(labs))
-        cols = pos[self._T[np.ix_(idx_subset, idx_subset)]]
-        if (cols < 0).any():
-            raise InvalidConfigError("subset is not closed under the group law")
-        return SmallGroup(labs, self._mul_label, columns=cols)
-
-    def quotient(self, normal_idx) -> "SmallGroup":
-        """Quotient by a normal subgroup given as an index collection."""
-        nset = set(normal_idx)
-        coset_of = {}
-        reps = []
-        for i in range(self.n):
-            if i in coset_of:
-                continue
-            members = sorted(self.mul_idx(i, k) for k in nset)
-            rep = members[0]
-            reps.append(rep)
-            for m in members:
-                if m in coset_of and coset_of[m] != rep:
-                    raise InvalidConfigError("subset is not normal")
-                coset_of[m] = rep
-        def qmul(a, b):
-            return coset_of[self.mul_idx(a, b)]
-        return SmallGroup(sorted(reps), qmul)
-
     def is_abelian(self) -> bool:
         return self.fingerprint().center_order == self.n
 
@@ -318,49 +290,43 @@ class SmallGroup:
         """(IsoFingerprint, [(order, class size) per member]) of each subgroup.
 
         One numpy pass over the group's array T, T[j, i] = i*j, and its power
-        walk serves all the subgroups (sorted index tuples).  A self-join of
-        H's members gives the commutators [i, j] = (ji)^-1 ij and |C_H(j)| =
-        #{i : ij = ji}; j's class has |H| / |C_H(j)| elements, 1 in Z(H).  H'
-        is looked up among the subgroups, or closed by squaring and appended
-        so that its own H' follows.  xH' has order the least k >= 1 with x^k
-        in H', a divisor of n.  Batches hold about _BATCH_CELLS entries (a
-        squaring, |H'|^2).
+        walk serves all the subgroups (sorted index tuples).  H' is the
+        subgroup N that `_commutator_rows`' [x, g], g in a generating set of
+        H, generate: N is normal, as [x, g]^h = [xh, g][h, g]^-1, and H/N is
+        abelian, as each g is central in it.  The row is squared until it is
+        one of the subgroups or closed, and then appended, so that its own H'
+        follows.  |C_H(x)| is one float32 product (exact below 2^24) of the
+        membership rows with the commuting mask T == T^T; x's class has
+        |H| / |C_H(x)| elements, 1 in Z(H).  xH' has order the least k with
+        x^k in H'.  Batches hold _BATCH_CELLS // n subgroups.
         """
         n, R = self.n, max(1, _BATCH_CELLS // self.n)
-        (orders, inv, S), T = self._walk, self._T
-
-        def members(batch):  # (row, element) of every member, in order
-            rr = np.repeat(np.arange(len(batch)), [len(s) for s in batch])
-            return rr, np.fromiter(itertools.chain.from_iterable(batch), np.int64, len(rr))
-
+        (orders, _, S), T, flat = self._walk, self._T, self._T.ravel()  # p*q = flat[q*n + p]
+        ks = np.array([k for k in range(1, len(S)) if (len(S) - 1) % k == 0])  # divisors of the exponent
         subs = [tuple(s) for s in subsets]
-        count, index, link, cents = len(subs), {s: r for r, s in enumerate(subs)}, [], []
+        count, index, link, derived = len(subs), {s: r for r, s in enumerate(subs)}, [], []
         while len(link) < len(subs):
             end = len(subs)
             for r0 in range(len(link), end, R):
-                batch, by_size = subs[r0:min(r0 + R, end)], {}
-                for r, s in enumerate(batch):
-                    by_size.setdefault(len(s), []).append(r)
-                D, cent = np.zeros((len(batch), n), bool), np.zeros((len(batch), n), np.int16)
-                for m, rs in by_size.items():
-                    H, rs = np.array([batch[r] for r in rs]), np.array(rs)
-                    step, width = max(1, _BATCH_CELLS // (m * m)), min(m, max(1, _BATCH_CELLS // m))
-                    for b0 in range(0, len(rs), step):
-                        J, at = H[b0:b0 + step, None, :], rs[b0:b0 + step, None]
-                        for i0 in range(0, m, width):
-                            I = H[b0:b0 + step, i0:i0 + width, None]
-                            ij, ji = T[J, I], T[I, J]  # p*q = T[q, p]
-                            D[at[..., None], T[ij, inv[ji]]] = True
-                            cent[at, J[:, 0]] += (ij == ji).sum(axis=1, dtype=np.int16)
-                cents.append(((mem := members(batch)), cent[mem]))
-                for row in D:
-                    X = row.nonzero()[0]
-                    while (key := tuple(X.tolist())) not in index and len(Y := np.unique(T[np.ix_(X, X)])) > len(X):
-                        X = Y
+                D = _commutator_rows(self, subs[r0:min(r0 + R, end)])
+                derived.append(D)  # its rows become H' below, squared in place
+                rows, cols = D.nonzero()
+                cut, keys, cols = np.bincount(rows, minlength=len(D)).cumsum().tolist(), cols.tolist(), \
+                    cols.astype(np.int32)
+                for Y, a, b in zip(D, [0] + cut, cut):
+                    X, key = cols[a:b], tuple(keys[a:b])
+                    while key not in index:  # not a subgroup yet: square it, in D's row
+                        for i in range(0, len(X), w := max(1, _BATCH_CELLS // len(X))):
+                            Y[flat[X[i:i + w, None] * n + X]] = True
+                        if Y.sum() == len(X):
+                            break
+                        X = Y.nonzero()[0].astype(np.int32)
+                        key = tuple(X.tolist())
                     link.append(index.setdefault(key, len(subs)))
                     if link[-1] == len(subs):
                         subs.append(key)
 
+        @functools.cache
         def series(r):  # |H|, |H'|, ... until H^(k+1) = H^(k)
             return (len(subs[r]),) + (series(link[r]) if len(subs[link[r]]) < len(subs[r]) else ())
 
@@ -373,17 +339,18 @@ class SmallGroup:
             return out
 
         out = []
-        for r0, ((rr, xx), cent) in zip(range(0, count, R), cents):
-            batch = subs[r0:min(r0 + R, count)]
-            Dm = np.zeros((len(batch), n), bool)
-            Dm[members([subs[link[r]] for r in range(r0, r0 + len(batch))])] = True
-            first = np.zeros(len(rr), np.int64)
-            for k in [k for k in range(1, len(S)) if n % k == 0]:
-                first[Dm[rr, S[k, xx]] & (first == 0)] = k
-            codes, at = np.unique(orders[xx] * (n + 1) + np.array([len(s) for s in batch])[rr] // cent,
-                                  return_inverse=True)
+        for r0, in_d in zip(range(0, count, R), derived):
+            batch = subs[r0:r0 + len(in_d)]
+            sizes = np.array([len(s) for s in batch])
+            rr = np.repeat(np.arange(len(batch)), sizes)
+            xx = np.fromiter(itertools.chain.from_iterable(batch), np.int32, len(rr))
+            M = np.zeros((len(batch), n), np.float32)
+            M[rr, xx] = 1
+            cent = (M @ (T == T.T).astype(np.float32))[rr, xx].astype(np.int64)  # |C_H(x)|
+            first = ks[in_d[rr[:, None], S[ks][:, xx].T].argmax(axis=1)]  # the order of xH'
+            codes, at = np.unique(orders[xx] * (n + 1) + sizes[rr] // cent, return_inverse=True)
             pairs = [divmod(v, n + 1) for v in codes.tolist()]  # (order, class size), one tuple each
-            flat, off = [pairs[i] for i in at.tolist()], 0
+            each, off = [pairs[i] for i in at.tolist()], 0
             for r, hist, profile, ab in zip(range(r0, r0 + len(batch)), *(
                     per_row(rr, v, len(batch)) for v in (orders[xx], at, first))):
                 m, profile = len(subs[r]), tuple((pairs[v], c) for v, c in profile)
@@ -392,7 +359,7 @@ class SmallGroup:
                     center_order=sum(c for (_, z), c in profile if z == 1),
                     abelian_hist=tuple((v, c // len(subs[link[r]])) for v, c in ab),
                     exponent=math.lcm(*(o for o, _ in hist)), class_profile=profile,
-                ), flat[off:off + m]))
+                ), each[off:off + m]))
                 off += m
         return out
 
@@ -400,8 +367,35 @@ class SmallGroup:
         return "SmallGroup(n=%d%s)" % (self.n, ", %s" % self.name if self.name else "")
 
 
-@dataclass(frozen=True)
-class IsoFingerprint:
+def _commutator_rows(G: SmallGroup, batch) -> np.ndarray:
+    """A membership row per subgroup H in batch (sorted index tuples) of e and
+    every [x, g] = x^-1 g^-1 x g, x in H and g in H's generators: those
+    `all_subgroups` recorded, or else H's members.  Rows of one size and
+    generator count are gathered together, at most _BATCH_CELLS pairs at once."""
+    n, flat, inv = G.n, G._T.ravel(), G._walk[1].astype(np.int32)  # p*q = flat[q*n + p]
+    D, by_shape = np.zeros((len(batch), n), bool), {}
+    D[:, G.identity] = True
+    for r, s in enumerate(batch):
+        if g := G._sub_gens.get(s, s):
+            for part, v in zip(by_shape.setdefault((len(s), len(g)), ([], [], [])), (r, s, g)):
+                part.append(v)
+    for (m, k), (rs, H, X) in by_shape.items():
+        rs, H, X = np.array(rs), np.array(H, np.int32), np.array(X, np.int32)
+        step, width = max(1, _BATCH_CELLS // (m * k)), min(m, max(1, _BATCH_CELLS // k))
+        for b0 in range(0, len(rs), step):
+            g, at = X[b0:b0 + step, :, None], rs[b0:b0 + step, None, None]
+            ig, gn = inv[g], g * n
+            for i0 in range(0, m, width):
+                x = H[b0:b0 + step, None, i0:i0 + width]
+                c = x * n + ig  # at g^-1 x
+                np.add(gn, flat[c], out=c)  # at g^-1 x g
+                np.multiply(flat[c], n, out=c, dtype=np.int32)
+                c += inv[x]
+                D[at, flat[c]] = True  # x^-1 g^-1 x g = [x, g]
+    return D
+
+
+class IsoFingerprint(NamedTuple):
     order: int
     order_hist: tuple
     center_order: int
@@ -604,6 +598,8 @@ def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGRO
     non-solvable subgroups are missing, and joins with the cyclic
     subgroups, from everything found, complete the lattice.  Either way the
     p-subgroup counts must obey Frobenius and Sylow (`_require_p_counts`).
+    The generators each subgroup was found from are kept on G, for
+    `subset_invariants`.
     """
     if G.n > cap_order:
         raise CapExceededError("group order %d over enumeration cap %d" % (G.n, cap_order))
@@ -618,6 +614,7 @@ def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGRO
     if tuple(range(G.n)) not in subs:
         _join_completion(G, subs, add)
     _require_p_counts(G.n, subs)
+    G._sub_gens = subs
     return sorted(subs, key=lambda t: (len(t), t))
 
 

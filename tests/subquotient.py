@@ -1,0 +1,53 @@
+"""Subgroups and quotients as SmallGroups of their own, for the tests.
+
+The library classifies subgroups on their parent's table and never builds
+either; the tests use them as references: a subgroup's fingerprint on its
+own restricted table, and an abelianisation read off an explicit quotient.
+"""
+
+import numpy as np
+
+from kinderlab.errors import InvalidConfigError
+from kinderlab.smallgrp import SmallGroup
+
+
+def subgroup(G: SmallGroup, idx_subset) -> SmallGroup:
+    """The subgroup of G on the given indices, in that order.
+
+    With a complete table on G, the subgroup's table is its restriction.
+    """
+    labs = [G.labels[i] for i in idx_subset]
+    if G._T is None:
+        return SmallGroup(labs, G._mul_label)
+    pos = np.full(G.n, -1, np.int16)
+    pos[list(idx_subset)] = range(len(labs))
+    cols = pos[G._T[np.ix_(idx_subset, idx_subset)]]
+    if (cols < 0).any():
+        raise InvalidConfigError("subset is not closed under the group law")
+    return SmallGroup(labs, G._mul_label, columns=cols)
+
+
+def quotient(G: SmallGroup, normal_idx) -> SmallGroup:
+    """G modulo a normal subgroup given as an index collection."""
+    nset = set(normal_idx)
+    coset_of = {}
+    reps = []
+    for i in range(G.n):
+        if i in coset_of:
+            continue
+        members = sorted(G.mul_idx(i, k) for k in nset)
+        rep = members[0]
+        reps.append(rep)
+        for m in members:
+            if m in coset_of and coset_of[m] != rep:
+                raise InvalidConfigError("subset is not normal")
+            coset_of[m] = rep
+
+    def qmul(a, b):
+        return coset_of[G.mul_idx(a, b)]
+    return SmallGroup(sorted(reps), qmul)
+
+
+def gamma_quotient(gamma) -> SmallGroup:
+    """(Sym_3)^k modulo its odd-order normal subgroup, of an `altcodes.GammaK`."""
+    return quotient(gamma.group, gamma.gamma2_idx)

@@ -10,13 +10,17 @@ group's own products.
 
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kinderlab import nursery
 from kinderlab import smallgrp as sg
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_superspaces
+from subquotient import quotient, subgroup
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -86,14 +90,14 @@ def reference_fingerprint(G):
         d = derived_subgroup(current)
         if len(d) == current.n:
             break
-        current = current.subgroup(d)
+        current = subgroup(current, d)
         series.append(current.n)
         if current.n == 1:
             break
     orders = [order(G, i) for i in range(G.n)]
     gens = G.generating_set()
     center = [i for i in range(G.n) if all(G.mul_idx(i, g) == G.mul_idx(g, i) for g in gens)]
-    ab = G.quotient(derived_subgroup(G))
+    ab = quotient(G, derived_subgroup(G))
     return sg.IsoFingerprint(
         order=G.n,
         order_hist=_hist(orders),
@@ -135,7 +139,7 @@ def test_lattice_batch_matches_reference(name):
     batch = G.subset_invariants(subs)
     assert len(batch) == len(subs)
     for s, (fp, inv) in zip(subs, batch):
-        H = G.subgroup(s)  # a fresh restriction, without the batch's invariants
+        H = subgroup(G, s)  # a fresh restriction, without the batch's invariants
         assert inv == element_invariants(H)
         assert fp == reference_fingerprint(H)
 
@@ -158,7 +162,7 @@ def test_census_kinder_match_reference():
     assert len(spaces) == 35
     for v in spaces:
         G = nursery.kind_from_subspace(nur, v, relaxed=True).group()
-        ref = G.subgroup(range(G.n))
+        ref = subgroup(G, range(G.n))
         assert G.fingerprint() == reference_fingerprint(ref)
         assert [G.element_invariant(i) for i in range(G.n)] == element_invariants(ref)
 
@@ -169,7 +173,7 @@ def test_lone_fingerprint_equals_lattice_entry(name):
     subs = sg.all_subgroups(G)
     batch = G.subset_invariants(subs)
     for k in range(0, len(subs), 7):
-        H = G.subgroup(subs[k])
+        H = subgroup(G, subs[k])
         assert (H.fingerprint(), [H.element_invariant(i) for i in range(H.n)]) == batch[k]
     assert batch[-1] == (G.fingerprint(), [G.element_invariant(i) for i in range(G.n)])
 
@@ -182,3 +186,55 @@ def test_batches_of_any_size_agree(monkeypatch):
     monkeypatch.setattr(sg, "_BATCH_CELLS", 50)
     assert G.subset_invariants(subs) == whole
     assert G.subset_invariants([range(G.n)]) == whole[-1:]
+
+
+@pytest.mark.parametrize("name, cells", [
+    ("Sym3^2", 80),  # two subgroups a batch, and two of one shape split between gathers
+    ("Alt5", 30),  # squarings of large commutator sets, a few rows of them at a time
+])
+def test_batches_split_rows_and_squarings(monkeypatch, name, cells):
+    G = relabelled(LATTICE[name](), 5)
+    subs = sg.all_subgroups(G)
+    whole = G.subset_invariants(subs)
+    monkeypatch.setattr(sg, "_BATCH_CELLS", cells)
+    assert G.subset_invariants(subs) == whole
+    assert G.subset_invariants([range(G.n)]) == whole[-1:]
+
+
+@pytest.mark.parametrize("cells", [7, 1 << 20])
+def test_commutator_rows_in_chunks_of_any_size(monkeypatch, cells):
+    # each row holds e and every [x, g], x in H, g in H's recorded generators or else its members
+    monkeypatch.setattr(sg, "_BATCH_CELLS", cells)
+    for name in ["Sym3^2", "D4xC27"]:
+        G, bare = relabelled(LATTICE[name](), 5), relabelled(LATTICE[name](), 5)  # bare: none recorded
+        subs = sg.all_subgroups(G)
+        bare.table()
+        for H, batch in [(G, subs), (bare, subs[::5])]:
+            rows = sg._commutator_rows(H, batch)
+            for row, s in zip(rows, batch):
+                gens = H._sub_gens.get(s, s)
+                want = {H.identity} | {H.commutator_idx(x, g) for x in s for g in gens}
+                assert set(row.nonzero()[0].tolist()) == want
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["UT3(F3)", "D4", "C8xC27", "Sym3^2", "D4xC27"]), seed=st.integers(0, 2**32))
+def test_recorded_generators_give_the_invariants_of_the_members(name, seed):
+    G = relabelled(LATTICE[name](), seed)
+    subs = sg.all_subgroups(G)
+    fresh = relabelled(LATTICE[name](), seed)  # nothing recorded: each subset generates itself
+    assert G._sub_gens and not fresh._sub_gens
+    assert G.subset_invariants(subs) == fresh.subset_invariants(subs)
+
+
+def test_lone_fingerprint_memory_is_chunked():
+    # a lone group has no recorded generators, so its commutators take n^2 pairs
+    G = relabelled(sg.direct_product(sg.dihedral_group(4), sg.cyclic_group(125)), 3)
+    G.table(), G._walk
+    tracemalloc.start()
+    try:
+        G.fingerprint()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.n == 1000 and peak <= 10 * 2**20

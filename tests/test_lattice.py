@@ -18,6 +18,7 @@ from kinderlab import arith
 from kinderlab import smallgrp as sg
 from kinderlab.errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
+from subquotient import subgroup
 
 
 def join_lattice(G):
@@ -149,12 +150,12 @@ def test_restricted_tables_equal_label_products():
     G = relabelled(GROUPS["Sym4"], 11)
     G.table()
     for sub in sg.all_subgroups(G):
-        H = G.subgroup(sub)
+        H = subgroup(G, sub)
         fresh = sg.SmallGroup(H.labels, G._mul_label)
         assert H.identity == fresh.identity
         assert H.table() == fresh.table()
     with pytest.raises(InvalidConfigError):
-        G.subgroup([G.identity, next(i for i in range(G.n) if G.order_of(i) == 3)])
+        subgroup(G, [G.identity, next(i for i in range(G.n) if G.order_of(i) == 3)])
 
 
 def test_table_completes_lazy_columns():
@@ -253,3 +254,12 @@ def test_extension_by_masks_matches_the_scan_on_sym3_cubed():
     # one fixed relabelling: 904 subgroups, of which the scan tests 80,456 (extender, V) pairs
     s3 = sg.symmetric_group(3)
     _extension_matches_the_scan(relabelled(sg.direct_product(s3, sg.direct_product(s3, s3)), 29))
+
+
+@pytest.mark.parametrize("name", ["Alt5", "Sym4", "D4xC27", "Sym3^2"])
+def test_recorded_generators_generate_their_subgroups(name):
+    # all_subgroups keeps each subgroup's generators on G, for subset_invariants
+    G = relabelled(EXTENSION_GROUPS[name], 17)
+    subs = sg.all_subgroups(G)
+    assert sorted(G._sub_gens, key=lambda t: (len(t), t)) == subs
+    assert all(G.closure_idx(G._sub_gens[sub]) == sub for sub in subs)

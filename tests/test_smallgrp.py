@@ -13,6 +13,7 @@ from kinderlab import smallgrp as sg
 from kinderlab.errors import CapExceededError, PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_superspaces, gaussian_binomial
+from subquotient import quotient, subgroup
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -132,12 +133,12 @@ def test_quotient():
         and all(S4.order_of(i) <= 2 for i in t)
         and all(S4.conjugate_idx(x, g) in t for x in t for g in range(S4.n))
     )
-    Q = S4.quotient(v4)
+    Q = quotient(S4, v4)
     assert Q.n == 6
     assert sg.find_isomorphism(Q, sg.symmetric_group(3)) is not None
 
     D4 = sg.dihedral_group(4)
-    QD = D4.quotient(D4.center_idx())
+    QD = quotient(D4, D4.center_idx())
     assert QD.n == 4 and QD.exponent() == 2
 
 
@@ -157,7 +158,7 @@ def test_closure_and_subgroup():
     r = next(i for i in range(G.n) if G.order_of(i) == 5)
     cyc = G.closure_idx([r])
     assert len(cyc) == 5
-    H = G.subgroup(cyc)
+    H = subgroup(G, cyc)
     assert H.n == 5 and H.is_abelian()
 
 
@@ -325,7 +326,7 @@ def _reference_sigma(G):
     and `iso_classes` on those groups (fingerprints and searches on each
     subgroup's own table)."""
     subs = sg.all_subgroups(G)
-    classes, _ = sg.iso_classes([G.subgroup(s) for s in subs])
+    classes, _ = sg.iso_classes([subgroup(G, s) for s in subs])
     return (len(subs), len(classes)), classes
 
 
