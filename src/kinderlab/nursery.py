@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import smallgrp
-from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, require
+from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, need, require
 from .gf import FieldCtx, make_field
 from .linalg import (
     CoordSolver,
@@ -524,13 +524,13 @@ def _gl_order(nn: int, q: int) -> int:
 def bound_log(formula: str, **params) -> float:
     """Exact base-p exponents of the counting bounds, clamped at 0."""
     if formula == "nursery_count":
-        r, ell, s, m, t = (params[k] for k in ("r", "ell", "s", "m", "t"))
+        r, ell, s, m, t = need(params, "r", "ell", "s", "m", "t")
         return float(max(0, (ell - s) * (r - ell) - ell * s - m * t))
     if formula == "coro_ud_lower":
-        a, e, ell = (params[k] for k in ("a", "e", "ell"))
+        a, e, ell = need(params, "a", "e", "ell")
         return float(max(0, (ell - 3) * (a * a * e - ell) - 3 * ell - a * a * e))
     if formula == "orbit_upper":
-        a, b, c, e, p = (params[k] for k in ("a", "b", "c", "e", "p"))
+        a, b, c, e, p = need(params, "a", "b", "c", "e", "p")
         if min(a, b, c, e) < 1:
             raise InvalidConfigError("block sizes and degree must be positive")
         q = p**e
@@ -572,7 +572,8 @@ def census(nursery: ModuleNursery, ell: int, relaxed=False, max_kinder=4096,
 
     Strict mode anchors the kinder to contain S and checks the class count
     against the clamped counting bound; relaxed mode runs over all
-    subspaces, where the bound has no claim.
+    subspaces, where the bound has no claim.  Each kind is built and
+    classified in turn; its group is kept only if it represents its class.
     """
     base = Subspace.zero(nursery.ctx, nursery.rdim) if relaxed else nursery.s_subspace()
     if ell < base.dim or ell > nursery.rdim:
@@ -586,15 +587,18 @@ def census(nursery: ModuleNursery, ell: int, relaxed=False, max_kinder=4096,
 
     spaces = list(enumerate_superspaces(base, ell))
     require(len(spaces) == total, "enumerated %d kinder, expected %d" % (len(spaces), total))
-    groups = [kind_from_subspace(nursery, v, relaxed=relaxed).group(cap=max_order) for v in spaces]
-    classes, _ = smallgrp.iso_classes(groups)
+    fps = []
+    def group(v):
+        G = kind_from_subspace(nursery, v, relaxed=relaxed).group(cap=max_order)
+        fps.append(G.fingerprint())
+        return G
+    classes, _ = smallgrp.iso_classes(map(group, spaces))
     table = []
     for members in classes:
-        rep = members[0]
-        fp = groups[rep].fingerprint()
+        fp, basis = fps[members[0]], spaces[members[0]].basis
         table.append({"members": len(members), "order": fp.order, "exponent": fp.exponent,
                       "center_order": fp.center_order, "derived_orders": list(fp.derived_orders),
-                      "representative_basis": [list(row) for row in spaces[rep].basis]})
+                      "representative_basis": [list(row) for row in basis]})
 
     bound = None
     if not relaxed:
@@ -722,11 +726,11 @@ def _unitary_kind(p: int, e: int) -> ModuleNursery:
 def make_nursery(kind: str, **params) -> ModuleNursery:
     """Stock nurseries: matrix(a, c, ctx), unitary(p, e), b2_odd(ctx), ree_small(e)."""
     if kind == "matrix":
-        return _matrix_kind(params["a"], params["c"], params["ctx"])
+        return _matrix_kind(*need(params, "a", "c", "ctx"))
     if kind == "unitary":
-        return _unitary_kind(params["p"], params["e"])
+        return _unitary_kind(*need(params, "p", "e"))
     if kind == "b2_odd":
-        return _b2_odd_kind(params["ctx"])
+        return _b2_odd_kind(*need(params, "ctx"))
     if kind == "ree_small":
-        return _ree_small_kind(params["e"])
+        return _ree_small_kind(*need(params, "e"))
     raise InvalidConfigError("unknown nursery kind %r" % kind)

@@ -3,13 +3,13 @@ isomorphism-class census tooling.
 
 A SmallGroup wraps an explicit element list plus a multiplication callable on
 labels.  Everything downstream works on integer indices.  Products are kept
-in one column-major table: column j holds i*j for every i.  By default the
-columns fill lazily, one product at a time, so a group of 2^14 elements that
-is only ever multiplied by a few generators never pays for n^2 products.
-`table()` completes every column (groups up to SUBGROUP_ORDER_CAP only) as
-one int16 [n, n] array, whose rows the Python paths read as lists; the
-subgroup lattice needs it, and `sigma_counts` classifies every subgroup on
-it, each kept as its sorted index tuple, without a SmallGroup of its own.
+in one column-major table: column j holds i*j for every i.  `table()`
+completes it (groups up to SUBGROUP_ORDER_CAP only) as one int16 [n, n]
+array, the one complete table a group holds; the Python paths read its
+columns as lists made on first use (`_column`).  Without it the columns fill
+lazily, one product at a time, so a group of 2^14 elements that is only ever
+multiplied by a few generators never pays for n^2 products.  `sigma_counts`
+classifies every subgroup on the array, each kept as its sorted index tuple.
 One power walk over the array gives every element's order, inverse and
 powers, for `order_of`, `inverse_idx`, the invariants and the lattice.
 
@@ -57,10 +57,9 @@ _ISO_NODE_BUDGET = 5 * 10**6
 _BATCH_CELLS = 1 << 20
 
 
-def _lists(T) -> list:
-    """T's rows as lists, sharing the int objects of range(n) above 256, up to
-    which CPython shares them: tolist() makes one per entry, 4.5x the memory."""
-    return (T if len(T) <= 257 else np.array(range(len(T)), dtype=object)[T]).tolist()
+# the int objects of range(n), which columns share above 256 (CPython shares
+# those up to 256): tolist() makes one per entry, 4.5x the memory
+_INTS = np.array(range(SUBGROUP_ORDER_CAP), dtype=object)
 
 
 class SmallGroup:
@@ -72,7 +71,8 @@ class SmallGroup:
     every pair at once (`check_law_table`).  Whoever builds it checks it.
     The identity is read from its diagonal, and orders and inverses from its
     power walk (`_walk`); without a complete table they are found one
-    product at a time.
+    product at a time.  Either way the Python paths read column j as the
+    list `_column(j)`, made on first use.
     """
 
     def __init__(self, labels, mul, name=None, columns=None):
@@ -84,21 +84,14 @@ class SmallGroup:
             raise InvalidConfigError("duplicate labels")
         self._mul_label = mul
         self._T = None if columns is None else np.asarray(columns, np.int16)
-        # column j: i*j for each i, -1 where not computed yet; None until used
-        self._cols = [None] * self.n if columns is None else _lists(self._T)
-        self._orders = None
-        self._inverses = None
-        self._elem_inv = None
-        self._gens = None
-        self._fp = None
+        # column j as a list: i*j for each i, -1 where not computed yet; None until used
+        self._cols = [None] * self.n
+        self._orders = self._inverses = self._elem_inv = self._gens = self._fp = None
         self._sub_gens = {}  # subgroup (sorted index tuple) -> generators, from all_subgroups
         if columns is not None:
-            idempotents = [i for i in range(self.n) if self._cols[i][i] == i]
-        else:
-            # direct label products: mul_idx here would allocate a column per element
-            idempotents = [
-                i for i, lab in enumerate(self.labels) if self._mul_label(lab, lab) == lab
-            ]
+            idempotents = np.flatnonzero(self._T.diagonal() == np.arange(self.n)).tolist()
+        else:  # direct label products: mul_idx here would allocate a column per element
+            idempotents = [i for i, lab in enumerate(self.labels) if self._mul_label(lab, lab) == lab]
         if len(idempotents) != 1:
             raise InvalidConfigError("element set is not a group (idempotents: %d)" % len(idempotents))
         self.identity = idempotents[0]
@@ -131,36 +124,39 @@ class SmallGroup:
     def mul_idx(self, i: int, j: int) -> int:
         """The index of i*j.
 
-        A product missing from the table is a label product.  It starts a
-        column for j only up to SUBGROUP_ORDER_CAP; above it, one product per
-        element on the right would fill n columns of n entries, so columns are
-        started only by `_column` (closure steps, element orders).
+        It reads column j (`_column`), filling a gap with a label product,
+        but starts the column only up to SUBGROUP_ORDER_CAP: above it, one
+        product per element on the right would fill n columns of n entries,
+        so only closure steps and element orders start columns.
         """
         col = self._cols[j]
+        if col is None and self.n <= SUBGROUP_ORDER_CAP:
+            col = self._column(j)
         if col is not None:
             v = col[i]
             if v >= 0:
                 return v
-        elif self.n <= SUBGROUP_ORDER_CAP:
-            col = self._cols[j] = [-1] * self.n
         v = self._idx[self._mul_label(self.labels[i], self.labels[j])]
         if col is not None:
             col[i] = v
         return v
 
     def _column(self, j: int) -> list:
+        """Column j as a list, made on first use from the table, or all -1."""
         col = self._cols[j]
         if col is None:
-            col = self._cols[j] = [-1] * self.n
+            col = self._cols[j] = [-1] * self.n if self._T is None else (
+                self._T[j] if self.n <= 257 else _INTS[self._T[j]]).tolist()
         return col
 
-    def table(self) -> list:
-        """The complete multiplication table: table()[j][i] is the index of i*j.
+    def table(self) -> np.ndarray:
+        """The complete multiplication table, an int16 [n, n] array T: T[j, i]
+        is the index of i*j.
 
-        Built on first call as the int16 array T, T[j] = table()[j].  Only
-        the columns of a generating set, picked in index order, cost label
-        products; every other is a composition of known ones, T[x*g] =
-        T[g][T[x]], since i*(x*g) = (i*x)*g.
+        Built on first call.  Only the columns of a generating set, picked
+        in index order, cost label products; every other is a composition of
+        known ones, T[x*g] = T[g][T[x]], since i*(x*g) = (i*x)*g.  Columns
+        started before are dropped, to be read from T.
         """
         if self._T is None:
             if self.n > SUBGROUP_ORDER_CAP:
@@ -183,8 +179,8 @@ class SmallGroup:
                             T[g].take(T[x], out=T[y])
                             known[y] = 1
                             queue.append(y)
-            self._T, self._cols = T, _lists(T)
-        return self._cols
+            self._T, self._cols = T, [None] * self.n
+        return self._T
 
     @functools.cached_property
     def _walk(self):
@@ -215,9 +211,7 @@ class SmallGroup:
         if self._orders is None:
             self._orders = [0] * self.n if self._T is None else self._walk[0].tolist()
         if not self._orders[i]:
-            col = self._column(i)
-            k = 1
-            x = i
+            col, k, x = self._column(i), 1, i
             while x != self.identity:
                 y = col[x]
                 x = y if y >= 0 else self.mul_idx(x, i)
@@ -240,13 +234,11 @@ class SmallGroup:
 
     def closure_idx(self, seeds) -> tuple:
         seeds = list(dict.fromkeys(seeds)) or [self.identity]
-        seen = set(seeds)
-        queue = list(seeds)
+        seen, queue = set(seeds), list(seeds)
         steps = [(g, self._column(g)) for g in seeds]
         for x in queue:
             for g, col in steps:
-                y = col[x]
-                if y < 0:
+                if (y := col[x]) < 0:
                     y = self.mul_idx(x, g)
                 if y not in seen:
                     seen.add(y)
@@ -492,20 +484,20 @@ def _search(A: _Members, gens, B: _Members):
     goes to f(x)f(g), a clash or a repeated image undoing the choice.  The
     closure is incremental: members mapped before g was fixed are closed
     under g alone, since they are closed under the earlier generators, and
-    members mapped since then under every fixed generator.  Raises
+    members mapped since then under every fixed generator.  Each choice
+    takes the pair of columns (g in A, its image in B) once.  Raises
     CapExceededError when the search visits _ISO_NODE_BUDGET nodes first.
     """
     wanted = [A.inv[A.members.index(g)] for g in gens]
     candidates = [list(itertools.compress(B.members, map(w.__eq__, B.inv))) for w in wanted]
     if not all(candidates):
         return None
-    TA, TB, eA, eB = A.group.table(), B.group.table(), A.group.identity, B.group.identity
-    gmap, hmap = [-1] * A.group.n, [-1] * B.group.n
+    GA, GB, eA, eB = A.group, B.group, A.group.identity, B.group.identity
+    gmap, hmap = [-1] * GA.n, [-1] * GB.n
     gmap[eA], hmap[eB] = eB, eA
     mapped, budget = [eA], [_ISO_NODE_BUDGET]
 
-    def close(depth: int, start: int) -> bool:  # mapped[:start] is closed under gens[:depth]
-        active = [(TA[g], TB[gmap[g]]) for g in gens[:depth + 1]]
+    def close(active, start: int) -> bool:  # mapped[:start] is closed under all but the last
         newest, qi = active[-1:], 0
         while qi < len(mapped):
             x = mapped[qi]
@@ -528,11 +520,11 @@ def _search(A: _Members, gens, B: _Members):
             gmap[y] = -1
         del mapped[start:]
 
-    def dfs(depth: int) -> bool:
+    def dfs(depth: int, fixed: list) -> bool:  # fixed: the column pairs of gens[:depth]
         if depth == len(gens):
             return len(mapped) == len(A.members)
         g, start = gens[depth], len(mapped)
-        forced = gmap[g] >= 0  # by an earlier level's closure: no choice left
+        forced, ca = gmap[g] >= 0, GA._column(g)  # forced by an earlier level's closure
         for h in [gmap[g]] if forced else candidates[depth]:
             if not forced:
                 if hmap[h] >= 0:
@@ -542,12 +534,14 @@ def _search(A: _Members, gens, B: _Members):
                     raise CapExceededError("isomorphism search budget exhausted")
                 gmap[g], hmap[h] = h, g
                 mapped.append(g)
-            if close(depth, start) and dfs(depth + 1):
+            active = fixed + [(ca, GB._column(h))]
+            if close(active, start) and dfs(depth + 1, active):
                 return True
             undo(start)
         return False
 
-    return [gmap[x] for x in A.members] if dfs(0) else None
+    found, dfs = dfs(0, []), None  # a recursive closure is a cycle: it would hold both groups until gc
+    return [gmap[x] for x in A.members] if found else None
 
 
 def _is_isomorphism(A: _Members, gens, B: _Members, image) -> bool:
@@ -557,11 +551,12 @@ def _is_isomorphism(A: _Members, gens, B: _Members, image) -> bool:
     induction on word length, when `gens` generate A."""
     if len(image) != len(A.members) or sorted(image) != list(B.members):
         return False
-    TA, TB, f = A.group.table(), B.group.table(), [-1] * A.group.n
+    f = [-1] * A.group.n
     for x, y in zip(A.members, image):
         f[x] = y
+    cols = [(A.group._column(g), B.group._column(f[g])) for g in gens]
     return f[A.group.identity] == B.group.identity and all(
-        f[TA[g][x]] == TB[f[g]][f[x]] for g in gens for x in A.members)
+        f[ca[x]] == cb[f[x]] for ca, cb in cols for x in A.members)
 
 
 def find_isomorphism(G: SmallGroup, H: SmallGroup):
@@ -624,7 +619,7 @@ def _cyclic_extension(G: SmallGroup, subs: dict, add):
     V's extenders, the x of order p^a > 1 with x not in V, x^p in V and
     x^-1 g x in V for each generator g of V, are one mask ANDed from C-level
     gathers of V's membership bytes, each generator's conjugates made once."""
-    cols, (orders, inverse, S) = G.table(), G._walk
+    col, (orders, inverse, S) = G._column, G._walk
     n, e, ords, inv = G.n, G.identity, orders.tolist(), inverse.tolist()
     prime = {o: f[0][0] for o in set(ords) if len(f := arith.factorize(o)) == 1}
     ext = [x for x in range(n) if ords[x] in prime]
@@ -647,7 +642,8 @@ def _cyclic_extension(G: SmallGroup, subs: dict, add):
             ok = pth(in_v) & ~inside(in_v)
             for g in gens:
                 if g not in conj:
-                    conj[g] = gather([cols[x][cols[g][inv[x]]] for x in ext])
+                    cg = col(g)
+                    conj[g] = gather([col(x)[cg[inv[x]]] for x in ext])
                 ok &= conj[g](in_v)
             covered = bytearray(in_v)
             for x in itertools.compress(ext, ok.to_bytes(len(ext) + 2, "little")):
@@ -655,7 +651,7 @@ def _cyclic_extension(G: SmallGroup, subs: dict, add):
                     continue
                 mask = bytearray(in_v)
                 for k in range(1, prime[ords[x]]):
-                    cy = cols[S[k, x]]
+                    cy = col(S[k, x])
                     for v in V:
                         w = cy[v]
                         mask[w] = covered[w] = 1
@@ -677,8 +673,7 @@ def _join_completion(G: SmallGroup, subs: dict, add):
     while frontier:
         fresh = []
         for S in frontier:
-            sset = set(S)
-            sgens = subs[S]
+            sset, sgens = set(S), subs[S]
             for C, cgens in cyclic_items:
                 if cgens[0] in sset:
                     continue
@@ -703,46 +698,47 @@ def _require_p_counts(n: int, subs):
 
 
 def _classify(fps, search, check):
-    """Isomorphism classes of the objects 0, 1, ... with fingerprints `fps`.
+    """(classes, witnesses), as `iso_classes` returns them, of the objects 0,
+    1, ... with fingerprints `fps` (any iterable), classified in index order.
 
-    Objects are compared only within a fingerprint, each with the
-    representative of every class found so far there: search(r, k) returns
-    a map from r onto k or None, and a map that check(r, k, map) rejects
-    raises PropertyViolationError.  Returns (classes, witnesses) as
-    `iso_classes` does.
+    Each object is compared with the representative of every earlier class
+    with its fingerprint, oldest first: search(r, k) returns a map from r
+    onto k or None, and a map that check(r, k, map) rejects raises
+    PropertyViolationError.
     """
-    buckets = {}
+    classes, witnesses, reps = [], {}, {}  # reps: fingerprint -> indices into classes
     for k, fp in enumerate(fps):
-        buckets.setdefault(fp, []).append(k)
-    classes, witnesses = [], {}
-    for fp in sorted(buckets, key=lambda f: (f.order, f.order_hist, f.class_profile)):
-        reps = []  # indices into classes
-        for k in buckets[fp]:
-            for ci in reps:
-                mapping = search(classes[ci][0], k)
-                if mapping is not None:
-                    if not check(classes[ci][0], k, mapping):
-                        raise PropertyViolationError("search returned a non-isomorphism")
-                    classes[ci].append(k)
-                    witnesses[k] = mapping
-                    break
-            else:
-                reps.append(len(classes))
-                classes.append([k])
-    classes.sort(key=lambda c: c[0])
+        for ci in reps.setdefault(fp, []):
+            mapping = search(classes[ci][0], k)
+            if mapping is not None:
+                if not check(classes[ci][0], k, mapping):
+                    raise PropertyViolationError("search returned a non-isomorphism")
+                classes[ci].append(k)
+                witnesses[k] = mapping
+                break
+        else:
+            reps[fp].append(len(classes))
+            classes.append([k])
     return classes, witnesses
 
 
 def iso_classes(groups):
-    """Partition groups into isomorphism classes.
+    """Partition groups (any iterable) into isomorphism classes.
 
     Returns (classes, witnesses): classes is a list of index lists, each led
     by its representative; witnesses maps a member index to a verified
-    mapping list from the class representative onto that member.
+    mapping list from the class representative onto that member.  Only the
+    representatives and the group being classified are held (a member is let
+    go once its map is verified), so a generator of groups is never held whole.
     """
-    return _classify([g.fingerprint() for g in groups],
-                     lambda r, k: find_isomorphism(groups[r], groups[k]),
-                     lambda r, k, mapping: verify_isomorphism(groups[r], groups[k], mapping))
+    held, seen = {}, itertools.count()
+
+    def hold(G):  # map() keeps no reference to the group before
+        held[next(seen)] = G
+        return G.fingerprint()
+
+    return _classify(map(hold, groups), lambda r, k: find_isomorphism(held[r], held[k]),
+                     lambda r, k, mapping: verify_isomorphism(held[r], held.pop(k), mapping))
 
 
 def sigma_counts(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, iso_order_cap=ISO_ORDER_CAP):

@@ -158,6 +158,14 @@ def test_iso_classes_match_code_classes_k3():
     assert len(classes) == total == 8
 
 
+def test_iso_classes_of_a_generator_equal_those_of_the_list():
+    G3 = altcodes.build_gamma(3)
+    codes = [S for l in range(4) for S in enumerate_subspaces(3, l, F2)]
+    groups = [altcodes.subgroup_from_code(G3, S) for S in codes]
+    fresh = (altcodes.subgroup_from_code(G3, S) for S in codes)
+    assert smallgrp.iso_classes(fresh) == smallgrp.iso_classes(groups)
+
+
 def test_code_class_table_payload():
     import json
 

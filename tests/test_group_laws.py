@@ -12,6 +12,7 @@ must reject a mutated law, action or commutator gather.  The B2 law on
 
 import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def tabled_dims(N):
 
 
 def reference_table(labels, mul):
-    return smallgrp.SmallGroup(labels, mul).table()
+    return smallgrp.SmallGroup(labels, mul).table().tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,14 +85,14 @@ def test_kind_table_equals_label_products(name, pick, seed):
     G = K.group()
     labels = list(K.labels())
     assert G.labels == tuple(labels)
-    assert G.table() == reference_table(labels, N.mul_label)
+    assert G.table().tolist() == reference_table(labels, N.mul_label)
     assert G.identity == G.index_of(N.identity_label())
 
 
 @pytest.mark.parametrize("name", ["matrix(1,1,F2)", "matrix(1,1,F4)", "unitary(3,1)",
                                   "b2_odd(F5)", "matrix(2,1,F2)"])
 def test_gamma1_table_equals_label_products(name):
-    assert stock(name).gamma1_group().table() == gamma1_reference(name)
+    assert stock(name).gamma1_group().table().tolist() == gamma1_reference(name)
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,8 +117,23 @@ def test_columns_share_the_index_ints():
     N = stock("matrix(2,1,F3)")
     G = nursery.random_kind(N, 2, random.Random(0), relaxed=True).group()
     assert G.n == 729
-    cols = G.table()
-    assert all(cols[j][i] is cols[G.identity][cols[j][i]] for j in (1, 500) for i in (3, 700))
+    cols = G._column
+    assert all(cols(j)[i] is cols(G.identity)[cols(j)[i]] for j in (1, 500) for i in (3, 700))
+
+
+def test_a_kind_holds_one_table():
+    # a 729-element kind holds its int16 array (1.06 MB) and the columns read
+    # so far, not also a list per column (4.09 MB more)
+    K = nursery.random_kind(stock("matrix(2,1,F3)"), 2, random.Random(0), relaxed=True)
+    tracemalloc.start()
+    try:
+        G = K.group()
+        built = tracemalloc.get_traced_memory()[0]
+        G.fingerprint(), G.generating_set()
+        used = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert G.n == 729 and built <= 1.5e6 and used <= 2.5e6
 
 
 def _dihedral(n):
@@ -138,7 +154,7 @@ def test_check_law_table_hands_any_integer_family_to_smallgroup(n):
     labels, mul, table = _dihedral(n)
     gens = [1, n]  # a rotation and a reflection
     G = smallgrp.SmallGroup(labels, mul, columns=smallgrp.check_law_table(table, labels, mul, gens))
-    assert G.table() == smallgrp.SmallGroup(labels, mul).table()
+    assert G.table().tolist() == smallgrp.SmallGroup(labels, mul).table().tolist()
     bad = table.copy()
     bad[n + 1, [0, 1]] = bad[n + 1, [1, 0]]  # a row that is no generator's
     with pytest.raises(PropertyViolationError, match="not associative"):

@@ -153,7 +153,7 @@ def test_restricted_tables_equal_label_products():
         H = subgroup(G, sub)
         fresh = sg.SmallGroup(H.labels, G._mul_label)
         assert H.identity == fresh.identity
-        assert H.table() == fresh.table()
+        assert H.table().tolist() == fresh.table().tolist()
     with pytest.raises(InvalidConfigError):
         subgroup(G, [G.identity, next(i for i in range(G.n) if G.order_of(i) == 3)])
 
@@ -173,7 +173,7 @@ def _scan_cyclic_extension(G, subs, add):
     """`_cyclic_extension` as it was before its masks: a Python scan of every
     extender against every subgroup of the layer, kept verbatim as the
     reference."""
-    cols = G.table()
+    cols = G.table().tolist()
     n, e = G.n, G.identity
     # (x, p, x^p, x^-1) for every x of order p^a > 1
     extenders = []

@@ -2,13 +2,14 @@
 
 import math
 import random
+import weakref
 
 import pytest
 
 from kinderlab import genericity, nursery, smallgrp
 from kinderlab.errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
-from kinderlab.linalg import Subspace, enumerate_subspaces, gaussian_binomial
+from kinderlab.linalg import Subspace, enumerate_subspaces, enumerate_superspaces, gaussian_binomial
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -69,6 +70,18 @@ def test_ree_small():
 def test_make_nursery_rejects_unknown():
     with pytest.raises(InvalidConfigError):
         nursery.make_nursery("mystery")
+
+
+@pytest.mark.parametrize("kind, params, missing", [
+    ("matrix", dict(a=2), "c, ctx"),
+    ("matrix", dict(a=2, c=1), "ctx"),
+    ("unitary", dict(p=2), "e"),
+    ("b2_odd", {}, "ctx"),
+    ("ree_small", {}, "e"),
+])
+def test_make_nursery_names_missing_parameters(kind, params, missing):
+    with pytest.raises(InvalidConfigError, match="missing parameters: %s$" % missing):
+        nursery.make_nursery(kind, **params)
 
 
 def test_kind_validation():
@@ -173,6 +186,8 @@ def test_bound_log():
     )
     with pytest.raises(InvalidConfigError):
         nursery.bound_log("unknown_formula")
+    with pytest.raises(InvalidConfigError, match="missing parameters: t$"):
+        nursery.bound_log("nursery_count", r=4, ell=2, s=1, m=2)
 
 
 def test_census_against_subgroup_oracle():
@@ -203,6 +218,42 @@ def test_census_strict_and_relaxed():
     import json
 
     json.dumps(payload)
+
+
+def test_census_holds_only_its_class_representatives(monkeypatch):
+    N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
+    refs, live, found = [], [], []
+    group, classify = nursery.Kind.group, smallgrp._classify
+
+    def tracked(self, *args, **kw):
+        G = group(self, *args, **kw)
+        refs.append(weakref.ref(G))
+        live.append(sum(r() is not None for r in refs))
+        return G
+
+    def spy(*args):
+        found.append(classify(*args))
+        return found[-1]
+
+    monkeypatch.setattr(nursery.Kind, "group", tracked)
+    monkeypatch.setattr(smallgrp, "_classify", spy)
+    rep = nursery.census(N2, 2, relaxed=True)
+    [(classes, _)] = found
+    assert len(live) == rep.kinder_count == 35 and len(classes) == rep.class_count
+    # kind k is built while the classes led by 0 .. k-1 are held, and nothing else
+    assert all(n <= sum(c[0] < k for c in classes) + 1 for k, n in enumerate(live))
+    assert sum(r() is not None for r in refs) == 0
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_iso_classes_of_a_generator_equal_those_of_the_list(ell):
+    N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
+    spaces = list(enumerate_superspaces(Subspace.zero(F2, N2.rdim), ell))
+
+    def group(v):
+        return nursery.kind_from_subspace(N2, v, relaxed=True).group()
+
+    assert smallgrp.iso_classes(map(group, spaces)) == smallgrp.iso_classes([group(v) for v in spaces])
 
 
 def test_census_caps():

@@ -359,6 +359,12 @@ LATTICE_GROUPS = {
 }
 
 
+def test_fingerprint_starts_no_column():
+    G = _relabelled(LATTICE_GROUPS["D4xC27"], 5)
+    G.fingerprint()
+    assert G._T is not None and all(c is None for c in G._cols)
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(sorted(LATTICE_GROUPS)), seed=st.integers(0, 2**32))
 def test_sigma_counts_classes_equal_the_per_subgroup_path(name, seed):
