@@ -504,8 +504,8 @@ def make_field(p: int, e: int, modulus=None) -> FieldCtx:
         if not ok:
             raise FieldError("supplied modulus is reducible")
     ctx = FieldCtx(p, e, modulus)
-    if len(_FIELD_CACHE) < 256:
-        _FIELD_CACHE[key] = ctx
+    if len(_FIELD_CACHE) < 256:  # a default field under its modulus too, as certificates name it
+        _FIELD_CACHE[key] = _FIELD_CACHE[(p, e, ctx.modulus)] = ctx
     return ctx
 
 

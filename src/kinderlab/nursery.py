@@ -13,14 +13,14 @@ Subgroups squeezed between Gamma_2 and Gamma_1 ("kinder") correspond to
 F_p-subspaces of R, and `reconstruct` recovers the whole filtration from
 one such subgroup presented as an abstract multiplication table.
 
-Up to smallgrp.SUBGROUP_ORDER_CAP elements, a kind's complete table comes
-from one numpy evaluation of the law on integer codes (`_law_table`), and
-is tied to `mul_label` when it is built (`smallgrp.check_law_table`:
-permutation columns, products with the generators, Light's associativity
-test); above that, products are label products filled in as they are asked
-for.  The constructor checks Gamma_1 on its complete table up to
-EXHAUSTIVE_ORDER_CAP elements, and on the commutators of basis transversals
-above it.
+Up to EXHAUSTIVE_ORDER_CAP elements, the constructor checks Gamma_1 on its
+complete table, one numpy evaluation of the law on integer codes
+(`_law_table`) tied to `mul_label` on every pair (`smallgrp.check_law_table`),
+and keeps it: every kind's table is cut from it, with no label products.
+Above that cap it checks the commutators of basis transversals, and a kind
+up to smallgrp.SUBGROUP_ORDER_CAP elements gets its own `_law_table`, tied to
+`mul_label` by its generators and Light's associativity test; a larger
+kind's products are label products filled in as they are asked for.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ class ModuleNursery:
     is closed under multiplication and contains the identity; S and T are
     checked at construction (S generates, the T annihilators meet in 0),
     as is the group law.  Up to EXHAUSTIVE_ORDER_CAP elements, Gamma_1's
-    table equals `mul_label` on every product of an element and a
-    generator, is associative, realizes the action (gamma([x, u]) = x.u),
-    and puts every commutator in Gamma_3 with Gamma_2 abelian; above it,
-    the action and Gamma_2's commutators are checked on basis transversals.
+    table equals `mul_label` on every pair, is associative, realizes the
+    action (gamma([x, u]) = x.u), puts every commutator in Gamma_3 with
+    Gamma_2 abelian, and is kept for `group_on`; above it, the action and
+    Gamma_2's commutators are checked on basis transversals.
     """
 
     def __init__(self, kind, rbasis, s_matrices, t_vectors, meta=None):
@@ -117,7 +117,7 @@ class ModuleNursery:
                 raise InvalidConfigError("module probe has the wrong length")
         self._check_s_generates()
         self._check_annihilators()
-        self._rows_cache = {}
+        self._rows_cache, self._gamma1 = {}, None  # Gamma_1's checked table, up to the cap
         if self.order <= EXHAUSTIVE_ORDER_CAP:
             self._check_gamma1_table()
         else:
@@ -173,7 +173,8 @@ class ModuleNursery:
         """The commutator checks on every pair of Gamma_1's checked table."""
         labels = list(self.labels())
         full = Subspace.full(self.ctx, self.rdim)
-        comm = commutator_table(self._checked_law_table(full, labels, factors=range(len(labels))))
+        self._gamma1 = self._checked_law_table(full, labels, factors=range(len(labels)))
+        comm = commutator_table(self._gamma1)
         index = {lab: i for i, lab in enumerate(labels)}
         self._check_commutators(lambda g, h: labels[comm[index[g], index[h]]])
         nm = self.p**self.mdim  # the indices below nm make up Gamma_3, below nm^2 Gamma_2
@@ -254,16 +255,28 @@ class ModuleNursery:
     def group_on(self, subspace: Subspace, name=None) -> smallgrp.SmallGroup:
         """The group of the triples with x in the subspace, in `labels` order.
 
-        Up to SUBGROUP_ORDER_CAP elements the complete table comes from
-        `_checked_law_table`, compared with mul_label on the products of the
-        generators with each other, the identity and the last element; above
-        it, products are label products.
+        Its complete table is cut from Gamma_1's checked table, when the
+        constructor kept one, and PropertyViolationError is raised unless
+        every product lands in the kind.  Otherwise, up to SUBGROUP_ORDER_CAP
+        elements it is `_checked_law_table`'s, compared with mul_label on the
+        products of the generators with each other, the identity and the last
+        element; above it, products are label products.
         """
-        labels = list(self.labels(x_vectors=[tuple(v) for v in subspace.enumerate_vectors()]))
+        xs = [tuple(v) for v in subspace.enumerate_vectors()]
+        labels = list(self.labels(x_vectors=xs))
         n = len(labels)
         if n > smallgrp.SUBGROUP_ORDER_CAP:
             return smallgrp.SmallGroup(labels, self.mul_label, name=name)
-        table = self._checked_law_table(subspace, labels, factors=(0, n - 1))
+        if self._gamma1 is None:
+            table = self._checked_law_table(subspace, labels, factors=(0, n - 1))
+        else:  # Gamma_1's index of (x, u, w) is code(x) |M|^2 + code(u) |M| + code(w)
+            codes = np.array(xs) @ self.p ** np.arange(self.rdim - 1, -1, -1)
+            at = np.add.outer(codes * (n // len(xs)), np.arange(n // len(xs))).ravel()
+            pos = np.full(self.order, -1, np.int16)
+            pos[at] = np.arange(n)
+            table = pos[self._gamma1[np.ix_(at, at)]]
+            if (table < 0).any():
+                raise PropertyViolationError("a product leaves the kind")
         return smallgrp.SmallGroup(labels, self.mul_label, name=name, columns=table)
 
     def _checked_law_table(self, subspace: Subspace, labels, factors):

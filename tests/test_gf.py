@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinderlab import gf, twisted
 from kinderlab.arith import factorize
 from kinderlab.gf import (
     _SMALL_ORDER, FieldCtx, FieldError, _irreducible2, _mod2, _sqmod2, make_field,
@@ -118,6 +119,16 @@ def test_cache_identity():
     assert make_field(2, 3) is not make_field(2, 3, modulus=(1, 1, 0, 1)) or (
         make_field(2, 3).modulus == (1, 1, 0, 1)
     )
+
+
+def test_a_verified_certificate_reuses_the_searched_field(monkeypatch):
+    # suzuki_verify names the modulus of the default field suzuki_search built
+    built, init = [], FieldCtx.__init__
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    monkeypatch.setattr(FieldCtx, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    cert = twisted.suzuki_search(7)
+    assert twisted.suzuki_verify(cert)
+    assert [args[:2] for args in built] == [(2, 15)]
 
 
 def test_validate_report():

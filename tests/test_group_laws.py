@@ -1,10 +1,15 @@
 """The vectorised group laws against their label-level references.
 
-A nursery kind up to SUBGROUP_ORDER_CAP gets its complete table from one
-numpy evaluation of (x, u, w)(x', u', w') = (x + x', u + u', w + w' + x.u');
-the reference is a SmallGroup on the same labels whose table is completed
-from `mul_label` products, and each construction-time check of a nursery
-must reject a mutated law, action or commutator gather.  The B2 law on
+A nursery whose Gamma_1 has at most EXHAUSTIVE_ORDER_CAP elements checks
+Gamma_1's table, one numpy evaluation of
+(x, u, w)(x', u', w') = (x + x', u + u', w + w' + x.u'), on every pair and
+cuts every kind's table from it; in a larger nursery each kind up to
+SUBGROUP_ORDER_CAP elements evaluates the law on its own and keeps the
+per-kind check, so the mutated per-kind laws are planted there (a 729-element
+kind of matrix(2,1,F3)).  The reference is a SmallGroup on the same labels
+whose table is completed from `mul_label` products, and each
+construction-time check of a nursery must reject a mutated law, action or
+commutator gather.  The B2 law on
 [n, 4] arrays is compared with `B2Group.commutator` row by row, and
 `b2_labels` with the label scan it replaced, kept here as
 `b2_labels_by_scan`.
@@ -13,6 +18,8 @@ must reject a mutated law, action or commutator gather.  The B2 law on
 import functools
 import random
 import tracemalloc
+import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -113,6 +120,38 @@ def test_commutator_gather_equals_commutator_label(data):
         assert labels[comm[g, h]] == N.commutator_label(labels[g], labels[h])
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_cut_table_equals_the_checked_law_table(seed):
+    for name in tabled_gamma1s():
+        N = stock(name)
+        for ell in tabled_dims(N):
+            K = nursery.random_kind(N, ell, random.Random(seed), relaxed=True)
+            labels = list(K.labels())
+            law = N._checked_law_table(K.subspace, labels, factors=(0, len(labels) - 1))
+            assert K.group().table().tolist() == law.tolist(), (name, ell)
+
+
+def test_kinder_of_a_tabled_gamma1_make_no_label_products(monkeypatch):
+    N, N4 = stock("matrix(2,1,F2)"), stock("matrix(1,1,F4)")
+    calls = Counter()
+    for meth in ("mul_label", "_law_table"):
+        def counted(self, *args, _meth=meth, _orig=getattr(nursery.ModuleNursery, meth)):
+            calls[_meth] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(nursery.ModuleNursery, meth, counted)
+    assert nursery.census(N, 2, relaxed=True).kinder_count == 35
+    assert nursery.random_kind(N4, 2, random.Random(0), relaxed=True).group().n == 64
+    assert not calls
+
+
+def test_a_cut_that_is_no_subgroup_fails_loudly():
+    xs = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)]  # not their sum
+    with pytest.raises(PropertyViolationError, match="leaves the kind"):
+        stock("matrix(2,1,F2)").group_on(types.SimpleNamespace(enumerate_vectors=lambda: iter(xs)))
+
+
 def test_columns_share_the_index_ints():
     N = stock("matrix(2,1,F3)")
     G = nursery.random_kind(N, 2, random.Random(0), relaxed=True).group()
@@ -174,27 +213,32 @@ def _corrupt(monkeypatch, edit):
     monkeypatch.setattr(nursery.ModuleNursery, "_law_table", broken)
 
 
-def test_wrong_law_fails_loudly(monkeypatch):
-    N = stock("matrix(2,1,F2)")
+# a kind of matrix(2,1,F3) (Gamma_1 of 6561 elements, over EXHAUSTIVE_ORDER_CAP)
+# has 729 elements and its own checked law table; its probe generators are
+# 1, 3, 9, 27, 81 and 243, with the factors 0 and 728
 
+
+def f3_kind_group():
+    return nursery.random_kind(stock("matrix(2,1,F3)"), 2, random.Random(0), relaxed=True).group()
+
+
+def test_wrong_law_fails_loudly(monkeypatch):
     def swap(table):
-        # column 4 stays a permutation but is wrong on the probed pair (1, 4)
-        table[4, [1, 3]] = table[4, [3, 1]]
+        # column 3 stays a permutation but is wrong on the probed pair (1, 3)
+        table[3, [1, 9]] = table[3, [9, 1]]
 
     _corrupt(monkeypatch, swap)
     with pytest.raises(PropertyViolationError, match="disagrees with mul_label"):
-        nursery.kind_from_subspace(N, N.s_subspace()).group()
+        f3_kind_group()
 
 
 def test_non_permutation_column_fails_loudly(monkeypatch):
-    N = stock("matrix(2,1,F2)")
-
     def repeat(table):
         table[5, 7] = table[5, 8]
 
     _corrupt(monkeypatch, repeat)
     with pytest.raises(PropertyViolationError, match="not a permutation"):
-        nursery.kind_from_subspace(N, N.s_subspace()).group()
+        f3_kind_group()
 
 
 # construction-time failures: Gamma_1 of matrix(2,1,F2) has 256 elements,
@@ -203,17 +247,19 @@ def test_non_permutation_column_fails_loudly(monkeypatch):
 
 def test_column_swap_away_from_the_probes_fails_loudly(monkeypatch):
     # column 77 stays a permutation, and 77, 101 and 203 are none of the
-    # generators (v_k, 0, 0), (0, e_k, 0), (0, 0, e_k) or the identity
-    N = stock("matrix(2,1,F2)")
-
+    # generators (v_k, 0, 0), (0, e_k, 0), (0, 0, e_k) or the identity;
+    # likewise 400, 500 and 601 on the F3 kind
     def swap(table):
-        table[77, [101, 203]] = table[77, [203, 101]]
+        if len(table) == 256:
+            table[77, [101, 203]] = table[77, [203, 101]]
+        else:
+            table[400, [500, 601]] = table[400, [601, 500]]
 
     _corrupt(monkeypatch, swap)
     with pytest.raises(PropertyViolationError, match="not associative"):
         fresh("matrix(2,1,F2)")
     with pytest.raises(PropertyViolationError, match="not associative"):
-        N.gamma1_group()
+        f3_kind_group()
 
 
 def test_wrong_action_off_the_basis_fails_loudly(monkeypatch):
