@@ -220,7 +220,7 @@ WALK_GROUPS = {
     "C8xC27": sg.direct_product(sg.cyclic_group(8), sg.cyclic_group(27)),  # an element of order 216
     "Sym3^3": sg.direct_product(sg.symmetric_group(3),
                                 sg.direct_product(sg.symmetric_group(3), sg.symmetric_group(3))),
-    "kind": _census_kind(),  # its table given as an array (`check_law_table`)
+    "kind": _census_kind(),  # its table given as an array, cut from Gamma_1's checked table
 }
 
 
