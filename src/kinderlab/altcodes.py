@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from . import arith, smallgrp
-from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
+from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, require
 from .gf import make_field
 from .linalg import Subspace, enumerate_subspaces, gaussian_binomial
 
@@ -83,14 +83,13 @@ def build_gamma(k: int, cap=ELEMENT_CAP) -> GammaK:
 
 
 def subgroup_from_code(gamma: GammaK, code: Subspace) -> smallgrp.SmallGroup:
-    """Full preimage of the code under the sign map."""
+    """Full preimage of the code under the sign map, cut from Gamma_k."""
     if code.ambient_dim != gamma.k or code.ctx.order != 2:
         raise InvalidConfigError("code must live in F_2^k")
     signs = set(code.enumerate_vectors())
-    labels = [lab for lab, sign in gamma._signs.items() if sign in signs]
-    H = smallgrp.SmallGroup(labels, _mul_tuple, name="code subgroup")
-    if H.n != 3**gamma.k * 2**code.dim:
-        raise PropertyViolationError("preimage has the wrong order")
+    members = [i for i, sign in enumerate(gamma._signs.values()) if sign in signs]  # label order
+    H = gamma.group.cut(members, name="code subgroup")
+    require(H.n == 3**gamma.k * 2**code.dim, "preimage has the wrong order")
     return H
 
 

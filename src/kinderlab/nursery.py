@@ -16,11 +16,11 @@ one such subgroup presented as an abstract multiplication table.
 Up to EXHAUSTIVE_ORDER_CAP elements, the constructor checks Gamma_1 on its
 complete table, one numpy evaluation of the law on integer codes
 (`_law_table`) tied to `mul_label` on every pair (`smallgrp.check_law_table`),
-and keeps it: every kind's table is cut from it, with no label products.
-Above that cap it checks the commutators of basis transversals, and a kind
-up to smallgrp.SUBGROUP_ORDER_CAP elements gets its own `_law_table`, tied to
-`mul_label` by its generators and Light's associativity test; a larger
-kind's products are label products filled in as they are asked for.
+and keeps Gamma_1 on it, to cut every kind from (`SmallGroup.cut`) with no
+label products.  Above that cap it checks the commutators of basis
+transversals, and a kind up to smallgrp.SUBGROUP_ORDER_CAP elements gets its
+own `_law_table`, tied to `mul_label` by its generators and Light's
+associativity test; a larger kind's products are label products.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class ModuleNursery:
     as is the group law.  Up to EXHAUSTIVE_ORDER_CAP elements, Gamma_1's
     table equals `mul_label` on every pair, is associative, realizes the
     action (gamma([x, u]) = x.u), puts every commutator in Gamma_3 with
-    Gamma_2 abelian, and is kept for `group_on`; above it, the action and
-    Gamma_2's commutators are checked on basis transversals.
+    Gamma_2 abelian, and Gamma_1 on it is kept for `group_on`; above it,
+    the action and Gamma_2's commutators are checked on basis transversals.
     """
 
     def __init__(self, kind, rbasis, s_matrices, t_vectors, meta=None):
@@ -117,7 +117,7 @@ class ModuleNursery:
                 raise InvalidConfigError("module probe has the wrong length")
         self._check_s_generates()
         self._check_annihilators()
-        self._rows_cache, self._gamma1 = {}, None  # Gamma_1's checked table, up to the cap
+        self._rows_cache, self._gamma1 = {}, None  # Gamma_1 on its checked table, up to the cap
         if self.order <= EXHAUSTIVE_ORDER_CAP:
             self._check_gamma1_table()
         else:
@@ -173,10 +173,10 @@ class ModuleNursery:
         """The commutator checks on every pair of Gamma_1's checked table."""
         labels = list(self.labels())
         full = Subspace.full(self.ctx, self.rdim)
-        self._gamma1 = self._checked_law_table(full, labels, factors=range(len(labels)))
-        comm = commutator_table(self._gamma1)
-        index = {lab: i for i, lab in enumerate(labels)}
-        self._check_commutators(lambda g, h: labels[comm[index[g], index[h]]])
+        table = self._checked_law_table(full, labels, factors=range(len(labels)))
+        G = self._gamma1 = smallgrp.SmallGroup(labels, self.mul_label, columns=table)
+        comm = commutator_table(table)
+        self._check_commutators(lambda g, h: labels[comm[G.index_of(g), G.index_of(h)]])
         nm = self.p**self.mdim  # the indices below nm make up Gamma_3, below nm^2 Gamma_2
         if (comm >= nm).any():
             raise PropertyViolationError("a commutator escapes the third term")
@@ -252,31 +252,22 @@ class ModuleNursery:
         full = Subspace.full(self.ctx, self.rdim)
         return self.group_on(full, name="%s nursery Gamma_1" % self.kind)
 
-    def group_on(self, subspace: Subspace, name=None) -> smallgrp.SmallGroup:
-        """The group of the triples with x in the subspace, in `labels` order.
-
-        Its complete table is cut from Gamma_1's checked table, when the
-        constructor kept one, and PropertyViolationError is raised unless
-        every product lands in the kind.  Otherwise, up to SUBGROUP_ORDER_CAP
-        elements it is `_checked_law_table`'s, compared with mul_label on the
-        products of the generators with each other, the identity and the last
-        element; above it, products are label products.
-        """
+    def group_on(self, subspace: Subspace, name="kind") -> smallgrp.SmallGroup:
+        """The group of the triples with x in the subspace, in `labels` order:
+        cut from Gamma_1 when the constructor kept it (`SmallGroup.cut`), else
+        up to SUBGROUP_ORDER_CAP elements on `_checked_law_table`'s table,
+        compared with mul_label on the products of the generators with each
+        other, the identity and the last element, and above it on label products."""
         xs = [tuple(v) for v in subspace.enumerate_vectors()]
+        if self._gamma1 is not None:  # (x, u, w) is at code(x) |M|^2 + code(u) |M| + code(w)
+            codes = np.array(xs) @ self.p ** np.arange(self.rdim - 1, -1, -1)
+            nm2 = self.p ** (2 * self.mdim)
+            return self._gamma1.cut(np.add.outer(codes * nm2, np.arange(nm2)).ravel(), name=name)
         labels = list(self.labels(x_vectors=xs))
         n = len(labels)
         if n > smallgrp.SUBGROUP_ORDER_CAP:
             return smallgrp.SmallGroup(labels, self.mul_label, name=name)
-        if self._gamma1 is None:
-            table = self._checked_law_table(subspace, labels, factors=(0, n - 1))
-        else:  # Gamma_1's index of (x, u, w) is code(x) |M|^2 + code(u) |M| + code(w)
-            codes = np.array(xs) @ self.p ** np.arange(self.rdim - 1, -1, -1)
-            at = np.add.outer(codes * (n // len(xs)), np.arange(n // len(xs))).ravel()
-            pos = np.full(self.order, -1, np.int16)
-            pos[at] = np.arange(n)
-            table = pos[self._gamma1[np.ix_(at, at)]]
-            if (table < 0).any():
-                raise PropertyViolationError("a product leaves the kind")
+        table = self._checked_law_table(subspace, labels, factors=(0, n - 1))
         return smallgrp.SmallGroup(labels, self.mul_label, name=name, columns=table)
 
     def _checked_law_table(self, subspace: Subspace, labels, factors):

@@ -182,6 +182,21 @@ class SmallGroup:
             self._T, self._cols = T, [None] * self.n
         return self._T
 
+    def cut(self, members, name=None) -> "SmallGroup":
+        """The subgroup on `members` (indices, in the order given), its table
+        gathered from this group's (built if need be): PropertyViolationError
+        unless every product lands among the members.  Above SUBGROUP_ORDER_CAP,
+        where no table exists, its products are label products."""
+        at = np.asarray(members, np.intp)
+        labels = [self.labels[i] for i in at.tolist()]
+        if self.n > SUBGROUP_ORDER_CAP:
+            return SmallGroup(labels, self._mul_label, name=name)
+        pos = np.full(self.n, -1, np.int16)
+        pos[at] = np.arange(len(at))
+        table = pos[self.table()[at][:, at]]  # about 2x faster than T[np.ix_(at, at)]
+        require(table.min() >= 0, "a product leaves the %s" % (name or "subgroup"))
+        return SmallGroup(labels, self._mul_label, name=name, columns=table)
+
     @functools.cached_property
     def _walk(self):
         """(orders, inverses, S) of every element, S[k, x] = x^k for k up to

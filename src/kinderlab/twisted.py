@@ -112,12 +112,6 @@ class B2Group:
 
     # filtration -------------------------------------------------------
 
-    def gamma2_labels(self):
-        F = self.ctx
-        return frozenset(
-            (r, 0, z1, z2) for r in F.elements() for z1 in F.elements() for z2 in F.elements()
-        )
-
     def gamma3_labels(self):
         F = self.ctx
         return frozenset((0, 0, z1, z2) for z1 in F.elements() for z2 in F.elements())

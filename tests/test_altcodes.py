@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -182,3 +183,28 @@ def test_code_class_table_rejects_k_and_l_out_of_range(k, l):
     for fn in (altcodes.code_class_table, altcodes.code_classes):
         with pytest.raises(InvalidConfigError):
             fn(k, l)
+
+
+def test_a_code_subgroup_of_a_tabled_gamma_makes_no_label_products(monkeypatch):
+    gam = altcodes.build_gamma(4)
+    assert gam.group._T is None  # built by the first cut, not by build_gamma
+    gam.group.table()
+    calls = []
+
+    def counted(mul):
+        return lambda g, h: calls.append((g, h)) or mul(g, h)
+
+    monkeypatch.setattr(altcodes, "_mul_tuple", counted(altcodes._mul_tuple))
+    monkeypatch.setattr(gam.group, "_mul_label", counted(gam.group._mul_label))
+    code = Subspace.from_vectors(F2, 4, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+    tracemalloc.start()
+    try:
+        H = altcodes.subgroup_from_code(gam, code)
+        hs = [H.labels[i] for i in (0, 100, 300, 647)]
+        weights = [altcodes.hamming_recover(H, h) for h in hs]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert H.n == 648 and weights == [gam.weight(h) for h in hs]
+    assert not calls
+    assert held <= 2e6  # the cut table, its power walk and the columns read

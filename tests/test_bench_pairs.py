@@ -56,3 +56,11 @@ def test_criterion_seconds_reads_the_verify_report():
         {"index": 2, "name": "hom-solver-vs-brute", "passed": False, "detail": "x", "elapsed_s": 1.9},
     ], "all_passed": False}})
     assert bench_pairs.criterion_seconds(report) == {"1 census": 0.52, "2 hom-solver-vs-brute": 1.9}
+
+
+def test_dont_write_bytecode_reads_the_environment(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.dont_write_bytecode() is True
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.dont_write_bytecode() is False
+    assert bench_pairs.dont_write_bytecode({"PYTHONDONTWRITEBYTECODE": ""}) is False

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kinderlab import acceptance, cli, genericity
+from kinderlab import acceptance, cli, genericity, smallgrp
 from kinderlab.errors import InvalidConfigError, PropertyViolationError
 
 
@@ -357,3 +357,11 @@ def test_seed_trials_and_caps_only_where_they_are_read():
             parser.parse_args(["verify", flag, "1"])
     args = parser.parse_args(["field-check", "--p", "2", "--e", "1", "--out", "r.json"])
     assert cli._config_from_args(args).echo()["seed"] is None
+
+
+def test_an_exhausted_isomorphism_budget_exits_cap(monkeypatch, capsys):
+    monkeypatch.setattr(smallgrp, "_ISO_NODE_BUDGET", 0)
+    args = ["nursery-census", "--kind", "matrix", "--a", "2", "--c", "1", "--q", "2",
+            "--ell", "2", "--mode", "relaxed"]
+    assert cli.main(args) == cli.EXIT_CAP == 3
+    assert "isomorphism search budget exhausted" in capsys.readouterr().err

@@ -240,3 +240,32 @@ def test_table_arrays_agree_with_the_field(q):
     assert mul.tolist() == [[F.mul(a, b) for b in els] for a in els]
     assert neg.tolist() == [F.neg(a) for a in els]
     assert inv.tolist() == [0] + [F.inv(a) for a in range(1, q)]
+
+
+def test_odd_characteristic_above_the_log_tables():
+    F = make_field(3, 11)
+    assert F.order > _SMALL_ORDER and F._log is None and F._primitive is None
+    g, q1 = F.primitive, F.order - 1  # certified lazily, from the primes of 3^11 - 1
+    assert F.pow(g, q1) == 1 and all(F.pow(g, q1 // r) != 1 for r, _ in factorize(q1))
+    assert F.validate()["primitive_order"] is True
+    rng = random.Random(311)
+    for _ in range(10):
+        a, b = F.random_element(rng), F.random_nonzero(rng)
+        frob = F.frobenius
+        assert frob(a) == F._raw_pow(a, 3)
+        assert frob(F.add(a, b)) == F.add(frob(a), frob(b))
+        assert frob(F.mul(a, b)) == F.mul(frob(a), frob(b))
+        x = a
+        for _ in range(F.e):
+            x = frob(x)
+        assert x == a
+        k = rng.randrange(1, 50)
+        assert F.pow(b, -k) == F.inv(F.pow(b, k)) and F.mul(F.pow(b, -k), F.pow(b, k)) == 1
+
+
+def test_a_supplied_odd_modulus_is_checked(monkeypatch):
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})  # validate it, not the cached default
+    F = make_field(3, 2, modulus=(1, 0, 1))  # x^2 + 1
+    assert F.modulus == (1, 0, 1) and F.mul(3, 3) == 2  # x^2 = -1
+    with pytest.raises(FieldError, match="^supplied modulus is reducible$"):
+        make_field(3, 2, modulus=(2, 0, 1))  # x^2 - 1

@@ -316,3 +316,11 @@ def test_reconstruct_above_table_cap_starts_few_columns():
     assert len(rec.chi) == K.order and all(rec.chi[lab] == lab[0] for lab in K.labels())
     started = sum(col is not None for col in K.group()._cols)
     assert started <= len(N.t_vectors) + N.mdim + 1
+
+
+def test_orbit_upper_on_square_blocks():
+    # a = c > 1: 2 e |GL(a, q)|^2 |GL(b, q)| / (q - 1); a = c = 1: e (q - 1) |Sp(2b, q)|
+    assert nursery.bound_log("orbit_upper", a=2, b=1, c=2, e=1, p=2) == pytest.approx(
+        math.log2(2 * 6**2 * 1), abs=1e-12)
+    assert nursery.bound_log("orbit_upper", a=1, b=2, c=1, e=1, p=2) == pytest.approx(
+        math.log2(720), abs=1e-12)

@@ -429,3 +429,48 @@ def test_sigma_counts_rejects_a_wrong_map(monkeypatch, factory, swap):
     monkeypatch.setattr(sg, "_search", spoiled)
     with pytest.raises(PropertyViolationError, match="search returned a non-isomorphism"):
         sg.sigma_counts(factory())
+
+
+def test_find_isomorphism_stops_at_the_node_budget(monkeypatch):
+    monkeypatch.setattr(sg, "_ISO_NODE_BUDGET", 0)
+    G = ISO_GROUPS["Sym3^2"]
+    with pytest.raises(CapExceededError, match="^isomorphism search budget exhausted$"):
+        sg.find_isomorphism(_relabelled(G, 1), _relabelled(G, 2))
+
+
+def test_verify_isomorphism_rejects_bad_maps():
+    G, H = ISO_GROUPS["Sym3^2"], _relabelled(ISO_GROUPS["Sym3^2"], 4)
+    good = sg.find_isomorphism(G, H)
+    assert sg.verify_isomorphism(G, H, good)
+    orders = G.element_orders()
+    two, three = orders.index(2), orders.index(3)
+
+    def swapped(i, j):
+        image = list(good)
+        image[i], image[j] = image[j], image[i]
+        return image
+
+    repeated = list(good)
+    repeated[two] = repeated[three]
+    for bad in (good[:-1], repeated, swapped(G.identity, two), swapped(two, three)):
+        assert not sg.verify_isomorphism(G, H, bad)
+
+
+def test_a_cut_keeps_the_member_order_and_the_parent_products():
+    G = _relabelled(ISO_GROUPS["Sym3^2"], 6)
+    members = list(G.closure_idx([G.generating_set()[0]]))
+    random.Random(6).shuffle(members)
+    H = G.cut(members, name="cyclic")
+    assert H.labels == tuple(G.labels[i] for i in members)
+    assert H.table().tolist() == sg.SmallGroup(H.labels, G._mul_label).table().tolist()
+    missing = [i for i in members if i != G.identity]
+    with pytest.raises(PropertyViolationError, match="a product leaves the cyclic"):
+        G.cut(missing, name="cyclic")
+
+
+def test_a_cut_above_the_table_cap_has_no_table():
+    G = sg.cyclic_group(sg.SUBGROUP_ORDER_CAP + 2)
+    H = G.cut(range(0, G.n, 2))
+    assert G._T is None and H._T is None
+    assert H.labels == tuple(range(0, G.n, 2))
+    assert H.labels[H.mul_idx(3, 4)] == 14

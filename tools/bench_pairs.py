@@ -13,8 +13,9 @@ named by --claim (sampling by default) gets CLAIM_PAIRS pairs, enough to
 back a 9-of-10 claim; the others, which a change only has to leave within
 their bounds, get PAIRS.
 
-The output records the machine, both revisions, the seeds, and per workload
-and side the median, quartiles and raw values of every end-to-end metric;
+The output records the machine (and whether PYTHONDONTWRITEBYTECODE was
+set), both revisions, the seeds, and per workload and side the median,
+quartiles and raw values of every end-to-end metric;
 how many pairs the head won on each (better and worse as BENCHMARK.json
 says, ties counting for neither); a verdict on each (see `verdict`); whether
 the payload hashes the two sides share are identical; the line count of
@@ -143,6 +144,13 @@ def src_lines(checkout):
     return {"total": sum(counts.values()), "modules": counts}
 
 
+def dont_write_bytecode(environ=os.environ):
+    """Whether PYTHONDONTWRITEBYTECODE is set (to a non-empty string) for the
+    runs: then no `.pyc` is written, and every set-up compiles the modules it
+    imports, so set-up times compare only between runs that agree on it."""
+    return bool(environ.get("PYTHONDONTWRITEBYTECODE"))
+
+
 def cpu_model():
     try:
         with open("/proc/cpuinfo") as fh:
@@ -167,7 +175,8 @@ def main():
     seconds = bench["run_seconds"]
     end_to_end = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     revs = {side: git("rev-parse", rev) for side, rev in (("base", args.base), ("head", args.head))}
-    out = {"machine": {"nproc": os.cpu_count(), "cpu_model": cpu_model()},
+    out = {"machine": {"nproc": os.cpu_count(), "cpu_model": cpu_model(),
+                       "PYTHONDONTWRITEBYTECODE": dont_write_bytecode()},
            "revisions": revs, "seconds": seconds, "claim": args.claim, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in revs}
