@@ -13,6 +13,7 @@ A binary code here is simply a `linalg.Subspace` over GF(2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -93,6 +94,11 @@ def subgroup_from_code(gamma: GammaK, code: Subspace) -> smallgrp.SmallGroup:
     return H
 
 
+@functools.lru_cache(maxsize=1)  # holds the last H: callers recover many of its elements in a row
+def _odd_part(H: smallgrp.SmallGroup) -> list:
+    return [i for i, o in enumerate(H.element_orders()) if o in (1, 3)]
+
+
 def hamming_recover(H: smallgrp.SmallGroup, h) -> int:
     """log_3 |<[h, g] : g in the odd-order part>|.
 
@@ -104,11 +110,10 @@ def hamming_recover(H: smallgrp.SmallGroup, h) -> int:
         hi = H.index_of(h)
     except KeyError:
         raise InvalidConfigError("h is not an element of H") from None
-    cube = [i for i in range(H.n) if H.order_of(i) in (1, 3)]
+    cube = _odd_part(H)
     if len(cube) != 3 ** arith.nu_p(H.n, 3):
         raise InvalidConfigError("H does not contain the full odd-order part")
-    comms = {H.commutator_idx(hi, g) for g in cube}
-    sub = H.closure_idx(comms)
+    sub = H.span_idx(H.commutators([hi], cube)[0].tolist())
     w = round(math.log(len(sub), 3))
     if 3**w != len(sub):
         raise PropertyViolationError("commutator subgroup is not a 3-power")

@@ -16,11 +16,12 @@ one such subgroup presented as an abstract multiplication table.
 Up to EXHAUSTIVE_ORDER_CAP elements, the constructor checks Gamma_1 on its
 complete table, one numpy evaluation of the law on integer codes
 (`_law_table`) tied to `mul_label` on every pair (`smallgrp.check_law_table`),
-and keeps Gamma_1 on it, to cut every kind from (`SmallGroup.cut`) with no
-label products.  Above that cap it checks the commutators of basis
-transversals, and a kind up to smallgrp.SUBGROUP_ORDER_CAP elements gets its
-own `_law_table`, tied to `mul_label` by its generators and Light's
-associativity test; a larger kind's products are label products.
+with its brackets (`SmallGroup.commutators`) in the code ranges of Gamma_3
+and Gamma_2, and keeps Gamma_1 on it, to cut every kind from
+(`SmallGroup.cut`) with no label products.  Above that cap it checks the
+commutators of basis transversals, and a kind up to SUBGROUP_ORDER_CAP
+elements gets its own `_law_table`, tied to `mul_label` by its generators and
+Light's test; a larger kind's products are label products.
 """
 
 from __future__ import annotations
@@ -58,13 +59,6 @@ def _digit_sums(p: int, d: int):
     the [p^d, p^d] table of the codes of their digitwise sums mod p."""
     dig = digits(0, p**d, p, d).T
     return dig, (dig[:, None, :] + dig[None, :, :]) % p @ p ** np.arange(d - 1, -1, -1)
-
-
-def commutator_table(table):
-    """The [n, n] indices of [g, h] = (hg)^-1 gh from a `_law_table`-style
-    table (row j holds i*j), whose identity is index 0."""
-    inv = table.argmin(axis=1).astype(table.dtype)  # row h is 0 at i = h^-1
-    return table[table.T, inv[table]]
 
 
 class ModuleNursery:
@@ -175,7 +169,7 @@ class ModuleNursery:
         full = Subspace.full(self.ctx, self.rdim)
         table = self._checked_law_table(full, labels, factors=range(len(labels)))
         G = self._gamma1 = smallgrp.SmallGroup(labels, self.mul_label, columns=table)
-        comm = commutator_table(table)
+        comm = G.commutators(range(G.n), range(G.n))
         self._check_commutators(lambda g, h: labels[comm[G.index_of(g), G.index_of(h)]])
         nm = self.p**self.mdim  # the indices below nm make up Gamma_3, below nm^2 Gamma_2
         if (comm >= nm).any():
@@ -416,8 +410,7 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
     """
     n = kind.nursery
     G = kind.group()
-    p = n.p
-    gamma2_size = p ** (2 * n.mdim)
+    gamma2_size = n.p ** (2 * n.mdim)
     def member(label, who):
         try:
             return G.index_of(label)
@@ -437,60 +430,39 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
         if any(mu[t][0]):
             raise InvalidConfigError("mu image lies outside the second term")
 
-    mu_idx = [G.index_of(mu[t]) for t in n.t_vectors]
-    x_idx = [
-        i
-        for i in range(G.n)
-        if all(G.mul_idx(i, m) == G.mul_idx(m, i) for m in mu_idx)
-    ]
+    x_idx = list(range(G.n))
+    for t in n.t_vectors:  # a probe at a time: above the table cap a bracket is label products
+        comm = G.commutators(x_idx, [G.index_of(mu[t])])[:, 0].tolist()
+        x_idx = [x for x, c in zip(x_idx, comm) if c == G.identity]
     if len(x_idx) != gamma2_size:
-        raise PropertyViolationError(
-            "recovered second term has order %d, expected %d: "
-            "the mu probes leave a nontrivial common annihilator" % (len(x_idx), gamma2_size)
-        )
+        raise PropertyViolationError("recovered second term has order %d, expected %d: the mu probes "
+                                     "leave a nontrivial common annihilator" % (len(x_idx), gamma2_size))
 
     one_idx = G.index_of(rho[n.one_coords])
-    comms = sorted({G.commutator_idx(one_idx, x) for x in x_idx})
-    # seed the closure only with brackets that enlarge it: at most mdim of
-    # them, so above the table cap it starts at most mdim columns
-    y_idx, y_set, seeds = (G.identity,), {G.identity}, []
-    for c in comms:
-        if c not in y_set:
-            seeds.append(c)
-            y_idx = G.closure_idx(seeds)
-            y_set = set(y_idx)
-    if len(y_idx) != p**n.mdim:
+    y_idx = G.span_idx(G.commutators([one_idx], x_idx)[0].tolist())
+    if len(y_idx) != n.p**n.mdim:
         raise PropertyViolationError("bracketing with rho(1) missed the third term")
-    z_seed = {
-        G.commutator_idx(a, b) for a, b in itertools.combinations(x_idx, 2)
-    }
-    z_idx = G.closure_idx(z_seed)
+    # the unordered pairs of X suffice, as [b, a] = [a, b]^-1
+    z_idx = G.span_idx(c for k, a in enumerate(x_idx)
+                       for c in G.commutators([a], x_idx[k + 1:])[0].tolist())
     if len(z_idx) != 1:
         raise PropertyViolationError("the recovered second term is not abelian")
 
     # beta reads off X, gamma reads off Y: both are nursery data now that
     # X and Y are pinned down
-    beta_rep = {}
-    for i in x_idx:
-        label = G.labels[i]
-        beta_rep.setdefault(label[1], i)
+    beta_rep = {G.labels[i][1]: i for i in reversed(x_idx)}  # the first of X with each u
     betas = [beta_rep[u] for u in Matrix.identity(n.ctx, n.mdim).rows]
-    chi, solved = {}, {}
-    for i in range(G.n):
-        cols = []
-        for b in betas:
-            c = G.commutator_idx(i, b)
-            if c not in y_set:
-                raise PropertyViolationError("a chi column escapes the third term")
-            cols.append(G.labels[c][2])
+    y_set, chi, solved = set(y_idx), {}, {}
+    for i, row in enumerate(G.commutators(range(G.n), betas).tolist()):
+        if not y_set.issuperset(row):
+            raise PropertyViolationError("a chi column escapes the third term")
         # chi is constant on X-cosets: one solve per coset, the rest are copies
-        cols = tuple(cols)
+        cols = tuple(G.labels[c][2] for c in row)
         if cols not in solved:
             solved[cols] = n.r_coords(Matrix(n.ctx, list(zip(*cols))))
-        coords = solved[cols]
-        if coords is None:
+        if solved[cols] is None:
             raise PropertyViolationError("chi image escapes the algebra")
-        chi[G.labels[i]] = coords
+        chi[G.labels[i]] = solved[cols]
     if len(set(chi.values())) != G.n // gamma2_size:
         raise PropertyViolationError("chi does not separate the X-cosets")
     for s in n.s_coords:
@@ -498,11 +470,8 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
             raise PropertyViolationError("chi disagrees with rho on the generators")
 
     # posterior check against the stored coordinates
-    x_labels = frozenset(G.labels[i] for i in x_idx)
-    y_labels = frozenset(G.labels[i] for i in y_idx)
-    z_labels = frozenset(G.labels[i] for i in z_idx)
-    zr = (0,) * n.rdim
-    zm = (0,) * n.mdim
+    x_labels, y_labels, z_labels = (frozenset(G.labels[i] for i in s) for s in (x_idx, y_idx, z_idx))
+    zr, zm = (0,) * n.rdim, (0,) * n.mdim
     if any(label[0] != zr for label in x_labels):
         raise PropertyViolationError("X differs from the stored second term")
     if any(label[0] != zr or label[1] != zm for label in y_labels):

@@ -11,7 +11,8 @@ lazily, one product at a time, so a group of 2^14 elements that is only ever
 multiplied by a few generators never pays for n^2 products.  `sigma_counts`
 classifies every subgroup on the array, each kept as its sorted index tuple.
 One power walk over the array gives every element's order, inverse and
-powers, for `order_of`, `inverse_idx`, the invariants and the lattice.
+powers, for `order_of`, `inverse_idx`, the invariants, the lattice and
+`commutators`, the library's one bracket (a gather on the array).
 
 The subgroup lattice is built by cyclic extension (Neubueser 1960) on the
 complete table, with joins of cyclic subgroups to finish groups that are not
@@ -234,12 +235,24 @@ class SmallGroup:
             self._orders[i] = k
         return self._orders[i]
 
-    def element_orders(self):
-        return [self.order_of(i) for i in range(self.n)]
+    def element_orders(self) -> list:
+        return self._walk[0].tolist() if self._T is not None else [self.order_of(i) for i in range(self.n)]
 
     def commutator_idx(self, i: int, j: int) -> int:
-        a = self.mul_idx(self.inverse_idx(i), self.inverse_idx(j))
-        return self.mul_idx(self.mul_idx(a, i), j)
+        """[i, j] = (ji)^-1 ij: an inverse only when i and j do not commute."""
+        ij, ji = self.mul_idx(i, j), self.mul_idx(j, i)
+        return self.identity if ij == ji else self.mul_idx(self.inverse_idx(ji), ij)
+
+    def commutators(self, xs, ys) -> np.ndarray:
+        """The [len(xs), len(ys)] indices of [x, y] = x^-1 y^-1 x y = (yx)^-1 xy:
+        T[T[y, x], inv[T[x, y]]], one gather in the int16 of the complete table
+        T (T[j, i] = i*j, inverses from `_walk`); without T, `commutator_idx` per
+        pair, which builds no table and above SUBGROUP_ORDER_CAP starts no column."""
+        if self._T is None:
+            return np.array([[self.commutator_idx(x, y) for y in ys] for x in xs],
+                            np.int64).reshape(len(xs), len(ys))
+        T, x, y = self._T, np.asarray(xs, np.int16)[:, None], np.asarray(ys, np.int16)
+        return T[T[y, x], self._walk[1][T[x, y]]]
 
     def conjugate_idx(self, i: int, g: int) -> int:
         """g^-1 * i * g"""
@@ -260,6 +273,17 @@ class SmallGroup:
                     queue.append(y)
         seen.add(self.identity)
         return tuple(sorted(seen))
+
+    def span_idx(self, elements) -> tuple:
+        """The subgroup the elements generate, closed on only those that enlarge
+        it (each starts one column above the table cap); the rest are lookups."""
+        sub, inside, seeds = (self.identity,), {self.identity}, []
+        for c in elements:
+            if c not in inside:
+                seeds.append(c)
+                sub = self.closure_idx(seeds)
+                inside = set(sub)
+        return sub
 
     def generating_set(self) -> tuple:
         """A small generating set, greedy by closure growth (`_generators`)."""

@@ -2,9 +2,16 @@
 
 Runs the full tier: every stated grid, trial count, and sweep ceiling.
 The detail strings are printed so a failing run shows exactly which
-quantity missed its tolerance.
+quantity missed its tolerance, and each must equal its entry in
+`data/criteria_golden.json`, keyed "<index>-<name>" and written by the
+full tier before `SmallGroup.commutators` became the one bracket.  Every
+string is exact (counts, seeded frequencies, no timings), so a changed
+string is a changed result.  Regenerate the file only when a result is
+meant to change, by writing `run_criterion(i, tier="full").detail` for
+each criterion.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +22,11 @@ import pytest
 from kinderlab import acceptance
 
 _IDS = ["%02d-%s" % (idx, name) for idx, name, _ in acceptance.CRITERIA]
+GOLDEN = json.loads((Path(__file__).parent / "data" / "criteria_golden.json").read_text())
+
+
+def test_golden_names_every_criterion():
+    assert sorted(GOLDEN) == sorted(_IDS)
 
 
 @pytest.mark.parametrize(
@@ -30,6 +42,7 @@ def test_criterion(index, name):
     )
     print(line)
     assert result.passed, line
+    assert result.detail == GOLDEN["%02d-%s" % (index, name)], line
 
 
 def test_checks_survive_python_O():

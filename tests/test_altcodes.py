@@ -1,5 +1,6 @@
 """Code subgroups of (Sym_3)^k: weight recovery and class counting."""
 
+import functools
 import itertools
 import math
 import random
@@ -7,8 +8,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kinderlab import altcodes, smallgrp
+from kinderlab import altcodes, arith, smallgrp
 from kinderlab.errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_subspaces, rref
@@ -110,6 +113,40 @@ def test_hamming_relabeling_invariant():
     )
     for lab in H.labels[:40]:
         assert altcodes.hamming_recover(H2, newlab[lab]) == altcodes.hamming_recover(H, lab)
+
+
+def hamming_recover_by_pairs(H, h) -> int:
+    """The reference recovery: the odd part by one `order_of` per element and
+    each bracket x^-1 y^-1 x y by products, closed all at once."""
+    hi = H.index_of(h)
+    cube = [i for i in range(H.n) if H.order_of(i) in (1, 3)]
+    assert len(cube) == 3 ** arith.nu_p(H.n, 3)
+    inv = H.inverse_idx
+    comms = {H.mul_idx(H.mul_idx(inv(hi), inv(g)), H.mul_idx(hi, g)) for g in cube}
+    return round(math.log(len(H.closure_idx(comms)), 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _gammas(k):
+    return altcodes.build_gamma(k)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(k=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32), tabled=st.booleans())
+def test_hamming_recover_equals_the_pairwise_reference_on_relabellings(k, data, seed, tabled):
+    gam = _gammas(k)
+    dim = data.draw(st.integers(0, k if tabled else min(k, 2)))
+    codes = list(enumerate_subspaces(k, dim, F2))
+    H0 = altcodes.subgroup_from_code(gam, codes[data.draw(st.integers(0, len(codes) - 1))])
+    labels = list(H0.labels)
+    random.Random(seed).shuffle(labels)
+    H = smallgrp.SmallGroup(labels, altcodes._mul_tuple)  # its identity anywhere
+    if tabled:
+        H.table()
+    for h in data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=6)):
+        w = altcodes.hamming_recover(H, h)
+        assert w == hamming_recover_by_pairs(H, h) == gam.weight(h)
+    assert (H._T is None) != tabled
 
 
 def test_code_classes_frozen():

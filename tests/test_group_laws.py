@@ -9,7 +9,7 @@ per-kind check, so the mutated per-kind laws are planted there (a 729-element
 kind of matrix(2,1,F3)).  The reference is a SmallGroup on the same labels
 whose table is completed from `mul_label` products, and each
 construction-time check of a nursery must reject a mutated law, action or
-commutator gather.  The B2 law on
+`SmallGroup.commutators` gather.  The B2 law on
 [n, 4] arrays is compared with `B2Group.commutator` row by row, and
 `b2_labels` with the label scan it replaced, kept here as
 `b2_labels_by_scan`.
@@ -114,7 +114,9 @@ def test_commutator_gather_equals_commutator_label(data):
     name = data.draw(st.sampled_from(tabled_gamma1s()))
     N = stock(name)
     labels = list(N.labels())
-    comm = nursery.commutator_table(np.array(gamma1_reference(name), dtype=np.int16))
+    G = smallgrp.SmallGroup(labels, N.mul_label,
+                            columns=np.array(gamma1_reference(name), dtype=np.int16))
+    comm = G.commutators(range(G.n), range(G.n))
     pairs = st.tuples(st.integers(0, N.order - 1), st.integers(0, N.order - 1))
     for g, h in data.draw(st.lists(pairs, min_size=1, max_size=30)):
         assert labels[comm[g, h]] == N.commutator_label(labels[g], labels[h])
@@ -284,12 +286,12 @@ def test_non_permutation_column_fails_at_construction(monkeypatch):
 
 
 def _plant(monkeypatch, edit):
-    gather = nursery.commutator_table
+    gather = smallgrp.SmallGroup.commutators
 
-    def planted(table):
-        return edit(gather(table).copy())
+    def planted(self, xs, ys):
+        return edit(gather(self, xs, ys).copy())
 
-    monkeypatch.setattr(nursery, "commutator_table", planted)
+    monkeypatch.setattr(smallgrp.SmallGroup, "commutators", planted)
 
 
 def test_swapped_commutator_factors_fail_loudly(monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -316,6 +317,26 @@ def test_reconstruct_above_table_cap_starts_few_columns():
     assert len(rec.chi) == K.order and all(rec.chi[lab] == lab[0] for lab in K.labels())
     started = sum(col is not None for col in K.group()._cols)
     assert started <= len(N.t_vectors) + N.mdim + 1
+
+
+def test_reconstruct_on_a_tabled_kind_starts_few_columns():
+    # the full 256-element kind of matrix(2,1,F2) holds a table: its brackets
+    # are gathers on it, and only the closures of Y start columns
+    N = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
+    K = nursery.kind_from_subspace(N, Subspace.full(F2, N.rdim))
+    G = K.group()
+    assert G.n == 256 and G._T is not None
+    rho, mu = nursery.random_frames(K, random.Random(4))
+    tracemalloc.start()
+    try:
+        rec = nursery.reconstruct(K, rho, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.X == N.gamma2_labels() and rec.Y == N.gamma3_labels()
+    assert all(rec.chi[lab] == lab[0] for lab in K.labels())
+    assert sum(col is not None for col in G._cols) <= len(N.t_vectors) + N.mdim + 1
+    assert peak <= 0.25 * 2**20  # 256 list columns took 0.53 MiB
 
 
 def test_orbit_upper_on_square_blocks():

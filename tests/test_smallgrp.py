@@ -264,6 +264,67 @@ def test_order_and_inverse_above_the_table_cap_stay_lazy():
         G._walk
 
 
+BRACKET_GROUPS = {
+    "D4": sg.dihedral_group(4),
+    "Q8": _quaternion_group(),
+    "Sym4": sg.symmetric_group(4),
+    "UT3(F3)": sg.unitriangular_group(3, F3),
+    "kind": _census_kind(),
+}
+
+
+def _bracket(G, x, y):
+    """x^-1 y^-1 x y, one product at a time."""
+    return G.mul_idx(G.mul_idx(G.inverse_idx(x), G.inverse_idx(y)), G.mul_idx(x, y))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(BRACKET_GROUPS)), seed=st.integers(0, 2**32),
+       tabled=st.booleans(), data=st.data())
+def test_commutators_equal_commutator_idx_on_relabellings(name, seed, tabled, data):
+    G0 = BRACKET_GROUPS[name]
+    labels = list(G0.labels)
+    random.Random(seed).shuffle(labels)
+    labels.append(labels.pop(labels.index(G0.labels[G0.identity])))  # the identity last, not at 0
+    G = sg.SmallGroup(labels, G0._mul_label)
+    ref = sg.SmallGroup(labels, G0._mul_label)
+    if tabled:
+        G.table()
+    index = st.integers(0, G.n - 1)
+    xs = data.draw(st.lists(index, min_size=1, max_size=12))
+    ys = data.draw(st.lists(index, min_size=1, max_size=12))
+    got = G.commutators(xs, ys)
+    assert G.identity == G.n - 1 and got.shape == (len(xs), len(ys))
+    assert got.tolist() == [[_bracket(ref, x, y) for y in ys] for x in xs]
+    assert got.tolist() == [[ref.commutator_idx(x, y) for y in ys] for x in xs]
+    assert (G._T is None) != tabled  # no table built that was not asked for
+    assert G.span_idx(got.ravel().tolist()) == ref.closure_idx(got.ravel().tolist())
+
+
+def test_commutators_above_the_table_cap_start_no_column():
+    b2 = twisted.b2_build(make_field(2, 3))
+    G = b2.group()
+    assert G.n == 4096 > sg.SUBGROUP_ORDER_CAP
+    rng = random.Random(8)
+    xs = [rng.randrange(G.n) for _ in range(12)]
+    ys = [rng.randrange(G.n) for _ in range(12)]
+    got = G.commutators(xs, ys)
+    assert [[G.labels[c] for c in row] for row in got.tolist()] == [
+        [b2.commutator(G.labels[x], G.labels[y]) for y in ys] for x in xs]
+    assert got.tolist() == [[_bracket(G, x, y) for y in ys] for x in xs]
+    assert G._T is None and all(col is None for col in G._cols)
+
+
+def test_span_idx_closes_only_on_elements_that_enlarge_it():
+    G = sg.symmetric_group(4)
+    a, b = G.index_of((1, 0, 2, 3)), G.index_of((1, 2, 3, 0))
+    calls, closure = [], G.closure_idx
+    with mock.patch.object(G, "closure_idx", lambda seeds: calls.append(list(seeds)) or closure(seeds)):
+        sub = G.span_idx([G.identity, a, a, G.mul_idx(a, a), b, G.mul_idx(b, a)])
+    assert sub == tuple(range(G.n)) and calls == [[a], [a, b]]
+    assert G.span_idx([]) == G.span_idx([G.identity]) == (G.identity,)
+
+
 ISO_GROUPS = {
     "D4": sg.dihedral_group(4),
     "Q8": _quaternion_group(),
