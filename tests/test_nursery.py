@@ -336,7 +336,7 @@ def test_reconstruct_on_a_tabled_kind_starts_few_columns():
     assert rec.X == N.gamma2_labels() and rec.Y == N.gamma3_labels()
     assert all(rec.chi[lab] == lab[0] for lab in K.labels())
     assert sum(col is not None for col in G._cols) <= len(N.t_vectors) + N.mdim + 1
-    assert peak <= 0.25 * 2**20  # 256 list columns took 0.53 MiB
+    assert peak <= 0.25 * 2**20  # a list column per element peaks at about 0.65 MiB
 
 
 def test_orbit_upper_on_square_blocks():
