@@ -166,18 +166,19 @@ def _orbits(k: int, l: int):
 
 
 def code_classes(k: int, l: int):
-    """(orbit count under Sym_k, the 2^(l(k-l))/k! lower bound as a Fraction)."""
-    _, orbits = _orbits(k, l)
-    count = len(orbits)
-    bound = Fraction(2 ** (l * (k - l)), math.factorial(k))
-    if count < math.ceil(bound):
-        raise PropertyViolationError("orbit count fell below the permutation bound")
-    return count, bound
+    """(orbit count under Sym_k, the 2^(l(k-l))/k! lower bound as a Fraction),
+    read from `code_class_table`, which checks the one against the other."""
+    table = code_class_table(k, l)
+    return table["classes"], Fraction(table["bound"]["numerator"], table["bound"]["denominator"])
 
 
 def code_class_table(k: int, l: int) -> dict:
-    """JSON-ready table: canonical generator matrix and size of each class."""
+    """JSON-ready table: canonical generator matrix and size of each class;
+    PropertyViolationError if the orbits fall below the permutation bound."""
     spaces, orbits = _orbits(k, l)
+    count, bound = len(orbits), Fraction(2 ** (l * (k - l)), math.factorial(k))
+    if count < math.ceil(bound):
+        raise PropertyViolationError("orbit count fell below the permutation bound")
     classes = []
     for orbit in orbits:
         canon = min(spaces[i].basis for i in orbit)
@@ -188,7 +189,6 @@ def code_class_table(k: int, l: int) -> dict:
             }
         )
     classes.sort(key=lambda c: c["generators"])
-    count, bound = len(orbits), Fraction(2 ** (l * (k - l)), math.factorial(k))
     return {
         "k": k,
         "l": l,

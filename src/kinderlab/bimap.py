@@ -5,6 +5,14 @@ A hom pair (A, B) for systems Phi (s x b) and Ups (a x t) satisfies
 A Phi_i = sign * Ups_i B^t for every i.  The solution space is computed as
 one flat linear system over the common field: a*s + b*t unknowns (entries of
 A then B, row-major) and c*a*b equations.
+
+Every equation system here has one builder, on integer code arrays:
+`hom_equations_batch` (for T system pairs; `hom_space` and `hom_dim` take
+T = 1), `lambda_build`, and `nucleus_equations` (for n left vectors;
+`right_nucleus` and genericity's nucleus kind both call it).  A bimap is
+over F_p, its structure constants one read-only int64 [target, left, right]
+array.  Code arrays are int64, or Python ints (object) for fields of order
+above 2^63, so that GF(2^70) stays exact.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ import numpy as np
 
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, make_field
-from .linalg import (CoordSolver, Matrix, Subspace, batch_neg, flatten_matrix, rank_nullspace, ranks,
-                     rref, unflatten_matrix)
+from .linalg import (CoordSolver, Matrix, Subspace, batch_neg, fp_matmul, rank_nullspace, ranks, rref,
+                     unflatten_matrix)
 
 _ROOT_SEARCH_CAP = 1 << 20
 
@@ -93,51 +101,42 @@ def _flatten_pair(A: Matrix, B: Matrix) -> tuple:
     return tuple(out)
 
 
-def _hom_equations(phi: MatrixSystem, ups: MatrixSystem, sign: int):
-    """Rows of the flat system; unknowns are A (a x s) then B (b x t)."""
-    if len(phi) != len(ups):
-        raise InvalidConfigError("systems differ in length")
-    if phi.ctx != ups.ctx:
-        raise InvalidConfigError("systems over different fields")
-    if sign not in (1, -1):
-        raise InvalidConfigError("sign must be +1 or -1")
-    ctx = phi.ctx
-    s, b = phi.shape
-    a, t = ups.shape
-    na, nb = a * s, b * t
-    rows = []
-    for P, U in zip(phi.mats, ups.mats):
-        for r in range(a):
-            urow = U.rows[r]
-            for j in range(b):
-                row = [0] * (na + nb)
-                for k in range(s):
-                    row[r * s + k] = P.rows[k][j]
-                for k in range(t):
-                    # coefficient of B[j,k] is -sign * U[r,k]
-                    row[na + (j * t + k)] = ctx.neg(urow[k]) if sign == 1 else urow[k]
-                rows.append(row)
-    return rows, (a, s, b, t)
+def _codes(phi: MatrixSystem):
+    """[1, c, rows, cols] element codes: int64, or Python ints past int64."""
+    dtype = np.int64 if phi.ctx.order <= 1 << 63 else object
+    flat = [x for m in phi.mats for row in m.rows for x in row]
+    return np.array(flat, dtype=dtype).reshape(1, len(phi), *phi.shape)
 
 
 def hom_equations_batch(P, U, sign: int, ctx: FieldCtx):
-    """`_hom_equations` for T system pairs at once, as int64 code arrays.
+    """The hom equations of T system pairs as one code array, in the dtype of
+    P and U.
 
-    P is [T, c, s, b] and U is [T, c, a, t]; the result is [T, c*a*b, a*s + b*t]
-    with the rows and unknowns in `_hom_equations` order.
+    P is [T, c, s, b] and U is [T, c, a, t]; the result is [T, c*a*b, a*s + b*t]:
+    row (i, r, j) is entry (r, j) of A P_i - sign U_i B^t, the unknowns A
+    (a x s) then B (b x t), each row-major.
     """
     if sign not in (1, -1):
         raise InvalidConfigError("sign must be +1 or -1")
     T, c, s, b = P.shape
     a, t = U.shape[2:]
     na = a * s
-    eqs = np.zeros((T, c, a, b, na + b * t), dtype=np.int64)
+    eqs = np.zeros((T, c, a, b, na + b * t), dtype=np.result_type(P, U))
     for r in range(a):
         eqs[:, :, r, :, r * s : (r + 1) * s] = P.transpose(0, 1, 3, 2)
     coef = batch_neg(U, ctx) if sign == 1 else U
     for j in range(b):
         eqs[:, :, :, j, na + j * t : na + (j + 1) * t] = coef
     return eqs.reshape(T, c * a * b, na + b * t)
+
+
+def _equations(phi: MatrixSystem, ups: MatrixSystem, sign: int):
+    """The [c*a*b, a*s + b*t] hom equations of one system pair."""
+    if len(phi) != len(ups):
+        raise InvalidConfigError("systems differ in length")
+    if phi.ctx != ups.ctx:
+        raise InvalidConfigError("systems over different fields")
+    return hom_equations_batch(_codes(phi), _codes(ups), sign, phi.ctx)[0]
 
 
 def _solution_pairs(ctx: FieldCtx, rows, left, right) -> list:
@@ -160,8 +159,8 @@ def _solution_pairs(ctx: FieldCtx, rows, left, right) -> list:
 def hom_space(phi: MatrixSystem, ups: MatrixSystem, sign: int = 1) -> HomSpace:
     """Basis of {(A,B) : A Phi_i = sign * Ups_i B^t for all i}."""
     ctx = phi.ctx
-    rows, (a, s, b, t) = _hom_equations(phi, ups, sign)
-    basis = _solution_pairs(ctx, rows, (a, s), (b, t))
+    (s, b), (a, t) = phi.shape, ups.shape
+    basis = _solution_pairs(ctx, _equations(phi, ups, sign).tolist(), (a, s), (b, t))
     for A, B in basis:
         for P, U in zip(phi.mats, ups.mats):
             lhs = A.mul(P)
@@ -177,139 +176,76 @@ def hom_space(phi: MatrixSystem, ups: MatrixSystem, sign: int = 1) -> HomSpace:
 def hom_dim(phi: MatrixSystem, ups: MatrixSystem, sign: int = 1, fast=True) -> int:
     """dim_K of the hom space without materializing a basis; fast=False
     takes the `rref` rank, the reference `linalg.ranks` is checked against."""
-    rows, (a, s, b, t) = _hom_equations(phi, ups, sign)
-    n_unknowns = a * s + b * t
-    if not rows:
-        return n_unknowns
-    if fast:
-        return n_unknowns - int(ranks([rows], phi.ctx)[0])
-    return n_unknowns - len(rref(rows, phi.ctx)[0])
+    eqs = _equations(phi, ups, sign)
+    rank = int(ranks(eqs[None], phi.ctx)[0]) if fast else len(rref(eqs.tolist(), phi.ctx)[0])
+    return eqs.shape[1] - rank
 
 
 def end_space(phi: MatrixSystem) -> HomSpace:
     return hom_space(phi, phi, 1)
 
 
-def lambda_build(phi: MatrixSystem) -> MatrixSystem:
-    """Block systems [[0, P], [-P^t, 0]]; each member is antisymmetric."""
-    ctx = phi.ctx
-    a, b = phi.shape
-    n = a + b
-    out = []
-    for P in phi.mats:
-        rows = [[0] * n for _ in range(n)]
-        for i in range(a):
-            for j in range(b):
-                rows[i][a + j] = P.rows[i][j]
-                rows[a + j][i] = ctx.neg(P.rows[i][j])
-        out.append(Matrix(ctx, rows))
-    return MatrixSystem(ctx, (n, n), out)
+def lambda_build(P, ctx: FieldCtx):
+    """The block matrices [[0, P], [-P^t, 0]] of a [..., c, a, b] code array,
+    as [..., c, a+b, a+b]; each is antisymmetric."""
+    a, b = P.shape[-2:]
+    lam = np.zeros(P.shape[:-2] + (a + b, a + b), dtype=P.dtype)
+    lam[..., :a, a:] = P
+    lam[..., a:, :a] = batch_neg(np.swapaxes(P, -1, -2), ctx)
+    return lam
 
 
 # ---------------------------------------------------------------------------
 # bimaps and the right nucleus
 
 class Bimap:
-    """A bilinear map given by structure constants: one left x right matrix
-    per target coordinate."""
+    """A bilinear map over F_p given by its structure constants: the read-only
+    int64 array [target, left, right] whose [:, i, j] is the image of the
+    i-th left and the j-th right basis vector."""
 
-    __slots__ = ("ctx", "left_dim", "right_dim", "target_dim", "structure")
+    __slots__ = ("ctx", "structure", "target_dim", "left_dim", "right_dim")
 
-    def __init__(self, ctx, structure):
-        structure = tuple(structure)
-        if not structure:
-            raise InvalidConfigError("need at least one target coordinate")
-        self.ctx = ctx
-        self.structure = structure
-        self.left_dim = structure[0].nrows
-        self.right_dim = structure[0].ncols
-        self.target_dim = len(structure)
-        for m in structure:
-            if m.ctx != ctx or m.shape != (self.left_dim, self.right_dim):
-                raise InvalidConfigError("inconsistent structure constants")
-
-    @classmethod
-    def from_function(cls, ctx, left_dim, right_dim, target_dim, f) -> "Bimap":
-        """Tabulate f on basis pairs; f maps (left vec, right vec) to a target vec."""
-        tables = [[[0] * right_dim for _ in range(left_dim)] for _ in range(target_dim)]
-        for i in range(left_dim):
-            ei = tuple(ctx.one if k == i else 0 for k in range(left_dim))
-            for j in range(right_dim):
-                ej = tuple(ctx.one if k == j else 0 for k in range(right_dim))
-                out = f(ei, ej)
-                if len(out) != target_dim:
-                    raise InvalidConfigError("target dimension mismatch")
-                for k in range(target_dim):
-                    tables[k][i][j] = out[k]
-        return cls(ctx, [Matrix(ctx, t) for t in tables])
-
-    def evaluate(self, u, v) -> tuple:
-        ctx = self.ctx
-        if len(u) != self.left_dim or len(v) != self.right_dim:
-            raise InvalidConfigError("argument dimension mismatch")
-        out = []
-        for S in self.structure:
-            acc = 0
-            for i, ui in enumerate(u):
-                if not ui:
-                    continue
-                row = S.rows[i]
-                part = 0
-                for j, vj in enumerate(v):
-                    if vj and row[j]:
-                        part = ctx.add(part, ctx.mul(row[j], vj))
-                acc = ctx.add(acc, ctx.mul(ui, part))
-            out.append(acc)
-        return tuple(out)
+    def __init__(self, ctx: FieldCtx, structure):
+        structure = np.array(structure, dtype=np.int64)
+        if ctx.e != 1 or structure.ndim != 3 or not len(structure):
+            raise InvalidConfigError("need a [target, left, right] array over a prime field")
+        structure.setflags(write=False)
+        self.ctx, self.structure = ctx, structure
+        self.target_dim, self.left_dim, self.right_dim = structure.shape
 
     def __repr__(self):
         return "Bimap(%d x %d -> %d, F%d)" % (
             self.left_dim, self.right_dim, self.target_dim, self.ctx.order)
 
 
-def matrix_multiplication_bimap(ctx, a: int, c: int, d: int) -> Bimap:
+def matrix_multiplication_bimap(ctx: FieldCtx, a: int, c: int, d: int) -> Bimap:
     """The bimap M_{a x c}(K) x M_{c x d}(K) -> M_{a x d}(K) over the prime
     field, each space flattened as `linalg.flatten_matrix` does (row-major,
-    each entry as its e coordinates; over a prime field, plain row-major)."""
+    each entry as its e coordinates; over a prime field, plain row-major).
+
+    Units x^g at (r, s) and x^h at (s, k) multiply to x^g x^h at (r, k), so
+    the constants are identity blocks times K's [e, e, e] product table."""
     e = ctx.e
+    units = [ctx.from_vector(row) for row in np.eye(e, dtype=int).tolist()]
+    table = np.array([[ctx.to_vector(ctx.mul(x, y)) for y in units] for x in units], dtype=np.int64)
+    ident = [np.eye(n, dtype=np.int64) for n in (a, d, c)]
+    S = np.einsum("rR,kK,sS,ghf->rkfRsgSKh", *ident, table)
+    return Bimap(make_field(ctx.p, 1), S.reshape(a * d * e, a * c * e, c * d * e))
 
-    def f(u, v):
-        return flatten_matrix(unflatten_matrix(u, ctx, a, c).mul(unflatten_matrix(v, ctx, c, d)))
 
-    return Bimap.from_function(make_field(ctx.p, 1), a * c * e, c * d * e, a * d * e, f)
+def nucleus_equations(bm: Bimap, Q):
+    """The equations [q, g v] = h [q, v] (all v) of each row q of the
+    [n, left] code array Q, as [n, r*t, r*r + t*t].
 
-
-def nucleus_equations(bm: Bimap, q) -> list:
-    """The r*t rows of [q, g v] = h [q, v] (all v) for one left vector q.
-
-    Unknowns are g (r x r, row-major) then h (t x t).  The rows are linear in
-    q, which the batched nucleus experiment uses to assemble many at once.
+    Row (j, k) of a q is coordinate k of [q, g e_j] - h [q, e_j]; the unknowns
+    are g (r x r, row-major) then h (t x t).  The rows are linear in q.
     """
-    ctx = bm.ctx
-    r, t = bm.right_dim, bm.target_dim
-    ng, nh = r * r, t * t
-    # W[k][j'] = (q^t S_k)_{j'}
-    W = []
-    for S in bm.structure:
-        wk = [0] * r
-        for i, qi in enumerate(q):
-            if not qi:
-                continue
-            srow = S.rows[i]
-            for j2 in range(r):
-                if srow[j2]:
-                    wk[j2] = ctx.add(wk[j2], ctx.mul(qi, srow[j2]))
-        W.append(wk)
-    rows = []
-    for j in range(r):
-        for k in range(t):
-            row = [0] * (ng + nh)
-            for j2 in range(r):
-                row[j2 * r + j] = W[k][j2]
-            for m in range(t):
-                row[ng + k * t + m] = ctx.neg(W[m][j])
-            rows.append(row)
-    return rows
+    p, r, t = bm.ctx.p, bm.right_dim, bm.target_dim
+    W = fp_matmul(Q, bm.structure.transpose(1, 0, 2).reshape(bm.left_dim, t * r), p)
+    W = W.reshape(len(Q), t, r)  # W[q, k, j] = [q, e_j]_k
+    g = np.einsum("nkx,jy->njkxy", W, np.eye(r, dtype=np.int64))
+    h = np.einsum("nmj,kl->njklm", (-W) % p, np.eye(t, dtype=np.int64))
+    return np.concatenate([g.reshape(len(Q), r * t, r * r), h.reshape(len(Q), r * t, t * t)], axis=2)
 
 
 def right_nucleus(bm: Bimap, left_sub: Subspace) -> HomSpace:
@@ -322,7 +258,8 @@ def right_nucleus(bm: Bimap, left_sub: Subspace) -> HomSpace:
     if left_sub.ambient_dim != bm.left_dim or left_sub.ctx != ctx:
         raise InvalidConfigError("left subspace does not match the bimap")
     r, t = bm.right_dim, bm.target_dim
-    rows = [row for q in left_sub.basis for row in nucleus_equations(bm, q)]
+    Q = np.array(left_sub.basis, dtype=np.int64).reshape(left_sub.dim, bm.left_dim)
+    rows = nucleus_equations(bm, Q).reshape(-1, r * r + t * t).tolist()
     basis = _solution_pairs(ctx, rows, (r, r), (t, t))
     space = HomSpace(ctx=ctx, basis=tuple(basis), dim_k=len(basis), dim_fp=ctx.e * len(basis))
     ident = (Matrix.identity(ctx, r), Matrix.identity(ctx, t))

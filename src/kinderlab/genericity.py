@@ -20,7 +20,10 @@ that a batch's largest stack holds about CHUNK_CELLS entries at most and
 memory stays bounded.  The evaluator assembles the equation or image
 matrices of the whole batch, makes one `linalg.ranks` call per rank it
 needs, and returns the histogram keys as an array that `_tally` counts with
-one `np.unique`.
+one `np.unique`.  The equations come from `bimap`'s array builders, the same
+ones its single-instance solvers use: `hom_equations_batch`, `lambda_build`,
+and `nucleus_equations` on the unit vectors, which are linear in the left
+vector, so a batch's nucleus rows are one exact `linalg.fp_matmul`.
 
 The two dimensions `hom_pm_transpose` records per trial, dim hom(P, P^t)
 and dim hom(P, -P^t), are always equal: (A, B) -> (A, -B) carries the
@@ -45,7 +48,7 @@ import numpy as np
 from . import bimap as bm
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, need
 from .gf import FieldCtx, make_field_from_order
-from .linalg import batch_neg, digits, gaussian_binomial, ranks, rref_bases
+from .linalg import digits, fp_matmul, gaussian_binomial, ranks, rref_bases
 
 KINDS = ("span", "end_generic", "hom_pm_transpose", "lambda_end", "nucleus", "derived_full")
 EXHAUSTIVE_CAP = 1 << 24
@@ -256,13 +259,6 @@ def _hom_dims(P, U, sign: int, ctx: FieldCtx):
     return eqs.shape[2] - ranks(eqs, ctx)
 
 
-def _fp_matmul(x, y, p: int):
-    """x @ y mod p, exact: int64 while the inner sums fit, Python ints beyond."""
-    if (p - 1) ** 2 * x.shape[-1] < 1 << 63:
-        return x @ y % p
-    return (x.astype(object) @ y.astype(object) % p).astype(np.int64)
-
-
 def _tally(into: dict, values):
     keys, counts = np.unique(values, return_counts=True)
     for k, v in zip(keys.tolist(), counts.tolist()):
@@ -276,11 +272,8 @@ def _bracket(ctx: FieldCtx, a: int, b: int, c: int):
     equations of each left basis vector, as [left, rows * unknowns]."""
     nb = bm.matrix_multiplication_bimap(ctx, a, b, c)
     left = nb.left_dim
-    S = np.array([m.rows for m in nb.structure], dtype=np.int64).reshape(
-        nb.target_dim, left, nb.right_dim)
-    units = [tuple(1 if k == i else 0 for k in range(left)) for i in range(left)]
-    eqs = np.array([bm.nucleus_equations(nb, u) for u in units], dtype=np.int64)
-    out = (S.transpose(1, 2, 0).reshape(left, -1), eqs.reshape(left, -1))
+    out = (nb.structure.transpose(1, 2, 0).reshape(left, -1),
+           bm.nucleus_equations(nb, np.eye(left, dtype=np.int64)).reshape(left, -1))
     for arr in out:
         arr.setflags(write=False)
     return nb, out
@@ -355,9 +348,7 @@ def _spec(kind: str, params: dict) -> _Spec:
             d_minus = _hom_dims(P, Pt, -1, ctx)
             off = d_minus + _hom_dims(Pt, P, -1, ctx)
             total = diag + off
-            lam = np.zeros(P.shape[:2] + (a + b, a + b), dtype=np.int64)
-            lam[:, :, :a, a:] = P
-            lam[:, :, a:, :a] = batch_neg(Pt, ctx)
+            lam = bm.lambda_build(P, ctx)
             if (_hom_dims(lam, lam, 1, ctx) != total).any():
                 raise PropertyViolationError("Lambda block decomposition failed")
             for name, vals in (("diag_hist", diag), ("offdiag_hist", off),
@@ -386,7 +377,7 @@ def _spec(kind: str, params: dict) -> _Spec:
         target = e * c * c
 
         def evaluate(Q):
-            eqs = _fp_matmul(Q, unit_eqs, fp.p).reshape(len(Q), ell * r * t, unknowns)
+            eqs = fp_matmul(Q, unit_eqs, fp.p).reshape(len(Q), ell * r * t, unknowns)
             d = unknowns - ranks(eqs, fp)
             return d, d == target
 
@@ -397,7 +388,7 @@ def _spec(kind: str, params: dict) -> _Spec:
     def evaluate(Q):
         """F_p-rank of {x * u : x in the kind's top layer, u a basis element
         of the middle layer}, the flattened image of the commutator map."""
-        d = ranks(_fp_matmul(Q, structure, fp.p).reshape(len(Q), ell * r, t), fp)
+        d = ranks(fp_matmul(Q, structure, fp.p).reshape(len(Q), ell * r, t), fp)
         return d, d == full
 
     # the stated exponent b - a*ell is unambiguous (and provable) at a == b;

@@ -509,9 +509,19 @@ def np_rank(mat, ctx: FieldCtx) -> int:
     return int(batch_rank(a[None], ctx)[0])
 
 
+def fp_matmul(x, y, p: int):
+    """x @ y mod p, exact: int64 while the inner sums fit, Python ints beyond."""
+    if (p - 1) ** 2 * x.shape[-1] < 1 << 63:
+        return x @ y % p
+    return (x.astype(object) @ y.astype(object) % p).astype(np.int64)
+
+
 def batch_neg(arr, ctx: FieldCtx):
-    """Entrywise negation of an int64 array of element codes (digitwise mod p)."""
+    """Entrywise negation of an array of element codes (digitwise mod p), in
+    the array's dtype: int64, or Python ints for orders beyond it."""
     p = ctx.p
+    if ctx.e == 1:
+        return -arr % p
     out = arr * 0
     place = 1
     for _ in range(ctx.e):

@@ -442,9 +442,7 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
     y_idx = G.span_idx(G.commutators([one_idx], x_idx)[0].tolist())
     if len(y_idx) != n.p**n.mdim:
         raise PropertyViolationError("bracketing with rho(1) missed the third term")
-    # the unordered pairs of X suffice, as [b, a] = [a, b]^-1
-    z_idx = G.span_idx(c for k, a in enumerate(x_idx)
-                       for c in G.commutators([a], x_idx[k + 1:])[0].tolist())
+    z_idx = G.span_idx(G.commutators(x_idx, x_idx).ravel().tolist())
     if len(z_idx) != 1:
         raise PropertyViolationError("the recovered second term is not abelian")
 

@@ -115,8 +115,8 @@ def test_hom_dim_falls_back_to_exact_beyond_the_fast_path():
         assert bm.hom_dim(phi, phi) >= 1
 
 
-@pytest.mark.parametrize("F", FIELDS + [make_field(2, 10), make_field(3, 7)],
-                         ids=lambda F: "F%d" % F.order)
+@pytest.mark.parametrize("F", FIELDS + [make_field(2, 10), make_field(3, 7), make_field(5, 3),
+                                make_field(2, 70)], ids=lambda F: "F%d" % F.order)
 def test_batch_neg_matches_field_negation(F):
     xs = np.array(sorted({0, 1, F.order - 1} | {(F.order * k) // 7 for k in range(7)}))
     assert batch_neg(xs, F).tolist() == [F.neg(int(x)) for x in xs]

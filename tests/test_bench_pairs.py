@@ -64,3 +64,13 @@ def test_dont_write_bytecode_reads_the_environment(monkeypatch):
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert bench_pairs.dont_write_bytecode() is False
     assert bench_pairs.dont_write_bytecode({"PYTHONDONTWRITEBYTECODE": ""}) is False
+
+
+def test_src_lines_counts_src_per_module_and_the_tests_total(tmp_path):
+    for rel, lines in (("src/pkg/a.py", 3), ("src/pkg/b.py", 2), ("tests/test_a.py", 4),
+                       ("tests/data/helper.py", 1), ("tests/data/golden.json", 7)):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("x = 1\n" * lines)
+    assert bench_pairs.src_lines(tmp_path) == {
+        "total": 5, "modules": {"pkg/a.py": 3, "pkg/b.py": 2}, "tests_total": 5}

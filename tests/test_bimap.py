@@ -1,5 +1,6 @@
 """Hom pairs of matrix systems: identities, brute-force counts, nuclei."""
 
+import functools
 import itertools
 import json
 import random
@@ -15,7 +16,7 @@ from kinderlab import acceptance
 from kinderlab import bimap as bm
 from kinderlab.errors import InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field, make_field_from_order
-from kinderlab.linalg import Matrix, Subspace, unflatten_matrix
+from kinderlab.linalg import Matrix, Subspace, flatten_matrix, rref, unflatten_matrix
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -166,6 +167,7 @@ def test_hom_space_with_a_zero_dimension(a, s, b, t):
             assert acceptance._brute_hom_count(phi, ups, sign) == K.order**H.dim_fp
             for A, B in H.basis:
                 assert (A.shape, B.shape) == ((a, s), (b, t))
+            _assert_hom_matches_reference(phi, ups, sign)
 
 
 def test_scalar_pairs_in_end():
@@ -231,6 +233,56 @@ def test_hom_dim_equal_for_both_signs(q, m, n, s, transposed, seed):
         assert bm.hom_dim(phi, ups, 1, fast=fast) == bm.hom_dim(phi, ups, -1, fast=fast)
 
 
+def _hom_equations(phi, ups, sign):
+    """The reference rows of the flat hom system, one Python row at a time:
+    unknowns are A (a x s) then B (b x t), row-major."""
+    if len(phi) != len(ups):
+        raise InvalidConfigError("systems differ in length")
+    if phi.ctx != ups.ctx:
+        raise InvalidConfigError("systems over different fields")
+    if sign not in (1, -1):
+        raise InvalidConfigError("sign must be +1 or -1")
+    ctx = phi.ctx
+    s, b = phi.shape
+    a, t = ups.shape
+    na, nb = a * s, b * t
+    rows = []
+    for P, U in zip(phi.mats, ups.mats):
+        for r in range(a):
+            urow = U.rows[r]
+            for j in range(b):
+                row = [0] * (na + nb)
+                for k in range(s):
+                    row[r * s + k] = P.rows[k][j]
+                for k in range(t):
+                    # coefficient of B[j,k] is -sign * U[r,k]
+                    row[na + (j * t + k)] = ctx.neg(urow[k]) if sign == 1 else urow[k]
+                rows.append(row)
+    return rows, (a, s, b, t)
+
+
+def _codes(systems, dtype=np.int64):
+    """[T, c, rows, cols] element codes of equally shaped systems."""
+    phi = systems[0]
+    return np.array([[m.rows for m in x] for x in systems], dtype=dtype).reshape(
+        len(systems), len(phi), *phi.shape)
+
+
+def _assert_hom_matches_reference(phi, ups, sign):
+    """hom_space, hom_dim (both ranks) and hom_equations_batch against the
+    reference rows."""
+    ctx = phi.ctx
+    rows, (a, s, b, t) = _hom_equations(phi, ups, sign)
+    want = bm._solution_pairs(ctx, rows, (a, s), (b, t))
+    H = bm.hom_space(phi, ups, sign)
+    assert list(H.basis) == want
+    dim = a * s + b * t - len(rref(rows, ctx)[0])
+    assert H.dim_k == dim == bm.hom_dim(phi, ups, sign) == bm.hom_dim(phi, ups, sign, fast=False)
+    dtype = np.int64 if ctx.order <= 1 << 63 else object
+    got = bm.hom_equations_batch(_codes([phi], dtype), _codes([ups], dtype), sign, ctx)
+    assert got.shape == (1, len(rows), a * s + b * t) and got[0].tolist() == rows
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_hom_equations_batch_matches_rows(q):
     F = make_field_from_order(q)
@@ -238,12 +290,70 @@ def test_hom_equations_batch_matches_rows(q):
     for s, b, a, t, c in ((2, 3, 1, 2, 2), (3, 3, 3, 3, 1), (1, 2, 2, 1, 3)):
         pairs = [(bm.MatrixSystem.random(F, (s, b), c, rng), bm.MatrixSystem.random(F, (a, t), c, rng))
                  for _ in range(3)]
-        P = np.array([[m.rows for m in phi] for phi, _ in pairs])
-        U = np.array([[m.rows for m in ups] for _, ups in pairs])
+        P = _codes([phi for phi, _ in pairs])
+        U = _codes([ups for _, ups in pairs])
         for sign in (1, -1):
             got = bm.hom_equations_batch(P, U, sign, F)
             for k, (phi, ups) in enumerate(pairs):
-                assert got[k].tolist() == bm._hom_equations(phi, ups, sign)[0]
+                assert got[k].tolist() == _hom_equations(phi, ups, sign)[0]
+
+
+# fields whose codes leave int64 (GF(2^70): object arrays) or batch_rank's
+# range (a prime just above PRIME_CAP: the rref fallback), and an odd
+# extension field with three digits per code
+EXACT_FIELDS = {"GF(2^70)": (2, 70), "p=2^31+11": (2147483659, 1), "GF(125)": (5, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_FIELDS))
+def test_hom_arrays_stay_exact_on_large_fields(name):
+    K = make_field(*EXACT_FIELDS[name])
+    rng = random.Random(name)
+    for a, s, b, t, c in ((1, 2, 2, 1, 2), (2, 2, 2, 2, 1), (2, 1, 1, 2, 3)):
+        phi = bm.MatrixSystem.random(K, (s, b), c, rng)
+        for ups in (bm.MatrixSystem.random(K, (a, t), c, rng), phi.transpose()):
+            for sign in (1, -1):
+                _assert_hom_matches_reference(phi, ups, sign)
+    # a system with a nonzero hom space: End of the identity system is M_2(K)
+    ident = bm.MatrixSystem(K, (2, 2), [Matrix.identity(K, 2)])
+    _assert_hom_matches_reference(ident, ident, 1)
+    assert bm.end_space(ident).dim_k == 4
+
+
+def _nucleus_reference(bimap, q) -> list:
+    """The reference r*t rows of [q, g v] = h [q, v] for one left vector q,
+    one field operation at a time; unknowns are g (r x r) then h (t x t)."""
+    ctx = bimap.ctx
+    r, t = bimap.right_dim, bimap.target_dim
+    ng, nh = r * r, t * t
+    W = []
+    for S in bimap.structure.tolist():
+        wk = [0] * r
+        for i, qi in enumerate(q):
+            for j2 in range(r):
+                wk[j2] = ctx.add(wk[j2], ctx.mul(qi, S[i][j2]))
+        W.append(wk)
+    rows = []
+    for j in range(r):
+        for k in range(t):
+            row = [0] * (ng + nh)
+            for j2 in range(r):
+                row[j2 * r + j] = W[k][j2]
+            for m in range(t):
+                row[ng + k * t + m] = ctx.neg(W[m][j])
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 9]), shape=st.tuples(*[st.integers(1, 2)] * 3),
+       n=st.integers(0, 4), seed=st.integers(0, 2**32))
+def test_nucleus_equations_match_the_reference(q, shape, n, seed):
+    mm = bm.matrix_multiplication_bimap(make_field_from_order(q), *shape)
+    rng = random.Random(seed)
+    Q = [[rng.randrange(mm.ctx.p) for _ in range(mm.left_dim)] for _ in range(n)]
+    got = bm.nucleus_equations(mm, np.array(Q, dtype=np.int64).reshape(n, mm.left_dim))
+    assert got.shape == (n, mm.right_dim * mm.target_dim, mm.right_dim ** 2 + mm.target_dim ** 2)
+    assert got.tolist() == [_nucleus_reference(mm, q) for q in Q]
 
 
 def test_nucleus_equations_linear_in_q():
@@ -253,9 +363,8 @@ def test_nucleus_equations_linear_in_q():
         u = [rng.randrange(3) for _ in range(mm.left_dim)]
         v = [rng.randrange(3) for _ in range(mm.left_dim)]
         w = [F3.add(x, y) for x, y in zip(u, v)]
-        lhs = bm.nucleus_equations(mm, w)
-        rhs = [[F3.add(x, y) for x, y in zip(r1, r2)]
-               for r1, r2 in zip(bm.nucleus_equations(mm, u), bm.nucleus_equations(mm, v))]
+        lhs, eu, ev = bm.nucleus_equations(mm, np.array([w, u, v])).tolist()
+        rhs = [[F3.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(eu, ev)]
         assert lhs == rhs
         assert len(lhs) == mm.right_dim * mm.target_dim
 
@@ -263,10 +372,36 @@ def test_nucleus_equations_linear_in_q():
 def test_lambda_build_antisymmetric():
     rng = random.Random(7)
     phi = bm.MatrixSystem.random(F3, (2, 3), 4, rng)
-    lam = bm.lambda_build(phi)
-    assert lam.shape == (5, 5)
-    for L in lam:
-        assert L.transpose() == L.neg()
+    lam = bm.lambda_build(_codes([phi]), F3)
+    assert lam.shape == (1, 4, 5, 5)
+    for L in lam[0].tolist():
+        assert Matrix(F3, L).transpose() == Matrix(F3, L).neg()
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_lambda_build_matches_the_blocks_entrywise(q):
+    K = make_field_from_order(q)
+    rng = random.Random(q)
+    a, b = 2, 3
+    systems = [bm.MatrixSystem.random(K, (a, b), 3, rng) for _ in range(4)]
+    got = bm.lambda_build(_codes(systems), K)
+    for lam, phi in zip(got.tolist(), systems):
+        for L, P in zip(lam, phi):
+            want = [[0] * (a + b) for _ in range(a + b)]
+            for i in range(a):
+                for j in range(b):
+                    want[i][a + j] = P[i, j]
+                    want[a + j][i] = K.neg(P[i, j])
+            assert L == want
+
+
+def _evaluate(bimap, u, v) -> tuple:
+    """The bimap on a pair of vectors, one field operation at a time."""
+    ctx = bimap.ctx
+    return tuple(
+        functools.reduce(ctx.add, (ctx.mul(ctx.mul(ui, S[i][j]), vj)
+                                   for i, ui in enumerate(u) for j, vj in enumerate(v)), 0)
+        for S in bimap.structure.tolist())
 
 
 def test_matrix_multiplication_bimap():
@@ -281,7 +416,7 @@ def test_matrix_multiplication_bimap():
     for _ in range(50):
         u = tuple(rng.randrange(2) for _ in range(4))
         v = tuple(rng.randrange(2) for _ in range(2))
-        assert mm.evaluate(u, v) == direct(u, v)
+        assert _evaluate(mm, u, v) == direct(u, v)
 
 
 @pytest.mark.parametrize("q", [4, 9])
@@ -296,7 +431,20 @@ def test_matrix_multiplication_bimap_flattens_to_the_prime_field(q):
         u = [rng.randrange(K.p) for _ in range(mm.left_dim)]
         v = [rng.randrange(K.p) for _ in range(mm.right_dim)]
         Z = unflatten_matrix(u, K, a, c).mul(unflatten_matrix(v, K, c, d))
-        assert mm.evaluate(u, v) == tuple(x for row in Z.rows for y in row for x in K.to_vector(y))
+        assert _evaluate(mm, u, v) == tuple(x for row in Z.rows for y in row for x in K.to_vector(y))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_matrix_multiplication_constants_are_unit_products(q):
+    K = make_field_from_order(q)
+    for a, c, d in itertools.product(range(1, 4), repeat=3):
+        mm = bm.matrix_multiplication_bimap(K, a, c, d)
+        S, fp = mm.structure, mm.ctx
+        assert S.dtype == np.int64 and not S.flags.writeable
+        left = [unflatten_matrix(u, K, a, c) for u in Matrix.identity(fp, mm.left_dim).rows]
+        right = [unflatten_matrix(v, K, c, d) for v in Matrix.identity(fp, mm.right_dim).rows]
+        want = [[list(flatten_matrix(x.mul(y))) for y in right] for x in left]
+        assert S.transpose(1, 2, 0).tolist() == want, (a, c, d)
 
 
 def test_right_nucleus():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kinderlab import acceptance, cli, genericity, smallgrp
+from kinderlab import acceptance, altcodes, cli, genericity, smallgrp
 from kinderlab.errors import InvalidConfigError, PropertyViolationError
 
 
@@ -183,6 +183,17 @@ def test_main_property_violation_exit(monkeypatch):
 
     monkeypatch.setitem(cli._HANDLERS, "arith", boom)
     assert cli.main(["arith", "--op", "mu", "--n", "8"]) == 4
+
+
+def test_alt_codes_exits_4_when_the_orbits_fall_below_the_bound(monkeypatch, capsys):
+    # ceil(2^(l(k-l)) / k!) is at most 1 for every k <= 6, so a merge of two
+    # orbits never falls below it; an orbit list that lost every orbit does
+    real = altcodes._orbits
+    monkeypatch.setattr(altcodes, "_orbits", lambda k, l: (real(k, l)[0], []))
+    assert cli.main(["alt-codes", "--k", "3", "--l", "1"]) == cli.EXIT_PROPERTY
+    assert "permutation bound" in capsys.readouterr().err
+    with pytest.raises(PropertyViolationError, match="permutation bound"):
+        altcodes.code_classes(3, 1)
 
 
 def test_verify_tier_validation():

@@ -19,9 +19,9 @@ quartiles and raw values of every end-to-end metric;
 how many pairs the head won on each (better and worse as BENCHMARK.json
 says, ties counting for neither); a verdict on each (see `verdict`); whether
 the payload hashes the two sides share are identical; the line count of
-each side's `src/`, per module; and, from one run per side after the pairs,
-the Tier-1 pytest wall time with pytest's own counts and seconds, and the
-seconds of each `verify --tier fast` criterion.
+each side's `src/`, per module, and of its `tests/`; and, from one run per
+side after the pairs, the Tier-1 pytest wall time with pytest's own counts
+and seconds, and the seconds of each `verify --tier fast` criterion.
 """
 
 import argparse
@@ -139,9 +139,12 @@ def end_to_end_runs(checkout):
 
 
 def src_lines(checkout):
+    """Lines of each module under src/, their total, and the total under tests/,
+    so that code moved from src/ into the tests shows next to the src/ cut."""
     counts = {str(p.relative_to(checkout / "src")): len(p.read_text().splitlines())
               for p in sorted((checkout / "src").rglob("*.py"))}
-    return {"total": sum(counts.values()), "modules": counts}
+    tests = sum(len(p.read_text().splitlines()) for p in (checkout / "tests").rglob("*.py"))
+    return {"total": sum(counts.values()), "modules": counts, "tests_total": tests}
 
 
 def dont_write_bytecode(environ=os.environ):
