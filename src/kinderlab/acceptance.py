@@ -302,8 +302,7 @@ def _crit_code_classes(tier: str) -> str:
     table_rows = 0
     for k in range(1, 6):
         for ell in range(k + 1):
-            cnt, bound = altcodes.code_classes(k, ell)
-            require(cnt >= math.ceil(bound), (k, ell, cnt, bound))
+            altcodes.code_class_table(k, ell)  # checks the count against the bound
             table_rows += 1
     # group side, k <= 4: same orbit -> explicit coordinate-permutation
     # isomorphism; different orbit -> the recovered-weight histogram differs

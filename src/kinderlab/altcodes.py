@@ -165,13 +165,6 @@ def _orbits(k: int, l: int):
     return spaces, orbits
 
 
-def code_classes(k: int, l: int):
-    """(orbit count under Sym_k, the 2^(l(k-l))/k! lower bound as a Fraction),
-    read from `code_class_table`, which checks the one against the other."""
-    table = code_class_table(k, l)
-    return table["classes"], Fraction(table["bound"]["numerator"], table["bound"]["denominator"])
-
-
 def code_class_table(k: int, l: int) -> dict:
     """JSON-ready table: canonical generator matrix and size of each class;
     PropertyViolationError if the orbits fall below the permutation bound."""

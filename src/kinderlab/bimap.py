@@ -136,7 +136,8 @@ def _equations(phi: MatrixSystem, ups: MatrixSystem, sign: int):
         raise InvalidConfigError("systems differ in length")
     if phi.ctx != ups.ctx:
         raise InvalidConfigError("systems over different fields")
-    return hom_equations_batch(_codes(phi), _codes(ups), sign, phi.ctx)[0]
+    P = _codes(phi)
+    return hom_equations_batch(P, P if ups is phi else _codes(ups), sign, phi.ctx)[0]
 
 
 def _solution_pairs(ctx: FieldCtx, rows, left, right) -> list:
@@ -244,7 +245,7 @@ def nucleus_equations(bm: Bimap, Q):
     W = fp_matmul(Q, bm.structure.transpose(1, 0, 2).reshape(bm.left_dim, t * r), p)
     W = W.reshape(len(Q), t, r)  # W[q, k, j] = [q, e_j]_k
     g = np.einsum("nkx,jy->njkxy", W, np.eye(r, dtype=np.int64))
-    h = np.einsum("nmj,kl->njklm", (-W) % p, np.eye(t, dtype=np.int64))
+    h = np.einsum("nmj,kl->njklm", batch_neg(W, bm.ctx), np.eye(t, dtype=np.int64))
     return np.concatenate([g.reshape(len(Q), r * t, r * r), h.reshape(len(Q), r * t, t * t)], axis=2)
 
 

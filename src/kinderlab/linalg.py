@@ -518,13 +518,12 @@ def fp_matmul(x, y, p: int):
 
 def batch_neg(arr, ctx: FieldCtx):
     """Entrywise negation of an array of element codes (digitwise mod p), in
-    the array's dtype: int64, or Python ints for orders beyond it."""
+    the array's dtype: int64, or Python ints for orders beyond it.  The lowest
+    digit of -x is -x mod p, so a prime field takes no pass of the loop."""
     p = ctx.p
-    if ctx.e == 1:
-        return -arr % p
-    out = arr * 0
+    out = -arr % p
     place = 1
-    for _ in range(ctx.e):
-        out += (-(arr // place) % p) * place
+    for _ in range(ctx.e - 1):
         place *= p
+        out += (-(arr // place) % p) * place
     return out

@@ -149,18 +149,24 @@ def test_hamming_recover_equals_the_pairwise_reference_on_relabellings(k, data, 
     assert (H._T is None) != tabled
 
 
+def _classes(k, l):
+    """(orbit count, permutation bound as a Fraction) from the class table."""
+    table = altcodes.code_class_table(k, l)
+    return table["classes"], Fraction(**table["bound"])
+
+
 def test_code_classes_frozen():
     for k in (1, 2, 3, 4):
-        cnt, bnd = altcodes.code_classes(k, 0)
+        cnt, bnd = _classes(k, 0)
         assert cnt == 1 and bnd == Fraction(1, math.factorial(k))
-    assert altcodes.code_classes(2, 1) == (2, Fraction(1))
-    c42, b42 = altcodes.code_classes(4, 2)
+    assert _classes(2, 1) == (2, Fraction(1))
+    c42, b42 = _classes(4, 2)
     assert b42 == Fraction(16, 24)
     assert c42 >= math.ceil(b42)
     with pytest.raises(InvalidConfigError):
-        altcodes.code_classes(3, 4)
+        _classes(3, 4)
     with pytest.raises(CapExceededError):
-        altcodes.code_classes(7, 2)
+        _classes(7, 2)
 
 
 def _classes_bruteforce(k, l):
@@ -181,7 +187,7 @@ def _classes_bruteforce(k, l):
 def test_code_classes_vs_bruteforce():
     for k in range(1, 5):
         for l in range(k + 1):
-            assert altcodes.code_classes(k, l)[0] == _classes_bruteforce(k, l)
+            assert _classes(k, l)[0] == _classes_bruteforce(k, l)
 
 
 def test_iso_classes_match_code_classes_k3():
@@ -192,7 +198,7 @@ def test_iso_classes_match_code_classes_k3():
         for S in enumerate_subspaces(3, l, F2)
     ]
     classes, _ = smallgrp.iso_classes(groups)
-    total = sum(altcodes.code_classes(3, l)[0] for l in range(4))
+    total = sum(_classes(3, l)[0] for l in range(4))
     assert len(classes) == total == 8
 
 
@@ -210,16 +216,15 @@ def test_code_class_table_payload():
     table = altcodes.code_class_table(4, 2)
     json.dumps(table)
     assert table["subspaces"] == 35
-    assert table["classes"] == altcodes.code_classes(4, 2)[0]
+    assert table["classes"] == len(altcodes._orbits(4, 2)[1]) == _classes_bruteforce(4, 2)
     assert sum(c["size"] for c in table["table"]) == 35
     assert table["bound"] == {"numerator": 2, "denominator": 3}
 
 
 @pytest.mark.parametrize("k, l", [(3, 9), (2, -1), (-1, 1), (0, 0), (3, 4)])
 def test_code_class_table_rejects_k_and_l_out_of_range(k, l):
-    for fn in (altcodes.code_class_table, altcodes.code_classes):
-        with pytest.raises(InvalidConfigError):
-            fn(k, l)
+    with pytest.raises(InvalidConfigError):
+        altcodes.code_class_table(k, l)
 
 
 def test_a_code_subgroup_of_a_tabled_gamma_makes_no_label_products(monkeypatch):

@@ -193,7 +193,7 @@ def test_alt_codes_exits_4_when_the_orbits_fall_below_the_bound(monkeypatch, cap
     assert cli.main(["alt-codes", "--k", "3", "--l", "1"]) == cli.EXIT_PROPERTY
     assert "permutation bound" in capsys.readouterr().err
     with pytest.raises(PropertyViolationError, match="permutation bound"):
-        altcodes.code_classes(3, 1)
+        altcodes.code_class_table(3, 1)
 
 
 def test_verify_tier_validation():
