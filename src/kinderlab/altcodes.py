@@ -167,11 +167,15 @@ def _orbits(k: int, l: int):
 
 def code_class_table(k: int, l: int) -> dict:
     """JSON-ready table: canonical generator matrix and size of each class;
-    PropertyViolationError if the orbits fall below the permutation bound."""
+    PropertyViolationError if the orbits fall below the permutation bound, do
+    not partition the subspaces, or have a size that does not divide k!."""
     spaces, orbits = _orbits(k, l)
     count, bound = len(orbits), Fraction(2 ** (l * (k - l)), math.factorial(k))
     if count < math.ceil(bound):
         raise PropertyViolationError("orbit count fell below the permutation bound")
+    total = gaussian_binomial(k, l, 2)
+    require(sum(map(len, orbits)) == total, "orbit sizes do not add up to the subspace count")
+    require(all(math.factorial(k) % len(orbit) == 0 for orbit in orbits), "an orbit size does not divide k!")
     classes = []
     for orbit in orbits:
         canon = min(spaces[i].basis for i in orbit)
@@ -185,7 +189,7 @@ def code_class_table(k: int, l: int) -> dict:
     return {
         "k": k,
         "l": l,
-        "subspaces": int(gaussian_binomial(k, l, 2)),
+        "subspaces": total,
         "classes": count,
         "bound": {"numerator": bound.numerator, "denominator": bound.denominator},
         "table": classes,

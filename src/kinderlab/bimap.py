@@ -11,8 +11,9 @@ Every equation system here has one builder, on integer code arrays:
 T = 1), `lambda_build`, and `nucleus_equations` (for n left vectors;
 `right_nucleus` and genericity's nucleus kind both call it).  A bimap is
 over F_p, its structure constants one read-only int64 [target, left, right]
-array.  Code arrays are int64, or Python ints (object) for fields of order
-above 2^63, so that GF(2^70) stays exact.
+array; `nursery` reads its matrix and field algebras from
+`matrix_multiplication_bimap`'s.  Code arrays are int64, or Python ints
+(object) for fields of order above 2^63, so that GF(2^70) stays exact.
 """
 
 from __future__ import annotations

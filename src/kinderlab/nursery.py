@@ -1,10 +1,14 @@
 """Module nurseries: filtered p-groups cut out of a ring acting on a module.
 
-A nursery packages an F_p-algebra R, given concretely by a basis of
-matrices acting on an F_p-space M, together with a marked generating set
-S of R containing the unit and a probe set T of module elements whose
-annihilators intersect trivially.  The attached group is the set of
-triples (x, u, w) with x in R and u, w in M under
+A nursery packages an F_p-algebra R acting on an F_p-space M, held as one
+read-only int64 [rdim, mdim, mdim] array whose [k] is the matrix of the
+k-th basis element of R on M, together with a marked generating set S of R
+containing the unit and a probe set T of module elements whose annihilators
+intersect trivially.  The matrix family (M_a(K) on M_{a x c}(K)) reads the
+array from `bimap.matrix_multiplication_bimap`, the b2_odd and ree_small
+families (K on itself) from its (1, 1, 1) constants, K's product table.
+The attached group is the set of triples (x, u, w) with x in R and u, w in
+M under
 
     (x, u, w) * (x', u', w') = (x + x', u + u', w + w' + x.u'),
 
@@ -33,20 +37,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import smallgrp
+from .bimap import matrix_multiplication_bimap
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, need, require
 from .gf import FieldCtx, make_field
-from .linalg import (
-    CoordSolver,
-    Matrix,
-    Subspace,
-    digits,
-    enumerate_superspaces,
-    flatten_matrix,
-    gaussian_binomial,
-    rank_nullspace,
-    rref,
-    unflatten_matrix,
-)
+from .linalg import (CoordSolver, Matrix, Subspace, digits, enumerate_superspaces, gaussian_binomial,
+                     np_rank, rank_nullspace)
 
 GROUP_ORDER_CAP = 1 << 14
 # up to this Gamma_1 order the constructor checks the law and every
@@ -62,49 +57,44 @@ def _digit_sums(p: int, d: int):
 
 
 class ModuleNursery:
-    """An F_p-algebra of matrices with marked generators and module probes.
+    """An F_p-algebra acting on F_p^mdim, with marked generators and module probes.
 
-    `rbasis` lists independent mdim x mdim matrices over GF(p) whose span
-    is closed under multiplication and contains the identity; S and T are
-    checked at construction (S generates, the T annihilators meet in 0),
-    as is the group law.  Up to EXHAUSTIVE_ORDER_CAP elements, Gamma_1's
+    `R` is the read-only int64 [rdim, mdim, mdim] array of the algebra's basis
+    matrices (the matrix and field families take it from
+    `bimap.matrix_multiplication_bimap`); their span must be closed under
+    multiplication and contain the identity.  `s_coords` are the generators'
+    coordinates in that basis.  A Gamma_2 over GROUP_ORDER_CAP is refused
+    (CapExceededError) before any check, since every kind contains it.  S and
+    T are checked at construction (S generates, the T annihilators meet in
+    0), as is the group law.  Up to EXHAUSTIVE_ORDER_CAP elements, Gamma_1's
     table equals `mul_label` on every pair, is associative, realizes the
     action (gamma([x, u]) = x.u), puts every commutator in Gamma_3 with
     Gamma_2 abelian, and Gamma_1 on it is kept for `group_on`; above it,
     the action and Gamma_2's commutators are checked on basis transversals.
     """
 
-    def __init__(self, kind, rbasis, s_matrices, t_vectors, meta=None):
-        if not rbasis:
-            raise InvalidConfigError("empty algebra basis")
-        ctx = rbasis[0].ctx
-        if ctx.e != 1:
-            raise InvalidConfigError("nursery coordinates must be over a prime field")
-        self.kind = kind
-        self.ctx = ctx
-        self.p = ctx.p
-        self.mdim = rbasis[0].nrows
-        self.rdim = len(rbasis)
+    def __init__(self, kind, ctx: FieldCtx, R, s_coords, t_vectors, meta=None):
+        R = np.array(R, dtype=np.int64)
+        if ctx.e != 1 or R.ndim != 3 or not len(R) or R.shape[1] != R.shape[2]:
+            raise InvalidConfigError("need a nonempty [rdim, mdim, mdim] algebra array over a prime field")
+        self.kind, self.ctx, self.p = kind, ctx, ctx.p
+        self.rdim, self.mdim = R.shape[:2]
+        if self.p ** (2 * self.mdim) > GROUP_ORDER_CAP:
+            raise CapExceededError("second term of order %d^%d over cap %d"
+                                   % (self.p, 2 * self.mdim, GROUP_ORDER_CAP))
+        R.setflags(write=False)
+        self.R = R
         self.meta = dict(meta or {})
-        for b in rbasis:
-            if b.ctx != ctx or b.shape != (self.mdim, self.mdim):
-                raise InvalidConfigError("algebra basis matrices must share one shape")
-        self.rbasis = tuple(rbasis)
-        self._solver = CoordSolver([flatten_matrix(b) for b in rbasis], ctx)
-        self.one_coords = self.r_coords(Matrix.identity(ctx, self.mdim))
+        self._solver = CoordSolver(R.reshape(self.rdim, -1).tolist(), ctx)
+        self.one_coords = self.r_coords(np.eye(self.mdim, dtype=np.int64))
         if self.one_coords is None:
             raise InvalidConfigError("algebra span lacks a unit")
         self._check_closure()
-        seen = []
-        for s in s_matrices:
-            c = self.r_coords(s)
-            if c is None:
-                raise InvalidConfigError("generating set leaves the algebra span")
-            if c not in seen:
-                seen.append(c)
-        if self.one_coords not in seen:
+        self.s_coords = tuple(dict.fromkeys(map(tuple, s_coords)))  # in order, once each
+        if any(len(c) != self.rdim for c in self.s_coords):
+            raise InvalidConfigError("generator coordinates have the wrong length")
+        if self.one_coords not in self.s_coords:
             raise InvalidConfigError("generating set must contain the unit")
-        self.s_coords = tuple(seen)
         self.t_vectors = tuple(tuple(t) for t in t_vectors)
         for t in self.t_vectors:
             if len(t) != self.mdim:
@@ -120,32 +110,29 @@ class ModuleNursery:
     # -- validation ---------------------------------------------------
 
     def _check_closure(self):
-        for a in self.rbasis:
-            for b in self.rbasis:
-                if self.r_coords(a.mul(b)) is None:
-                    raise InvalidConfigError("algebra basis span is not closed under products")
+        d = self.mdim * self.mdim
+        prods = np.einsum("aij,bjk->abik", self.R, self.R) % self.p
+        if np_rank(np.concatenate([self.R.reshape(-1, d), prods.reshape(-1, d)]), self.ctx) != self.rdim:
+            raise InvalidConfigError("algebra basis span is not closed under products")
 
     def _check_s_generates(self):
-        d = self.mdim * self.mdim
-        mats = [self.r_matrix(c) for c in self.s_coords]
-        span = Subspace.from_vectors(self.ctx, d, [flatten_matrix(m) for m in mats])
-        grown = 0
-        while grown < len(mats):  # until a pass over the products adds none
-            grown = len(mats)
-            for a, b in itertools.product(mats[:grown], repeat=2):
-                prod = a.mul(b)
-                v = flatten_matrix(prod)
-                if not span.contains(v):
-                    span = Subspace.from_vectors(self.ctx, d, span.basis + (v,))
-                    mats.append(prod)
+        # S holds the unit, so the span of the words in S grows under right
+        # products with S until it is the subalgebra S generates
+        p, m = self.p, self.mdim
+        S = np.tensordot(np.array(self.s_coords, dtype=np.int64), self.R, 1) % p
+        span, dim = Subspace.from_vectors(self.ctx, m * m, S.reshape(len(S), m * m).tolist()), 0
+        while span.dim > dim:
+            dim = span.dim
+            words = np.einsum("wij,sjk->wsik", np.array(span.basis).reshape(dim, m, m), S) % p
+            span = Subspace.from_vectors(self.ctx, m * m, words.reshape(-1, m * m).tolist())
         if span.dim != self.rdim:
             raise InvalidConfigError("S generates a proper subalgebra")
 
     def _check_annihilators(self):
         # x in R annihilates every probe iff the stacked action rows kill x
-        rows = [[c for t in self.t_vectors for c in b.apply(t)] for b in self.rbasis]
-        basis, _ = rref(rows, self.ctx)
-        if len(basis) != self.rdim:
+        T = np.array(self.t_vectors, dtype=np.int64).reshape(len(self.t_vectors), self.mdim)
+        rows = np.einsum("kij,tj->kti", self.R, T) % self.p
+        if np_rank(rows.reshape(self.rdim, -1), self.ctx) != self.rdim:
             raise InvalidConfigError("annihilator condition unsatisfiable for this T")
 
     def _check_commutators(self, comm):
@@ -154,9 +141,9 @@ class ModuleNursery:
         zr = (0,) * self.rdim
         zm = (0,) * self.mdim
         units = Matrix.identity(self.ctx, self.mdim).rows
-        for x, b in zip(Matrix.identity(self.ctx, self.rdim).rows, self.rbasis):
-            for u in units:
-                if comm((x, zm, zm), (zr, u, zm)) != (zr, zm, tuple(b.apply(u))):
+        for x, b in zip(Matrix.identity(self.ctx, self.rdim).rows, self.R):
+            for u, image in zip(units, b.T.tolist()):
+                if comm((x, zm, zm), (zr, u, zm)) != (zr, zm, tuple(image)):
                     raise PropertyViolationError("commutator does not realize the action")
         for u in units:
             for v in units:
@@ -179,21 +166,18 @@ class ModuleNursery:
 
     # -- algebra ------------------------------------------------------
 
-    def r_coords(self, mat: Matrix):
-        """Coordinates of a matrix in the rbasis, or None when outside R."""
-        return self._solver.coords(flatten_matrix(mat))
+    def r_coords(self, mat):
+        """Coordinates of an [mdim, mdim] array in R's basis, or None when outside R."""
+        return self._solver.coords(np.asarray(mat).ravel().tolist())
 
-    def r_matrix(self, coords) -> Matrix:
-        m = Matrix.zero(self.ctx, self.mdim, self.mdim)
-        for c, b in zip(coords, self.rbasis):
-            if c:
-                m = m.add(b.scale(c))
-        return m
+    def r_matrix(self, coords):
+        """The [mdim, mdim] array with the given coordinates in R's basis."""
+        return np.tensordot(np.asarray(coords, dtype=np.int64), self.R, 1) % self.p
 
     def act(self, x_coords, u):
         rows = self._rows_cache.get(x_coords)
         if rows is None:
-            rows = self.r_matrix(x_coords).rows
+            rows = self.r_matrix(x_coords).tolist()
             self._rows_cache[x_coords] = rows
         p = self.p
         return tuple(sum(a * b for a, b in zip(row, u)) % p for row in rows)
@@ -288,8 +272,7 @@ class ModuleNursery:
         mdig, madd = _digit_sums(p, md)
         nv, nm = len(vdig), len(mdig)
         basis = np.array(subspace.basis, dtype=np.int64).reshape(subspace.dim, self.rdim)
-        R = np.array([b.rows for b in self.rbasis], dtype=np.int64)
-        xmats = np.einsum("vk,kl,lab->vab", vdig, basis, R) % p
+        xmats = np.einsum("vk,kl,lab->vab", vdig, basis, self.R) % p
         xu = np.einsum("vab,ub->vua", xmats, mdig) % p @ p ** np.arange(md - 1, -1, -1)
         vadd, madd, xu = (a.astype(np.int16) for a in (vadd, madd, xu))
         # axes (jx, ju, jw, ix, iu, iw): (x_i + x_j, u_i + u_j, w_i + w_j + x_i.u_j)
@@ -371,13 +354,6 @@ def random_kind(nursery: ModuleNursery, ell: int, rng, relaxed=False) -> Kind:
     return kind_from_subspace(nursery, span, relaxed=relaxed)
 
 
-def derived_equals_gamma3(kind: Kind) -> bool:
-    """Whether [Q,Q] is all of Gamma_3, i.e. V.M spans M."""
-    n = kind.nursery
-    cols = [col for xc in kind.subspace.basis for col in zip(*n.r_matrix(xc).rows)]
-    return Subspace.from_vectors(n.ctx, n.mdim, cols).dim == n.mdim
-
-
 class Reconstruction(NamedTuple):
     X: frozenset
     Y: frozenset
@@ -457,7 +433,7 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
         # chi is constant on X-cosets: one solve per coset, the rest are copies
         cols = tuple(G.labels[c][2] for c in row)
         if cols not in solved:
-            solved[cols] = n.r_coords(Matrix(n.ctx, list(zip(*cols))))
+            solved[cols] = n.r_coords(np.array(cols).T)
         if solved[cols] is None:
             raise PropertyViolationError("chi image escapes the algebra")
         chi[G.labels[i]] = solved[cols]
@@ -589,50 +565,32 @@ def census(nursery: ModuleNursery, ell: int, relaxed=False, max_kinder=4096,
 # the four stock constructions
 
 
-def _action_matrix(pf: FieldCtx, images) -> Matrix:
-    # images[j] = flattened image of the j-th standard basis vector
-    return Matrix(pf, [list(row) for row in zip(*images)])
-
-
 def _matrix_kind(a: int, c: int, ctx: FieldCtx) -> ModuleNursery:
     if a < 1 or c < 1:
         raise InvalidConfigError("block sizes must be positive")
-    pf = make_field(ctx.p, 1)
     e = ctx.e
-    # the unit vectors of the flattened a x c and a x a matrices over GF(p)
-    mvecs, rvecs = Matrix.identity(pf, a * c * e).rows, Matrix.identity(pf, a * a * e).rows
-    munits = [unflatten_matrix(v, ctx, a, c) for v in mvecs]
-
-    def left_action(x: Matrix) -> Matrix:
-        return _action_matrix(pf, [flatten_matrix(x.mul(u)) for u in munits])
-
-    rbasis = [left_action(unflatten_matrix(v, ctx, a, a)) for v in rvecs]
-
+    # R = M_a(K) acting from the left on M = M_{a x c}(K), both flattened as
+    # the bimap flattens them: row-major, each entry as its e coordinates
+    bm = matrix_multiplication_bimap(ctx, a, a, c)
     omega = ctx.primitive if ctx.order > 2 else 1
-    ident = Matrix.identity(ctx, a)
-    corner = Matrix(ctx, [[omega if i == j == 0 else 0 for j in range(a)] for i in range(a)])
+    s = np.zeros((3, a, a, e), dtype=np.int64)
+    s[0, :, :, 0] = np.eye(a, dtype=np.int64)
+    s[1, 0, 0] = ctx.to_vector(omega)  # the corner unit
     # the cyclic shift sending row i to row i+1 (so with the corner unit it
     # reaches every matrix position)
-    cycle = Matrix(ctx, [[1 if j == (i + 1) % a else 0 for j in range(a)] for i in range(a)])
-    s_matrices = [left_action(ident), left_action(corner), left_action(cycle)]
-    t_vectors = mvecs[::e]  # the entries' constant coordinates
+    s[2, :, :, 0] = np.roll(np.eye(a, dtype=np.int64), 1, axis=1)
+    t_vectors = np.eye(a * c * e, dtype=np.int64)[::e].tolist()  # the entries' constant coordinates
     meta = {"a": a, "c": c, "field": "GF(%d^%d)" % (ctx.p, ctx.e)}
-    return ModuleNursery("matrix", rbasis, s_matrices, t_vectors, meta=meta)
+    return ModuleNursery("matrix", bm.ctx, bm.structure.transpose(1, 0, 2), s.reshape(3, -1).tolist(),
+                         t_vectors, meta=meta)
 
 
 def _field_action_nursery(kind, K: FieldCtx, scale: int, s_elements, meta) -> ModuleNursery:
-    # R = M = K with x.u = scale*x*u; the matrix picture absorbs the twist
-    pf = make_field(K.p, 1)
-    basis = [K.from_vector(v) for v in Matrix.identity(pf, K.e).rows]
-
-    def mult_matrix(g: int) -> Matrix:
-        images = [K.to_vector(K.mul(K.mul(scale, g), b)) for b in basis]
-        return _action_matrix(pf, images)
-
-    rbasis = [mult_matrix(g) for g in basis]
-    s_matrices = [mult_matrix(g) for g in s_elements]
-    t_vectors = [K.to_vector(1)]
-    return ModuleNursery(kind, rbasis, s_matrices, t_vectors, meta=meta)
+    # R = M = K with x.u = scale*x*u, scale in F_p: K's product constants times scale
+    bm = matrix_multiplication_bimap(K, 1, 1, 1)
+    R = scale * bm.structure.transpose(1, 0, 2) % K.p
+    return ModuleNursery(kind, bm.ctx, R, [K.to_vector(g) for g in s_elements], [K.to_vector(1)],
+                         meta=meta)
 
 
 def _b2_odd_kind(ctx: FieldCtx) -> ModuleNursery:
@@ -675,23 +633,23 @@ def _unitary_kind(p: int, e: int) -> ModuleNursery:
         raise InvalidConfigError("sigma eigenspaces have unexpected dimensions")
     skew_solver = CoordSolver([F.to_vector(v) for v in skew], pf)
 
-    def mult_matrix(g: int) -> Matrix:
-        images = []
-        for v in skew:
-            coords = skew_solver.coords(F.to_vector(F.mul(g, v)))
-            if coords is None:
-                raise InvalidConfigError("fixed field does not preserve the skew space")
-            images.append(coords)
-        return _action_matrix(pf, images)
+    def images(g: int) -> list:
+        # the skew coordinates of g v for each v in the skew basis
+        out = [skew_solver.coords(F.to_vector(F.mul(g, v))) for v in skew]
+        if None in out:
+            raise InvalidConfigError("fixed field does not preserve the skew space")
+        return out
 
-    rbasis = [mult_matrix(g) for g in fixed]
-    s_matrices = [mult_matrix(1)]
+    R = np.array([images(g) for g in fixed], dtype=np.int64).transpose(0, 2, 1)
+    s_elements = [1]
     if e > 1:
         # norm of a multiplicative generator: generates the fixed field
-        s_matrices.append(mult_matrix(F.pow(F.primitive, 1 + p**e)))
+        s_elements.append(F.pow(F.primitive, 1 + p**e))
+    fixed_solver = CoordSolver([F.to_vector(v) for v in fixed], pf)
+    s_coords = [fixed_solver.coords(F.to_vector(g)) for g in s_elements]
     t_vectors = [tuple(1 if i == 0 else 0 for i in range(e))]
     meta = {"field": "GF(%d^%d)" % (p, 2 * e), "fixed_degree": e}
-    return ModuleNursery("unitary", rbasis, s_matrices, t_vectors, meta=meta)
+    return ModuleNursery("unitary", pf, R, s_coords, t_vectors, meta=meta)
 
 
 def make_nursery(kind: str, **params) -> ModuleNursery:

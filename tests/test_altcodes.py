@@ -221,6 +221,25 @@ def test_code_class_table_payload():
     assert table["bound"] == {"numerator": 2, "denominator": 3}
 
 
+def _merge_3_and_1(orbits):
+    three, one = next(o for o in orbits if len(o) == 3), next(o for o in orbits if len(o) == 1)
+    return [o for o in orbits if o not in (three, one)] + [three + one]
+
+
+@pytest.mark.parametrize("damage, match", [
+    (_merge_3_and_1, "does not divide"),  # an orbit of 4 in a group of order 3! = 6
+    (lambda orbits: [orbits[0][1:]] + orbits[1:], "do not add up"),  # a subspace dropped
+])
+def test_code_class_table_rejects_orbits_that_are_no_partition_into_orbits(monkeypatch, damage, match):
+    # at (3, 1) the seven lines fall into orbits of sizes 3, 3 and 1; the bound
+    # ceil(2^2 / 3!) = 1 is met by either damaged list
+    real = altcodes._orbits
+    assert sorted(map(len, real(3, 1)[1])) == [1, 3, 3]
+    monkeypatch.setattr(altcodes, "_orbits", lambda k, l: (real(k, l)[0], damage(real(k, l)[1])))
+    with pytest.raises(PropertyViolationError, match=match):
+        altcodes.code_class_table(3, 1)
+
+
 @pytest.mark.parametrize("k, l", [(3, 9), (2, -1), (-1, 1), (0, 0), (3, 4)])
 def test_code_class_table_rejects_k_and_l_out_of_range(k, l):
     with pytest.raises(InvalidConfigError):

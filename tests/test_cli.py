@@ -1,10 +1,11 @@
 """CLI: report schema, frozen payloads, exit-code mapping, determinism."""
 
 import json
+import time
 
 import pytest
 
-from kinderlab import acceptance, altcodes, cli, genericity, smallgrp
+from kinderlab import acceptance, altcodes, cli, genericity, nursery, smallgrp
 from kinderlab.errors import InvalidConfigError, PropertyViolationError
 
 
@@ -194,6 +195,20 @@ def test_alt_codes_exits_4_when_the_orbits_fall_below_the_bound(monkeypatch, cap
     assert "permutation bound" in capsys.readouterr().err
     with pytest.raises(PropertyViolationError, match="permutation bound"):
         altcodes.code_class_table(3, 1)
+
+
+def test_a_nursery_census_over_the_gamma2_cap_exits_cap_at_once(monkeypatch, capsys):
+    # Gamma_2 of matrix(8, 8, F2) has 2^128 elements, so no kind can be built:
+    # the constructor refuses it before its first check
+    def unreached(self):
+        raise PropertyViolationError("checked a nursery over the cap")
+
+    monkeypatch.setattr(nursery.ModuleNursery, "_check_closure", unreached)
+    start = time.perf_counter()
+    args = ["nursery-census", "--kind", "matrix", "--a", "8", "--c", "8", "--q", "2", "--mode", "relaxed"]
+    assert cli.main(args) == cli.EXIT_CAP
+    assert time.perf_counter() - start < 10
+    assert "2^128 over cap" in capsys.readouterr().err
 
 
 def test_verify_tier_validation():

@@ -12,7 +12,8 @@ construction-time check of a nursery must reject a mutated law, action or
 `SmallGroup.commutators` gather.  The B2 law on
 [n, 4] arrays is compared with `B2Group.commutator` row by row, and
 `b2_labels` with the label scan it replaced, kept here as
-`b2_labels_by_scan`.
+`b2_labels_by_scan`.  Each nursery's algebra array is compared with the
+`Matrix` construction it replaced, kept here as `matrix_construction`.
 """
 
 import functools
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from kinderlab import nursery, smallgrp, twisted
 from kinderlab.errors import InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
-from kinderlab.linalg import Subspace
+from kinderlab.linalg import CoordSolver, Matrix, Subspace, flatten_matrix, rank_nullspace, unflatten_matrix
 
 F2 = make_field(2, 1)
 
@@ -80,6 +81,81 @@ def fresh(name):
 def test_every_stock_nursery_has_tabled_kinder():
     for name in NURSERIES:
         assert tabled_dims(stock(name)), name
+
+
+def matrix_construction(kind, params):
+    """(basis matrices of R, generator matrices, probes) as Matrix arithmetic
+    builds them: the left action of each unit matrix of M_a(K) on M_{a x c}(K),
+    or the multiplication matrices of K (times 2 for b2_odd), or of the
+    fixed field on the skew space of GF(p^2e), each acting on columns."""
+    def action(images):  # images[j] = the image of the j-th unit vector
+        return Matrix(pf, [list(row) for row in zip(*images)])
+
+    if kind == "matrix":
+        a, c, ctx = params["a"], params["c"], params["ctx"]
+        pf, e = make_field(ctx.p, 1), ctx.e
+        mvecs, rvecs = Matrix.identity(pf, a * c * e).rows, Matrix.identity(pf, a * a * e).rows
+        munits = [unflatten_matrix(v, ctx, a, c) for v in mvecs]
+
+        def left(x):
+            return action([flatten_matrix(x.mul(u)) for u in munits])
+
+        omega = ctx.primitive if ctx.order > 2 else 1
+        corner = Matrix(ctx, [[omega if i == j == 0 else 0 for j in range(a)] for i in range(a)])
+        cycle = Matrix(ctx, [[1 if j == (i + 1) % a else 0 for j in range(a)] for i in range(a)])
+        s = [left(m) for m in (Matrix.identity(ctx, a), corner, cycle)]
+        return [left(unflatten_matrix(v, ctx, a, a)) for v in rvecs], s, mvecs[::e]
+    if kind == "unitary":
+        p, e = params["p"], params["e"]
+        F, pf = make_field(p, 2 * e), make_field(p, 1)
+        digits = [F.from_vector(v) for v in Matrix.identity(pf, F.e).rows]
+
+        def kernel_of(combine):
+            cols = [list(F.to_vector(combine(F.frobenius(b, e), b))) for b in digits]
+            return [F.from_vector(v) for v in rank_nullspace(Matrix(pf, cols).transpose())[2].basis]
+
+        fixed, skew = kernel_of(F.sub), kernel_of(F.add)
+        solver = CoordSolver([F.to_vector(v) for v in skew], pf)
+
+        def mult(g):
+            return action([solver.coords(F.to_vector(F.mul(g, v))) for v in skew])
+
+        s = [mult(1)] + ([mult(F.pow(F.primitive, 1 + p**e))] if e > 1 else [])
+        return [mult(g) for g in fixed], s, [tuple(int(i == 0) for i in range(e))]
+    if kind == "b2_odd":
+        K, scale = params["ctx"], 2
+        s_elements = [K.inv(2)] + ([K.primitive] if K.e > 1 else [])
+    else:
+        K, scale = make_field(3, 2 * params["e"] + 1), 1
+        s_elements = [1, K.primitive]
+    pf = make_field(K.p, 1)
+    basis = [K.from_vector(v) for v in Matrix.identity(pf, K.e).rows]
+
+    def mult(g):
+        return action([K.to_vector(K.mul(K.mul(scale, g), b)) for b in basis])
+
+    return [mult(g) for g in basis], [mult(g) for g in s_elements], [K.to_vector(1)]
+
+
+WIDER = {**NURSERIES, "matrix(1,2,F9)": ("matrix", dict(a=1, c=2, ctx=make_field(3, 2))),
+         "matrix(3,1,F2)": ("matrix", dict(a=3, c=1, ctx=F2))}
+
+
+@pytest.mark.parametrize("name", sorted(WIDER))
+def test_algebra_array_equals_the_matrix_construction(name):
+    kind, params = WIDER[name]
+    N = nursery.make_nursery(kind, **params)
+    rbasis, s_matrices, t_vectors = matrix_construction(kind, params)
+    solver = CoordSolver([flatten_matrix(b) for b in rbasis], N.ctx)
+
+    def coords(m):
+        return solver.coords(flatten_matrix(m))
+
+    assert N.R.dtype == np.int64 and not N.R.flags.writeable
+    assert N.R.tolist() == [[list(row) for row in b.rows] for b in rbasis]
+    assert N.s_coords == tuple(dict.fromkeys(map(coords, s_matrices)))
+    assert N.one_coords == coords(Matrix.identity(N.ctx, N.mdim))
+    assert N.t_vectors == tuple(map(tuple, t_vectors))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from kinderlab import genericity, nursery, smallgrp
@@ -68,6 +69,40 @@ def test_ree_small():
     assert NR.order == 3**9 and NR.rdim == 3 and NR.mdim == 3
 
 
+def _altered(**change):
+    """matrix(2,1,F2)'s constructor arguments, with some replaced."""
+    N = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
+    args = {"R": N.R, "s_coords": N.s_coords, "t_vectors": N.t_vectors, **change}
+    return nursery.ModuleNursery("altered", F2, args["R"], args["s_coords"], args["t_vectors"])
+
+
+UNIT, E01, E10 = [[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("change, match", [
+    (dict(R=np.zeros((4, 2, 1))), "rdim, mdim, mdim"),
+    (dict(R=[[[1, 0], [0, 0]]]), "lacks a unit"),
+    (dict(R=[UNIT, E01, E10], s_coords=[(1, 0, 0)]), "not closed under products"),
+    (dict(s_coords=[(1, 0, 0)]), "wrong length"),
+    (dict(s_coords=[(0, 1, 0, 0)]), "must contain the unit"),
+    (dict(s_coords=[(1, 0, 0, 1)]), "proper subalgebra"),
+    (dict(t_vectors=[(1, 0)]), "annihilator condition"),
+    (dict(t_vectors=[]), "annihilator condition"),
+    (dict(t_vectors=[(1, 0, 0)]), "probe has the wrong length"),
+])
+def test_constructor_rejects_an_inconsistent_algebra(change, match):
+    with pytest.raises(InvalidConfigError, match=match):
+        _altered(**change)
+
+
+def test_constructor_refuses_gamma2_over_the_cap_before_any_check():
+    # M of dimension 8 over F2: |Gamma_2| = 2^16 > GROUP_ORDER_CAP, so the
+    # all-zero array, which has no unit, is refused for its size alone
+    with pytest.raises(CapExceededError, match="2\\^16 over cap %d" % nursery.GROUP_ORDER_CAP):
+        nursery.ModuleNursery("big", F2, np.zeros((1, 8, 8)), [(1,)], [])
+    assert nursery.ModuleNursery("small", F2, [np.eye(7)], [(1,)], np.eye(7, dtype=int)).mdim == 7
+
+
 def test_make_nursery_rejects_unknown():
     with pytest.raises(InvalidConfigError):
         nursery.make_nursery("mystery")
@@ -108,17 +143,25 @@ def test_random_kind_anchoring():
         nursery.random_kind(N2, 1, rng)  # below dim span(S)
 
 
+def derived_equals_gamma3(kind) -> bool:
+    """Whether [Q,Q] is all of Gamma_3, i.e. V.M spans M: the reference that
+    genericity's derived_full frequency is checked against."""
+    n = kind.nursery
+    cols = [col for xc in kind.subspace.basis for col in n.r_matrix(xc).T.tolist()]
+    return Subspace.from_vectors(n.ctx, n.mdim, cols).dim == n.mdim
+
+
 def test_derived_equals_gamma3():
     N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
-    assert nursery.derived_equals_gamma3(
+    assert derived_equals_gamma3(
         nursery.kind_from_subspace(N2, Subspace.full(F2, 4))
     )
     e11 = Subspace.from_vectors(F2, 4, [[1, 0, 0, 0]])
-    assert not nursery.derived_equals_gamma3(
+    assert not derived_equals_gamma3(
         nursery.kind_from_subspace(N2, e11, relaxed=True)
     )
     scal = Subspace.from_vectors(F2, 4, [[1, 0, 0, 1]])
-    assert nursery.derived_equals_gamma3(
+    assert derived_equals_gamma3(
         nursery.kind_from_subspace(N2, scal, relaxed=True)
     )
 
@@ -130,7 +173,7 @@ def test_derived_fraction_matches_genericity():
     total = 0
     for V in enumerate_subspaces(4, 2, F2):
         total += 1
-        cnt += nursery.derived_equals_gamma3(nursery.kind_from_subspace(N2, V, relaxed=True))
+        cnt += derived_equals_gamma3(nursery.kind_from_subspace(N2, V, relaxed=True))
     assert total == gaussian_binomial(4, 2, 2) == 35
     assert (cnt, total) == (rep.success, rep.trials)
 
