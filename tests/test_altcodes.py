@@ -230,7 +230,7 @@ def _merge_3_and_1(orbits):
     (_merge_3_and_1, "does not divide"),  # an orbit of 4 in a group of order 3! = 6
     (lambda orbits: [orbits[0][1:]] + orbits[1:], "do not add up"),  # a subspace dropped
 ])
-def test_code_class_table_rejects_orbits_that_are_no_partition_into_orbits(monkeypatch, damage, match):
+def test_code_class_table_rejects_a_damaged_orbit_list(monkeypatch, damage, match):
     # at (3, 1) the seven lines fall into orbits of sizes 3, 3 and 1; the bound
     # ceil(2^2 / 3!) = 1 is met by either damaged list
     real = altcodes._orbits

@@ -73,7 +73,7 @@ def _altered(**change):
     """matrix(2,1,F2)'s constructor arguments, with some replaced."""
     N = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
     args = {"R": N.R, "s_coords": N.s_coords, "t_vectors": N.t_vectors, **change}
-    return nursery.ModuleNursery("altered", F2, args["R"], args["s_coords"], args["t_vectors"])
+    return nursery.ModuleNursery("altered", F2, **args)
 
 
 UNIT, E01, E10 = [[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]
