@@ -56,6 +56,13 @@ def _digit_sums(p: int, d: int):
     return dig, (dig[:, None, :] + dig[None, :, :]) % p @ p ** np.arange(d - 1, -1, -1)
 
 
+def _require_gamma2_under_cap(p: int, mdim: int):
+    """CapExceededError when Gamma_2, of order p^(2 mdim) and in every kind,
+    exceeds GROUP_ORDER_CAP."""
+    if p ** (2 * mdim) > GROUP_ORDER_CAP:
+        raise CapExceededError("second term of order %d^%d over cap %d" % (p, 2 * mdim, GROUP_ORDER_CAP))
+
+
 class ModuleNursery:
     """An F_p-algebra acting on F_p^mdim, with marked generators and module probes.
 
@@ -79,9 +86,7 @@ class ModuleNursery:
             raise InvalidConfigError("need a nonempty [rdim, mdim, mdim] algebra array over a prime field")
         self.kind, self.ctx, self.p = kind, ctx, ctx.p
         self.rdim, self.mdim = R.shape[:2]
-        if self.p ** (2 * self.mdim) > GROUP_ORDER_CAP:
-            raise CapExceededError("second term of order %d^%d over cap %d"
-                                   % (self.p, 2 * self.mdim, GROUP_ORDER_CAP))
+        _require_gamma2_under_cap(self.p, self.mdim)
         R.setflags(write=False)
         self.R = R
         self.meta = dict(meta or {})
@@ -407,9 +412,8 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
             raise InvalidConfigError("mu image lies outside the second term")
 
     x_idx = list(range(G.n))
-    for t in n.t_vectors:  # a probe at a time: above the table cap a bracket is label products
-        comm = G.commutators(x_idx, [G.index_of(mu[t])])[:, 0].tolist()
-        x_idx = [x for x, c in zip(x_idx, comm) if c == G.identity]
+    for t in n.t_vectors:  # a probe at a time: above the table cap each test is two label products
+        x_idx = list(itertools.compress(x_idx, G.commute(x_idx, [G.index_of(mu[t])])[:, 0].tolist()))
     if len(x_idx) != gamma2_size:
         raise PropertyViolationError("recovered second term has order %d, expected %d: the mu probes "
                                      "leave a nontrivial common annihilator" % (len(x_idx), gamma2_size))
@@ -418,9 +422,9 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
     y_idx = G.span_idx(G.commutators([one_idx], x_idx)[0].tolist())
     if len(y_idx) != n.p**n.mdim:
         raise PropertyViolationError("bracketing with rho(1) missed the third term")
-    z_idx = G.span_idx(G.commutators(x_idx, x_idx).ravel().tolist())
-    if len(z_idx) != 1:
+    if not G.commute(x_idx, x_idx).all():
         raise PropertyViolationError("the recovered second term is not abelian")
+    z_idx = (G.identity,)  # the commutator subgroup of the abelian X
 
     # beta reads off X, gamma reads off Y: both are nursery data now that
     # X and Y are pinned down
@@ -569,6 +573,7 @@ def _matrix_kind(a: int, c: int, ctx: FieldCtx) -> ModuleNursery:
     if a < 1 or c < 1:
         raise InvalidConfigError("block sizes must be positive")
     e = ctx.e
+    _require_gamma2_under_cap(ctx.p, a * c * e)  # before the bimap's a^4 c^2 e^3 entries
     # R = M_a(K) acting from the left on M = M_{a x c}(K), both flattened as
     # the bimap flattens them: row-major, each entry as its e coordinates
     bm = matrix_multiplication_bimap(ctx, a, a, c)

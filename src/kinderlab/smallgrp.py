@@ -8,15 +8,18 @@ completes it (groups up to SUBGROUP_ORDER_CAP only) as one int16 [n, n]
 array, the one complete table a group holds; the Python paths read its
 columns as lists made on first use (`_column`).  Without it the columns fill
 lazily, one product at a time, so a group of 2^14 elements that is only ever
-multiplied by a few generators never pays for n^2 products.  `sigma_counts`
-classifies every subgroup on the array, each kept as its sorted index tuple.
-One power walk over the array gives every element's order, inverse and
-powers, for `order_of`, `inverse_idx`, the invariants, the lattice and
-`commutators`, the library's one bracket (a gather on the array).
+multiplied by a few generators never pays for n^2 products.  Subgroups are
+sorted index tuples on the array.  One power walk over the array gives every
+element's order, inverse and powers, for `order_of`, `inverse_idx`, the
+invariants, the lattice and `commutators`, the library's one bracket (a
+gather on the array).
 
 The subgroup lattice is built by cyclic extension (Neubueser 1960) on the
-complete table, with joins of cyclic subgroups to finish groups that are not
-solvable.
+complete table, from the trivial group and, when the order rule certifies
+it, from the perfect core G^(oo); joins of cyclic subgroups finish only the
+groups the rule does not certify.  `sigma_counts` classifies one subgroup
+per conjugacy class, the classes merged by conjugations verified on the
+table to be automorphisms.
 
 Invariants (element orders, class sizes, centre, derived series,
 abelianisation) come from one numpy pass over the array for any number of
@@ -56,6 +59,8 @@ ISO_ORDER_CAP = 512
 _SUBGROUP_COUNT_CAP = 100000
 _ISO_NODE_BUDGET = 5 * 10**6
 _BATCH_CELLS = 1 << 20
+# the orders of the non-abelian simple groups up to SUBGROUP_ORDER_CAP
+_SIMPLE_ORDERS = (60, 168, 360, 504, 660, 1092)
 
 
 # the int objects of range(n), which columns share above 256 (CPython shares
@@ -254,6 +259,15 @@ class SmallGroup:
         T, x, y = self._T, np.asarray(xs, np.int16)[:, None], np.asarray(ys, np.int16)
         return T[T[y, x], self._walk[1][T[x, y]]]
 
+    def commute(self, xs, ys) -> np.ndarray:
+        """The bool [len(xs), len(ys)] mask of xy == yx: T[y, x] == T[x, y] on the
+        complete table, else two `mul_idx` per pair (label products above the cap)."""
+        if self._T is None:
+            return np.array([[self.mul_idx(x, y) == self.mul_idx(y, x) for y in ys] for x in xs],
+                            bool).reshape(len(xs), len(ys))
+        T, x, y = self._T, np.asarray(xs, np.int16)[:, None], np.asarray(ys, np.int16)
+        return T[y, x] == T[x, y]
+
     def conjugate_idx(self, i: int, g: int) -> int:
         """g^-1 * i * g"""
         return self.mul_idx(self.mul_idx(self.inverse_idx(g), i), g)
@@ -277,13 +291,7 @@ class SmallGroup:
     def span_idx(self, elements) -> tuple:
         """The subgroup the elements generate, closed on only those that enlarge
         it (each starts one column above the table cap); the rest are lookups."""
-        sub, inside, seeds = (self.identity,), {self.identity}, []
-        for c in elements:
-            if c not in inside:
-                seeds.append(c)
-                sub = self.closure_idx(seeds)
-                inside = set(sub)
-        return sub
+        return _span(self, elements)[0]
 
     def generating_set(self) -> tuple:
         """A small generating set, greedy by closure growth (`_generators`)."""
@@ -291,25 +299,7 @@ class SmallGroup:
             self._gens = _generators(self, range(self.n), self.element_orders())
         return self._gens
 
-    def center_idx(self) -> tuple:
-        return tuple(i for i in range(self.n) if self.element_invariant(i)[1] == 1)
-
-    def derived_series_orders(self) -> tuple:
-        return self.fingerprint().derived_orders
-
-    def is_abelian(self) -> bool:
-        return self.fingerprint().center_order == self.n
-
-    def exponent(self) -> int:
-        return self.fingerprint().exponent
-
     # -- invariants
-
-    def element_invariant(self, i: int):
-        """(order, conjugacy class size) of element i."""
-        if self._elem_inv is None:
-            self.fingerprint()
-        return self._elem_inv[i]
 
     def fingerprint(self) -> "IsoFingerprint":
         """The subset invariants of [G]: needs the table, so n <= SUBGROUP_ORDER_CAP."""
@@ -398,31 +388,41 @@ class SmallGroup:
         return "SmallGroup(n=%d%s)" % (self.n, ", %s" % self.name if self.name else "")
 
 
+def _span(G: SmallGroup, elements):
+    """(the subgroup the elements generate, those that enlarged it): `span_idx`."""
+    sub, inside, seeds = (G.identity,), {G.identity}, []
+    for c in elements:
+        if c not in inside:
+            seeds.append(c)
+            sub = G.closure_idx(seeds)
+            inside = set(sub)
+    return sub, tuple(seeds)
+
+
 def _commutator_rows(G: SmallGroup, batch) -> np.ndarray:
     """A membership row per subgroup H in batch (sorted index tuples) of e and
     every [x, g] = x^-1 g^-1 x g, x in H and g in H's generators: those
-    `all_subgroups` recorded, or else H's members.  Rows of one size and
-    generator count are gathered together, at most _BATCH_CELLS pairs at once."""
-    n, flat, inv = G.n, G._T.ravel(), G._walk[1].astype(np.int32)  # p*q = flat[q*n + p]
-    D, by_shape = np.zeros((len(batch), n), bool), {}
+    `all_subgroups` recorded, or else H's members.  The (x, g) pairs of all
+    rows are numbered in one sequence, each member once per generator of its
+    row, and gathered in runs of at most _BATCH_CELLS // 8 (8-byte indices)."""
+    n, flat, inv = G.n, G._T.ravel(), G._walk[1].astype(np.intp)  # p*q = flat[q*n + p]
+    gens = [G._sub_gens.get(s, s) for s in batch]
+    m, k = (np.array([len(t) for t in ts], np.intp) for ts in (batch, gens))
+    rr = np.repeat(np.arange(len(batch)), m)
+    xs = np.fromiter(itertools.chain.from_iterable(batch), np.intp, len(rr))
+    gs = np.fromiter(itertools.chain.from_iterable(gens), np.intp, k.sum())
+    ks = k[rr]
+    start = np.cumsum(ks) - ks  # a member's first pair
+    first = (np.cumsum(k) - k)[rr] - start  # plus a pair's number: its generator's place in gs
+    D = np.zeros((len(batch), n), bool)
     D[:, G.identity] = True
-    for r, s in enumerate(batch):
-        if g := G._sub_gens.get(s, s):
-            for part, v in zip(by_shape.setdefault((len(s), len(g)), ([], [], [])), (r, s, g)):
-                part.append(v)
-    for (m, k), (rs, H, X) in by_shape.items():
-        rs, H, X = np.array(rs), np.array(H, np.int32), np.array(X, np.int32)
-        step, width = max(1, _BATCH_CELLS // (m * k)), min(m, max(1, _BATCH_CELLS // k))
-        for b0 in range(0, len(rs), step):
-            g, at = X[b0:b0 + step, :, None], rs[b0:b0 + step, None, None]
-            ig, gn = inv[g], g * n
-            for i0 in range(0, m, width):
-                x = H[b0:b0 + step, None, i0:i0 + width]
-                c = x * n + ig  # at g^-1 x
-                np.add(gn, flat[c], out=c)  # at g^-1 x g
-                np.multiply(flat[c], n, out=c, dtype=np.int32)
-                c += inv[x]
-                D[at, flat[c]] = True  # x^-1 g^-1 x g = [x, g]
+    step = max(1, _BATCH_CELLS // 8 // max(1, k.max()))  # members a run
+    for a in range(0, len(xs), step):
+        x, r = np.repeat(xs[a:a + step], ks[a:a + step]), np.repeat(rr[a:a + step], ks[a:a + step])
+        g = gs[np.repeat(first[a:a + step], ks[a:a + step]) + start[a] + np.arange(len(x))]
+        c = x * n + inv[g]  # at g^-1 x
+        c = g * n + flat[c]  # at g^-1 x g
+        D[r, flat[flat[c].astype(np.intp) * n + inv[x]]] = True  # x^-1 g^-1 x g = [x, g]
     return D
 
 
@@ -503,14 +503,9 @@ def _generators(G: SmallGroup, members, orders) -> tuple:
                 break
         gens.append(best)
         current = set(G.closure_idx(gens))
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for k in range(len(gens)):
-            trial = gens[:k] + gens[k + 1:]
-            if len(G.closure_idx(trial)) == m:
-                gens, changed = trial, True
-                break
+    for g in list(gens):  # a generator the others need stays needed as others go
+        if len(gens) > 1 and len(G.closure_idx([h for h in gens if h != g])) == m:
+            gens.remove(g)
     return tuple(gens)
 
 
@@ -620,20 +615,21 @@ def verify_isomorphism(G: SmallGroup, H: SmallGroup, mapping) -> bool:
 def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGROUP_COUNT_CAP):
     """Every subgroup of G as sorted index tuples, smallest first.
 
-    Cyclic extension (Neubueser 1960; GAP's LatticeByCyclicExtension): a
-    solvable U > 1 has a normal subgroup V of prime index p, and U = V<x>
-    for any x of p-power order in U but not in V; such an x normalizes V
-    and has x^p in V.  So the lattice grows layer by layer from the trivial
-    group: each V is extended by every x of prime-power order p^a with x
-    not in V, x^p in V and x normalizing V, and V<x> is the union of the
-    cosets V x^k, k < p, read off the table without a closure.  An x inside
-    a V<x'> already found from V gives V<x'> again and is skipped.  The
-    layers reach G exactly when G is solvable.  Otherwise only the
-    non-solvable subgroups are missing, and joins with the cyclic
-    subgroups, from everything found, complete the lattice.  Either way the
-    p-subgroup counts must obey Frobenius and Sylow (`_require_p_counts`).
-    The generators each subgroup was found from are kept on G, for
-    `subset_invariants`.
+    Cyclic extension (Neubueser 1960; GAP's LatticeByCyclicExtension): if V
+    is normal of prime index p in U, then U = V<x> for any x of p-power
+    order in U but not in V; such an x normalizes V and has x^p in V.  So
+    each V of a layer is extended by every such x (V<x> is the cosets V x^k,
+    k < p, read off the table), skipping an x inside a V<x'> already found.
+    From the trivial group the layers reach every solvable subgroup, and
+    any other H from its perfect residual H^(oo) <= P = G^(oo).  If no
+    proper divisor of |P| is a multiple of a non-abelian simple order
+    (_SIMPLE_ORDERS), every proper subgroup of P is solvable, so H^(oo) = P:
+    a second extension, from P, finishes the lattice (Alt5, Sym5,
+    PSL(2,7)).  Where the rule does not certify P (SL(2,5), Alt6), joins
+    with the cyclic subgroups complete it.  Every path ends with the
+    p-subgroup counts (`_require_p_counts`).  The generators each subgroup
+    was found from are kept on G, for `subset_invariants` and
+    `_conjugacy_classes`.
     """
     if G.n > cap_order:
         raise CapExceededError("group order %d over enumeration cap %d" % (G.n, cap_order))
@@ -646,16 +642,32 @@ def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGRO
 
     _cyclic_extension(G, subs, add)
     if tuple(range(G.n)) not in subs:
-        _join_completion(G, subs, add)
+        P, gens = _perfect_core(G)
+        if any(len(P) % d == 0 for s in _SIMPLE_ORDERS for d in range(s, len(P), s)):
+            _join_completion(G, subs, add)
+        else:
+            add(P, gens)
+            _cyclic_extension(G, subs, add, [(P, gens)])
     _require_p_counts(G.n, subs)
     G._sub_gens = subs
     return sorted(subs, key=lambda t: (len(t), t))
 
 
-def _cyclic_extension(G: SmallGroup, subs: dict, add):
-    """The layers of cyclic extension from the trivial group, through add.
+def _perfect_core(G: SmallGroup):
+    """(G^(oo), generators of it): down the derived series, each term spanned
+    by the [x, g], x in the term before and g in that term's generators."""
+    P, gens = _span(G, range(G.n))
+    while True:
+        Q, seeds = _span(G, G.commutators(P, gens).ravel().tolist())
+        if len(Q) == len(P):
+            return P, gens
+        P, gens = Q, seeds
 
-    V's extenders, the x of order p^a > 1 with x not in V, x^p in V and
+
+def _cyclic_extension(G: SmallGroup, subs: dict, add, layer=None):
+    """The layers of cyclic extension through add, from `layer` ((subgroup,
+    generators) pairs already added), or else from the trivial group.  V's
+    extenders, the x of order p^a > 1 with x not in V, x^p in V and
     x^-1 g x in V for each generator g of V, are one mask ANDed from C-level
     gathers of V's membership bytes, each generator's conjugates made once."""
     col, (orders, inverse, S) = G._column, G._walk
@@ -670,8 +682,9 @@ def _cyclic_extension(G: SmallGroup, subs: dict, add):
     inside, pth = gather(ext), gather(S[[prime[ords[x]] for x in ext], ext].tolist())
     conj = {}  # generator g -> the gather at x^-1 g x for each extender x
 
-    add((e,), ())
-    layer = [((e,), ())]
+    if layer is None:
+        add((e,), ())
+        layer = [((e,), ())]
     while layer:
         fresh = []
         for V, gens in layer:
@@ -780,27 +793,67 @@ def iso_classes(groups):
                      lambda r, k, mapping: verify_isomorphism(held[r], held.pop(k), mapping))
 
 
+def _conjugacy_classes(G: SmallGroup, subs) -> list:
+    """The least index in `subs`, G's whole lattice, of each subgroup's
+    conjugacy class, under x -> h^-1 x h for the non-central generators h
+    `all_subgroups` recorded for G (one [k, n] gather).  Each map is
+    verified an automorphism before use, so it restricts to isomorphisms
+    H -> H^h: pi(x h') = pi(x) pi(h') for all x and recorded h', and G^h = G.
+    Each H^h is looked up by its packed membership row (_BATCH_CELLS // n
+    subgroups a batch), and the orbits are walked breadth first."""
+    n, T, inv, least = G.n, G.table(), G._walk[1], list(range(len(subs)))
+    hs = np.array(G._sub_gens[subs[-1]], np.intp)  # subs[-1] is G
+    pi = T[hs[:, None], T[:, inv[hs]].T]  # pi[i, x] = h_i^-1 x h_i
+    if not (pi[:, T[hs]] == T[pi[:, hs, None], pi[:, None]]).all():
+        raise PropertyViolationError("a conjugation is not a homomorphism of the group")
+    pi = pi[(pi != np.arange(n)).any(axis=1)]  # a central h acts trivially
+    keys, at, R = [[] for _ in range(len(pi) + 1)], np.arange(len(pi) + 1)[:, None], _BATCH_CELLS // n
+    for r0 in range(0, len(subs) if len(pi) else 0, R):
+        batch = subs[r0:r0 + R]
+        rr = np.repeat(np.arange(len(batch)), [len(t) for t in batch])
+        xx = np.fromiter(itertools.chain.from_iterable(batch), np.intp, len(rr))
+        rows = np.zeros((len(pi) + 1, len(batch), n), bool)
+        rows[at, rr, np.concatenate([xx[None], pi[:, xx]])] = True  # H, then each H^h
+        rows = np.packbits(rows, axis=2)
+        for out, part in zip(keys, rows.view("V%d" % rows.shape[2])[..., 0].tolist()):
+            out += part
+    index = {key: r for r, key in enumerate(keys[0])}
+    images = [list(map(index.get, part)) for part in keys[1:]]
+    if any(None in image or image[-1] != len(subs) - 1 for image in images):  # or pi(G) < G
+        raise PropertyViolationError("a conjugation does not permute the subgroups of the lattice")
+    for r in range(len(subs)):
+        if least[r] == r:  # the first of its class: walk the orbit
+            orbit = [r]
+            for t in orbit:
+                for image in images:
+                    if least[u := image[t]] == u > r:
+                        least[u] = r
+                        orbit.append(u)
+    return least
+
+
 def sigma_counts(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, iso_order_cap=ISO_ORDER_CAP):
     """(number of subgroups, number of isomorphism types of subgroups).
 
-    The subgroups stay index tuples on G's table: their invariants come from
-    one `subset_invariants` pass, and each isomorphism is searched for and
-    verified on G's table, from one member list to another.
+    Conjugate subgroups are isomorphic, so only one subgroup per conjugacy
+    class (`_conjugacy_classes`) is classified, as an index tuple on G's
+    table: the invariants come from one `subset_invariants` pass, and each
+    isomorphism is searched for and verified from one member list to another.
     """
     if G.n > iso_order_cap:  # G is one of its own subgroups
         raise CapExceededError("a subgroup exceeds the iso cap %d" % iso_order_cap)
     subs = all_subgroups(G, cap_order=cap_order)
-    invariants = G.subset_invariants(subs)
-    parts = [_Members(G, s, inv) for s, (_, inv) in zip(subs, invariants)]
+    reps = [s for r, (least, s) in enumerate(zip(_conjugacy_classes(G, subs), subs)) if least == r]
+    invariants = G.subset_invariants(reps)
+    parts = [_Members(G, s, inv) for s, (_, inv) in zip(reps, invariants)]
     @functools.cache
     def gens_of(r):  # a class representative's generators, chosen once
-        return _generators(G, subs[r], [o for o, _ in parts[r].inv])
+        return _generators(G, reps[r], [o for o, _ in parts[r].inv])
 
     classes, _ = _classify([fp for fp, _ in invariants],
                            lambda r, k: _search(parts[r], gens_of(r), parts[k]),
                            lambda r, k, image: _is_isomorphism(parts[r], gens_of(r), parts[k], image))
-    sigma = len(subs)
-    sigma_iso = len(classes)
+    sigma, sigma_iso = len(subs), len(classes)
     require(sigma_iso <= sigma, "more isomorphism types than subgroups")
     if math.log2(sigma) > arith.wall_log_bound(G.n) + 1e-9:
         raise PropertyViolationError("subgroup count violates the generation bound")

@@ -1,8 +1,12 @@
-"""Subgroups and quotients as SmallGroups of their own, for the tests.
+"""Subgroups and quotients as SmallGroups of their own, and readers of a
+group's invariants, for the tests.
 
 The library classifies subgroups on their parent's table and never builds
 either; the tests use them as references: a subgroup's fingerprint on its
 own restricted table, and an abelianisation read off an explicit quotient.
+The readers (an element's invariants, the centre, the derived series, the
+exponent, whether G is abelian) read `SmallGroup.fingerprint`, which the library
+needs only whole.
 """
 
 import numpy as np
@@ -51,3 +55,25 @@ def quotient(G: SmallGroup, normal_idx) -> SmallGroup:
 def gamma_quotient(gamma) -> SmallGroup:
     """(Sym_3)^k modulo its odd-order normal subgroup, of an `altcodes.GammaK`."""
     return quotient(gamma.group, gamma.gamma2_idx)
+
+
+def element_invariant(G: SmallGroup, i: int):
+    """(order, conjugacy class size) of element i."""
+    G.fingerprint()
+    return G._elem_inv[i]
+
+
+def center_idx(G: SmallGroup) -> tuple:
+    return tuple(i for i in range(G.n) if element_invariant(G, i)[1] == 1)
+
+
+def derived_series_orders(G: SmallGroup) -> tuple:
+    return G.fingerprint().derived_orders
+
+
+def is_abelian(G: SmallGroup) -> bool:
+    return G.fingerprint().center_order == G.n
+
+
+def exponent(G: SmallGroup) -> int:
+    return G.fingerprint().exponent

@@ -74,3 +74,17 @@ def test_src_lines_counts_src_per_module_and_the_tests_total(tmp_path):
         path.write_text("x = 1\n" * lines)
     assert bench_pairs.src_lines(tmp_path) == {
         "total": 5, "modules": {"pkg/a.py": 3, "pkg/b.py": 2}, "tests_total": 5}
+
+
+def test_precompile_writes_pyc_files_even_without_bytecode_writing(tmp_path, monkeypatch):
+    # the exported trees are compiled before the first pair, so set-up reads
+    # .pyc files on both sides whatever PYTHONDONTWRITEBYTECODE says
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    for rel in ("src/pkg/__init__.py", "src/pkg/a.py", "perfbench/run.py", "tests/test_a.py"):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("x = 1\n")
+    assert bench_pairs.precompile(tmp_path) == ["src", "perfbench"]
+    compiled = {p.parent.parent.relative_to(tmp_path).as_posix() + "/" + p.name.split(".")[0]
+                for p in tmp_path.rglob("*.pyc")}
+    assert compiled == {"src/pkg/__init__", "src/pkg/a", "perfbench/run"}

@@ -57,11 +57,30 @@ SOLVABLE = {
     "Sym3^2": lambda: sg.direct_product(_s3(), _s3()),
     "D4xC3": lambda: sg.direct_product(sg.dihedral_group(4), sg.cyclic_group(3)),
 }
+def _sl25():
+    """SL(2,5), matrices (a, b, c, d) of determinant 1 over F5: perfect, of
+    order 120 = 2 * 60, so the order rule cannot certify its perfect core."""
+    labels = [m for m in itertools.product(range(5), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 5 == 1]
+    return sg.SmallGroup(labels, lambda x, y: (
+        (x[0] * y[0] + x[1] * y[2]) % 5, (x[0] * y[1] + x[1] * y[3]) % 5,
+        (x[2] * y[0] + x[3] * y[2]) % 5, (x[2] * y[1] + x[3] * y[3]) % 5), name="SL(2,5)")
+
+
+def _psl27():
+    """PSL(2,7) on the projective line over F7 (7 standing for infinity), by
+    x -> x + 1 and x -> -1/x: simple, of order 168."""
+    shift = tuple((x + 1) % 7 for x in range(7)) + (7,)
+    flip = (7,) + tuple(-pow(x, -1, 7) % 7 for x in range(1, 7)) + (0,)
+    return sg.SmallGroup.from_generators(sg._pcompose, [shift, flip], name="PSL(2,7)")
+
+
+# not solvable; the order rule certifies each one's perfect core (Alt5, Alt5, PSL(2,7))
 NOT_SOLVABLE = {
     "Alt5": lambda: sg.alternating_group(5),
     "Sym5": lambda: sg.symmetric_group(5),
+    "PSL(2,7)": _psl27,
 }
-GROUPS = {name: make() for name, make in {**SOLVABLE, **NOT_SOLVABLE}.items()}
+GROUPS = {name: make() for name, make in {**SOLVABLE, **NOT_SOLVABLE, "SL(2,5)": _sl25}.items()}
 
 
 def relabelled(G, seed):
@@ -77,11 +96,51 @@ def test_cyclic_extension_matches_join_oracle_solvable(name, seed):
     assert sg.all_subgroups(G) == join_lattice(relabelled(GROUPS[name], seed))
 
 
-@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _stages(monkeypatch):
+    """The lattice stages all_subgroups runs, as a list of names: the
+    extension from the trivial group, from the perfect core, or the joins."""
+    calls, extension, joins = [], sg._cyclic_extension, sg._join_completion
+
+    def extend(G, subs, add, *layer):
+        calls.append("extension from the core" if layer else "extension")
+        extension(G, subs, add, *layer)
+
+    def join(G, subs, add):
+        calls.append("joins")
+        joins(G, subs, add)
+
+    monkeypatch.setattr(sg, "_cyclic_extension", extend)
+    monkeypatch.setattr(sg, "_join_completion", join)
+    return calls
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(sorted(NOT_SOLVABLE)), seed=st.integers(0, 2**32))
 def test_completion_matches_join_oracle_not_solvable(name, seed):
     G = relabelled(GROUPS[name], seed)
-    assert sg.all_subgroups(G) == join_lattice(relabelled(GROUPS[name], seed))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        stages = _stages(monkeypatch)
+        assert sg.all_subgroups(G) == join_lattice(relabelled(GROUPS[name], seed))
+    assert stages == ["extension", "extension from the core"]
+
+
+def test_an_uncertified_core_takes_the_join_path(monkeypatch):
+    # SL(2,5) is its own perfect core, and 60 divides 120: the rule cannot
+    # rule out a perfect proper subgroup, so joins complete the lattice
+    G = relabelled(GROUPS["SL(2,5)"], 19)
+    stages = _stages(monkeypatch)
+    subs = sg.all_subgroups(G)
+    assert stages == ["extension", "joins"]
+    assert len(subs) == 76 and subs == join_lattice(relabelled(GROUPS["SL(2,5)"], 19))
+
+
+@pytest.mark.parametrize("name, order", [
+    ("Alt5", 60), ("Sym5", 60), ("PSL(2,7)", 168), ("SL(2,5)", 120), ("Sym4", 1)])
+def test_perfect_core_is_the_end_of_the_derived_series(name, order):
+    G = relabelled(GROUPS[name], 23)
+    P, gens = sg._perfect_core(G)
+    assert len(P) == order and G.closure_idx(gens) == P
+    assert G.span_idx(G.commutators(P, P).ravel().tolist()) == P
 
 
 def _count_closures(G):
@@ -127,23 +186,32 @@ def test_cap_count_on_the_completion_path():
     # Sym4 is solvable: cyclic extension alone builds its lattice
     ("Sym4", "_cyclic_extension", 8, 1, "not 1 mod 2"),  # 3 Sylow 2-subgroups
     ("Sym4", "_cyclic_extension", 3, 1, "not 1 mod 3"),  # 4 subgroups of order 3
-    # Alt5 is not: joins complete it, and the check follows them
-    ("Alt5", "_join_completion", 4, 1, "not 1 mod 2"),  # 5 Klein four-groups
-    ("Alt5", "_join_completion", 5, 1, "not 1 mod 5"),  # 6 Sylow 5-subgroups
-    ("Alt5", "_join_completion", 3, 3, "do not divide"),  # 10 -> 7, still 1 mod 3
+    # Alt5 is not, but the rule certifies it: a second extension, from Alt5
+    # itself, finishes the lattice, and the check follows it
+    ("Alt5", "_cyclic_extension from the core", 4, 1, "not 1 mod 2"),  # 5 Klein four-groups
+    ("Alt5", "_cyclic_extension from the core", 5, 1, "not 1 mod 5"),  # 6 Sylow 5-subgroups
+    ("Alt5", "_cyclic_extension from the core", 3, 3, "do not divide"),  # 10 -> 7, still 1 mod 3
+    # the rule cannot certify SL(2,5): joins complete it, and the check follows them
+    ("SL(2,5)", "_join_completion", 4, 1, "not 1 mod 2"),  # 15 cyclic groups of order 4
+    ("SL(2,5)", "_join_completion", 5, 1, "not 1 mod 5"),  # 6 Sylow 5-subgroups
+    ("SL(2,5)", "_join_completion", 3, 3, "do not divide"),  # 10 -> 7, still 1 mod 3
 ])
 def test_a_lattice_short_of_a_p_subgroup_fails_loudly(monkeypatch, name, stage, order, drop, match):
     G = relabelled(GROUPS[name], 13)
-    run = getattr(sg, stage)
+    stage, seeded = stage.split()[0], stage.endswith("from the core")
+    run, lost = getattr(sg, stage), []
 
-    def lossy(G, subs, add):
-        run(G, subs, add)
-        for sub in [s for s in subs if len(s) == order][:drop]:
-            del subs[sub]
+    def lossy(G, subs, add, *layer):  # the seeded stage drops only after the extension from the core
+        run(G, subs, add, *layer)
+        if bool(layer) == seeded:
+            lost.extend([s for s in subs if len(s) == order][:drop])
+            for sub in lost:
+                del subs[sub]
 
     monkeypatch.setattr(sg, stage, lossy)
     with pytest.raises(PropertyViolationError, match=match):
         sg.all_subgroups(G)
+    assert len(lost) == drop
 
 
 def test_restricted_tables_equal_label_products():
@@ -169,10 +237,11 @@ def test_table_completes_lazy_columns():
     assert G.closure_idx([1, 2]) == ref.closure_idx([1, 2])
 
 
-def _scan_cyclic_extension(G, subs, add):
+def _scan_cyclic_extension(G, subs, add, layer=None):
     """`_cyclic_extension` as it was before its masks: a Python scan of every
     extender against every subgroup of the layer, kept verbatim as the
-    reference."""
+    reference, from `layer` ((subgroup, generators) pairs already added) or
+    else from the trivial group."""
     cols = G.table().tolist()
     n, e = G.n, G.identity
     # (x, p, x^p, x^-1) for every x of order p^a > 1
@@ -188,8 +257,9 @@ def _scan_cyclic_extension(G, subs, add):
                 p = factors[0][0]
                 extenders.append((x, p, powers[p - 1], powers[-2]))
 
-    add((e,), ())
-    layer = [((e,), ())]
+    if layer is None:
+        add((e,), ())
+        layer = [((e,), ())]
     while layer:
         fresh = []
         for V, gens in layer:
@@ -236,11 +306,13 @@ def _extension_matches_the_scan(G):
         reference = sg.all_subgroups(G)
     assert sg.all_subgroups(G) == reference
     # the generators recorded with each subgroup generate it
+    assert all(G.closure_idx(gens) == sub for sub, gens in G._sub_gens.items())
+    # from the trivial group, as called without a layer: the solvable subgroups
     subs = {}
     sg._cyclic_extension(G, subs, subs.__setitem__)
-    if tuple(range(G.n)) not in subs:
-        sg._join_completion(G, subs, subs.__setitem__)
-    assert sorted(subs, key=lambda t: (len(t), t)) == reference
+    solvable = [s for s, (fp, _) in zip(reference, G.subset_invariants(reference))
+                if fp.derived_orders[-1] == 1]
+    assert sorted(subs, key=lambda t: (len(t), t)) == solvable
     assert all(G.closure_idx(gens) == sub for sub, gens in subs.items())
 
 

@@ -12,6 +12,7 @@ from kinderlab import genericity, nursery, smallgrp
 from kinderlab.errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_subspaces, enumerate_superspaces, gaussian_binomial
+from subquotient import exponent
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -49,7 +50,7 @@ def test_unitary_kinds():
     assert (NU.order, NU.rdim, NU.mdim) == (8, 1, 1)
     NU3 = nursery.make_nursery("unitary", p=3, e=1)
     G = NU3.gamma1_group()
-    assert G.n == 27 and G.exponent() == 3
+    assert G.n == 27 and exponent(G) == 3
     assert G.fingerprint().derived_orders == (27, 3, 1)
     NU22 = nursery.make_nursery("unitary", p=2, e=2)
     assert NU22.rdim == 2 and NU22.mdim == 2 and NU22.order == 64
@@ -61,7 +62,7 @@ def test_b2_odd_extraspecial():
     assert N3.order == 27
     G3 = N3.gamma1_group()
     fp = G3.fingerprint()
-    assert fp.center_order == 3 and fp.derived_orders == (27, 3, 1) and G3.exponent() == 3
+    assert fp.center_order == 3 and fp.derived_orders == (27, 3, 1) and exponent(G3) == 3
 
 
 def test_ree_small():
@@ -360,6 +361,50 @@ def test_reconstruct_above_table_cap_starts_few_columns():
     assert len(rec.chi) == K.order and all(rec.chi[lab] == lab[0] for lab in K.labels())
     started = sum(col is not None for col in K.group()._cols)
     assert started <= len(N.t_vectors) + N.mdim + 1
+
+
+def test_reconstruct_above_table_cap_tests_commutation_in_two_products_a_pair():
+    # the mu probes and the test that X is abelian only ask whether two
+    # elements commute: two label products a pair, with no bracket's inverse
+    N = nursery.make_nursery("matrix", a=2, c=1, ctx=F3)
+    rng = random.Random(3)
+    K = nursery.random_kind(N, 3, rng)
+    rho, mu = nursery.random_frames(K, rng)
+    G, products, costs = K.group(), [0], []
+    assert G.n == 2187 > smallgrp.SUBGROUP_ORDER_CAP
+    mul, commute = G._mul_label, G.commute
+
+    def counted(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    def probe(xs, ys):
+        before = products[0]
+        got = commute(xs, ys)
+        costs.append((len(xs), len(ys), products[0] - before))
+        return got
+
+    G._mul_label, G.commute = counted, probe
+    rec = nursery.reconstruct(K, rho, mu)
+    assert rec.X == N.gamma2_labels() and rec.Z == {N.identity_label()}
+    first, *_, abelian = costs
+    assert first[:2] == (2187, 1) and first[2] <= 2 * 2187
+    x = len(N.gamma2_labels())
+    assert abelian[:2] == (x, x) and abelian[2] <= 2 * x * x
+
+
+def test_a_matrix_nursery_over_the_cap_never_builds_its_bimap(monkeypatch):
+    # mdim = a c e is known before the (a c e) x (a a e) x (a c e) array: at
+    # a = c = 16 over F2 the array alone held +256 MB of peak RSS
+    def no_bimap(*args):
+        pytest.fail("the bimap of a nursery over the Gamma_2 cap was built")
+
+    monkeypatch.setattr(nursery, "matrix_multiplication_bimap", no_bimap)
+    for a, c in ((8, 8), (16, 16), (2, 4)):
+        with pytest.raises(CapExceededError, match="second term of order 2\\^%d over cap" % (2 * a * c)):
+            nursery.make_nursery("matrix", a=a, c=c, ctx=F2)
+    with pytest.raises(CapExceededError, match="second term of order 3\\^12 over cap"):
+        nursery.make_nursery("matrix", a=3, c=2, ctx=F3)
 
 
 def test_reconstruct_on_a_tabled_kind_starts_few_columns():

@@ -13,7 +13,7 @@ from kinderlab import smallgrp as sg
 from kinderlab.errors import CapExceededError, PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_superspaces, gaussian_binomial
-from subquotient import quotient, subgroup
+from subquotient import center_idx, derived_series_orders, exponent, is_abelian, quotient, subgroup
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -74,23 +74,23 @@ def test_elementary_abelian_census():
 
 def test_cyclic_structure():
     C12 = sg.cyclic_group(12)
-    assert C12.is_abelian() and C12.exponent() == 12
+    assert is_abelian(C12) and exponent(C12) == 12
     assert sorted(set(C12.element_orders())) == [1, 2, 3, 4, 6, 12]
     assert C12.order_of(C12.index_of(1)) == 12
 
 
 def test_s3_structure():
     S3 = sg.symmetric_group(3)
-    assert not S3.is_abelian()
-    assert S3.derived_series_orders() == (6, 3, 1)
-    assert len(S3.center_idx()) == 1
+    assert not is_abelian(S3)
+    assert derived_series_orders(S3) == (6, 3, 1)
+    assert len(center_idx(S3)) == 1
 
 
 def test_unitriangular_f3():
     U = sg.unitriangular_group(3, F3)
-    assert U.n == 27 and U.exponent() == 3 and not U.is_abelian()
-    assert len(U.center_idx()) == 3
-    assert U.derived_series_orders() == (27, 3, 1)
+    assert U.n == 27 and exponent(U) == 3 and not is_abelian(U)
+    assert len(center_idx(U)) == 3
+    assert derived_series_orders(U) == (27, 3, 1)
 
 
 def test_group_laws_random():
@@ -138,8 +138,8 @@ def test_quotient():
     assert sg.find_isomorphism(Q, sg.symmetric_group(3)) is not None
 
     D4 = sg.dihedral_group(4)
-    QD = quotient(D4, D4.center_idx())
-    assert QD.n == 4 and QD.exponent() == 2
+    QD = quotient(D4, center_idx(D4))
+    assert QD.n == 4 and exponent(QD) == 2
 
 
 def test_from_generators():
@@ -159,7 +159,7 @@ def test_closure_and_subgroup():
     cyc = G.closure_idx([r])
     assert len(cyc) == 5
     H = subgroup(G, cyc)
-    assert H.n == 5 and H.is_abelian()
+    assert H.n == 5 and is_abelian(H)
 
 
 def test_fingerprint_relabeling_invariance():
@@ -246,7 +246,7 @@ def test_power_walk_equals_repeated_products(name, seed):
         assert orders[x] == order == G.order_of(x)
         assert inverses[x] == powers[-2] == G.inverse_idx(x)
         assert all(S[k, x] == powers[k % order] for k in range(len(S)))
-    assert len(S) - 1 == G0.exponent() == max(orders)
+    assert len(S) - 1 == exponent(G0) == max(orders)
     assert ref._T is None
 
 
@@ -299,6 +299,25 @@ def test_commutators_equal_commutator_idx_on_relabellings(name, seed, tabled, da
     assert got.tolist() == [[ref.commutator_idx(x, y) for y in ys] for x in xs]
     assert (G._T is None) != tabled  # no table built that was not asked for
     assert G.span_idx(got.ravel().tolist()) == ref.closure_idx(got.ravel().tolist())
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(BRACKET_GROUPS)), seed=st.integers(0, 2**32), tabled=st.booleans(),
+       data=st.data())
+def test_commute_is_a_trivial_bracket(name, seed, tabled, data):
+    G0 = BRACKET_GROUPS[name]
+    labels = list(G0.labels)
+    random.Random(seed).shuffle(labels)
+    G, ref = sg.SmallGroup(labels, G0._mul_label), sg.SmallGroup(labels, G0._mul_label)
+    if tabled:
+        G.table()
+    index = st.integers(0, G.n - 1)
+    xs = data.draw(st.lists(index, max_size=12))
+    ys = data.draw(st.lists(index, max_size=12))
+    got = G.commute(xs, ys)
+    assert got.dtype == bool and got.shape == (len(xs), len(ys))
+    assert got.tolist() == [[ref.commutator_idx(x, y) == ref.identity for y in ys] for x in xs]
+    assert (G._T is None) != tabled
 
 
 def test_commutators_above_the_table_cap_start_no_column():
@@ -392,17 +411,25 @@ def _reference_sigma(G):
 
 
 def _sigma_with_classes(G):
-    """sigma_counts(G) and the class partition it counted."""
-    seen, classify = [], sg._classify
+    """sigma_counts(G) and the class partition it counted, each class of
+    conjugacy class representatives expanded to every subgroup of their
+    classes, as indices into the whole lattice."""
+    seen, classify, conjugacy = [], sg._classify, sg._conjugacy_classes
 
     def spy(*args):
         seen.append(classify(*args))
         return seen[-1]
 
-    with mock.patch.object(sg, "_classify", spy):
+    def orbits(*args):
+        seen.append(conjugacy(*args))
+        return seen[-1]
+
+    with mock.patch.object(sg, "_classify", spy), mock.patch.object(sg, "_conjugacy_classes", orbits):
         counts = sg.sigma_counts(G)
-    [(classes, _)] = seen
-    return counts, classes
+    least, (classes, _) = seen
+    reps = [r for r, first in enumerate(least) if first == r]
+    return counts, [sorted(r for r, first in enumerate(least) if first in {reps[k] for k in c})
+                    for c in classes]
 
 
 _S3 = sg.symmetric_group(3)
@@ -438,6 +465,51 @@ def test_sigma_counts_classes_equal_the_per_subgroup_path_on_sym3_cubed():
     G = _relabelled(sg.direct_product(_S3, sg.direct_product(_S3, _S3)), 3)
     got, ref = _sigma_with_classes(G), _reference_sigma(G)
     assert got == ref and got[0] == (904, 26)
+
+
+def test_conjugacy_classes_of_sym3_squared():
+    # Sym3^2: 60 subgroups in 22 conjugacy classes, each class the orbit of
+    # its first subgroup under conjugation by every element
+    G = _relabelled(LATTICE_GROUPS["Sym3^2"], 8)
+    subs = sg.all_subgroups(G)
+    least = sg._conjugacy_classes(G, subs)
+    assert len(set(least)) == 22
+    index = {s: r for r, s in enumerate(subs)}
+    for r, s in enumerate(subs):
+        conjugates = {index[tuple(sorted(G.conjugate_idx(x, g) for x in s))] for g in range(G.n)}
+        assert {t for t, first in enumerate(least) if first == least[r]} == conjugates
+        assert least[r] == min(conjugates)
+
+
+def test_abelian_group_has_a_class_per_subgroup():
+    G = _relabelled(LATTICE_GROUPS["C8xC27"], 4)
+    subs = sg.all_subgroups(G)
+    assert sg._conjugacy_classes(G, subs) == list(range(len(subs)))
+
+
+def test_a_conjugation_that_is_no_automorphism_is_refused():
+    # a wrong inverse of a generator makes x -> T[h, T[x, wrong]] a translate
+    # of conjugation, which takes e off e: the merge must refuse it
+    G = _relabelled(LATTICE_GROUPS["Sym3^2"], 9)
+    subs = sg.all_subgroups(G)
+    orders, inverse, S = G._walk
+    h = G._sub_gens[subs[-1]][0]
+    bad = inverse.copy()
+    bad[h] = next(x for x in range(G.n) if x not in (inverse[h], G.identity))
+    G.__dict__["_walk"] = (orders, bad, S)
+    with pytest.raises(PropertyViolationError, match="conjugation is not a homomorphism"):
+        sg._conjugacy_classes(G, subs)
+
+
+def test_a_lattice_missing_a_conjugate_is_refused():
+    # one of the three Sylow 2-subgroups of Sym3 x C4 dropped: its conjugates
+    # have nowhere to go
+    G = _relabelled(sg.direct_product(_S3, sg.cyclic_group(4)), 10)
+    subs = sg.all_subgroups(G)
+    sylow = [s for s in subs if len(s) == 8]
+    assert len(sylow) == 3
+    with pytest.raises(PropertyViolationError, match="does not permute the subgroups"):
+        sg._conjugacy_classes(G, [s for s in subs if s != sylow[1]])
 
 
 # (group factory, sigma, sigma_iso, whether two types share an order)

@@ -13,8 +13,13 @@ named by --claim (sampling by default) gets CLAIM_PAIRS pairs, enough to
 back a 9-of-10 claim; the others, which a change only has to leave within
 their bounds, get PAIRS.
 
-The output records the machine (and whether PYTHONDONTWRITEBYTECODE was
-set), both revisions, the seeds, and per workload and side the median,
+Before the first pair, each exported tree's `src` and `perfbench` are
+compiled (`python -m compileall -q`), so that set-up compares compiled trees
+on both sides whether or not PYTHONDONTWRITEBYTECODE is set: with it set a
+run writes no `.pyc` of its own, but still reads these.
+
+The output records the machine (whether PYTHONDONTWRITEBYTECODE was set,
+and which directories were precompiled), both revisions, the seeds, and per workload and side the median,
 quartiles and raw values of every end-to-end metric;
 how many pairs the head won on each (better and worse as BENCHMARK.json
 says, ties counting for neither); a verdict on each (see `verdict`); whether
@@ -154,6 +159,16 @@ def dont_write_bytecode(environ=os.environ):
     return bool(environ.get("PYTHONDONTWRITEBYTECODE"))
 
 
+PRECOMPILED = ("src", "perfbench")
+
+
+def precompile(tree):
+    """Compile the tree's PRECOMPILED directories to `.pyc` files, which every
+    run then reads, whatever PYTHONDONTWRITEBYTECODE says."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", *PRECOMPILED], cwd=tree, check=True)
+    return list(PRECOMPILED)
+
+
 def cpu_model():
     try:
         with open("/proc/cpuinfo") as fh:
@@ -188,6 +203,7 @@ def main():
             archive = subprocess.run(["git", "archive", rev], check=True, capture_output=True)
             subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive.stdout,
                            check=True)
+            out["machine"]["precompiled"] = precompile(trees[side])
         out["src_lines"] = {side: src_lines(trees[side]) for side in revs}
         for workload in workloads:
             n = CLAIM_PAIRS if workload == args.claim else PAIRS
