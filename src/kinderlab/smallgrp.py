@@ -853,7 +853,8 @@ def sigma_counts(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, iso_order_cap=ISO_
     classes, _ = _classify([fp for fp, _ in invariants],
                            lambda r, k: _search(parts[r], gens_of(r), parts[k]),
                            lambda r, k, image: _is_isomorphism(parts[r], gens_of(r), parts[k], image))
-    sigma, sigma_iso = len(subs), len(classes)
+    sigma = len(subs)
+    sigma_iso = len(classes)
     require(sigma_iso <= sigma, "more isomorphism types than subgroups")
     if math.log2(sigma) > arith.wall_log_bound(G.n) + 1e-9:
         raise PropertyViolationError("subgroup count violates the generation bound")
