@@ -222,7 +222,7 @@ class Bimap:
 
 def matrix_multiplication_bimap(ctx: FieldCtx, a: int, c: int, d: int) -> Bimap:
     """The bimap M_{a x c}(K) x M_{c x d}(K) -> M_{a x d}(K) over the prime
-    field, each space flattened as `linalg.flatten_matrix` does (row-major,
+    field, each space flattened as `linalg.unflatten_matrix` reads it (row-major,
     each entry as its e coordinates; over a prime field, plain row-major).
 
     Units x^g at (r, s) and x^h at (s, k) multiply to x^g x^h at (r, k), so

@@ -14,16 +14,16 @@ cut into words and filtered by randrange's rejection rule in one numpy pass
 per batch.  A report depends on the seed alone, not on batching.  The
 exhaustive enumerator (`exhaustive_mode`, cap 2^24) yields every
 configuration once, as `linalg.digits` tables, and marks the report exact.
-Both hand the evaluator [T, ...] arrays of element codes in batches of at
-most CHUNK instances, fewer where one instance's largest matrix is big, so
-that a batch's largest stack holds about CHUNK_CELLS entries at most and
-memory stays bounded.  The evaluator assembles the equation or image
-matrices of the whole batch, makes one `linalg.ranks` call per rank it
-needs, and returns the histogram keys as an array that `_tally` counts with
-one `np.unique`.  The equations come from `bimap`'s array builders, the same
-ones its single-instance solvers use: `hom_equations_batch`, `lambda_build`,
-and `nucleus_equations` on the unit vectors, which are linear in the left
-vector, so a batch's nucleus rows are one exact `linalg.fp_matmul`.
+Both hand the evaluator [T, ...] arrays of element codes in batches capped
+by cells alone: a batch's largest stack holds at most CHUNK_CELLS entries
+(one instance at least), which bounds memory.  The evaluator assembles the
+equation or image matrices of the whole batch, makes one `linalg.ranks`
+call per rank it needs, and returns the histogram keys as an array that
+`_tally` counts with one `np.unique`.  The equations come from `bimap`'s
+array builders, the same ones its single-instance solvers use:
+`hom_equations_batch`, `lambda_build`, and `nucleus_equations` on the unit
+vectors, which are linear in the left vector, so a batch's nucleus rows are
+one exact `linalg.fp_matmul`.
 
 The two dimensions `hom_pm_transpose` records per trial, dim hom(P, P^t)
 and dim hom(P, -P^t), are always equal: (A, B) -> (A, -B) carries the
@@ -52,7 +52,6 @@ from .linalg import digits, fp_matmul, gaussian_binomial, ranks, rref_bases
 
 KINDS = ("span", "end_generic", "hom_pm_transpose", "lambda_end", "nucleus", "derived_full")
 EXHAUSTIVE_CAP = 1 << 24
-CHUNK = 1 << 11
 CHUNK_CELLS = 1 << 17
 
 
@@ -233,21 +232,17 @@ class _Subspaces:
         return gaussian_binomial(self.dim, self.ell, self.fp.p)
 
     def pieces(self, size):
-        """Each subspace once as its RREF basis, one pivot pattern at a time."""
-        return (bases for _, bases in rref_bases(self.dim, self.ell, self.fp.p, size))
-
-
-def _rebatch(pieces, size):
-    """Concatenate consecutive pieces (each at most `size`) into batches of at most `size`."""
-    buf, n = [], 0
-    for piece in pieces:
-        if buf and n + len(piece) > size:
+        """Each subspace once as its RREF basis, in batches of at most `size`,
+        each the blocks of consecutive pivot patterns joined."""
+        buf, n = [], 0
+        for _, bases in rref_bases(self.dim, self.ell, self.fp.p, size):
+            if buf and n + len(bases) > size:
+                yield np.concatenate(buf)
+                buf, n = [], 0
+            buf.append(bases)
+            n += len(bases)
+        if buf:
             yield np.concatenate(buf)
-            buf, n = [], 0
-        buf.append(piece)
-        n += len(piece)
-    if buf:
-        yield np.concatenate(buf) if len(buf) > 1 else buf[0]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +416,7 @@ def _run(kind: str, params: dict, spec: _Spec, batches, seed, exact: bool) -> Tr
 
 
 def _batch_size(spec: _Spec) -> int:
-    return max(1, min(CHUNK, CHUNK_CELLS // max(1, spec.cells)))
+    return max(1, CHUNK_CELLS // max(1, spec.cells))
 
 
 def estimate(kind: str, params: dict, trials: int, seed) -> TrialReport:
@@ -441,7 +436,7 @@ def exhaustive_mode(kind: str, params: dict) -> TrialReport:
     if total > EXHAUSTIVE_CAP:
         raise CapExceededError("%d configurations exceed the exhaustive cap" % total)
     size = _batch_size(spec)
-    rep = _run(kind, params, spec, _rebatch(spec.source.pieces(size), size), None, exact=True)
+    rep = _run(kind, params, spec, spec.source.pieces(size), None, exact=True)
     if rep.bound is not None and rep.bound > rep.frequency:
         raise PropertyViolationError(
             "exact frequency %s fell below the closed-form bound %s"

@@ -22,6 +22,24 @@ def _exact(mats, F):
     return [len(rref(m, F)[0]) for m in mats]
 
 
+def _exact_distinct(arr, F):
+    """_exact of a [T, r, c] array, each distinct matrix solved once."""
+    mats, inverse = np.unique(arr.reshape(len(arr), -1), axis=0, return_inverse=True)
+    ranks = _exact(mats.reshape((-1,) + arr.shape[1:]).tolist(), F)
+    return [ranks[i] for i in inverse.ravel().tolist()]
+
+
+def _deficient(arr):
+    """Lower the rank of some instances of a [T, r, c] stack, in place, by
+    moves that hold in every field: a repeated row, a zero column, rows
+    repeating the first, all zero."""
+    arr[::3, 1] = arr[::3, 0]
+    arr[1::4, :, 2] = 0
+    arr[2::5, 2:] = arr[2::5, :1]
+    arr[3::7] = 0
+    return arr
+
+
 @st.composite
 def batches(draw):
     """A field and T equally shaped matrices, each uniform or of bounded rank."""
@@ -76,15 +94,53 @@ LAYOUT_SHAPES = {"many": (300, 4, 6), "few": (3, 9, 8), "one": (1, 5, 5)}
 def test_batch_rank_on_both_layouts(F, shape):
     T, R, C = LAYOUT_SHAPES[shape]
     rng = np.random.default_rng(F.order * T)
-    arr = rng.integers(0, F.order, size=(T, R, C))
-    arr[::3, 1] = arr[::3, 0]  # a repeated row
-    arr[1::4, :, 2] = 0  # a zero column
-    arr[2::5, 2:] = arr[2::5, :1]  # rank at most 2
-    arr[3::7] = 0
+    arr = _deficient(rng.integers(0, F.order, size=(T, R, C)))
     want = _exact(arr.tolist(), F)
     assert batch_rank(arr, F).tolist() == want
     assert batch_rank(arr.transpose(0, 2, 1), F).tolist() == want
     assert len(set(want)) > 1 or T == 1
+
+
+# the exhaustive grids rank up to CHUNK_CELLS // 12 = 10922 instances of
+# [4, 3] at a time, instances innermost
+@pytest.mark.parametrize("shape", [(4, 3), (3, 3), (4, 4)], ids=str)
+@pytest.mark.parametrize("q", [2, 3, 9, 191, 251])
+def test_batch_rank_at_exhaustive_scale(q, shape):
+    F = make_field_from_order(q)
+    rng = np.random.default_rng(q * 100 + shape[0] * 10 + shape[1])
+    arr = _deficient(rng.integers(0, q, size=(4096,) + shape))
+    assert batch_rank(arr, F).tolist() == _exact_distinct(arr, F)
+
+
+def test_batch_rank_past_the_int8_weights():
+    # 130 rows take int32 pivot weights: the first row weighs 130, beyond
+    # int8.  In every other instance only the last row is nonzero, so its
+    # pivot lies at row 129.
+    F = make_field(5, 1)
+    rng = np.random.default_rng(130)
+    arr = rng.integers(0, 5, size=(160, 130, 3))
+    arr[::2, :129] = 0
+    arr[1::6, :, 1] = 0
+    want = _exact(arr.tolist(), F)
+    assert want[::2].count(1) >= 70 and want[1::2].count(3) >= 40
+    assert batch_rank(arr, F).tolist() == want
+
+
+@pytest.mark.parametrize("q", [7, 4, 9])
+def test_batch_rank_columns_without_pivots(q):
+    # column 1 is zero everywhere, so no instance has a pivot there; column 3
+    # is zero in half the instances and repeats column 0 in a tenth, so after
+    # column 0 only the other two fifths still have a pivot in it
+    F = make_field_from_order(q)
+    rng = np.random.default_rng(q)
+    arr = rng.integers(0, q, size=(50, 6, 4))
+    arr[:, :, 1] = 0
+    arr[::2, :, 3] = 0
+    arr[1::10, :, 3] = arr[1::10, :, 0]
+    want = _exact(arr.tolist(), F)
+    assert set(want) == {2, 3}
+    assert batch_rank(arr, F).tolist() == want  # T >= C: the instances innermost
+    assert [r for i in range(0, 50, 2) for r in batch_rank(arr[i:i + 2], F).tolist()] == want
 
 
 @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 4), (2, 4, 0), (3, 4, 5), (1, 1, 1)])

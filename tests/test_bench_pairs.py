@@ -88,3 +88,14 @@ def test_precompile_writes_pyc_files_even_without_bytecode_writing(tmp_path, mon
     compiled = {p.parent.parent.relative_to(tmp_path).as_posix() + "/" + p.name.split(".")[0]
                 for p in tmp_path.rglob("*.pyc")}
     assert compiled == {"src/pkg/__init__", "src/pkg/a", "perfbench/run"}
+
+
+def test_claim_has_no_default(monkeypatch, capsys):
+    # without --claim, a run would give its ten pairs to a workload the change
+    # does not claim; argparse refuses it before any revision is exported
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--base", "HEAD~1", "--head", "HEAD",
+                                     "--out", "BENCH_x.json", "--seed", "1"])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main()
+    assert exit_info.value.code == 2
+    assert "--claim" in capsys.readouterr().err

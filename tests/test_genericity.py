@@ -1,7 +1,10 @@
 """Frequency experiments: exact enumerations, seeded sampling, bounds."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,16 +24,32 @@ def test_span_exhaustive_frozen():
     assert r2.frequency == Fraction(1, 2) and r2.bound == Fraction(1, 2)
 
 
-def test_span_exhaustive_formula():
-    # spanning s-tuples in F_q^n number prod_i (q^s - q^i)
-    for n in range(1, 4):
-        for s in range(1, 4):
-            for q in (2, 3):
-                r = gn.exhaustive_mode("span", {"n": n, "s": s, "q": q})
-                expect = 1
-                for i in range(n):
-                    expect *= max(q**s - q**i, 0)
-                assert r.success == expect
+def _span_grid(monkeypatch):
+    """perfbench's SPAN_GRID, loaded by path without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPAN_GRID
+
+
+def test_span_exhaustive_formula(monkeypatch):
+    # s x n matrices of rank r over F_q number
+    # prod_{i<r} (q^s - q^i)(q^n - q^i) / (q^r - q^i); rank n spans F_q^n
+    grid = _span_grid(monkeypatch)
+    assert (3, 4, 3) in grid
+    for n, s, q in grid:
+        want = {}
+        for r in range(min(n, s) + 1):
+            num = den = 1
+            for i in range(r):
+                num, den = num * (q**s - q**i) * (q**n - q**i), den * (q**r - q**i)
+            want[r] = num // den
+        assert sum(want.values()) == q ** (n * s)
+        rep = gn.exhaustive_mode("span", {"n": n, "s": s, "q": q})
+        assert rep.histogram == want
+        assert rep.success == want.get(n, 0)
 
 
 def test_span_bound_formula():
@@ -130,11 +149,19 @@ def test_kinds_and_validation():
     ],
 )
 def test_reports_do_not_depend_on_the_batch_size(kind, params, monkeypatch):
-    whole = (gn.estimate(kind, params, 40, seed=8).to_payload(),
-             gn.exhaustive_mode(kind, params).to_payload())
-    monkeypatch.setattr(gn, "CHUNK", 3)
+    sampled, exact = gn.estimate(kind, params, 40, seed=8), gn.exhaustive_mode(kind, params)
+    sizes, spec = [], gn._spec
+
+    def counting(kind, params):
+        s = spec(kind, params)
+        return s._replace(evaluate=lambda batch: sizes.append(len(batch)) or s.evaluate(batch))
+
+    monkeypatch.setattr(gn, "_spec", counting)
+    monkeypatch.setattr(gn, "CHUNK_CELLS", 1)  # one instance a batch
     assert (gn.estimate(kind, params, 40, seed=8).to_payload(),
-            gn.exhaustive_mode(kind, params).to_payload()) == whole
+            gn.exhaustive_mode(kind, params).to_payload()) == (sampled.to_payload(),
+                                                                exact.to_payload())
+    assert exact.trials > 1 and sizes == [1] * (40 + exact.trials)
 
 
 def test_exhaustive_subspaces_each_once():

@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 from kinderlab import nursery, smallgrp, twisted
 from kinderlab.errors import InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
-from kinderlab.linalg import CoordSolver, Matrix, Subspace, flatten_matrix, rank_nullspace, unflatten_matrix
+from kinderlab.linalg import CoordSolver, Matrix, Subspace, rank_nullspace, unflatten_matrix
+from matrix_ops import flatten_matrix
 
 F2 = make_field(2, 1)
 

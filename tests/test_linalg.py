@@ -16,7 +16,6 @@ from kinderlab.linalg import (
     digits,
     enumerate_subspaces,
     enumerate_superspaces,
-    flatten_matrix,
     gaussian_binomial,
     np_rank,
     rank_nullspace,
@@ -24,6 +23,8 @@ from kinderlab.linalg import (
     rref_bases,
     unflatten_matrix,
 )
+from matrix_ops import (contains_subspace, flatten_matrix, matrix_add, matrix_apply, matrix_scale,
+                        zero_matrix)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -46,11 +47,11 @@ def test_zero_dimensions_keep_their_shape():
     row = Matrix(F2, [()])
     assert row.shape == (1, 0) and row.transpose().shape == (0, 1)
     assert row.transpose().transpose() == row != Matrix(F2, [])
-    empty = Matrix.zero(F3, 0, 3)
+    empty = zero_matrix(F3, 0, 3)
     assert empty.shape == (0, 3) and empty.transpose().shape == (3, 0)
-    assert empty.neg().shape == empty.add(empty).shape == (0, 3)
-    assert Matrix.zero(F3, 2, 0).mul(empty) == Matrix.zero(F3, 2, 3)
-    assert empty.transpose().mul(empty) == Matrix.zero(F3, 3, 3)
+    assert empty.neg().shape == matrix_add(empty, empty).shape == (0, 3)
+    assert zero_matrix(F3, 2, 0).mul(empty) == zero_matrix(F3, 2, 3)
+    assert empty.transpose().mul(empty) == zero_matrix(F3, 3, 3)
     assert unflatten_matrix((), F4, 0, 2).shape == (0, 2)
 
 
@@ -65,7 +66,7 @@ def test_matrix_ops_extension_field():
     assert a.mul(b).transpose() == b.transpose().mul(a.transpose())
     assert a.neg().neg() == a
     lam = F4.random_nonzero(rng)
-    assert a.scale(lam).scale(F4.inv(lam)) == a
+    assert matrix_scale(matrix_scale(a, lam), F4.inv(lam)) == a
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -81,7 +82,7 @@ def test_rank_nullspace(p):
         for row in m.rows:
             assert rowspace.contains(row)
         for v in nullspace.basis:
-            assert all(x == 0 for x in m.apply(v))
+            assert all(x == 0 for x in matrix_apply(m, v))
 
 
 def test_subspace_canonical():
@@ -106,9 +107,9 @@ def test_subspace_membership():
     assert S.dim == 2
     assert S.contains((2, 1, 1))
     assert not S.contains((1, 0, 0))
-    assert S.contains_subspace(Subspace.from_vectors(F3, 3, [(1, 2, 1)]))
-    assert Subspace.full(F3, 3).contains_subspace(S)
-    assert S.contains_subspace(Subspace.zero(F3, 3))
+    assert contains_subspace(S, Subspace.from_vectors(F3, 3, [(1, 2, 1)]))
+    assert contains_subspace(Subspace.full(F3, 3), S)
+    assert contains_subspace(S, Subspace.zero(F3, 3))
     got = set(S.enumerate_vectors())
     assert len(got) == 9 and all(S.contains(v) for v in got)
 
@@ -182,7 +183,7 @@ def test_enumerate_superspaces():
     ups = list(enumerate_superspaces(S, 2))
     assert len(ups) == gaussian_binomial(3, 1, 2) == 7
     for U in ups:
-        assert U.dim == 2 and U.contains_subspace(S)
+        assert U.dim == 2 and contains_subspace(U, S)
 
 
 def test_flatten_roundtrip():

@@ -1,7 +1,7 @@
 """Alternating parent/change runs of the perfbench workloads, into BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --base REV --head REV --out BENCH_9.json --seed 900 \
-        [--claim WORKLOAD]
+        --claim WORKLOAD
 
 Run from the root of a git checkout that has both revisions. Each revision
 is exported with `git archive` into a temporary directory, which is removed
@@ -9,7 +9,7 @@ at the end. For each workload, pair i runs `perfbench/run.py --seed
 <seed + i>` on both trees for BENCHMARK.json's `run_seconds`, one process
 at a time, the base first on even pairs and the head first on odd ones, so
 that a drift in the host's speed falls on both sides alike. The workload
-named by --claim (sampling by default) gets CLAIM_PAIRS pairs, enough to
+named by --claim, which has no default, gets CLAIM_PAIRS pairs, enough to
 back a 9-of-10 claim; the others, which a change only has to leave within
 their bounds, get PAIRS.
 
@@ -183,7 +183,8 @@ def main():
     ap.add_argument("--head", required=True, help="the revision of the change")
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     ap.add_argument("--seed", type=int, required=True, help="pair i runs seed + i")
-    ap.add_argument("--claim", default="sampling", help="the workload whose gain is claimed")
+    ap.add_argument("--claim", required=True,
+                    help="the workload whose gain is claimed; it gets CLAIM_PAIRS pairs")
     args = ap.parse_args()
 
     bench = json.loads(Path("BENCHMARK.json").read_text())
