@@ -5,7 +5,7 @@ Modules:
     linalg      exact matrices, subspaces, Gaussian binomials over GF(q)
     arith       valuations, factorial valuations, generation bounds
     smallgrp    concrete small groups, subgroup and isomorphism census
-    bimap       hom spaces of matrix systems, block constructions, nuclei
+    bimap       hom spaces of matrix systems, block constructions, bimaps
     genericity  seeded Monte Carlo and exhaustive frequency experiments
     nursery     filtered groups built from a ring acting on a module
     altcodes    direct powers of Sym(3) and binary-code subgroups

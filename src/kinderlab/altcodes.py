@@ -56,11 +56,11 @@ def _mul_tuple(g, h):
     return tuple(MUL3[x][y] for x, y in zip(g, h))
 
 
-def build_gamma(k: int, cap=ELEMENT_CAP) -> GammaK:
+def build_gamma(k: int) -> GammaK:
     if k < 1:
         raise InvalidConfigError("need k >= 1")
-    if 6**k > cap:
-        raise CapExceededError("6^%d elements over cap %d" % (k, cap))
+    if 6**k > ELEMENT_CAP:
+        raise CapExceededError("6^%d elements over cap %d" % (k, ELEMENT_CAP))
     labels = list(itertools.product(range(6), repeat=k))
     G = smallgrp.SmallGroup(labels, _mul_tuple, name="Gamma_%d" % k)
     odd = [i for i, lab in enumerate(labels) if all(SIGN3[c] == 0 for c in lab)]

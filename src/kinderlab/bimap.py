@@ -1,5 +1,4 @@
-"""Matrix systems, their hom spaces, block constructions, bimaps, and the
-right nucleus.
+"""Matrix systems, their hom spaces, block constructions and bimaps.
 
 A hom pair (A, B) for systems Phi (s x b) and Ups (a x t) satisfies
 A Phi_i = sign * Ups_i B^t for every i.  The solution space is computed as
@@ -8,17 +7,16 @@ A then B, row-major) and c*a*b equations.
 
 Every equation system here has one builder, on integer code arrays:
 `hom_equations_batch` (for T system pairs; `hom_space` and `hom_dim` take
-T = 1), `lambda_build`, and `nucleus_equations` (for n left vectors;
-`right_nucleus` and genericity's nucleus kind both call it).  A bimap is
-over F_p, its structure constants one read-only int64 [target, left, right]
-array; `nursery` reads its matrix and field algebras from
-`matrix_multiplication_bimap`'s.  Code arrays are int64, or Python ints
-(object) for fields of order above 2^63, so that GF(2^70) stays exact.
+T = 1), `lambda_build`, and `nucleus_equations` (for n left vectors,
+genericity's nucleus kind).  A bimap is over F_p, its structure constants
+one read-only int64 [target, left, right] array; `nursery` reads its matrix
+and field algebras from `matrix_multiplication_bimap`'s.  Code arrays are
+int64, or Python ints (object) for fields of order above 2^63, so that
+GF(2^70) stays exact.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +46,6 @@ class MatrixSystem:
         self.mats = mats
 
     @classmethod
-    def from_matrices(cls, mats) -> "MatrixSystem":
-        mats = list(mats)
-        if not mats:
-            raise InvalidConfigError("cannot infer shape from an empty system")
-        return cls(mats[0].ctx, mats[0].shape, mats)
-
-    @classmethod
     def random(cls, ctx, shape, c, rng) -> "MatrixSystem":
         return cls(ctx, shape, [Matrix.random(ctx, shape[0], shape[1], rng) for _ in range(c)])
 
@@ -82,24 +73,6 @@ class HomSpace:
     basis: tuple  # of (A, B) Matrix pairs
     dim_k: int
     dim_fp: int
-
-    @functools.cached_property
-    def _span(self) -> Subspace:
-        """The span of the flattened basis, built on the first `contains`."""
-        flat = [_flatten_pair(pa, pb) for pa, pb in self.basis]
-        return Subspace.from_vectors(self.ctx, len(flat[0]) if flat else 0, flat)
-
-    def contains(self, A: Matrix, B: Matrix) -> bool:
-        return self._span.contains(_flatten_pair(A, B))
-
-
-def _flatten_pair(A: Matrix, B: Matrix) -> tuple:
-    out = []
-    for row in A.rows:
-        out.extend(row)
-    for row in B.rows:
-        out.extend(row)
-    return tuple(out)
 
 
 def _codes(phi: MatrixSystem):
@@ -248,30 +221,6 @@ def nucleus_equations(bm: Bimap, Q):
     g = np.einsum("nkx,jy->njkxy", W, np.eye(r, dtype=np.int64))
     h = np.einsum("nmj,kl->njklm", batch_neg(W, bm.ctx), np.eye(t, dtype=np.int64))
     return np.concatenate([g.reshape(len(Q), r * t, r * r), h.reshape(len(Q), r * t, t * t)], axis=2)
-
-
-def right_nucleus(bm: Bimap, left_sub: Subspace) -> HomSpace:
-    """Pairs (g, h) with [q, g v] = h [q, v] for all q in left_sub and all v.
-
-    g acts on the right space, h on the target.  The result is closed under
-    composition and contains the identity pair; both facts are checked.
-    """
-    ctx = bm.ctx
-    if left_sub.ambient_dim != bm.left_dim or left_sub.ctx != ctx:
-        raise InvalidConfigError("left subspace does not match the bimap")
-    r, t = bm.right_dim, bm.target_dim
-    Q = np.array(left_sub.basis, dtype=np.int64).reshape(left_sub.dim, bm.left_dim)
-    rows = nucleus_equations(bm, Q).reshape(-1, r * r + t * t).tolist()
-    basis = _solution_pairs(ctx, rows, (r, r), (t, t))
-    space = HomSpace(ctx=ctx, basis=tuple(basis), dim_k=len(basis), dim_fp=ctx.e * len(basis))
-    ident = (Matrix.identity(ctx, r), Matrix.identity(ctx, t))
-    if not space.contains(*ident):
-        raise PropertyViolationError("nucleus lost the identity pair")
-    for g1, h1 in basis:
-        for g2, h2 in basis:
-            if not space.contains(g1.mul(g2), h1.mul(h2)):
-                raise PropertyViolationError("nucleus not closed under composition")
-    return space
 
 
 # ---------------------------------------------------------------------------

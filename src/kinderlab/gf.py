@@ -325,9 +325,6 @@ class FieldCtx:
             return self._exp[(q1 - self._log[a]) % q1]
         return self._raw_pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if k < 0:
             return self.pow(self.inv(a), -k)
@@ -354,18 +351,6 @@ class FieldCtx:
             return a
         return self._raw_pow(a, self.p**i)
 
-    def trace(self, a: int) -> int:
-        """Absolute trace down to F_p, returned as an int in [0, p)."""
-        t = 0
-        cur = a
-        for _ in range(self.e):
-            t = self.add(t, cur)
-            cur = self.frobenius(cur, 1)
-        vec = self.to_vector(t)
-        if any(vec[1:]):
-            raise FieldError("trace landed outside the prime field")
-        return vec[0]
-
     def to_vector(self, a: int) -> tuple:
         self.check_element(a)
         return tuple(_decode(a, self.p, self.e))
@@ -381,9 +366,6 @@ class FieldCtx:
 
     def random_element(self, rng: random.Random) -> int:
         return rng.randrange(self.order)
-
-    def random_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.order)
 
     def table_arrays(self):
         """(add, mul, neg, inv) int16 lookup tables, built once from the digits and exp/log."""

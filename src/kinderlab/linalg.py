@@ -6,8 +6,9 @@ Everything here is plain Gaussian elimination.  The numpy fast path at the
 bottom is `batch_rank`: one vectorized elimination over a [T, r, c] stack of
 matrices, laid out by the batch shape, in integer arithmetic mod p over
 prime fields and through the field's lookup tables, pivot rows normalised,
-over GF(p^e) up to order TABLE_ORDER_CAP.  `np_rank` is its T = 1 case, and
-`ranks` is the one place that sends a field outside that range to `rref`.
+over GF(p^e) up to order TABLE_ORDER_CAP.  `ranks` is the one entry point
+to it, and the one place that sends a field outside that range to `rref`;
+`np_rank` is its T = 1 case.
 """
 
 from __future__ import annotations
@@ -210,10 +211,10 @@ class Subspace:
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
 
-    def enumerate_vectors(self, cap=ENUM_CAP):
+    def enumerate_vectors(self):
         n = self.ctx.order**self.dim
-        if n > cap:
-            raise CapExceededError("subspace has %d vectors, cap %d" % (n, cap))
+        if n > ENUM_CAP:
+            raise CapExceededError("subspace has %d vectors, cap %d" % (n, ENUM_CAP))
         ctx = self.ctx
         for coeffs in itertools.product(range(ctx.order), repeat=self.dim):
             vec = [0] * self.ambient_dim
@@ -309,11 +310,11 @@ def rref_bases(ambient_dim: int, l: int, order: int, size: int = 1 << 12):
             yield pivots, out
 
 
-def enumerate_subspaces(ambient_dim: int, l: int, ctx: FieldCtx, cap=ENUM_CAP):
+def enumerate_subspaces(ambient_dim: int, l: int, ctx: FieldCtx):
     """Yield every l-dimensional subspace exactly once, in `rref_bases` order."""
     total = gaussian_binomial(ambient_dim, l, ctx.order)
-    if total > cap:
-        raise CapExceededError("%d subspaces exceed cap %d" % (total, cap))
+    if total > ENUM_CAP:
+        raise CapExceededError("%d subspaces exceed cap %d" % (total, ENUM_CAP))
     for pivots, bases in rref_bases(ambient_dim, l, ctx.order):
         # every row a tuple once, and each basis l consecutive ones
         rows = map(tuple, bases.reshape(len(bases) * l, ambient_dim).tolist())
@@ -321,14 +322,14 @@ def enumerate_subspaces(ambient_dim: int, l: int, ctx: FieldCtx, cap=ENUM_CAP):
             yield Subspace._from_rref(ctx, ambient_dim, basis, pivots)
 
 
-def enumerate_superspaces(sub: Subspace, l: int, cap=ENUM_CAP):
+def enumerate_superspaces(sub: Subspace, l: int):
     """Yield the l-dimensional subspaces containing sub (lift from the quotient)."""
     n, d = sub.ambient_dim, sub.dim
     if l < d or l > n:
         return
     ctx = sub.ctx
     complement = [j for j in range(n) if j not in sub.pivots]
-    for qspace in enumerate_subspaces(len(complement), l - d, ctx, cap):
+    for qspace in enumerate_subspaces(len(complement), l - d, ctx):
         vecs = list(sub.basis)
         for row in qspace.basis:
             lifted = [0] * n
@@ -482,11 +483,11 @@ def ranks(arr, ctx: FieldCtx):
 
 
 def np_rank(mat, ctx: FieldCtx) -> int:
-    """Rank of one 2-d array of element codes: batch_rank with T = 1."""
+    """Rank of one 2-d array of element codes: `ranks` with T = 1."""
     a = np.asarray(mat)
     if a.size == 0:
         return 0
-    return int(batch_rank(a[None], ctx)[0])
+    return int(ranks(a[None], ctx)[0])
 
 
 def fp_matmul(x, y, p: int):

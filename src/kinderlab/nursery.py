@@ -31,7 +31,6 @@ Light's test; a larger kind's products are label products.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +41,7 @@ from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, make_field
 from .linalg import (CoordSolver, Matrix, Subspace, digits, enumerate_superspaces, gaussian_binomial,
                      np_rank, rank_nullspace)
-
-GROUP_ORDER_CAP = 1 << 14
+from .smallgrp import GROUP_ORDER_CAP
 # up to this Gamma_1 order the constructor checks the law and every
 # commutator on Gamma_1's complete table, above it on basis transversals
 EXHAUSTIVE_ORDER_CAP = 1 << 9
@@ -229,9 +227,9 @@ class ModuleNursery:
                 for w in mvecs:
                     yield (x, u, w)
 
-    def gamma1_group(self, cap=GROUP_ORDER_CAP) -> smallgrp.SmallGroup:
-        if self.order > cap:
-            raise CapExceededError("group order %d over cap %d" % (self.order, cap))
+    def gamma1_group(self) -> smallgrp.SmallGroup:
+        if self.order > GROUP_ORDER_CAP:
+            raise CapExceededError("group order %d over cap %d" % (self.order, GROUP_ORDER_CAP))
         full = Subspace.full(self.ctx, self.rdim)
         return self.group_on(full, name="%s nursery Gamma_1" % self.kind)
 
@@ -319,10 +317,6 @@ class Kind:
     def order(self) -> int:
         n = self.nursery
         return n.p ** (self.subspace.dim + 2 * n.mdim)
-
-    def labels(self):
-        xs = [tuple(v) for v in self.subspace.enumerate_vectors()]
-        return self.nursery.labels(x_vectors=xs)
 
     def group(self, cap=GROUP_ORDER_CAP) -> smallgrp.SmallGroup:
         if self.order > cap:
@@ -462,45 +456,6 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
 
 
 # ---------------------------------------------------------------------------
-# counting bounds
-
-
-def _gl_order(nn: int, q: int) -> int:
-    out = 1
-    for i in range(nn):
-        out *= q**nn - q**i
-    return out
-
-
-def bound_log(formula: str, **params) -> float:
-    """Exact base-p exponents of the counting bounds, clamped at 0."""
-    if formula == "nursery_count":
-        r, ell, s, m, t = need(params, "r", "ell", "s", "m", "t")
-        return float(max(0, (ell - s) * (r - ell) - ell * s - m * t))
-    if formula == "coro_ud_lower":
-        a, e, ell = need(params, "a", "e", "ell")
-        return float(max(0, (ell - 3) * (a * a * e - ell) - 3 * ell - a * a * e))
-    if formula == "orbit_upper":
-        a, b, c, e, p = need(params, "a", "b", "c", "e", "p")
-        if min(a, b, c, e) < 1:
-            raise InvalidConfigError("block sizes and degree must be positive")
-        q = p**e
-        if a > c >= 1:
-            order = e * _gl_order(a, q) * _gl_order(b, q) * _gl_order(c, q) // (q - 1)
-        elif a == c > 1:
-            order = 2 * e * _gl_order(a, q) ** 2 * _gl_order(b, q) // (q - 1)
-        elif a == c == 1:
-            sp = q ** (b * b)
-            for i in range(1, b + 1):
-                sp *= q ** (2 * i) - 1
-            order = e * (q - 1) * sp
-        else:
-            raise InvalidConfigError("orbit bound takes the blocks with a >= c")
-        return math.log(order, p)
-    raise InvalidConfigError("unknown bound formula %r" % formula)
-
-
-# ---------------------------------------------------------------------------
 # census
 
 
@@ -553,8 +508,8 @@ def census(nursery: ModuleNursery, ell: int, relaxed=False, max_kinder=4096,
 
     bound = None
     if not relaxed:
-        bound = bound_log("nursery_count", r=nursery.rdim, ell=ell, s=len(nursery.s_coords),
-                          m=nursery.mdim, t=len(nursery.t_vectors))
+        r, s, m, t = nursery.rdim, len(nursery.s_coords), nursery.mdim, len(nursery.t_vectors)
+        bound = float(max(0, (ell - s) * (r - ell) - ell * s - m * t))  # base-p exponent, clamped at 0
         if len(classes) < nursery.p ** int(round(bound)):
             raise PropertyViolationError(
                 "census found %d classes, below the guaranteed %d"

@@ -7,12 +7,13 @@ in one column-major table: column j holds i*j for every i.  `table()`
 completes it (groups up to SUBGROUP_ORDER_CAP only) as one int16 [n, n]
 array, the one complete table a group holds; the Python paths read its
 columns as lists made on first use (`_column`).  Without it the columns fill
-lazily, one product at a time, so a group of 2^14 elements that is only ever
-multiplied by a few generators never pays for n^2 products.  Subgroups are
-sorted index tuples on the array.  One power walk over the array gives every
-element's order, inverse and powers, for `order_of`, `inverse_idx`, the
-invariants, the lattice and `commutators`, the library's one bracket (a
-gather on the array).
+lazily, one product at a time, and above SUBGROUP_ORDER_CAP only closure
+steps start one (element orders, inverses and brackets are label products),
+so a group of 2^14 elements that is only ever closed under a few generators
+never pays for n^2 products.  Subgroups are sorted index tuples on the
+array.  One power walk over the array gives every element's order, inverse
+and powers, for `order_of`, `inverse_idx`, the invariants, the lattice and
+`commutators`, the library's one bracket (a gather on the array).
 
 The subgroup lattice is built by cyclic extension (Neubueser 1960) on the
 complete table, from the trivial group and, when the order rule certifies
@@ -55,6 +56,7 @@ from . import arith
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, require
 
 SUBGROUP_ORDER_CAP = 2048
+GROUP_ORDER_CAP = 1 << 14  # the largest whole group built on label products (nursery, B2)
 ISO_ORDER_CAP = 512
 _SUBGROUP_COUNT_CAP = 100000
 _ISO_NODE_BUDGET = 5 * 10**6
@@ -105,16 +107,17 @@ class SmallGroup:
     # -- construction helpers
 
     @classmethod
-    def from_generators(cls, mul, gens, cap=SUBGROUP_ORDER_CAP, name=None):
-        """Closure of the given labels under mul (BFS, deterministic order)."""
+    def from_generators(cls, mul, gens, name=None):
+        """Closure of the given labels under mul (BFS, deterministic order), of
+        at most SUBGROUP_ORDER_CAP elements."""
         seen = dict.fromkeys(gens)
         queue = list(seen)
         for x in queue:
             for g in gens:
                 y = mul(x, g)
                 if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError("closure exceeded cap %d" % cap)
+                    if len(seen) >= SUBGROUP_ORDER_CAP:
+                        raise CapExceededError("closure exceeded cap %d" % SUBGROUP_ORDER_CAP)
                     seen[y] = None
                     queue.append(y)
         labels = list(seen)
@@ -133,7 +136,7 @@ class SmallGroup:
         It reads column j (`_column`), filling a gap with a label product,
         but starts the column only up to SUBGROUP_ORDER_CAP: above it, one
         product per element on the right would fill n columns of n entries,
-        so only closure steps and element orders start columns.
+        so only closure steps start columns.
         """
         col = self._cols[j]
         if col is None and self.n <= SUBGROUP_ORDER_CAP:
@@ -231,12 +234,10 @@ class SmallGroup:
     def order_of(self, i: int) -> int:
         if self._orders is None:
             self._orders = [0] * self.n if self._T is None else self._walk[0].tolist()
-        if not self._orders[i]:
-            col, k, x = self._column(i), 1, i
+        if not self._orders[i]:  # walk x -> x*i: above the table cap, label products only
+            k, x = 1, i
             while x != self.identity:
-                y = col[x]
-                x = y if y >= 0 else self.mul_idx(x, i)
-                k += 1
+                x, k = self.mul_idx(x, i), k + 1
             self._orders[i] = k
         return self._orders[i]
 
@@ -612,7 +613,7 @@ def verify_isomorphism(G: SmallGroup, H: SmallGroup, mapping) -> bool:
 # ---------------------------------------------------------------------------
 # subgroup lattice and census
 
-def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGROUP_COUNT_CAP):
+def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP):
     """Every subgroup of G as sorted index tuples, smallest first.
 
     Cyclic extension (Neubueser 1960; GAP's LatticeByCyclicExtension): if V
@@ -636,8 +637,8 @@ def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, cap_count=_SUBGRO
     subs = {}  # subgroup -> generators
 
     def add(sub, gens):
-        if len(subs) >= cap_count:
-            raise CapExceededError("subgroup count cap %d hit" % cap_count)
+        if len(subs) >= _SUBGROUP_COUNT_CAP:
+            raise CapExceededError("subgroup count cap %d hit" % _SUBGROUP_COUNT_CAP)
         subs[sub] = gens
 
     _cyclic_extension(G, subs, add)

@@ -27,9 +27,8 @@ import numpy as np
 from . import smallgrp
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, FieldError, make_field
-from .linalg import Subspace
+from .smallgrp import GROUP_ORDER_CAP
 
-GROUP_ORDER_CAP = 1 << 14
 SUZUKI_DEGREE_CAP = 1001
 
 
@@ -121,32 +120,18 @@ class B2Group:
 
     # materialization ---------------------------------------------------
 
-    def labels(self, s_values=None):
+    def labels(self):
         F = self.ctx
-        svals = list(F.elements()) if s_values is None else list(s_values)
         for r in F.elements():
-            for s in svals:
+            for s in F.elements():
                 for z1 in F.elements():
                     for z2 in F.elements():
                         yield (r, s, z1, z2)
 
-    def group(self, cap=GROUP_ORDER_CAP) -> smallgrp.SmallGroup:
-        if self.order > cap:
-            raise CapExceededError("group order %d over cap %d" % (self.order, cap))
+    def group(self) -> smallgrp.SmallGroup:
+        if self.order > GROUP_ORDER_CAP:
+            raise CapExceededError("group order %d over cap %d" % (self.order, GROUP_ORDER_CAP))
         return smallgrp.SmallGroup(list(self.labels()), self.mul, name="B2 over GF(%d)" % self.ctx.order)
-
-    def kind(self, code: Subspace, cap=GROUP_ORDER_CAP) -> smallgrp.SmallGroup:
-        """Subgroup between Gamma_2 and the whole group: s ranges over a code."""
-        F = self.ctx
-        if code.ambient_dim != F.e or code.ctx.order != 2:
-            raise InvalidConfigError("kind code must be an F_2 subspace of the field")
-        svals = [F.from_vector(v) for v in code.enumerate_vectors()]
-        n = F.order**3 * len(svals)
-        if n > cap:
-            raise CapExceededError("kind order %d over cap %d" % (n, cap))
-        return smallgrp.SmallGroup(
-            list(self.labels(s_values=svals)), self.mul, name="B2 kind dim %d" % code.dim
-        )
 
 
 def b2_build(ctx: FieldCtx) -> B2Group:
@@ -345,16 +330,9 @@ class BitEchelon:
 
 
 def _form(F: FieldCtx, x: int, xf: int, y: int, yf: int) -> int:
-    # the form from x, y and their images xf, yf under x -> x^(2^(e+1))
+    # x*y^(2^(e+1)) + y*x^(2^(e+1)) over F_2^(2e+1), from x, y and their
+    # images xf, yf under x -> x^(2^(e+1))
     return F.mul(x, yf) ^ F.mul(y, xf)
-
-
-def suzuki_form(F: FieldCtx, x: int, y: int) -> int:
-    """x*y^(2^(e+1)) + y*x^(2^(e+1)) over F_2^(2e+1)."""
-    if F.p != 2 or F.e % 2 == 0:
-        raise InvalidConfigError("the form lives over F_2 fields of odd degree")
-    e = (F.e - 1) // 2
-    return _form(F, x, F.frobenius(x, e + 1), y, F.frobenius(y, e + 1))
 
 
 def _degree(e: int) -> int:

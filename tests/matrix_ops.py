@@ -2,9 +2,9 @@
 
 The library multiplies, transposes and negates `linalg.Matrix` values and
 tests single vectors against a `linalg.Subspace`; the tests also build zero
-matrices, add, scale and apply them, flatten them to prime-field vectors and
-compare whole subspaces.  These are those references, on the same element
-codes and conventions.
+matrices, add, scale and apply them, flatten them to prime-field vectors,
+compare whole subspaces and test matrix pairs against a `bimap.HomSpace`.
+These are those references, on the same element codes and conventions.
 """
 
 from kinderlab.linalg import Matrix, Subspace
@@ -50,3 +50,21 @@ def flatten_matrix(m: Matrix) -> tuple:
 
 def contains_subspace(space: Subspace, other: Subspace) -> bool:
     return all(space.contains(row) for row in other.basis)
+
+
+def flatten_pair(A: Matrix, B: Matrix) -> tuple:
+    """A's entries then B's, row-major, as one vector of element codes."""
+    out = []
+    for row in A.rows:
+        out.extend(row)
+    for row in B.rows:
+        out.extend(row)
+    return tuple(out)
+
+
+def hom_span(space) -> Subspace:
+    """The span of a `bimap.HomSpace`'s basis pairs, each flattened by
+    `flatten_pair`: a pair (A, B) is in the space iff
+    `hom_span(space).contains(flatten_pair(A, B))`."""
+    flat = [flatten_pair(pa, pb) for pa, pb in space.basis]
+    return Subspace.from_vectors(space.ctx, len(flat[0]) if flat else 0, flat)

@@ -4,7 +4,8 @@ group's invariants, for the tests.
 The library classifies subgroups on their parent's table and never builds
 either; the tests use them as references: a subgroup's fingerprint on its
 own restricted table, and an abelianisation read off an explicit quotient.
-The readers (an element's invariants, the centre, the derived series, the
+A B2 kind (s restricted to a code) is built on label products, for the
+tests of `twisted.b2_labels` on a group the library never builds.  The readers (an element's invariants, the centre, the derived series, the
 exponent, whether G is abelian) read `SmallGroup.fingerprint`, which the library
 needs only whole.
 """
@@ -50,6 +51,19 @@ def quotient(G: SmallGroup, normal_idx) -> SmallGroup:
     def qmul(a, b):
         return coset_of[G.mul_idx(a, b)]
     return SmallGroup(sorted(reps), qmul)
+
+
+def b2_kind(b2, code) -> SmallGroup:
+    """The subgroup of a `twisted.B2Group` between Gamma_2 and the whole group
+    in which s ranges over a code (an F_2 subspace of the field), on label
+    products, in `B2Group.labels` order."""
+    F = b2.ctx
+    if code.ambient_dim != F.e or code.ctx.order != 2:
+        raise InvalidConfigError("kind code must be an F_2 subspace of the field")
+    svals = [F.from_vector(v) for v in code.enumerate_vectors()]
+    labels = [(r, s, z1, z2) for r in F.elements() for s in svals
+              for z1 in F.elements() for z2 in F.elements()]
+    return SmallGroup(labels, b2.mul, name="B2 kind dim %d" % code.dim)
 
 
 def gamma_quotient(gamma) -> SmallGroup:

@@ -171,6 +171,13 @@ def test_hom_dim_falls_back_to_exact_beyond_the_fast_path():
         assert bm.hom_dim(phi, phi) >= 1
 
 
+def test_np_rank_beyond_the_fast_path_agrees_with_rref():
+    # batch_rank refuses this prime; np_rank answers through `ranks`, as rref does
+    F = make_field(2147483659, 1)
+    m = [[1, 2, 3], [4, 5, 6], [5, 7, 9]]
+    assert np_rank(m, F) == len(rref(m, F)[0]) == 2
+
+
 @pytest.mark.parametrize("F", FIELDS + [make_field(2, 10), make_field(3, 7), make_field(5, 3),
                                 make_field(2, 70)], ids=lambda F: "F%d" % F.order)
 def test_batch_neg_matches_field_negation(F):

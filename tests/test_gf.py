@@ -52,8 +52,22 @@ def test_field_laws(p, e):
         assert F.add(a, F.neg(a)) == 0
         assert F.sub(a, b) == F.add(a, F.neg(b))
         if b:
-            assert F.mul(F.div(a, b), b) == a
+            assert F.mul(F.mul(a, F.inv(b)), b) == a
             assert F.mul(b, F.inv(b)) == 1
+
+
+def trace(F, a: int) -> int:
+    """Absolute trace of a down to F_p, an int in [0, p): the sum of its
+    Frobenius conjugates, FieldError if that leaves the prime field."""
+    t = 0
+    cur = a
+    for _ in range(F.e):
+        t = F.add(t, cur)
+        cur = F.frobenius(cur, 1)
+    vec = F.to_vector(t)
+    if any(vec[1:]):
+        raise FieldError("trace landed outside the prime field")
+    return vec[0]
 
 
 @pytest.mark.parametrize("p,e", [(2, 4), (3, 2), (5, 2)])
@@ -65,9 +79,9 @@ def test_frobenius_and_trace(p, e):
         assert F.frobenius(a) == F.pow(a, p)
         assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
         assert F.frobenius(a, e) == a
-        t = F.trace(a)
+        t = trace(F, a)
         assert t < p  # lands in the prime field
-        assert F.trace(F.add(a, b)) == (F.trace(a) + F.trace(b)) % p
+        assert trace(F, F.add(a, b)) == (trace(F, a) + trace(F, b)) % p
 
 
 def test_vector_roundtrip_and_elements():
@@ -95,7 +109,7 @@ def test_pow_matches_repeated_mul():
     F = make_field(2, 5)
     rng = random.Random(3)
     for _ in range(30):
-        a = F.random_nonzero(rng)
+        a = rng.randrange(1, F.order)
         k = rng.randrange(0, 40)
         acc = 1
         for _ in range(k):
@@ -141,7 +155,7 @@ def test_large_binary_field():
     F = make_field(2, 257)
     rng = random.Random(0)
     for _ in range(10):
-        a = F.random_nonzero(rng)
+        a = rng.randrange(1, F.order)
         assert F.mul(a, F.inv(a)) == 1
         assert F.frobenius(a, 257) == a
 
@@ -224,7 +238,7 @@ def test_extension_field_axioms(case):
     assert mul(a, b) == F._raw_mul(a, b)
     if a:
         assert mul(a, F.inv(a)) == 1 and F.pow(a, F.order - 1) == 1
-        assert F.div(mul(b, a), a) == b
+        assert mul(mul(b, a), F.inv(a)) == b
 
 
 EXTENSION_ORDERS_TO_512 = [q for q in range(4, 513)
@@ -250,7 +264,7 @@ def test_odd_characteristic_above_the_log_tables():
     assert F.validate()["primitive_order"] is True
     rng = random.Random(311)
     for _ in range(10):
-        a, b = F.random_element(rng), F.random_nonzero(rng)
+        a, b = F.random_element(rng), rng.randrange(1, F.order)
         frob = F.frobenius
         assert frob(a) == F._raw_pow(a, 3)
         assert frob(F.add(a, b)) == F.add(frob(a), frob(b))

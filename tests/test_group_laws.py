@@ -32,6 +32,7 @@ from kinderlab.errors import InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import CoordSolver, Matrix, Subspace, rank_nullspace, unflatten_matrix
 from matrix_ops import flatten_matrix
+from subquotient import b2_kind
 
 F2 = make_field(2, 1)
 
@@ -167,7 +168,7 @@ def test_kind_table_equals_label_products(name, pick, seed):
     dims = tabled_dims(N)
     K = nursery.random_kind(N, dims[pick % len(dims)], random.Random(seed), relaxed=True)
     G = K.group()
-    labels = list(K.labels())
+    labels = list(N.labels(x_vectors=[tuple(v) for v in K.subspace.enumerate_vectors()]))
     assert G.labels == tuple(labels)
     assert G.table().tolist() == reference_table(labels, N.mul_label)
     assert G.identity == G.index_of(N.identity_label())
@@ -206,7 +207,7 @@ def test_cut_table_equals_the_checked_law_table(seed):
         N = stock(name)
         for ell in tabled_dims(N):
             K = nursery.random_kind(N, ell, random.Random(seed), relaxed=True)
-            labels = list(K.labels())
+            labels = list(N.labels(x_vectors=[tuple(v) for v in K.subspace.enumerate_vectors()]))
             law = N._checked_law_table(K.subspace, labels, factors=(0, len(labels) - 1))
             assert K.group().table().tolist() == law.tolist(), (name, ell)
 
@@ -508,7 +509,7 @@ def _f16_code():
 
 def test_b2_labels_match_the_scan_on_the_f16_kind():
     b16 = b2_over(16)
-    K = b16.kind(_f16_code(), cap=1 << 15)
+    K = b2_kind(b16, _f16_code())
     assert K.n == 2**15
     A, B = _reps(b16.ctx)
     lab = twisted.b2_labels(b16, K, A, B)

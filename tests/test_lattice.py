@@ -163,22 +163,26 @@ def test_solvable_lattice_needs_no_closure():
 
 
 @pytest.mark.parametrize("name,count", [("Sym4", 30), ("D4xC3", 20)])
-def test_cap_count_on_the_extension_path(name, count):
+def test_cap_count_on_the_extension_path(name, count, monkeypatch):
     G = relabelled(GROUPS[name], 5)
-    assert len(sg.all_subgroups(G, cap_count=count)) == count
+    monkeypatch.setattr(sg, "_SUBGROUP_COUNT_CAP", count)
+    assert len(sg.all_subgroups(G)) == count
     calls = _count_closures(G)
+    monkeypatch.setattr(sg, "_SUBGROUP_COUNT_CAP", count - 1)
     with pytest.raises(CapExceededError):
-        sg.all_subgroups(G, cap_count=count - 1)
+        sg.all_subgroups(G)
     assert not calls
 
 
-def test_cap_count_on_the_completion_path():
+def test_cap_count_on_the_completion_path(monkeypatch):
     # the 58 proper subgroups of Alt5 are solvable; Alt5 itself is the 59th
     G = relabelled(GROUPS["Alt5"], 7)
-    assert len(sg.all_subgroups(G, cap_count=59)) == 59
+    monkeypatch.setattr(sg, "_SUBGROUP_COUNT_CAP", 59)
+    assert len(sg.all_subgroups(G)) == 59
     calls = _count_closures(G)
+    monkeypatch.setattr(sg, "_SUBGROUP_COUNT_CAP", 58)
     with pytest.raises(CapExceededError):
-        sg.all_subgroups(G, cap_count=58)
+        sg.all_subgroups(G)
     assert calls
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kinderlab import genericity, nursery, smallgrp
-from kinderlab.errors import CapExceededError, InvalidConfigError, PropertyViolationError
+from kinderlab.errors import CapExceededError, InvalidConfigError, PropertyViolationError, need
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_subspaces, enumerate_superspaces, gaussian_binomial
 from subquotient import exponent
@@ -221,18 +221,54 @@ def test_reconstruct_rejects_collapsed_probes():
         nursery.reconstruct(K, rho, bad)
 
 
+def _gl_order(nn: int, q: int) -> int:
+    out = 1
+    for i in range(nn):
+        out *= q**nn - q**i
+    return out
+
+
+def bound_log(formula: str, **params) -> float:
+    """Exact base-p exponents of the counting bounds, clamped at 0: the
+    formulas the census and the orbit counts are checked against."""
+    if formula == "nursery_count":
+        r, ell, s, m, t = need(params, "r", "ell", "s", "m", "t")
+        return float(max(0, (ell - s) * (r - ell) - ell * s - m * t))
+    if formula == "coro_ud_lower":
+        a, e, ell = need(params, "a", "e", "ell")
+        return float(max(0, (ell - 3) * (a * a * e - ell) - 3 * ell - a * a * e))
+    if formula == "orbit_upper":
+        a, b, c, e, p = need(params, "a", "b", "c", "e", "p")
+        if min(a, b, c, e) < 1:
+            raise InvalidConfigError("block sizes and degree must be positive")
+        q = p**e
+        if a > c >= 1:
+            order = e * _gl_order(a, q) * _gl_order(b, q) * _gl_order(c, q) // (q - 1)
+        elif a == c > 1:
+            order = 2 * e * _gl_order(a, q) ** 2 * _gl_order(b, q) // (q - 1)
+        elif a == c == 1:
+            sp = q ** (b * b)
+            for i in range(1, b + 1):
+                sp *= q ** (2 * i) - 1
+            order = e * (q - 1) * sp
+        else:
+            raise InvalidConfigError("orbit bound takes the blocks with a >= c")
+        return math.log(order, p)
+    raise InvalidConfigError("unknown bound formula %r" % formula)
+
+
 def test_bound_log():
-    assert nursery.bound_log("nursery_count", r=4, ell=2, s=1, m=2, t=1) == 0.0
-    assert nursery.bound_log("coro_ud_lower", a=2, e=1, ell=2) == 0.0
-    ob = nursery.bound_log("orbit_upper", a=2, b=2, c=1, e=1, p=2)
+    assert bound_log("nursery_count", r=4, ell=2, s=1, m=2, t=1) == 0.0
+    assert bound_log("coro_ud_lower", a=2, e=1, ell=2) == 0.0
+    ob = bound_log("orbit_upper", a=2, b=2, c=1, e=1, p=2)
     assert abs(ob - math.log2(36)) < 1e-12
-    assert nursery.bound_log("nursery_count", r=8, ell=4, s=3, m=4, t=2) == float(
+    assert bound_log("nursery_count", r=8, ell=4, s=3, m=4, t=2) == float(
         max(0, (4 - 3) * (8 - 4) - 4 * 3 - 4 * 2)
     )
     with pytest.raises(InvalidConfigError):
-        nursery.bound_log("unknown_formula")
+        bound_log("unknown_formula")
     with pytest.raises(InvalidConfigError, match="missing parameters: t$"):
-        nursery.bound_log("nursery_count", r=4, ell=2, s=1, m=2)
+        bound_log("nursery_count", r=4, ell=2, s=1, m=2)
 
 
 def test_census_against_subgroup_oracle():
@@ -255,7 +291,8 @@ def test_census_strict_and_relaxed():
     N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
     rep = nursery.census(N2, 3)
     assert (rep.kinder_count, rep.class_count) == (1, 1)
-    assert rep.bound_exponent == 0.0
+    assert rep.bound_exponent == 0.0 == bound_log(
+        "nursery_count", r=N2.rdim, ell=3, s=len(N2.s_coords), m=N2.mdim, t=len(N2.t_vectors))
     repr_ = nursery.census(N2, 2, relaxed=True)
     assert repr_.kinder_count == 35
     assert sum(c["members"] for c in repr_.classes) == 35
@@ -358,7 +395,8 @@ def test_reconstruct_above_table_cap_starts_few_columns():
     rec = nursery.reconstruct(K, rho, mu)
     assert rec.X == N.gamma2_labels() and rec.Y == N.gamma3_labels()
     assert rec.Z == {N.identity_label()}
-    assert len(rec.chi) == K.order and all(rec.chi[lab] == lab[0] for lab in K.labels())
+    xs = [tuple(v) for v in K.subspace.enumerate_vectors()]
+    assert len(rec.chi) == K.order and all(rec.chi[lab] == lab[0] for lab in N.labels(x_vectors=xs))
     started = sum(col is not None for col in K.group()._cols)
     assert started <= len(N.t_vectors) + N.mdim + 1
 
@@ -422,14 +460,15 @@ def test_reconstruct_on_a_tabled_kind_starts_few_columns():
     finally:
         tracemalloc.stop()
     assert rec.X == N.gamma2_labels() and rec.Y == N.gamma3_labels()
-    assert all(rec.chi[lab] == lab[0] for lab in K.labels())
+    xs = [tuple(v) for v in K.subspace.enumerate_vectors()]
+    assert all(rec.chi[lab] == lab[0] for lab in N.labels(x_vectors=xs))
     assert sum(col is not None for col in G._cols) <= len(N.t_vectors) + N.mdim + 1
     assert peak <= 0.25 * 2**20  # a list column per element peaks at about 0.65 MiB
 
 
 def test_orbit_upper_on_square_blocks():
     # a = c > 1: 2 e |GL(a, q)|^2 |GL(b, q)| / (q - 1); a = c = 1: e (q - 1) |Sp(2b, q)|
-    assert nursery.bound_log("orbit_upper", a=2, b=1, c=2, e=1, p=2) == pytest.approx(
+    assert bound_log("orbit_upper", a=2, b=1, c=2, e=1, p=2) == pytest.approx(
         math.log2(2 * 6**2 * 1), abs=1e-12)
-    assert nursery.bound_log("orbit_upper", a=1, b=2, c=1, e=1, p=2) == pytest.approx(
+    assert bound_log("orbit_upper", a=1, b=2, c=1, e=1, p=2) == pytest.approx(
         math.log2(720), abs=1e-12)

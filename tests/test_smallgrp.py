@@ -1,6 +1,7 @@
 """Concrete groups with published subgroup counts, plus structural laws."""
 
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -151,6 +152,28 @@ def test_from_generators():
     )
     assert H.n == 6
     assert sg.find_isomorphism(H, S3) is not None
+
+
+def test_element_orders_above_the_table_cap_start_no_column():
+    # 4096 elements: a column per element would hold n^2 entries (128 MB)
+    b8 = twisted.b2_build(make_field(2, 3))
+    G = b8.group()
+    assert G.n > sg.SUBGROUP_ORDER_CAP and G._T is None
+    tracemalloc.start()
+    try:
+        orders = G.element_orders()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert all(col is None for col in G._cols)
+
+    def label_order(g):  # the power walk on labels
+        k, x = 1, g
+        while x != b8.identity():
+            x, k = b8.mul(x, g), k + 1
+        return k
+    assert orders == [label_order(g) for g in G.labels]
 
 
 def test_closure_and_subgroup():

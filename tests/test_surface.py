@@ -1,0 +1,74 @@
+"""Every name in src/ has a caller outside the tests.
+
+The library promises only what its callers use: a library module, the CLI,
+the benchmark (perfbench/), the tools (tools/) or the README's code blocks.
+The test lists every top-level function and class in src/ and every method
+of a top-level class that is not a dunder, and fails for each one that
+nothing outside tests/ and its own body refers to.
+
+A reference is a name, an attribute, an imported name, or a part of a
+string constant that is a dotted name, such as "smallgrp.SmallGroup.closure_idx"
+in perfbench's list of traced layers; docstrings and comments do not count.
+Names are matched by name, not by binding, so a method that shares its name
+with one that has a caller passes.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = ("src", "perfbench", "tools")
+DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+FENCED = re.compile(r"```[^\n]*\n(.*?)```", re.S)
+
+
+def references(tree):
+    """(name, line) of every reference in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def definitions(tree):
+    """(qualified name, first line, last line) of the top-level functions and
+    classes and of the non-dunder methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield "%s.%s" % (node.name, sub.name), sub.lineno, sub.end_lineno
+
+
+def parsed(*dirs):
+    return {path: ast.parse(path.read_text()) for d in dirs for path in sorted((ROOT / d).rglob("*.py"))}
+
+
+def test_every_name_in_src_has_a_caller_outside_the_tests():
+    callers = parsed(*CALLERS)
+    refs = [(path, name, line) for path, tree in callers.items() for name, line in references(tree)]
+    readme = set(re.findall(r"\w+", "\n".join(FENCED.findall((ROOT / "README.md").read_text()))))
+    in_tests = {name for tree in parsed("tests").values() for name, _ in references(tree)}
+    offenders = []
+    for path, tree in callers.items():
+        if path.parts[len(ROOT.parts)] != "src":
+            continue
+        for qual, first, last in definitions(tree):
+            name = qual.rsplit(".", 1)[-1]
+            if name in readme or any(n == name and not (p == path and first <= line <= last)
+                                     for p, n, line in refs):
+                continue
+            offenders.append("%s: %s (read by %s)" % (
+                path.relative_to(ROOT), qual, "the tests only" if name in in_tests else "nothing"))
+    assert not offenders, "names in src/ without a caller outside the tests:\n" + "\n".join(offenders)
