@@ -136,13 +136,13 @@ def hom_space(phi: MatrixSystem, ups: MatrixSystem, sign: int = 1) -> HomSpace:
     ctx = phi.ctx
     (s, b), (a, t) = phi.shape, ups.shape
     basis = _solution_pairs(ctx, _equations(phi, ups, sign).tolist(), (a, s), (b, t))
+    # row r of A P_i against row r of sign U_i B^t, entry j being sign U_i[r] . B[j]
+    dot = ctx.dot
+    pairs = [(P.transpose().rows, (U if sign == 1 else U.neg()).rows) for P, U in zip(phi.mats, ups.mats)]
     for A, B in basis:
-        for P, U in zip(phi.mats, ups.mats):
-            lhs = A.mul(P)
-            rhs = U.mul(B.transpose())
-            if sign == -1:
-                rhs = rhs.neg()
-            if lhs != rhs:
+        for cols, urows in pairs:
+            if any([dot(x, c) for c in cols] != [dot(u, y) for y in B.rows]
+                   for x, u in zip(A.rows, urows)):
                 raise PropertyViolationError("hom basis pair fails its defining equation")
     dim_k = len(basis)
     return HomSpace(ctx=ctx, basis=tuple(basis), dim_k=dim_k, dim_fp=ctx.e * dim_k)

@@ -10,10 +10,15 @@ generator at construction time.  Above that only p = 2 is expected in
 practice (the Suzuki form searches) and arithmetic falls back to shift/xor
 polynomial work; the generator is then computed lazily and only when
 p^e - 1 is still within trial-division range.
+
+The row kernels `axpy` (the list x - f*y) and `dot` (the sum of x_i y_i) pick
+the arithmetic once per row: plain ints mod p over a prime field, XOR over
+GF(2) (and through exp/log for x - f*y in characteristic 2), else per entry.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 import numpy as np
@@ -314,6 +319,29 @@ class FieldCtx:
             q1 = self.order - 1
             return self._exp[(self._log[a] + self._log[b]) % q1]
         return self._raw_mul(a, b)
+
+    # -- row kernels: the field's arithmetic is picked once per row, not per entry
+
+    def axpy(self, x, f: int, y) -> list:
+        """The list x - f*y.  Where f*y is formed, unequal lengths raise ValueError."""
+        if self.e == 1:
+            if self.p == 2:
+                return [a ^ b for a, b in zip(x, y, strict=True)] if f else list(x)
+            return [(a - f * b) % self.p for a, b in zip(x, y, strict=True)]
+        if self.p == 2 and self._log is not None and f:  # x - f*y is x ^ f*y, by the tables
+            exp, log, q1, lf = self._exp, self._log, self.order - 1, self._log[f]
+            return [a ^ exp[(lf + log[b]) % q1] if b else a for a, b in zip(x, y, strict=True)]
+        return [self.sub(a, self.mul(f, b)) for a, b in zip(x, y, strict=True)]
+
+    def dot(self, x, y) -> int:
+        """The sum of x_i * y_i."""
+        if self.e == 1:
+            return sum(map(operator.mul, x, y)) % self.p
+        acc, add, mul = 0, operator.xor if self.p == 2 else self.add, self.mul
+        for a, b in zip(x, y):
+            if a and b:
+                acc = add(acc, mul(a, b))
+        return acc
 
     def inv(self, a: int) -> int:
         if a == 0:

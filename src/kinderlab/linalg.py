@@ -2,7 +2,9 @@
 
 Matrices are immutable tuples of tuples of element codes.  Subspaces are held
 in reduced row echelon form, so equal subspaces compare equal and hash equal.
-Everything here is plain Gaussian elimination.  The numpy fast path at the
+Everything here is plain Gaussian elimination on the field's row kernels:
+`rref`, `_reduce` and `Subspace.enumerate_vectors` step by `axpy` (x - f*y),
+and `Matrix.mul` takes each entry as one `dot`.  The numpy fast path at the
 bottom is `batch_rank`: one vectorized elimination over a [T, r, c] stack of
 matrices, laid out by the batch shape, in integer arithmetic mod p over
 prime fields and through the field's lookup tables, pivot rows normalised,
@@ -64,19 +66,8 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise InvalidConfigError("shape mismatch %s @ %s" % (self.shape, other.shape))
-        ctx = self.ctx
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        out = []
-        for row in self.rows:
-            new = []
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = ctx.add(acc, ctx.mul(a, b))
-                new.append(acc)
-            out.append(new)
-        return Matrix(ctx, out, other.ncols)
+        dot, cols = self.ctx.dot, list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        return Matrix(self.ctx, [[dot(r, c) for c in cols] for r in self.rows], other.ncols)
 
     def transpose(self):
         return Matrix(self.ctx, zip(*self.rows) if self.rows else [()] * self.ncols, self.nrows)
@@ -109,8 +100,7 @@ def rref(rows, ctx: FieldCtx):
             mat[r] = [ctx.mul(inv, a) for a in mat[r]]
         for i in range(nrows):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(mat[i], mat[r])]
+                mat[i] = ctx.axpy(mat[i], mat[i][c], mat[r])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -119,15 +109,11 @@ def rref(rows, ctx: FieldCtx):
 
 
 def _reduce(work: list, rows, ctx: FieldCtx) -> list:
-    """Subtract f * row from work, in place, for each (pivot, row) in turn,
-    f being work's entry at the pivot; zero entries are skipped."""
-    sub, mul = ctx.sub, ctx.mul
+    """work minus f * row for each (pivot, row) in turn, f being work's entry
+    at the pivot by then; a row is skipped where f is 0."""
     for c, row in rows:
-        f = work[c]
-        if f:
-            for j, r in enumerate(row):
-                if r:
-                    work[j] = sub(work[j], mul(f, r))
+        if work[c]:
+            work = ctx.axpy(work, work[c], row)
     return work
 
 
@@ -215,15 +201,11 @@ class Subspace:
         n = self.ctx.order**self.dim
         if n > ENUM_CAP:
             raise CapExceededError("subspace has %d vectors, cap %d" % (n, ENUM_CAP))
-        ctx = self.ctx
-        for coeffs in itertools.product(range(ctx.order), repeat=self.dim):
-            vec = [0] * self.ambient_dim
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for j, b in enumerate(row):
-                        if b:
-                            vec[j] = ctx.add(vec[j], ctx.mul(c, b))
-            yield tuple(vec)
+        axpy, neg, field = self.ctx.axpy, self.ctx.neg, range(self.ctx.order)
+        vecs = [[0] * self.ambient_dim]  # the span of the rows so far, first coefficient slowest
+        for row in self.basis:
+            vecs = [axpy(v, neg(c), row) if c else v for v in vecs for c in field]
+        yield from map(tuple, vecs)
 
     def __eq__(self, other):
         return (

@@ -16,6 +16,8 @@ result as a portable, independently checkable certificate.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import random
@@ -188,6 +190,16 @@ class B2Labeling(NamedTuple):
     q_image: frozenset
 
 
+@functools.lru_cache(maxsize=1)  # holds the last Q: callers label one Q many times
+def _label_array(Q: smallgrp.SmallGroup, q: int):
+    """Q's labels as a read-only int16 [n, 4] array, checked to lie in GF(q)."""
+    labs = np.fromiter(itertools.chain.from_iterable(Q.labels), np.int16, 4 * Q.n).reshape(Q.n, 4)
+    if labs.min() < 0 or labs.max() >= q:
+        raise InvalidConfigError("Q's labels are not quadruples over GF(%d)" % q)
+    labs.setflags(write=False)
+    return labs
+
+
 def b2_labels(b2: B2Group, Q: smallgrp.SmallGroup, A: dict, B: dict) -> B2Labeling:
     """Recover the field identification of the center from (Q, A_i, B_i).
 
@@ -227,9 +239,7 @@ def b2_labels(b2: B2Group, Q: smallgrp.SmallGroup, A: dict, B: dict) -> B2Labeli
     # x -> [x, A_0] are one batched commutator each, compared by the integer
     # code of the quadruple; the recurrence itself runs on labels
     comm = b2.commutator
-    labs = np.array(Q.labels, dtype=np.int16).reshape(Q.n, 4)
-    if labs.min() < 0 or labs.max() >= q:
-        raise InvalidConfigError("Q's labels are not quadruples over GF(%d)" % q)
+    labs = _label_array(Q, q)
 
     def code(quad):
         # of one quadruple, or of each column of a [4, n] array

@@ -118,6 +118,24 @@ def test_b2_labels_rejects_bad_representatives():
         twisted.b2_labels(twisted.b2_build(F2), twisted.b2_build(F2).group(), A, B)
 
 
+def test_b2_labels_convert_q_once_and_check_its_labels():
+    b8 = twisted.b2_build(F8)
+    G8 = b8.group()
+    A, B = _canonical_reps(F8)
+    twisted._label_array.cache_clear()
+    first = twisted.b2_labels(b8, G8, A, B)
+    assert twisted.b2_labels(b8, G8, A, B) == first
+    info = twisted._label_array.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    labs = twisted._label_array(G8, F8.order)
+    assert not labs.flags.writeable and labs.tolist() == [list(x) for x in G8.labels]
+    # G8's labels lie in GF(8), not in GF(4): refused, and not cached
+    A4, B4 = _canonical_reps(F4)
+    for _ in range(2):
+        with pytest.raises(InvalidConfigError, match="not quadruples over GF\\(4\\)"):
+            twisted.b2_labels(twisted.b2_build(F4), G8, A4, B4)
+
+
 def test_b2_kind_recovers_its_code():
     F16 = make_field(2, 4)
     b16 = twisted.b2_build(F16)
