@@ -18,6 +18,7 @@ GF(2) (and through exp/log for x - f*y in characteristic 2), else per entry.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 
@@ -337,6 +338,8 @@ class FieldCtx:
         """The sum of x_i * y_i."""
         if self.e == 1:
             return sum(map(operator.mul, x, y)) % self.p
+        if self.p == 2 and self._log is None:  # reduction is F_2-linear: reduce the sum once
+            return _mod2(functools.reduce(operator.xor, map(_clmul2, x, y), 0), self._mod_int)
         acc, add, mul = 0, operator.xor if self.p == 2 else self.add, self.mul
         for a, b in zip(x, y):
             if a and b:

@@ -39,13 +39,22 @@ SUZUKI_DEGREE_CAP = 1001
 
 
 class B2Group:
-    """F^4 with the (r's, r's^2) cocycle; built through `b2_build`."""
+    """F^4 with the (r's, r's^2) cocycle; built through `b2_build`.
+
+    Both laws read F's product table, taken once here (so F's order is at
+    most gf.TABLE_ORDER_CAP): the scalar law its rows as lists of ints, the
+    array law and the formulas the table itself, with its diagonal as the
+    squares.
+    """
 
     def __init__(self, ctx: FieldCtx):
         if ctx.p != 2:
             raise InvalidConfigError("this group law needs characteristic 2")
         self.ctx = ctx
         self.order = ctx.order**4
+        self._mul = ctx.table_arrays()[1]
+        self._sq = self._mul.diagonal()
+        self._rows, self._sqs = self._mul.tolist(), self._sq.tolist()
 
     # group law ------------------------------------------------------
 
@@ -53,63 +62,49 @@ class B2Group:
         return (0, 0, 0, 0)
 
     def mul(self, g, h):
-        F = self.ctx
         r, s, z1, z2 = g
         r2, s2, w1, w2 = h
-        return (
-            r ^ r2,
-            s ^ s2,
-            z1 ^ w1 ^ F.mul(r2, s),
-            z2 ^ w2 ^ F.mul(r2, F.mul(s, s)),
-        )
+        row = self._rows[r2]
+        return (r ^ r2, s ^ s2, z1 ^ w1 ^ row[s], z2 ^ w2 ^ row[self._sqs[s]])
 
     def inverse(self, g):
-        F = self.ctx
         r, s, z1, z2 = g
-        return (r, s, z1 ^ F.mul(r, s), z2 ^ F.mul(r, F.mul(s, s)))
+        row = self._rows[r]
+        return (r, s, z1 ^ row[s], z2 ^ row[self._sqs[s]])
 
     def commutator(self, g, h):
         gh = self.mul(g, h)
         hg = self.mul(h, g)
         return self.mul(self.inverse(hg), gh)
 
-    # the same law on [..., 4] integer arrays, through the field's lookup
-    # tables (order <= gf.TABLE_ORDER_CAP); `commutator` stays the reference
+    # the same law on columns: g and h hold the four coordinates, each an int
+    # or an integer array, and the arrays broadcast; `commutator` stays the reference
 
     def mul_batch(self, g, h):
-        mul = self.ctx.table_arrays()[1]
-        r, s, z1, z2 = (g[..., k] for k in range(4))
-        r2, s2, w1, w2 = (h[..., k] for k in range(4))
-        return np.stack(
-            (r ^ r2, s ^ s2, z1 ^ w1 ^ mul[r2, s], z2 ^ w2 ^ mul[r2, mul[s, s]]), axis=-1
-        )
+        mul, sq = self._mul, self._sq
+        (r, s, z1, z2), (r2, s2, w1, w2) = g, h
+        return (r ^ r2, s ^ s2, z1 ^ w1 ^ mul[r2, s], z2 ^ w2 ^ mul[r2, sq[s]])
 
     def inverse_batch(self, g):
-        mul = self.ctx.table_arrays()[1]
-        r, s, z1, z2 = (g[..., k] for k in range(4))
-        return np.stack((r, s, z1 ^ mul[r, s], z2 ^ mul[r, mul[s, s]]), axis=-1)
+        r, s, z1, z2 = g
+        return (r, s, z1 ^ self._mul[r, s], z2 ^ self._mul[r, self._sq[s]])
 
     def commutator_batch(self, g, h):
-        """[x, y] for every row pair of g and h, which broadcast like arrays."""
+        """[x, y] for every pair of rows of g's and h's broadcast columns."""
         return self.mul_batch(self.inverse_batch(self.mul_batch(h, g)), self.mul_batch(g, h))
 
-    # the two derived invariants --------------------------------------
+    # the two derived invariants, on ints or broadcasting arrays -----------
 
     def bimap(self, rs, rs2):
         """Central part of the commutator, straight from the formula."""
-        F = self.ctx
-        r, s = rs
-        rt, st = rs2
-        return (
-            F.mul(r, st) ^ F.mul(rt, s),
-            F.mul(r, F.mul(st, st)) ^ F.mul(rt, F.mul(s, s)),
-        )
+        mul, sq = self._mul, self._sq
+        (r, s), (rt, st) = rs, rs2
+        return (mul[r, st] ^ mul[rt, s], mul[r, sq[st]] ^ mul[rt, sq[s]])
 
     def phi(self, rs):
         """Squaring map: the central part of (r, s, *, *)^2."""
-        F = self.ctx
         r, s = rs
-        return (F.mul(r, s), F.mul(r, F.mul(s, s)))
+        return (self._mul[r, s], self._mul[r, self._sq[s]])
 
     # filtration -------------------------------------------------------
 
@@ -139,43 +134,38 @@ class B2Group:
 def b2_build(ctx: FieldCtx) -> B2Group:
     """Construct and validate the characteristic-2 B2 group over ctx."""
     g = B2Group(ctx)
-    F = ctx
-    if F.order <= 8:
+    q = ctx.order
+    if q <= 8:
         # the cocycle (r', s) -> (r's, r's^2) only sees r' and s, so checking
         # additivity over every (s, s~, r') and (r', r'', s) is the full
         # biadditivity check, and biadditivity gives associativity
-        for s in F.elements():
-            for st in F.elements():
-                for r2 in F.elements():
-                    lhs = (F.mul(r2, s ^ st), F.mul(r2, F.mul(s ^ st, s ^ st)))
-                    rhs = (
-                        F.mul(r2, s) ^ F.mul(r2, st),
-                        F.mul(r2, F.mul(s, s)) ^ F.mul(r2, F.mul(st, st)),
-                    )
-                    if lhs != rhs:
-                        raise PropertyViolationError("cocycle is not additive in the left slot")
-                    lhs2 = (F.mul(s ^ st, r2), F.mul(F.mul(s, s) ^ F.mul(st, st), r2))
-                    rhs2 = (F.mul(s, r2) ^ F.mul(st, r2), F.mul(F.mul(s, s), r2) ^ F.mul(F.mul(st, st), r2))
-                    if lhs2 != rhs2:
-                        raise PropertyViolationError("cocycle is not additive in the right slot")
-        for r in F.elements():
-            for s in F.elements():
-                gg = (r, s, 0, 0)
-                sq = g.mul(gg, gg)
-                if (sq[0], sq[1]) != (0, 0) or (sq[2], sq[3]) != g.phi((r, s)):
-                    raise PropertyViolationError("squares do not realize phi")
-                if (g.phi((r, s)) == (0, 0)) != (r == 0 or s == 0):
-                    raise PropertyViolationError("phi vanishes off the two singular lines")
-                for rt in F.elements():
-                    for st in F.elements():
-                        c = g.commutator((r, s, 0, 0), (rt, st, 0, 0))
-                        if (c[0], c[1]) != (0, 0) or (c[2], c[3]) != g.bimap((r, s), (rt, st)):
-                            raise PropertyViolationError("commutators do not realize the bimap")
+        mul, sq = g._mul, g._sq
+        x, y, t = np.ix_(range(q), range(q), range(q))
+        if not ((mul[t, x ^ y] == mul[t, x] ^ mul[t, y])
+                & (mul[t, sq[x ^ y]] == mul[t, sq[x]] ^ mul[t, sq[y]])).all():
+            raise PropertyViolationError("cocycle is not additive in the left slot")
+        if not ((mul[x ^ y, t] == mul[x, t] ^ mul[y, t])
+                & (mul[sq[x] ^ sq[y], t] == mul[sq[x], t] ^ mul[sq[y], t])).all():
+            raise PropertyViolationError("cocycle is not additive in the right slot")
+
+        def agree(cols, want):  # cols everywhere equal to (0, 0, *want)
+            return all(np.all(c == w) for c, w in zip(cols, (0, 0) + want))
+
+        # every (r, s, 0, 0): its square, where phi vanishes, its commutators
+        r, s = np.divmod(np.arange(q * q), q)
+        pts, (z1, z2) = (r, s, 0, 0), g.phi((r, s))
+        if not agree(g.mul_batch(pts, pts), (z1, z2)):
+            raise PropertyViolationError("squares do not realize phi")
+        if (((z1 == 0) & (z2 == 0)) != ((r == 0) | (s == 0))).any():
+            raise PropertyViolationError("phi vanishes off the two singular lines")
+        col = (r[:, None], s[:, None], 0, 0)
+        if not agree(g.commutator_batch(col, pts), g.bimap(col[:2], (r, s))):
+            raise PropertyViolationError("commutators do not realize the bimap")
     else:
-        rng = random.Random(20201 + F.order)
+        rng = random.Random(20201 + q)
         for _ in range(200):
             a, b, c = (
-                tuple(rng.randrange(F.order) for _ in range(4)) for _ in range(3)
+                tuple(rng.randrange(q) for _ in range(4)) for _ in range(3)
             )
             if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
                 raise PropertyViolationError("product is not associative")
@@ -235,19 +225,18 @@ def b2_labels(b2: B2Group, Q: smallgrp.SmallGroup, A: dict, B: dict) -> B2Labeli
         if (B[i][0], B[i][1]) != (0, opow(i)):
             raise InvalidConfigError("B_%d does not represent the (0, omega^%d) coset" % (i, i))
 
-    # the scans read Q's labels once as an [n, 4] array: x -> [x, B_-1] and
+    # the scans read Q's labels once, as four int64 columns: x -> [x, B_-1] and
     # x -> [x, A_0] are one batched commutator each, compared by the integer
     # code of the quadruple; the recurrence itself runs on labels
     comm = b2.commutator
-    labs = _label_array(Q, q)
+    cols = tuple(_label_array(Q, q).T.astype(np.int64, order="C"))
 
     def code(quad):
-        # of one quadruple, or of each column of a [4, n] array
+        # of one quadruple, or of four columns
         return ((quad[0] * q + quad[1]) * q + quad[2]) * q + quad[3]
 
     def bracket_codes(h):
-        brackets = b2.commutator_batch(labs, np.array(h, dtype=np.int16))
-        return code(brackets.T.astype(np.int64))
+        return code(b2.commutator_batch(cols, h))
 
     # the first x in Q's order with each value of [x, B_-1], as a scan finds it
     values, first = np.unique(bracket_codes(B[-1]), return_index=True)
@@ -342,7 +331,7 @@ class BitEchelon:
 def _form(F: FieldCtx, x: int, xf: int, y: int, yf: int) -> int:
     # x*y^(2^(e+1)) + y*x^(2^(e+1)) over F_2^(2e+1), from x, y and their
     # images xf, yf under x -> x^(2^(e+1))
-    return F.mul(x, yf) ^ F.mul(y, xf)
+    return F.dot((x, y), (yf, xf))
 
 
 def _degree(e: int) -> int:

@@ -325,6 +325,7 @@ OVER_CAP = [
     ("alt-codes", ["--k", "7", "--l", "1"]),
     ("suzuki-search", ["--e", "501"]),
     ("b2-demo", ["--q", "32"]),
+    ("b2-demo", ["--q", "1024"]),
     ("nursery-census", ["--cap-iso", "7"]),
     ("nursery-census", ["--cap-subgroups", "0"]),
 ]

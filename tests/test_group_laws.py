@@ -431,7 +431,7 @@ def test_kind_above_table_cap_stays_lazy():
 # B2
 
 
-B2_FIELDS = {4: make_field(2, 2), 8: make_field(2, 3), 16: make_field(2, 4)}
+B2_FIELDS = {2 ** e: make_field(2, e) for e in (1, 2, 3, 4)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,24 +439,33 @@ def b2_over(q):
     return twisted.b2_build(B2_FIELDS[q])
 
 
-@settings(max_examples=30, deadline=None)
+def _rows(cols):
+    return [tuple(x) for x in np.stack(np.broadcast_arrays(*cols), axis=-1).tolist()]
+
+
+@settings(max_examples=40, deadline=None)
 @given(q=st.sampled_from(sorted(B2_FIELDS)), data=st.data())
 def test_batched_b2_law_equals_labels(q, data):
-    b2 = b2_over(q)
+    """The column law, and bimap and phi on arrays, against the law and the
+    formulas on ints, and the law on ints against the cocycle by FieldCtx.mul."""
+    b2, F = b2_over(q), B2_FIELDS[q]
     quad = st.tuples(*[st.integers(0, q - 1)] * 4)
     gs = data.draw(st.lists(quad, min_size=1, max_size=20))
     hs = data.draw(st.lists(quad, min_size=len(gs), max_size=len(gs)))
-    g, h = np.array(gs, dtype=np.int16), np.array(hs, dtype=np.int16)
-    comm = b2.commutator_batch(g, h)
-    prod = b2.mul_batch(g, h)
-    inv = b2.inverse_batch(g)
-    for k, (x, y) in enumerate(zip(gs, hs)):
-        assert tuple(comm[k].tolist()) == b2.commutator(x, y)
-        assert tuple(prod[k].tolist()) == b2.mul(x, y)
-        assert tuple(inv[k].tolist()) == b2.inverse(x)
-    # one fixed right factor broadcasts against every row
-    row = b2.commutator_batch(g, h[0])
-    assert [tuple(r) for r in row.tolist()] == [b2.commutator(x, hs[0]) for x in gs]
+    g, h = np.array(gs, dtype=np.int16).T, np.array(hs, dtype=np.int16).T
+    assert _rows(b2.commutator_batch(g, h)) == [b2.commutator(x, y) for x, y in zip(gs, hs)]
+    assert _rows(b2.mul_batch(g, h)) == [b2.mul(x, y) for x, y in zip(gs, hs)]
+    assert _rows(b2.inverse_batch(g)) == [b2.inverse(x) for x in gs]
+    # one fixed right factor, given as ints, broadcasts against every row
+    assert _rows(b2.commutator_batch(g, hs[0])) == [b2.commutator(x, hs[0]) for x in gs]
+    assert _rows(b2.bimap(g[:2], h[:2])) == [b2.bimap(x[:2], y[:2]) for x, y in zip(gs, hs)]
+    assert _rows(b2.phi(g[:2])) == [b2.phi(x[:2]) for x in gs]
+    for (r, s, z1, z2), (r2, s2, w1, w2) in zip(gs, hs):
+        assert b2.mul((r, s, z1, z2), (r2, s2, w1, w2)) == (
+            r ^ r2, s ^ s2, z1 ^ w1 ^ F.mul(r2, s), z2 ^ w2 ^ F.mul(r2, F.mul(s, s)))
+        assert b2.phi((r, s)) == (F.mul(r, s), F.mul(r, F.mul(s, s)))
+        assert b2.bimap((r, s), (r2, s2)) == (
+            F.mul(r, s2) ^ F.mul(r2, s), F.mul(r, F.mul(s2, s2)) ^ F.mul(r2, F.mul(s, s)))
 
 
 def b2_labels_by_scan(b2, Q, A, B):

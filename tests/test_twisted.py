@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from kinderlab import smallgrp, twisted
 from kinderlab.errors import InvalidConfigError, PropertyViolationError
-from kinderlab.gf import make_field
+from kinderlab.gf import FieldCtx, make_field
 from kinderlab.linalg import Subspace
 from subquotient import b2_kind
 
@@ -54,6 +55,80 @@ def test_b2_f4_center_is_gamma3():
         if all(b4.commutator(lab, other) == b4.identity() for other in G4.labels)
     ]
     assert frozenset(center) == g3
+
+
+def test_b2_refuses_fields_without_a_product_table():
+    F1024 = make_field(2, 10)
+    for build in (twisted.B2Group, twisted.b2_build):
+        with pytest.raises(InvalidConfigError, match="order <= 512"):
+            build(F1024)
+
+
+def _with_table(F, mul):
+    """A fresh copy of F (not the cached one) whose product table is mul."""
+    ctx = FieldCtx(F.p, F.e, F.modulus)
+    add, _, neg, inv = F.table_arrays()
+    ctx._tables = (add, np.asarray(mul, dtype=np.int16), neg, inv)
+    return ctx
+
+
+def _swapped(method):
+    return lambda self, *args: method(self, *args)[::-1]
+
+
+def test_b2_build_refuses_a_table_not_additive_in_the_left_slot():
+    mul = F8.table_arrays()[1].copy()
+    mul[3, 5] ^= 1
+    with pytest.raises(PropertyViolationError, match="not additive in the left slot"):
+        twisted.b2_build(_with_table(F8, mul))
+
+
+def test_b2_build_refuses_a_table_not_additive_in_the_right_slot():
+    # row 1 becomes b -> b & 5: every row stays additive and the diagonal
+    # (1 & 5 = 1) stays the squares, but the columns are no longer additive
+    mul = F8.table_arrays()[1].copy()
+    mul[1] = np.arange(8) & 5
+    with pytest.raises(PropertyViolationError, match="not additive in the right slot"):
+        twisted.b2_build(_with_table(F8, mul))
+
+
+def test_b2_build_refuses_squares_that_do_not_realize_phi(monkeypatch):
+    monkeypatch.setattr(twisted.B2Group, "phi", _swapped(twisted.B2Group.phi))
+    with pytest.raises(PropertyViolationError, match="squares do not realize phi"):
+        twisted.b2_build(F8)
+
+
+def test_b2_build_refuses_phi_vanishing_off_the_singular_lines():
+    # bitwise AND is biadditive with zero divisors: phi(1, 2) = (1 & 2, 1 & 2) = 0
+    mul = np.bitwise_and.outer(np.arange(8), np.arange(8))
+    with pytest.raises(PropertyViolationError, match="phi vanishes off the two singular lines"):
+        twisted.b2_build(_with_table(F8, mul))
+
+
+def test_b2_build_refuses_commutators_that_do_not_realize_the_bimap(monkeypatch):
+    monkeypatch.setattr(twisted.B2Group, "bimap", _swapped(twisted.B2Group.bimap))
+    with pytest.raises(PropertyViolationError, match="commutators do not realize the bimap"):
+        twisted.b2_build(F8)
+
+
+def test_b2_build_refuses_a_non_associative_product_above_order_8():
+    F16 = make_field(2, 4)
+    mul = np.bitwise_or.outer(np.arange(16), np.arange(16))
+    with pytest.raises(PropertyViolationError, match="product is not associative"):
+        twisted.b2_build(_with_table(F16, mul))
+
+
+def test_b2_build_and_labels_make_no_field_mul_call(monkeypatch):
+    b8 = twisted.b2_build(F8)
+    G8 = b8.group()
+    A, B = _canonical_reps(F8)
+    calls = []
+    mul = FieldCtx.mul
+    monkeypatch.setattr(FieldCtx, "mul", lambda self, a, b: calls.append((a, b)) or mul(self, a, b))
+    twisted.b2_build(F8)
+    twisted.b2_labels(b8, G8, A, B)
+    assert calls == []
+    assert F8.mul(2, 3) == 6 and calls == [(2, 3)]  # the wrapper is live
 
 
 def _canonical_reps(F):
@@ -188,6 +263,16 @@ def suzuki_form(F, x: int, y: int) -> int:
         raise InvalidConfigError("the form lives over F_2 fields of odd degree")
     e = (F.e - 1) // 2
     return twisted._form(F, x, F.frobenius(x, e + 1), y, F.frobenius(y, e + 1))
+
+
+@pytest.mark.parametrize("deg", [15, 17, 31])
+def test_suzuki_form_is_the_two_products(deg):
+    # degree 15 has tables; 17 and 31 reduce the sum of the two products once
+    Fd = make_field(2, deg)
+    rng = random.Random(deg)
+    for _ in range(50):
+        x, xf, y, yf = (rng.randrange(Fd.order) for _ in range(4))
+        assert twisted._form(Fd, x, xf, y, yf) == Fd.mul(x, yf) ^ Fd.mul(y, xf)
 
 
 def test_suzuki_form_frozen():
