@@ -12,8 +12,8 @@ polynomial work; the generator is then computed lazily and only when
 p^e - 1 is still within trial-division range.
 
 The row kernels `axpy` (the list x - f*y) and `dot` (the sum of x_i y_i) pick
-the arithmetic once per row: plain ints mod p over a prime field, XOR over
-GF(2) (and through exp/log for x - f*y in characteristic 2), else per entry.
+the arithmetic once per row: ints mod p over a prime field, XOR in characteristic
+2 (exp/log for x - f*y, one reduction per `dot` without tables), else per entry.
 """
 
 from __future__ import annotations
