@@ -470,15 +470,15 @@ def _crit_arithmetic(tier: str) -> str:
     ]
     checked = []
     for G in singles:
-        sig, sig_i = smallgrp.sigma_counts(G, cap_order=1024, iso_order_cap=1024)
+        sig, sig_i = smallgrp.sigma_counts(G, iso_order_cap=1024)
         require(sig_i <= sig <= G.n ** (arith.mu(G.n) + 1), (G.name, sig, sig_i))
         checked.append(G.n)
     for A, Bf in prods:
-        sa = smallgrp.sigma_counts(A, cap_order=1024, iso_order_cap=1024)
-        sb = smallgrp.sigma_counts(Bf, cap_order=1024, iso_order_cap=1024)
+        sa = smallgrp.sigma_counts(A, iso_order_cap=1024)
+        sb = smallgrp.sigma_counts(Bf, iso_order_cap=1024)
         P = smallgrp.direct_product(A, Bf)
         require(math.gcd(A.n, Bf.n) == 1 and P.n <= 1000)
-        sp = smallgrp.sigma_counts(P, cap_order=1024, iso_order_cap=1024)
+        sp = smallgrp.sigma_counts(P, iso_order_cap=1024)
         require(sp == (sa[0] * sb[0], sa[1] * sb[1]), (A.name, Bf.name, sa, sb, sp))
         require(sp[1] <= sp[0] <= P.n ** (arith.mu(P.n) + 1))
         checked.append(P.n)

@@ -318,9 +318,9 @@ class Kind:
         n = self.nursery
         return n.p ** (self.subspace.dim + 2 * n.mdim)
 
-    def group(self, cap=GROUP_ORDER_CAP) -> smallgrp.SmallGroup:
-        if self.order > cap:
-            raise CapExceededError("kind order %d over cap %d" % (self.order, cap))
+    def group(self) -> smallgrp.SmallGroup:
+        if self.order > GROUP_ORDER_CAP:
+            raise CapExceededError("kind order %d over cap %d" % (self.order, GROUP_ORDER_CAP))
         if self._group is None:
             name = "%s kind dim %d" % (self.nursery.kind, self.subspace.dim)
             self._group = self.nursery.group_on(self.subspace, name=name)
@@ -340,9 +340,9 @@ def kind_from_subspace(nursery: ModuleNursery, subspace: Subspace, relaxed=False
     return Kind(nursery, subspace)
 
 
-def random_kind(nursery: ModuleNursery, ell: int, rng, relaxed=False) -> Kind:
-    """A uniform dimension-ell kind; anchored to contain S unless relaxed."""
-    span = Subspace.zero(nursery.ctx, nursery.rdim) if relaxed else nursery.s_subspace()
+def random_kind(nursery: ModuleNursery, ell: int, rng) -> Kind:
+    """A uniform dimension-ell kind, anchored to contain S."""
+    span = nursery.s_subspace()
     if ell < span.dim or ell > nursery.rdim:
         raise InvalidConfigError("no kinder of dimension %d here" % ell)
     p = nursery.p
@@ -350,7 +350,7 @@ def random_kind(nursery: ModuleNursery, ell: int, rng, relaxed=False) -> Kind:
         v = tuple(rng.randrange(p) for _ in range(nursery.rdim))
         if not span.contains(v):
             span = Subspace.from_vectors(nursery.ctx, nursery.rdim, span.basis + (v,))
-    return kind_from_subspace(nursery, span, relaxed=relaxed)
+    return kind_from_subspace(nursery, span)
 
 
 class Reconstruction(NamedTuple):
@@ -495,7 +495,7 @@ def census(nursery: ModuleNursery, ell: int, relaxed=False, max_kinder=4096,
     require(len(spaces) == total, "enumerated %d kinder, expected %d" % (len(spaces), total))
     fps = []
     def group(v):
-        G = kind_from_subspace(nursery, v, relaxed=relaxed).group(cap=max_order)
+        G = kind_from_subspace(nursery, v, relaxed=relaxed).group()
         fps.append(G.fingerprint())
         return G
     classes, _ = smallgrp.iso_classes(map(group, spaces))

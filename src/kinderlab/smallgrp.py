@@ -2,14 +2,13 @@
 isomorphism-class census tooling.
 
 A SmallGroup wraps an explicit element list plus a multiplication callable on
-labels.  Everything downstream works on integer indices.  Products are kept
-in one column-major table: column j holds i*j for every i.  `table()`
-completes it (groups up to SUBGROUP_ORDER_CAP only) as one int16 [n, n]
-array, the one complete table a group holds; the Python paths read its
-columns as lists made on first use (`_column`).  Without it the columns fill
-lazily, one product at a time, and above SUBGROUP_ORDER_CAP only closure
-steps start one (element orders, inverses and brackets are label products),
-so a group of 2^14 elements that is only ever closed under a few generators
+labels.  Everything downstream works on integer indices.  The group's order
+alone decides where a product comes from.  Up to SUBGROUP_ORDER_CAP every
+product is read from one complete column-major table, an int16 [n, n] array
+(column j holds i*j for every i), built by `table()` on first use; the
+Python paths read its columns as lists made on first use (`_column`).  Above
+the cap every product is a label product and no column is ever started, so
+a group of 2^14 elements that is only ever closed under a few generators
 never pays for n^2 products.  Subgroups are sorted index tuples on the
 array.  One power walk over the array gives every element's order, inverse
 and powers, for `order_of`, `inverse_idx`, the invariants, the lattice and
@@ -71,16 +70,16 @@ _INTS = np.array(range(SUBGROUP_ORDER_CAP), dtype=object)
 
 
 class SmallGroup:
-    """A finite group on explicit labels.
+    """A finite group on explicit labels, with two stores of products.
 
-    `columns`, when given, is the complete table on this label order, an
-    [n, n] int16 array (columns[j][i] is the index of i*j) kept as the
-    group's own: a family with an integer encoding evaluates its law on
-    every pair at once (`check_law_table`).  Whoever builds it checks it.
-    The identity is read from its diagonal, and orders and inverses from its
-    power walk (`_walk`); without a complete table they are found one
-    product at a time.  Either way the Python paths read column j as the
-    list `_column(j)`, made on first use.
+    Up to SUBGROUP_ORDER_CAP elements, the complete table: `columns`, when
+    given, is that table on this label order, an [n, n] int16 array
+    (columns[j][i] is the index of i*j) kept as the group's own, since a
+    family with an integer encoding evaluates its law on every pair at once
+    (`check_law_table`; whoever builds it checks it); otherwise `table()`
+    builds it on first use.  Orders and inverses come from its power walk
+    (`_walk`), and the Python paths read column j as the list `_column(j)`.
+    Above the cap, label products, one at a time.
     """
 
     def __init__(self, labels, mul, name=None, columns=None):
@@ -92,13 +91,12 @@ class SmallGroup:
             raise InvalidConfigError("duplicate labels")
         self._mul_label = mul
         self._T = None if columns is None else np.asarray(columns, np.int16)
-        # column j as a list: i*j for each i, -1 where not computed yet; None until used
-        self._cols = [None] * self.n
-        self._orders = self._inverses = self._elem_inv = self._gens = self._fp = None
+        self._cols = [None] * self.n  # column j of the table as a list, None until read
+        self._order_inv = self._elem_inv = self._gens = self._fp = None
         self._sub_gens = {}  # subgroup (sorted index tuple) -> generators, from all_subgroups
         if columns is not None:
             idempotents = np.flatnonzero(self._T.diagonal() == np.arange(self.n)).tolist()
-        else:  # direct label products: mul_idx here would allocate a column per element
+        else:  # label products: mul_idx here would build the table
             idempotents = [i for i, lab in enumerate(self.labels) if self._mul_label(lab, lab) == lab]
         if len(idempotents) != 1:
             raise InvalidConfigError("element set is not a group (idempotents: %d)" % len(idempotents))
@@ -131,31 +129,18 @@ class SmallGroup:
         return self._idx[label]
 
     def mul_idx(self, i: int, j: int) -> int:
-        """The index of i*j.
-
-        It reads column j (`_column`), filling a gap with a label product,
-        but starts the column only up to SUBGROUP_ORDER_CAP: above it, one
-        product per element on the right would fill n columns of n entries,
-        so only closure steps start columns.
-        """
-        col = self._cols[j]
-        if col is None and self.n <= SUBGROUP_ORDER_CAP:
-            col = self._column(j)
-        if col is not None:
-            v = col[i]
-            if v >= 0:
-                return v
-        v = self._idx[self._mul_label(self.labels[i], self.labels[j])]
-        if col is not None:
-            col[i] = v
-        return v
+        """The index of i*j: column j of the table (`_column`) up to
+        SUBGROUP_ORDER_CAP, a label product above it."""
+        if self.n > SUBGROUP_ORDER_CAP:
+            return self._idx[self._mul_label(self.labels[i], self.labels[j])]
+        return self._column(j)[i]
 
     def _column(self, j: int) -> list:
-        """Column j as a list, made on first use from the table, or all -1."""
+        """Column j of the complete table as a list, made on first use."""
         col = self._cols[j]
         if col is None:
-            col = self._cols[j] = [-1] * self.n if self._T is None else (
-                self._T[j] if self.n <= 257 else _INTS[self._T[j]]).tolist()
+            T = self.table()
+            col = self._cols[j] = (T[j] if self.n <= 257 else _INTS[T[j]]).tolist()
         return col
 
     def table(self) -> np.ndarray:
@@ -164,8 +149,7 @@ class SmallGroup:
 
         Built on first call.  Only the columns of a generating set, picked
         in index order, cost label products; every other is a composition of
-        known ones, T[x*g] = T[g][T[x]], since i*(x*g) = (i*x)*g.  Columns
-        started before are dropped, to be read from T.
+        known ones, T[x*g] = T[g][T[x]], since i*(x*g) = (i*x)*g.
         """
         if self._T is None:
             if self.n > SUBGROUP_ORDER_CAP:
@@ -188,7 +172,7 @@ class SmallGroup:
                             T[g].take(T[x], out=T[y])
                             known[y] = 1
                             queue.append(y)
-            self._T, self._cols = T, [None] * self.n
+            self._T = T
         return self._T
 
     def cut(self, members, name=None) -> "SmallGroup":
@@ -221,28 +205,29 @@ class SmallGroup:
         orders = (S[1:] == self.identity).argmax(axis=0) + 1
         return orders, S[orders - 1, at], S
 
+    def _order_inverse(self, i: int) -> tuple:
+        """(order, inverse) of i, from the power walk up to SUBGROUP_ORDER_CAP;
+        above it by walking x -> x*i on label products, kept per element."""
+        if self._order_inv is None:
+            self._order_inv = [None] * self.n if self.n > SUBGROUP_ORDER_CAP else list(
+                zip(*(a.tolist() for a in self._walk[:2])))
+        if self._order_inv[i] is None:
+            k, y, x = 1, self.identity, i
+            while x != self.identity:
+                y, x, k = x, self.mul_idx(x, i), k + 1
+            self._order_inv[i] = k, y
+        return self._order_inv[i]
+
     def inverse_idx(self, i: int) -> int:
-        if self._inverses is None:
-            self._inverses = [-1] * self.n if self._T is None else self._walk[1].tolist()
-        if self._inverses[i] < 0:
-            y, z = self.identity, i
-            while z != self.identity:
-                y, z = z, self.mul_idx(z, i)
-            self._inverses[i] = y
-        return self._inverses[i]
+        return self._order_inverse(i)[1]
 
     def order_of(self, i: int) -> int:
-        if self._orders is None:
-            self._orders = [0] * self.n if self._T is None else self._walk[0].tolist()
-        if not self._orders[i]:  # walk x -> x*i: above the table cap, label products only
-            k, x = 1, i
-            while x != self.identity:
-                x, k = self.mul_idx(x, i), k + 1
-            self._orders[i] = k
-        return self._orders[i]
+        return self._order_inverse(i)[0]
 
     def element_orders(self) -> list:
-        return self._walk[0].tolist() if self._T is not None else [self.order_of(i) for i in range(self.n)]
+        if self.n > SUBGROUP_ORDER_CAP:
+            return [self.order_of(i) for i in range(self.n)]
+        return self._walk[0].tolist()
 
     def commutator_idx(self, i: int, j: int) -> int:
         """[i, j] = (ji)^-1 ij: an inverse only when i and j do not commute."""
@@ -252,21 +237,21 @@ class SmallGroup:
     def commutators(self, xs, ys) -> np.ndarray:
         """The [len(xs), len(ys)] indices of [x, y] = x^-1 y^-1 x y = (yx)^-1 xy:
         T[T[y, x], inv[T[x, y]]], one gather in the int16 of the complete table
-        T (T[j, i] = i*j, inverses from `_walk`); without T, `commutator_idx` per
-        pair, which builds no table and above SUBGROUP_ORDER_CAP starts no column."""
-        if self._T is None:
+        T (T[j, i] = i*j, inverses from `_walk`); above SUBGROUP_ORDER_CAP,
+        `commutator_idx` per pair, on label products."""
+        if self.n > SUBGROUP_ORDER_CAP:
             return np.array([[self.commutator_idx(x, y) for y in ys] for x in xs],
                             np.int64).reshape(len(xs), len(ys))
-        T, x, y = self._T, np.asarray(xs, np.int16)[:, None], np.asarray(ys, np.int16)
+        T, x, y = self.table(), np.asarray(xs, np.int16)[:, None], np.asarray(ys, np.int16)
         return T[T[y, x], self._walk[1][T[x, y]]]
 
     def commute(self, xs, ys) -> np.ndarray:
         """The bool [len(xs), len(ys)] mask of xy == yx: T[y, x] == T[x, y] on the
-        complete table, else two `mul_idx` per pair (label products above the cap)."""
-        if self._T is None:
+        complete table, two label products per pair above SUBGROUP_ORDER_CAP."""
+        if self.n > SUBGROUP_ORDER_CAP:
             return np.array([[self.mul_idx(x, y) == self.mul_idx(y, x) for y in ys] for x in xs],
                             bool).reshape(len(xs), len(ys))
-        T, x, y = self._T, np.asarray(xs, np.int16)[:, None], np.asarray(ys, np.int16)
+        T, x, y = self.table(), np.asarray(xs, np.int16)[:, None], np.asarray(ys, np.int16)
         return T[y, x] == T[x, y]
 
     def conjugate_idx(self, i: int, g: int) -> int:
@@ -277,12 +262,11 @@ class SmallGroup:
 
     def closure_idx(self, seeds) -> tuple:
         seeds = list(dict.fromkeys(seeds)) or [self.identity]
-        seen, queue = set(seeds), list(seeds)
-        steps = [(g, self._column(g)) for g in seeds]
+        seen, queue, big = set(seeds), list(seeds), self.n > SUBGROUP_ORDER_CAP
+        steps = [(g, None if big else self._column(g)) for g in seeds]
         for x in queue:
             for g, col in steps:
-                if (y := col[x]) < 0:
-                    y = self.mul_idx(x, g)
+                y = self.mul_idx(x, g) if col is None else col[x]
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
@@ -290,8 +274,7 @@ class SmallGroup:
         return tuple(sorted(seen))
 
     def span_idx(self, elements) -> tuple:
-        """The subgroup the elements generate, closed on only those that enlarge
-        it (each starts one column above the table cap); the rest are lookups."""
+        """The subgroup the elements generate, closed only on those that enlarge it."""
         return _span(self, elements)[0]
 
     def generating_set(self) -> tuple:
@@ -613,7 +596,7 @@ def verify_isomorphism(G: SmallGroup, H: SmallGroup, mapping) -> bool:
 # ---------------------------------------------------------------------------
 # subgroup lattice and census
 
-def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP):
+def all_subgroups(G: SmallGroup):
     """Every subgroup of G as sorted index tuples, smallest first.
 
     Cyclic extension (Neubueser 1960; GAP's LatticeByCyclicExtension): if V
@@ -630,10 +613,8 @@ def all_subgroups(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP):
     with the cyclic subgroups complete it.  Every path ends with the
     p-subgroup counts (`_require_p_counts`).  The generators each subgroup
     was found from are kept on G, for `subset_invariants` and
-    `_conjugacy_classes`.
+    `_conjugacy_classes`.  G's table caps it at SUBGROUP_ORDER_CAP elements.
     """
-    if G.n > cap_order:
-        raise CapExceededError("group order %d over enumeration cap %d" % (G.n, cap_order))
     subs = {}  # subgroup -> generators
 
     def add(sub, gens):
@@ -833,7 +814,7 @@ def _conjugacy_classes(G: SmallGroup, subs) -> list:
     return least
 
 
-def sigma_counts(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, iso_order_cap=ISO_ORDER_CAP):
+def sigma_counts(G: SmallGroup, iso_order_cap=ISO_ORDER_CAP):
     """(number of subgroups, number of isomorphism types of subgroups).
 
     Conjugate subgroups are isomorphic, so only one subgroup per conjugacy
@@ -843,7 +824,7 @@ def sigma_counts(G: SmallGroup, cap_order=SUBGROUP_ORDER_CAP, iso_order_cap=ISO_
     """
     if G.n > iso_order_cap:  # G is one of its own subgroups
         raise CapExceededError("a subgroup exceeds the iso cap %d" % iso_order_cap)
-    subs = all_subgroups(G, cap_order=cap_order)
+    subs = all_subgroups(G)
     reps = [s for r, (least, s) in enumerate(zip(_conjugacy_classes(G, subs), subs)) if least == r]
     invariants = G.subset_invariants(reps)
     parts = [_Members(G, s, inv) for s, (_, inv) in zip(reps, invariants)]

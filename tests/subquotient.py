@@ -7,7 +7,8 @@ own restricted table, and an abelianisation read off an explicit quotient.
 A B2 kind (s restricted to a code) is built on label products, for the
 tests of `twisted.b2_labels` on a group the library never builds.  The readers (an element's invariants, the centre, the derived series, the
 exponent, whether G is abelian) read `SmallGroup.fingerprint`, which the library
-needs only whole.
+needs only whole.  `LabelProducts` reads a group's products off its label law
+alone, the reference for the paths that read its table.
 """
 
 import numpy as np
@@ -30,6 +31,42 @@ def subgroup(G: SmallGroup, idx_subset) -> SmallGroup:
     if (cols < 0).any():
         raise InvalidConfigError("subset is not closed under the group law")
     return SmallGroup(labs, G._mul_label, columns=cols)
+
+
+class LabelProducts:
+    """G's products by its label law alone, never its table: i*j, powers,
+    inverses, orders and closures, on G's indices."""
+
+    def __init__(self, G: SmallGroup):
+        self.G, self.identity = G, G.identity
+
+    def mul_idx(self, i: int, j: int) -> int:
+        G = self.G
+        return G.index_of(G._mul_label(G.labels[i], G.labels[j]))
+
+    def powers(self, x: int) -> list:
+        """[x^0, x^1, ..., x^order], the last the identity again."""
+        out = [self.identity, x]
+        while out[-1] != self.identity:
+            out.append(self.mul_idx(out[-1], x))
+        return out
+
+    def inverse_idx(self, x: int) -> int:
+        return self.powers(x)[-2]
+
+    def order_of(self, x: int) -> int:
+        return len(self.powers(x)) - 1
+
+    def closure_idx(self, seeds) -> tuple:
+        seeds = list(seeds)
+        seen = {self.identity, *seeds}
+        queue = list(seen)
+        for x in queue:
+            for g in seeds:
+                if (y := self.mul_idx(x, g)) not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return tuple(sorted(seen))
 
 
 def quotient(G: SmallGroup, normal_idx) -> SmallGroup:

@@ -1,5 +1,6 @@
 """The verdict `tools/bench_pairs.py` records per workload and end-to-end metric,
-and its reading of pytest's summary line and of a `verify` report."""
+its reading of pytest's summary line and of a `verify` report, and its merge
+of the `verify` runs of both sides."""
 
 import importlib.util
 import json
@@ -99,3 +100,29 @@ def test_claim_has_no_default(monkeypatch, capsys):
         bench_pairs.main()
     assert exit_info.value.code == 2
     assert "--claim" in capsys.readouterr().err
+
+
+def test_merge_criteria_keeps_each_criterion_runs_and_median():
+    runs = [{"1 census": 0.5, "2 hom": 1.2}, {"1 census": 0.7, "2 hom": 0.9},
+            {"1 census": 0.4, "2 hom": 1.0}]
+    assert bench_pairs.merge_criteria(runs) == {
+        "1 census": {"runs": [0.5, 0.7, 0.4], "median": 0.5},
+        "2 hom": {"runs": [1.2, 0.9, 1.0], "median": 1.0}}
+
+
+def test_end_to_end_runs_alternate_the_verify_runs(monkeypatch):
+    order, seconds = [], iter(range(1, 100))
+
+    def run(checkout, name, command, read):
+        order.append((checkout, name))
+        return {"wall_s": 0.0, "exit": 0,
+                "parsed": {"1 census": next(seconds)} if name == "verify_fast" else {"passed": 1}}
+
+    monkeypatch.setattr(bench_pairs, "run_command", run)
+    out = bench_pairs.end_to_end_runs({"base": "b", "head": "h"})
+    assert order == [("b", "tier1"), ("h", "tier1"), ("b", "verify_fast"), ("h", "verify_fast"),
+                     ("h", "verify_fast"), ("b", "verify_fast"), ("b", "verify_fast"),
+                     ("h", "verify_fast")]
+    assert out["base"]["verify_fast"]["criteria"] == {"1 census": {"runs": [1, 4, 5], "median": 4}}
+    assert out["head"]["verify_fast"]["criteria"] == {"1 census": {"runs": [2, 3, 6], "median": 3}}
+    assert out["head"]["tier1"]["parsed"] == {"passed": 1} and len(out["head"]["verify_fast"]["runs"]) == 3

@@ -11,6 +11,8 @@ from kinderlab.gf import make_field
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
+N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
+KIND = nursery.kind_from_subspace(N2, N2.s_subspace())  # one Kind: refused past the bound once cached
 
 # (module, constant, size, call): call() returns the size it builds or enumerates
 CAPS = {
@@ -19,6 +21,7 @@ CAPS = {
     "build_gamma": (altcodes, "ELEMENT_CAP", 36, lambda: altcodes.build_gamma(2).group.n),
     "gamma1_group": (nursery, "GROUP_ORDER_CAP", 8,
                      lambda: nursery.make_nursery("matrix", a=1, c=1, ctx=F2).gamma1_group().n),
+    "Kind.group": (nursery, "GROUP_ORDER_CAP", 128, lambda: KIND.group().n),
     "B2Group.group": (twisted, "GROUP_ORDER_CAP", 16, lambda: twisted.b2_build(F2).group().n),
     "enumerate_vectors": (linalg, "ENUM_CAP", 9,
                           lambda: len(list(linalg.Subspace.full(F3, 2).enumerate_vectors()))),

@@ -65,6 +65,17 @@ def tabled_dims(N):
             if N.p ** (ell + 2 * N.mdim) <= smallgrp.SUBGROUP_ORDER_CAP]
 
 
+def relaxed_kind(N, ell, rng):
+    """A uniform dimension-ell kind of N that need not contain S: the span
+    `nursery.random_kind` draws, grown from the zero subspace."""
+    span = Subspace.zero(N.ctx, N.rdim)
+    while span.dim < ell:
+        v = tuple(rng.randrange(N.p) for _ in range(N.rdim))
+        if not span.contains(v):
+            span = Subspace.from_vectors(N.ctx, N.rdim, span.basis + (v,))
+    return nursery.kind_from_subspace(N, span, relaxed=True)
+
+
 def reference_table(labels, mul):
     return smallgrp.SmallGroup(labels, mul).table().tolist()
 
@@ -166,7 +177,7 @@ def test_algebra_array_equals_the_matrix_construction(name):
 def test_kind_table_equals_label_products(name, pick, seed):
     N = stock(name)
     dims = tabled_dims(N)
-    K = nursery.random_kind(N, dims[pick % len(dims)], random.Random(seed), relaxed=True)
+    K = relaxed_kind(N, dims[pick % len(dims)], random.Random(seed))
     G = K.group()
     labels = list(N.labels(x_vectors=[tuple(v) for v in K.subspace.enumerate_vectors()]))
     assert G.labels == tuple(labels)
@@ -206,7 +217,7 @@ def test_cut_table_equals_the_checked_law_table(seed):
     for name in tabled_gamma1s():
         N = stock(name)
         for ell in tabled_dims(N):
-            K = nursery.random_kind(N, ell, random.Random(seed), relaxed=True)
+            K = relaxed_kind(N, ell, random.Random(seed))
             labels = list(N.labels(x_vectors=[tuple(v) for v in K.subspace.enumerate_vectors()]))
             law = N._checked_law_table(K.subspace, labels, factors=(0, len(labels) - 1))
             assert K.group().table().tolist() == law.tolist(), (name, ell)
@@ -222,7 +233,7 @@ def test_kinder_of_a_tabled_gamma1_make_no_label_products(monkeypatch):
 
         monkeypatch.setattr(nursery.ModuleNursery, meth, counted)
     assert nursery.census(N, 2, relaxed=True).kinder_count == 35
-    assert nursery.random_kind(N4, 2, random.Random(0), relaxed=True).group().n == 64
+    assert relaxed_kind(N4, 2, random.Random(0)).group().n == 64
     assert not calls
 
 
@@ -234,7 +245,7 @@ def test_a_cut_that_is_no_subgroup_fails_loudly():
 
 def test_columns_share_the_index_ints():
     N = stock("matrix(2,1,F3)")
-    G = nursery.random_kind(N, 2, random.Random(0), relaxed=True).group()
+    G = relaxed_kind(N, 2, random.Random(0)).group()
     assert G.n == 729
     cols = G._column
     assert all(cols(j)[i] is cols(G.identity)[cols(j)[i]] for j in (1, 500) for i in (3, 700))
@@ -243,7 +254,7 @@ def test_columns_share_the_index_ints():
 def test_a_kind_holds_one_table():
     # a 729-element kind holds its int16 array (1.06 MB) and the columns read
     # so far, not also a list per column (4.09 MB more)
-    K = nursery.random_kind(stock("matrix(2,1,F3)"), 2, random.Random(0), relaxed=True)
+    K = relaxed_kind(stock("matrix(2,1,F3)"), 2, random.Random(0))
     tracemalloc.start()
     try:
         G = K.group()
@@ -299,7 +310,7 @@ def _corrupt(monkeypatch, edit):
 
 
 def f3_kind_group():
-    return nursery.random_kind(stock("matrix(2,1,F3)"), 2, random.Random(0), relaxed=True).group()
+    return relaxed_kind(stock("matrix(2,1,F3)"), 2, random.Random(0)).group()
 
 
 def test_wrong_law_fails_loudly(monkeypatch):

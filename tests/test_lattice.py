@@ -18,7 +18,7 @@ from kinderlab import arith
 from kinderlab import smallgrp as sg
 from kinderlab.errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
-from subquotient import subgroup
+from subquotient import LabelProducts, subgroup
 
 
 def join_lattice(G):
@@ -232,8 +232,8 @@ def test_restricted_tables_equal_label_products():
 
 def test_table_completes_lazy_columns():
     G = relabelled(GROUPS["D4xC3"], 2)
-    ref = relabelled(GROUPS["D4xC3"], 2)
-    # a few products first, so the table has partial columns to complete
+    ref = LabelProducts(G)
+    # a few products first: the first builds the whole table, which table() returns
     for i in range(0, G.n, 5):
         G.mul_idx(i, (3 * i + 1) % G.n)
     cols = G.table()

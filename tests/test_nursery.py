@@ -351,21 +351,6 @@ def test_census_caps():
         nursery.census(N3, 6)
 
 
-def test_kind_group_cap():
-    N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
-    K = nursery.kind_from_subspace(N2, Subspace.full(F2, 4))
-    with pytest.raises(CapExceededError):
-        K.group(cap=16)
-
-
-def test_kind_group_cap_holds_once_the_group_is_cached():
-    N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
-    K = nursery.kind_from_subspace(N2, N2.s_subspace())
-    assert K.group().n == K.order
-    with pytest.raises(CapExceededError):
-        K.group(cap=K.order - 1)
-
-
 def test_reconstruct_solves_chi_once_per_coset(monkeypatch):
     N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
     K = nursery.kind_from_subspace(N2, Subspace.full(F2, 4))

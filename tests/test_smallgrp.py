@@ -1,5 +1,6 @@
 """Concrete groups with published subgroup counts, plus structural laws."""
 
+import math
 import random
 import tracemalloc
 from unittest import mock
@@ -14,7 +15,8 @@ from kinderlab import smallgrp as sg
 from kinderlab.errors import CapExceededError, PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_superspaces, gaussian_binomial
-from subquotient import center_idx, derived_series_orders, exponent, is_abelian, quotient, subgroup
+from subquotient import (LabelProducts, center_idx, derived_series_orders, exponent, is_abelian,
+                         quotient, subgroup)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -207,11 +209,11 @@ def test_index_of_keyerror():
 
 
 def test_caps():
-    G = sg.cyclic_group(16)
-    with pytest.raises(CapExceededError):
-        sg.all_subgroups(G, cap_order=8)
-    with pytest.raises(CapExceededError):
-        sg.sigma_counts(G, cap_order=8)
+    G = sg.cyclic_group(sg.SUBGROUP_ORDER_CAP + 1)  # no table, so no lattice
+    with pytest.raises(CapExceededError, match="over table cap"):
+        sg.all_subgroups(G)
+    with pytest.raises(CapExceededError, match="over table cap"):
+        sg.sigma_counts(G, iso_order_cap=G.n)
 
 
 def test_sigma_multiplicative_coprime():
@@ -229,8 +231,25 @@ def test_mul_idx_starts_columns_only_up_to_the_table_cap():
     big = sg.cyclic_group(sg.SUBGROUP_ORDER_CAP + 1)
     assert big.mul_idx(3, 5) == 8 and big._cols[5] is None
     assert big.inverse_idx(5) == big.n - 5 and all(c is None for c in big._cols)
-    # closures still cache the columns of their seeds
-    assert len(big.closure_idx([7])) == big.n and big._cols[7] is not None
+    # nor do closures, above the cap
+    assert len(big.closure_idx([7])) == big.n and all(c is None for c in big._cols)
+    assert big.order_of(683) == 3 and big.commute([3], [5]).all()
+    assert not big.commutators([3], [5]).any()
+    assert big._T is None and all(c is None for c in big._cols)
+
+
+def test_element_orders_below_the_table_cap_hold_the_table_and_its_walk():
+    # a column per element would hold n^2 list entries (32 MB at n = 2048)
+    G = sg.cyclic_group(sg.SUBGROUP_ORDER_CAP)
+    tracemalloc.start()
+    try:
+        orders = G.element_orders()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 20 * 2**20  # the int16 table and the power walk, 8 MB each
+    assert orders == [G.n // math.gcd(i, G.n) for i in range(G.n)]
+    assert G._T is not None and all(c is None for c in G._cols)
 
 
 def _census_kind():
@@ -258,19 +277,16 @@ def test_power_walk_equals_repeated_products(name, seed):
     if name == "kind":  # the kind's array on the new label order, as a family hands it over
         table = np.argsort(perm)[G0._T[np.ix_(perm, perm)]].astype(np.int16)
     G = sg.SmallGroup(labels, G0._mul_label, columns=table)
-    ref = sg.SmallGroup(labels, G0._mul_label)  # no table: every product a label product
+    ref = LabelProducts(G)
     orders, inverses, S = G._walk
     assert table is None or G._T is table  # kept as given
     for x in range(G.n):
-        powers = [ref.identity, x]  # x^0, x^1, ... up to x^order = e
-        while powers[-1] != ref.identity:
-            powers.append(ref.mul_idx(powers[-1], x))
+        powers = ref.powers(x)  # x^0, x^1, ... up to x^order = e
         order = len(powers) - 1
         assert orders[x] == order == G.order_of(x)
         assert inverses[x] == powers[-2] == G.inverse_idx(x)
         assert all(S[k, x] == powers[k % order] for k in range(len(S)))
     assert len(S) - 1 == exponent(G0) == max(orders)
-    assert ref._T is None
 
 
 def test_order_and_inverse_above_the_table_cap_stay_lazy():
@@ -310,7 +326,7 @@ def test_commutators_equal_commutator_idx_on_relabellings(name, seed, tabled, da
     random.Random(seed).shuffle(labels)
     labels.append(labels.pop(labels.index(G0.labels[G0.identity])))  # the identity last, not at 0
     G = sg.SmallGroup(labels, G0._mul_label)
-    ref = sg.SmallGroup(labels, G0._mul_label)
+    ref = LabelProducts(G)
     if tabled:
         G.table()
     index = st.integers(0, G.n - 1)
@@ -319,8 +335,8 @@ def test_commutators_equal_commutator_idx_on_relabellings(name, seed, tabled, da
     got = G.commutators(xs, ys)
     assert G.identity == G.n - 1 and got.shape == (len(xs), len(ys))
     assert got.tolist() == [[_bracket(ref, x, y) for y in ys] for x in xs]
-    assert got.tolist() == [[ref.commutator_idx(x, y) for y in ys] for x in xs]
-    assert (G._T is None) != tabled  # no table built that was not asked for
+    assert got.tolist() == [[G.commutator_idx(x, y) for y in ys] for x in xs]
+    assert G._T is not None  # below the cap the table is built, asked for or not
     assert G.span_idx(got.ravel().tolist()) == ref.closure_idx(got.ravel().tolist())
 
 
@@ -331,7 +347,8 @@ def test_commute_is_a_trivial_bracket(name, seed, tabled, data):
     G0 = BRACKET_GROUPS[name]
     labels = list(G0.labels)
     random.Random(seed).shuffle(labels)
-    G, ref = sg.SmallGroup(labels, G0._mul_label), sg.SmallGroup(labels, G0._mul_label)
+    G = sg.SmallGroup(labels, G0._mul_label)
+    ref = LabelProducts(G)
     if tabled:
         G.table()
     index = st.integers(0, G.n - 1)
@@ -339,8 +356,27 @@ def test_commute_is_a_trivial_bracket(name, seed, tabled, data):
     ys = data.draw(st.lists(index, max_size=12))
     got = G.commute(xs, ys)
     assert got.dtype == bool and got.shape == (len(xs), len(ys))
-    assert got.tolist() == [[ref.commutator_idx(x, y) == ref.identity for y in ys] for x in xs]
-    assert (G._T is None) != tabled
+    assert got.tolist() == [[_bracket(ref, x, y) == ref.identity for y in ys] for x in xs]
+    assert G._T is not None
+
+
+COLUMN_GROUPS = dict(BRACKET_GROUPS, **{
+    "Sym3xC50": sg.direct_product(sg.symmetric_group(3), sg.cyclic_group(50)),  # columns share ints
+})
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(COLUMN_GROUPS)), seed=st.integers(0, 2**32), data=st.data())
+def test_a_column_read_before_the_table_is_whole(name, seed, data):
+    # _search, _is_isomorphism and _cyclic_extension read columns unchecked
+    G0 = COLUMN_GROUPS[name]
+    labels = list(G0.labels)
+    random.Random(seed).shuffle(labels)
+    G = sg.SmallGroup(labels, G0._mul_label)
+    ref = LabelProducts(G)
+    assert G._T is None
+    for j in data.draw(st.lists(st.integers(0, G.n - 1), min_size=1, max_size=4)):
+        assert G._column(j) == [ref.mul_idx(i, j) for i in range(G.n)]
 
 
 def test_commutators_above_the_table_cap_start_no_column():
@@ -468,6 +504,23 @@ LATTICE_GROUPS = {
     "D4xC2": sg.direct_product(sg.dihedral_group(4), sg.cyclic_group(2)),
     "C4xC4": sg.direct_product(sg.cyclic_group(4), sg.cyclic_group(4)),
 }
+
+
+def test_a_tabled_group_makes_no_label_products():
+    G = _relabelled(LATTICE_GROUPS["Sym3^2"], 6)
+    ref = LabelProducts(_relabelled(LATTICE_GROUPS["Sym3^2"], 6))  # the same labels, law intact
+    G.table()
+    G._mul_label = None  # a label product now raises TypeError
+    xs = list(range(0, G.n, 5))
+    assert [G.mul_idx(x, 7) for x in xs] == [ref.mul_idx(x, 7) for x in xs]
+    assert G.closure_idx(xs[:2]) == G.span_idx(xs[:2]) == ref.closure_idx(xs[:2])
+    assert [(G.order_of(x), G.inverse_idx(x)) for x in xs] == [
+        (ref.order_of(x), ref.inverse_idx(x)) for x in xs]
+    assert G.element_orders() == [ref.order_of(x) for x in range(G.n)]
+    assert G.commutators(xs, xs).tolist() == [[_bracket(ref, x, y) for y in xs] for x in xs]
+    assert G.commute(xs, xs).tolist() == [[ref.mul_idx(x, y) == ref.mul_idx(y, x) for y in xs]
+                                          for x in xs]
+    assert sg.sigma_counts(G) == sg.sigma_counts(LATTICE_GROUPS["Sym3^2"])
 
 
 def test_fingerprint_starts_no_column():

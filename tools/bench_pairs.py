@@ -24,9 +24,11 @@ quartiles and raw values of every end-to-end metric;
 how many pairs the head won on each (better and worse as BENCHMARK.json
 says, ties counting for neither); a verdict on each (see `verdict`); whether
 the payload hashes the two sides share are identical; the line count of
-each side's `src/`, per module, and of its `tests/`; and, from one run per
-side after the pairs, the Tier-1 pytest wall time with pytest's own counts
-and seconds, and the seconds of each `verify --tier fast` criterion.
+each side's `src/`, per module, and of its `tests/`; and, after the pairs,
+the Tier-1 pytest wall time with pytest's own counts and seconds, from one
+run per side, and the seconds of each `verify --tier fast` criterion, from
+VERIFY_RUNS runs per side taken in turn with the other side's, each
+criterion's runs with their median.
 """
 
 import argparse
@@ -43,6 +45,7 @@ from pathlib import Path
 
 CLAIM_PAIRS = 10
 PAIRS = 3
+VERIFY_RUNS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 VERIFY_FAST = [sys.executable, "-c", "import sys; from kinderlab.cli import main; sys.exit(main())",
                "verify", "--tier", "fast"]
@@ -125,22 +128,47 @@ def criterion_seconds(report):
             for r in json.loads(report)["results"]["criteria"]}
 
 
-def end_to_end_runs(checkout):
-    """One Tier-1 run and one `verify --tier fast` run in the checkout."""
-    print("Tier-1 and verify --tier fast in %s" % checkout, flush=True)
-    env = dict(os.environ, PYTHONPATH="src")
-    runs = {}
-    for name, command, read in (("tier1", TIER1, pytest_summary),
-                                ("verify_fast", VERIFY_FAST, criterion_seconds)):
-        start = time.perf_counter()
-        proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
-        try:
-            parsed = read(proc.stdout)
-        except (StopIteration, ValueError, KeyError, AttributeError):
-            raise SystemExit("%s gave no summary in %s:\n%s" % (name, checkout, proc.stderr[-2000:]))
-        runs[name] = {"wall_s": round(time.perf_counter() - start, 2), "exit": proc.returncode,
-                      "parsed": parsed}
-    return runs
+def run_command(checkout, name, command, read):
+    """{"wall_s", "exit", "parsed"} of one run of the command in the checkout,
+    its stdout parsed by read."""
+    print("%s in %s" % (name, checkout), flush=True)
+    start = time.perf_counter()
+    proc = subprocess.run(command, cwd=checkout, env=dict(os.environ, PYTHONPATH="src"),
+                          capture_output=True, text=True)
+    try:
+        parsed = read(proc.stdout)
+    except (StopIteration, ValueError, KeyError, AttributeError):
+        raise SystemExit("%s gave no summary in %s:\n%s" % (name, checkout, proc.stderr[-2000:]))
+    return {"wall_s": round(time.perf_counter() - start, 2), "exit": proc.returncode, "parsed": parsed}
+
+
+def merge_criteria(runs):
+    """{criterion: {"runs": [seconds, ...], "median": seconds}} from parsed
+    `verify` runs ({criterion: seconds} each), in run order."""
+    out = {}
+    for run in runs:
+        for name, seconds in run.items():
+            out.setdefault(name, {"runs": []})["runs"].append(seconds)
+    for entry in out.values():
+        entry["median"] = statistics.median(entry["runs"])
+    return out
+
+
+def end_to_end_runs(trees):
+    """Per side ({side: checkout}), one Tier-1 run, and VERIFY_RUNS runs of
+    `verify --tier fast` taken in turn with the other side's, the base first
+    on even rounds and the head first on odd ones, merged per criterion."""
+    out = {side: {"tier1": run_command(tree, "tier1", TIER1, pytest_summary)}
+           for side, tree in trees.items()}
+    verify = {side: [] for side in trees}
+    for i in range(VERIFY_RUNS):
+        for side in list(trees)[::1 if i % 2 == 0 else -1]:
+            verify[side].append(run_command(trees[side], "verify_fast", VERIFY_FAST,
+                                            criterion_seconds))
+    for side, runs in verify.items():
+        out[side]["verify_fast"] = {"runs": runs,
+                                    "criteria": merge_criteria([r["parsed"] for r in runs])}
+    return out
 
 
 def src_lines(checkout):
@@ -231,7 +259,7 @@ def main():
                 "payload_hashes_differ": differ,
                 "metrics": per_metric,
             }
-        out["end_to_end_runs"] = {side: end_to_end_runs(trees[side]) for side in revs}
+        out["end_to_end_runs"] = end_to_end_runs(trees)
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 
 
