@@ -351,6 +351,24 @@ def test_census_caps():
         nursery.census(N3, 6)
 
 
+def test_kind_group_cap(monkeypatch):
+    N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
+    K = nursery.kind_from_subspace(N2, Subspace.full(F2, 4))
+    monkeypatch.setattr(nursery, "GROUP_ORDER_CAP", 16)
+    with pytest.raises(CapExceededError):
+        K.group()
+    assert K._group is None
+
+
+def test_kind_group_cap_holds_once_the_group_is_cached(monkeypatch):
+    N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
+    K = nursery.kind_from_subspace(N2, N2.s_subspace())
+    assert K.group().n == K.order
+    monkeypatch.setattr(nursery, "GROUP_ORDER_CAP", K.order - 1)
+    with pytest.raises(CapExceededError):
+        K.group()
+
+
 def test_reconstruct_solves_chi_once_per_coset(monkeypatch):
     N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
     K = nursery.kind_from_subspace(N2, Subspace.full(F2, 4))
