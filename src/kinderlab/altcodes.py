@@ -18,6 +18,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from . import arith, smallgrp
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, require
 from .gf import make_field
@@ -67,16 +69,16 @@ def build_gamma(k: int) -> GammaK:
     if len(odd) != 3**k:
         raise PropertyViolationError("odd-order part has the wrong size")
     # a transposition and a 3-cycle in each coordinate generate Gamma_k, and
-    # conjugating by a generating set is enough to certify normality
+    # conjugating by a generating set is enough to certify normality: for j
+    # odd, [j, i] = j^-1 (i^-1 j i) is odd exactly when i^-1 j i is
     gens = [G.index_of((0,) * c + (g,) + (0,) * (k - 1 - c))
             for c in range(k) for g in (PERMS3.index((0, 2, 1)), PERMS3.index((1, 2, 0)))]
     if len(G.closure_idx(gens)) != G.n:
         raise PropertyViolationError("the coordinate generators do not generate Gamma_k")
-    odd_set = set(odd)
-    for i in gens:
-        for j in odd:
-            if G.conjugate_idx(j, i) not in odd_set:
-                raise PropertyViolationError("C_3^k is not normal")
+    in_odd = np.zeros(G.n, bool)
+    in_odd[odd] = True
+    if not in_odd[G.commutators(odd, gens)].all():
+        raise PropertyViolationError("C_3^k is not normal")
     for j in odd:
         if G.order_of(j) not in (1, 3):
             raise PropertyViolationError("odd part has an element of foreign order")

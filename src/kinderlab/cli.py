@@ -175,19 +175,10 @@ def _cmd_generic(config: RunConfig) -> dict:
 
 def _make_nursery(params: dict) -> nursery.ModuleNursery:
     (kind,) = need(params, "kind")
-    if kind == "matrix":
-        a, c, q = need(params, "a", "c", "q")
-        return nursery.make_nursery("matrix", a=a, c=c, ctx=make_field_from_order(q))
-    if kind == "unitary":
-        p, e = need(params, "p", "e")
-        return nursery.make_nursery("unitary", p=p, e=e)
-    if kind == "b2_odd":
+    if kind in ("matrix", "b2_odd"):  # their field comes from --q
         (q,) = need(params, "q")
-        return nursery.make_nursery("b2_odd", ctx=make_field_from_order(q))
-    if kind == "ree_small":
-        (e,) = need(params, "e")
-        return nursery.make_nursery("ree_small", e=e)
-    raise InvalidConfigError("unknown nursery kind %r" % kind)
+        params = dict(params, ctx=make_field_from_order(q))
+    return nursery.make_nursery(**params)
 
 
 def _cmd_census(config: RunConfig) -> dict:

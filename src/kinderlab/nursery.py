@@ -17,15 +17,14 @@ Subgroups squeezed between Gamma_2 and Gamma_1 ("kinder") correspond to
 F_p-subspaces of R, and `reconstruct` recovers the whole filtration from
 one such subgroup presented as an abstract multiplication table.
 
-Up to EXHAUSTIVE_ORDER_CAP elements, the constructor checks Gamma_1 on its
-complete table, one numpy evaluation of the law on integer codes
-(`_law_table`) tied to `mul_label` on every pair (`smallgrp.check_law_table`),
-with its brackets (`SmallGroup.commutators`) in the code ranges of Gamma_3
-and Gamma_2, and keeps Gamma_1 on it, to cut every kind from
+Every group here is a `SmallGroup` on `mul_label`: up to SUBGROUP_ORDER_CAP
+elements its table composes the columns of a generating set, which is sound
+while the label law is associative, so the last label's column is compared
+with direct label products.  Up to EXHAUSTIVE_ORDER_CAP elements, the
+constructor checks the brackets of Gamma_1 (`SmallGroup.commutators`) in the
+code ranges of Gamma_3 and Gamma_2 and keeps Gamma_1, to cut every kind from
 (`SmallGroup.cut`) with no label products.  Above that cap it checks the
-commutators of basis transversals, and a kind up to SUBGROUP_ORDER_CAP
-elements gets its own `_law_table`, tied to `mul_label` by its generators and
-Light's test; a larger kind's products are label products.
+commutators of basis transversals, and each kind is a group of its own.
 """
 
 from __future__ import annotations
@@ -39,19 +38,12 @@ from . import smallgrp
 from .bimap import matrix_multiplication_bimap
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, need, require
 from .gf import FieldCtx, make_field
-from .linalg import (CoordSolver, Matrix, Subspace, digits, enumerate_superspaces, gaussian_binomial,
+from .linalg import (CoordSolver, Matrix, Subspace, enumerate_superspaces, gaussian_binomial,
                      np_rank, rank_nullspace)
 from .smallgrp import GROUP_ORDER_CAP
 # up to this Gamma_1 order the constructor checks the law and every
 # commutator on Gamma_1's complete table, above it on basis transversals
 EXHAUSTIVE_ORDER_CAP = 1 << 9
-
-
-def _digit_sums(p: int, d: int):
-    """The base-p digits of 0 .. p^d - 1 (first digit most significant) and
-    the [p^d, p^d] table of the codes of their digitwise sums mod p."""
-    dig = digits(0, p**d, p, d).T
-    return dig, (dig[:, None, :] + dig[None, :, :]) % p @ p ** np.arange(d - 1, -1, -1)
 
 
 def _require_gamma2_under_cap(p: int, mdim: int):
@@ -72,10 +64,10 @@ class ModuleNursery:
     (CapExceededError) before any check, since every kind contains it.  S and
     T are checked at construction (S generates, the T annihilators meet in
     0), as is the group law.  Up to EXHAUSTIVE_ORDER_CAP elements, Gamma_1's
-    table equals `mul_label` on every pair, is associative, realizes the
-    action (gamma([x, u]) = x.u), puts every commutator in Gamma_3 with
-    Gamma_2 abelian, and Gamma_1 on it is kept for `group_on`; above it,
-    the action and Gamma_2's commutators are checked on basis transversals.
+    table (`_label_group`) realizes the action (gamma([x, u]) = x.u), puts
+    every commutator in Gamma_3 with Gamma_2 abelian, and Gamma_1 on it is
+    kept for `group_on`; above it, the action and Gamma_2's commutators are
+    checked on basis transversals.
     """
 
     def __init__(self, kind, ctx: FieldCtx, R, s_coords, t_vectors, meta=None):
@@ -154,11 +146,9 @@ class ModuleNursery:
                     raise PropertyViolationError("second filtration term is not abelian")
 
     def _check_gamma1_table(self):
-        """The commutator checks on every pair of Gamma_1's checked table."""
+        """The commutator checks on every pair of Gamma_1's table."""
         labels = list(self.labels())
-        full = Subspace.full(self.ctx, self.rdim)
-        table = self._checked_law_table(full, labels, factors=range(len(labels)))
-        G = self._gamma1 = smallgrp.SmallGroup(labels, self.mul_label, columns=table)
+        G = self._gamma1 = self._label_group(labels)
         comm = G.commutators(range(G.n), range(G.n))
         self._check_commutators(lambda g, h: labels[comm[G.index_of(g), G.index_of(h)]])
         nm = self.p**self.mdim  # the indices below nm make up Gamma_3, below nm^2 Gamma_2
@@ -236,53 +226,26 @@ class ModuleNursery:
     def group_on(self, subspace: Subspace, name="kind") -> smallgrp.SmallGroup:
         """The group of the triples with x in the subspace, in `labels` order:
         cut from Gamma_1 when the constructor kept it (`SmallGroup.cut`), else
-        up to SUBGROUP_ORDER_CAP elements on `_checked_law_table`'s table,
-        compared with mul_label on the products of the generators with each
-        other, the identity and the last element, and above it on label products."""
+        `_label_group`'s."""
         xs = [tuple(v) for v in subspace.enumerate_vectors()]
         if self._gamma1 is not None:  # (x, u, w) is at code(x) |M|^2 + code(u) |M| + code(w)
             codes = np.array(xs) @ self.p ** np.arange(self.rdim - 1, -1, -1)
             nm2 = self.p ** (2 * self.mdim)
             return self._gamma1.cut(np.add.outer(codes * nm2, np.arange(nm2)).ravel(), name=name)
-        labels = list(self.labels(x_vectors=xs))
-        n = len(labels)
-        if n > smallgrp.SUBGROUP_ORDER_CAP:
-            return smallgrp.SmallGroup(labels, self.mul_label, name=name)
-        table = self._checked_law_table(subspace, labels, factors=(0, n - 1))
-        return smallgrp.SmallGroup(labels, self.mul_label, name=name, columns=table)
+        return self._label_group(list(self.labels(x_vectors=xs)), name)
 
-    def _checked_law_table(self, subspace: Subspace, labels, factors):
-        """`_law_table(subspace)` once `smallgrp.check_law_table` has tied it to
-        mul_label on `labels`, probing with the generators (v_k, 0, 0),
-        (0, e_k, 0) and (0, 0, e_k) and the indices in `factors`."""
-        nm = self.p**self.mdim
-        gens = [nm * nm * self.p**k for k in range(subspace.dim)]
-        gens += [step * self.p**k for k in range(self.mdim) for step in (nm, 1)]
-        return smallgrp.check_law_table(self._law_table(subspace), labels, self.mul_label,
-                                        gens, factors)
-
-    def _law_table(self, subspace: Subspace):
-        """[n, n] int16 array whose row j holds the index of i*j for each i.
-
-        The index of (x, u, w) is (ix |M| + iu) |M| + iw, where ix is the
-        base-p code of x's coefficients in the subspace basis and iu, iw
-        are the codes of u and w (first digit most significant, the order
-        of `enumerate_vectors` and `labels`).  The law reads three small
-        tables: codes of x + x', of u + u' and of x.u'.
-        """
-        p, md = self.p, self.mdim
-        vdig, vadd = _digit_sums(p, subspace.dim)
-        mdig, madd = _digit_sums(p, md)
-        nv, nm = len(vdig), len(mdig)
-        basis = np.array(subspace.basis, dtype=np.int64).reshape(subspace.dim, self.rdim)
-        xmats = np.einsum("vk,kl,lab->vab", vdig, basis, self.R) % p
-        xu = np.einsum("vab,ub->vua", xmats, mdig) % p @ p ** np.arange(md - 1, -1, -1)
-        vadd, madd, xu = (a.astype(np.int16) for a in (vadd, madd, xu))
-        # axes (jx, ju, jw, ix, iu, iw): (x_i + x_j, u_i + u_j, w_i + w_j + x_i.u_j)
-        w_part = madd[madd.reshape(1, 1, nm, 1, 1, nm), xu.T.reshape(1, nm, 1, nv, 1, 1)]
-        table = (vadd.reshape(nv, 1, 1, nv, 1, 1) * nm + madd.reshape(1, nm, 1, 1, nm, 1)) * nm
-        n = nv * nm * nm
-        return (table + w_part).reshape(n, n)
+    def _label_group(self, labels, name=None) -> smallgrp.SmallGroup:
+        """The group on `labels` and `mul_label`.  Up to SUBGROUP_ORDER_CAP its
+        table composes generator columns, which needs the label law to be
+        associative (it is for every R, the action being linear, unless `act`
+        is at fault), so the column of the last label, whose u and x's code
+        have every digit p - 1, is compared with direct label products."""
+        G = smallgrp.SmallGroup(labels, self.mul_label, name=name)
+        if G.n <= smallgrp.SUBGROUP_ORDER_CAP:
+            last = labels[-1]
+            if G.table()[-1].tolist() != [G.index_of(self.mul_label(a, last)) for a in labels]:
+                raise PropertyViolationError("the composed table disagrees with mul_label")
+        return G
 
     def gamma2_labels(self):
         zr = (0,) * self.rdim

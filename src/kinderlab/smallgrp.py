@@ -72,14 +72,11 @@ _INTS = np.array(range(SUBGROUP_ORDER_CAP), dtype=object)
 class SmallGroup:
     """A finite group on explicit labels, with two stores of products.
 
-    Up to SUBGROUP_ORDER_CAP elements, the complete table: `columns`, when
-    given, is that table on this label order, an [n, n] int16 array
-    (columns[j][i] is the index of i*j) kept as the group's own, since a
-    family with an integer encoding evaluates its law on every pair at once
-    (`check_law_table`; whoever builds it checks it); otherwise `table()`
-    builds it on first use.  Orders and inverses come from its power walk
-    (`_walk`), and the Python paths read column j as the list `_column(j)`.
-    Above the cap, label products, one at a time.
+    Up to SUBGROUP_ORDER_CAP elements, the complete table, which `table()`
+    builds on first use; `columns` is passed only by `cut`, a subgroup's
+    table gathered from its parent's.  Orders and inverses come from its
+    power walk (`_walk`), and the Python paths read column j as the list
+    `_column(j)`.  Above the cap, label products, one at a time.
     """
 
     def __init__(self, labels, mul, name=None, columns=None):
@@ -254,10 +251,6 @@ class SmallGroup:
         T, x, y = self.table(), np.asarray(xs, np.int16)[:, None], np.asarray(ys, np.int16)
         return T[y, x] == T[x, y]
 
-    def conjugate_idx(self, i: int, g: int) -> int:
-        """g^-1 * i * g"""
-        return self.mul_idx(self.mul_idx(self.inverse_idx(g), i), g)
-
     # -- structural subsets (all as sorted index tuples)
 
     def closure_idx(self, seeds) -> tuple:
@@ -418,36 +411,6 @@ class IsoFingerprint(NamedTuple):
     abelian_hist: tuple
     exponent: int
     class_profile: tuple
-
-
-def check_law_table(table, labels, mul, gens, factors=()):
-    """`table` ([n, n] ints, row j holding the index of i*j for each i, on
-    `labels`), once it is tied to the label product `mul`.
-
-    Each row must be a permutation; the table must agree with mul on the
-    products of each index g in `gens` with each generator and each index in
-    `factors`, in either order; and Light's test must hold for each g:
-    (i g) j = i (g j) for all i, j.  With every index in `factors`, the last
-    two make the table associative and, mul being associative, equal to it
-    on every pair, as long as `gens` generate the group.  Otherwise
-    PropertyViolationError is raised.
-    """
-    n = len(labels)
-    if table.shape != (n, n):
-        raise InvalidConfigError("a law table of shape %s on %d labels" % (table.shape, n))
-    if not (np.sort(table, axis=1) == np.arange(n, dtype=table.dtype)).all():
-        raise PropertyViolationError("a column of the vectorised law is not a permutation")
-    factors = sorted(set(gens).union(factors))
-    for g in gens:
-        right, left = table[g].tolist(), table[:, g].tolist()  # a*g and g*a at a
-        for a in factors:
-            if labels[right[a]] != mul(labels[a], labels[g]) or \
-                    labels[left[a]] != mul(labels[g], labels[a]):
-                raise PropertyViolationError("the vectorised law disagrees with mul_label")
-    # take() permutes the columns of a C-order table far faster than table[:, perm]
-    if not all((table.take(table[g], axis=1) == table[table[:, g]]).all() for g in gens):
-        raise PropertyViolationError("the vectorised law is not associative")
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ A B2 kind (s restricted to a code) is built on label products, for the
 tests of `twisted.b2_labels` on a group the library never builds.  The readers (an element's invariants, the centre, the derived series, the
 exponent, whether G is abelian) read `SmallGroup.fingerprint`, which the library
 needs only whole.  `LabelProducts` reads a group's products off its label law
-alone, the reference for the paths that read its table.
+alone, the reference for the paths that read its table.  `law_table` is a
+nursery's group law evaluated from its algebra array R on every pair at
+once, the reference for the tables the library composes from label products.
 """
 
 import numpy as np
 
 from kinderlab.errors import InvalidConfigError
+from kinderlab.linalg import Subspace, digits
 from kinderlab.smallgrp import SmallGroup
 
 
@@ -67,6 +70,43 @@ class LabelProducts:
                     seen.add(y)
                     queue.append(y)
         return tuple(sorted(seen))
+
+
+def conjugate(G: SmallGroup, x: int, g: int) -> int:
+    """The index of g^-1 x g."""
+    return G.mul_idx(G.mul_idx(G.inverse_idx(g), x), g)
+
+
+def _digit_sums(p: int, d: int):
+    """The base-p digits of 0 .. p^d - 1 (first digit most significant) and
+    the [p^d, p^d] table of the codes of their digitwise sums mod p."""
+    dig = digits(0, p**d, p, d).T
+    return dig, (dig[:, None, :] + dig[None, :, :]) % p @ p ** np.arange(d - 1, -1, -1)
+
+
+def law_table(N, subspace: Subspace) -> np.ndarray:
+    """[n, n] int16 array whose row j holds the index of i*j for each i, in
+    the group of the triples of the nursery N with x in the subspace.
+
+    The index of (x, u, w) is (ix |M| + iu) |M| + iw, where ix is the
+    base-p code of x's coefficients in the subspace basis and iu, iw
+    are the codes of u and w (first digit most significant, the order
+    of `enumerate_vectors` and `ModuleNursery.labels`).  The law reads three
+    small tables, made from N.R alone: codes of x + x', of u + u' and of x.u'.
+    """
+    p, md = N.p, N.mdim
+    vdig, vadd = _digit_sums(p, subspace.dim)
+    mdig, madd = _digit_sums(p, md)
+    nv, nm = len(vdig), len(mdig)
+    basis = np.array(subspace.basis, dtype=np.int64).reshape(subspace.dim, N.rdim)
+    xmats = np.einsum("vk,kl,lab->vab", vdig, basis, N.R) % p
+    xu = np.einsum("vab,ub->vua", xmats, mdig) % p @ p ** np.arange(md - 1, -1, -1)
+    vadd, madd, xu = (a.astype(np.int16) for a in (vadd, madd, xu))
+    # axes (jx, ju, jw, ix, iu, iw): (x_i + x_j, u_i + u_j, w_i + w_j + x_i.u_j)
+    w_part = madd[madd.reshape(1, 1, nm, 1, 1, nm), xu.T.reshape(1, nm, 1, nv, 1, 1)]
+    table = (vadd.reshape(nv, 1, 1, nv, 1, 1) * nm + madd.reshape(1, nm, 1, 1, nm, 1)) * nm
+    n = nv * nm * nm
+    return (table + w_part).reshape(n, n)
 
 
 def quotient(G: SmallGroup, normal_idx) -> SmallGroup:

@@ -106,8 +106,14 @@ def test_merge_criteria_keeps_each_criterion_runs_and_median():
     runs = [{"1 census": 0.5, "2 hom": 1.2}, {"1 census": 0.7, "2 hom": 0.9},
             {"1 census": 0.4, "2 hom": 1.0}]
     assert bench_pairs.merge_criteria(runs) == {
-        "1 census": {"runs": [0.5, 0.7, 0.4], "median": 0.5},
-        "2 hom": {"runs": [1.2, 0.9, 1.0], "median": 1.0}}
+        "1 census": {"runs": [0.5, 0.7, 0.4], "median": 0.5, "min": 0.4},
+        "2 hom": {"runs": [1.2, 0.9, 1.0], "median": 1.0, "min": 0.9}}
+
+
+def test_merge_criteria_records_the_run_least_slowed():
+    # one whole run slowed by the host moves the median of two runs, not the minimum
+    merged = bench_pairs.merge_criteria([{"9 hamming": 1.25}, {"9 hamming": 0.75}])
+    assert merged["9 hamming"]["median"] == 1.0 and merged["9 hamming"]["min"] == 0.75
 
 
 def test_end_to_end_runs_alternate_the_verify_runs(monkeypatch):
@@ -123,6 +129,8 @@ def test_end_to_end_runs_alternate_the_verify_runs(monkeypatch):
     assert order == [("b", "tier1"), ("h", "tier1"), ("b", "verify_fast"), ("h", "verify_fast"),
                      ("h", "verify_fast"), ("b", "verify_fast"), ("b", "verify_fast"),
                      ("h", "verify_fast")]
-    assert out["base"]["verify_fast"]["criteria"] == {"1 census": {"runs": [1, 4, 5], "median": 4}}
-    assert out["head"]["verify_fast"]["criteria"] == {"1 census": {"runs": [2, 3, 6], "median": 3}}
+    assert out["base"]["verify_fast"]["criteria"] == {
+        "1 census": {"runs": [1, 4, 5], "median": 4, "min": 1}}
+    assert out["head"]["verify_fast"]["criteria"] == {
+        "1 census": {"runs": [2, 3, 6], "median": 3, "min": 2}}
     assert out["head"]["tier1"]["parsed"] == {"passed": 1} and len(out["head"]["verify_fast"]["runs"]) == 3

@@ -7,6 +7,7 @@ import pytest
 
 from kinderlab import acceptance, altcodes, cli, genericity, nursery, smallgrp
 from kinderlab.errors import InvalidConfigError, PropertyViolationError
+from kinderlab.gf import make_field
 
 
 def run_config(command, params, **kw):
@@ -140,6 +141,30 @@ def test_reconstruct_command():
         trials=4,
     )
     assert rep.results["exact_recoveries"] == 4
+
+
+# per kind: its nursery's flags and make_nursery parameters, then the extra
+# flags of a census and of a reconstruction small enough to run here (the
+# kinds of ree_small(1) have 3^(ell + 6) elements)
+CLI_NURSERIES = {
+    "matrix": (["--a", "2", "--c", "1", "--q", "2"], dict(a=2, c=1, ctx=make_field(2, 1)),
+               ["--ell", "3"], ["--trials", "2"]),
+    "unitary": (["--p", "3", "--e", "1"], dict(p=3, e=1), [], ["--trials", "2"]),
+    "b2_odd": (["--q", "9"], dict(ctx=make_field(3, 2)), [], ["--trials", "2"]),
+    "ree_small": (["--e", "1"], dict(e=1), ["--mode", "relaxed", "--ell", "0"],
+                  ["--ell", "2", "--trials", "1"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLI_NURSERIES))
+def test_every_nursery_kind_runs_through_the_cli(kind, tmp_path):
+    flags, params, census_flags, reconstruct_flags = CLI_NURSERIES[kind]
+    want = nursery.make_nursery(kind, **params).describe()
+    for command, extra in (("nursery-census", census_flags),
+                           ("reconstruct", ["--seed", "1", *reconstruct_flags])):
+        out = tmp_path / ("%s.json" % command)
+        assert cli.main([command, "--kind", kind, *flags, *extra, "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["results"]["nursery"] == want, command
 
 
 def test_suzuki_roundtrip_via_cli(tmp_path):

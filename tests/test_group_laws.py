@@ -1,15 +1,15 @@
-"""The vectorised group laws against their label-level references.
+"""The group laws against their label-level and array references.
 
-A nursery whose Gamma_1 has at most EXHAUSTIVE_ORDER_CAP elements checks
-Gamma_1's table, one numpy evaluation of
-(x, u, w)(x', u', w') = (x + x', u + u', w + w' + x.u'), on every pair and
-cuts every kind's table from it; in a larger nursery each kind up to
-SUBGROUP_ORDER_CAP elements evaluates the law on its own and keeps the
-per-kind check, so the mutated per-kind laws are planted there (a 729-element
-kind of matrix(2,1,F3)).  The reference is a SmallGroup on the same labels
-whose table is completed from `mul_label` products, and each
-construction-time check of a nursery must reject a mutated law, action or
-`SmallGroup.commutators` gather.  The B2 law on
+Every nursery group is a SmallGroup on `mul_label`, whose table composes
+generator columns and is tied to `mul_label` by its last column: Gamma_1
+when it has at most EXHAUSTIVE_ORDER_CAP elements, every kind then cut from
+it, and otherwise each kind on its own (a 729-element kind of
+matrix(2,1,F3) carries the planted faults).  The references are a SmallGroup
+on the same labels whose table is completed from `mul_label` products, and
+`subquotient.law_table`, the law
+(x, u, w)(x', u', w') = (x + x', u + u', w + w' + x.u') evaluated from the
+algebra array R alone; each construction-time check of a nursery must
+reject a mutated action or `SmallGroup.commutators` gather.  The B2 law on
 [n, 4] arrays is compared with `B2Group.commutator` row by row, and
 `b2_labels` with the label scan it replaced, kept here as
 `b2_labels_by_scan`.  Each nursery's algebra array is compared with the
@@ -28,11 +28,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kinderlab import nursery, smallgrp, twisted
-from kinderlab.errors import InvalidConfigError, PropertyViolationError
+from kinderlab.errors import PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import CoordSolver, Matrix, Subspace, rank_nullspace, unflatten_matrix
 from matrix_ops import flatten_matrix
-from subquotient import b2_kind
+from subquotient import b2_kind, law_table
 
 F2 = make_field(2, 1)
 
@@ -214,28 +214,43 @@ def test_commutator_gather_equals_commutator_label(data):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_cut_table_equals_the_checked_law_table(seed):
-    for name in tabled_gamma1s():
+    # cut from a kept Gamma_1 or composed from label products, a kind's table
+    # is the law evaluated from R alone; one kind per nursery and example
+    rng = random.Random(seed)
+    for name in NURSERIES:
         N = stock(name)
-        for ell in tabled_dims(N):
-            K = relaxed_kind(N, ell, random.Random(seed))
-            labels = list(N.labels(x_vectors=[tuple(v) for v in K.subspace.enumerate_vectors()]))
-            law = N._checked_law_table(K.subspace, labels, factors=(0, len(labels) - 1))
-            assert K.group().table().tolist() == law.tolist(), (name, ell)
+        K = relaxed_kind(N, rng.choice(tabled_dims(N)), rng)
+        assert np.array_equal(K.group().table(), law_table(N, K.subspace)), (name, K)
+
+
+def count_label_products(monkeypatch) -> Counter:
+    """A Counter whose "mul_label" counts the nurseries' label products from now on."""
+    calls, mul = Counter(), nursery.ModuleNursery.mul_label
+
+    def counted(self, g, h):
+        calls["mul_label"] += 1
+        return mul(self, g, h)
+
+    monkeypatch.setattr(nursery.ModuleNursery, "mul_label", counted)
+    return calls
 
 
 def test_kinder_of_a_tabled_gamma1_make_no_label_products(monkeypatch):
     N, N4 = stock("matrix(2,1,F2)"), stock("matrix(1,1,F4)")
-    calls = Counter()
-    for meth in ("mul_label", "_law_table"):
-        def counted(self, *args, _meth=meth, _orig=getattr(nursery.ModuleNursery, meth)):
-            calls[_meth] += 1
-            return _orig(self, *args)
-
-        monkeypatch.setattr(nursery.ModuleNursery, meth, counted)
+    calls = count_label_products(monkeypatch)
     assert nursery.census(N, 2, relaxed=True).kinder_count == 35
     assert relaxed_kind(N4, 2, random.Random(0)).group().n == 64
     assert not calls
 
+
+def test_building_gamma1_composes_generator_columns(monkeypatch):
+    # 256 labels: one product per label to find the identity, one column per
+    # generator (v_k, 0, 0), (0, e_k, 0), (0, 0, e_k) (4 + 2 + 2), and the last
+    # label's column against direct products: 2,560 (4,096 with the law table
+    # checked on every pair)
+    calls = count_label_products(monkeypatch)
+    assert fresh("matrix(2,1,F2)").order == 256
+    assert calls["mul_label"] <= 2560
 
 def test_a_cut_that_is_no_subgroup_fails_loudly():
     xs = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)]  # not their sum
@@ -266,91 +281,41 @@ def test_a_kind_holds_one_table():
     assert G.n == 729 and built <= 1.5e6 and used <= 2.5e6
 
 
-def _dihedral(n):
-    """D_2n on labels (r, s), r + s n its code, with its label product and
-    its law evaluated on every pair of codes at once (row j holds i*j)."""
-    labels = [(r, s) for s in (0, 1) for r in range(n)]
-
-    def mul(g, h):
-        return ((g[0] + (-h[0] if g[1] else h[0])) % n, (g[1] + h[1]) % 2)
-
-    i, j = np.arange(2 * n)[None, :], np.arange(2 * n)[:, None]
-    table = (i // n + j // n) % 2 * n + (i % n + np.where(i // n, -1, 1) * (j % n)) % n
-    return labels, mul, table.astype(np.int16)
-
-
-@pytest.mark.parametrize("n", [3, 4, 7])
-def test_check_law_table_hands_any_integer_family_to_smallgroup(n):
-    labels, mul, table = _dihedral(n)
-    gens = [1, n]  # a rotation and a reflection
-    G = smallgrp.SmallGroup(labels, mul, columns=smallgrp.check_law_table(table, labels, mul, gens))
-    assert G.table().tolist() == smallgrp.SmallGroup(labels, mul).table().tolist()
-    bad = table.copy()
-    bad[n + 1, [0, 1]] = bad[n + 1, [1, 0]]  # a row that is no generator's
-    with pytest.raises(PropertyViolationError, match="not associative"):
-        smallgrp.check_law_table(bad, labels, mul, gens)
-    with pytest.raises(InvalidConfigError):
-        smallgrp.check_law_table(table[:-1], labels, mul, gens)
-
-
-def _corrupt(monkeypatch, edit):
-    law = nursery.ModuleNursery._law_table
-
-    def broken(self, xs):
-        table = law(self, xs).copy()
-        edit(table)
-        return table
-
-    monkeypatch.setattr(nursery.ModuleNursery, "_law_table", broken)
-
-
 # a kind of matrix(2,1,F3) (Gamma_1 of 6561 elements, over EXHAUSTIVE_ORDER_CAP)
-# has 729 elements and its own checked law table; its probe generators are
-# 1, 3, 9, 27, 81 and 243, with the factors 0 and 728
+# has 729 elements and its table composed from label products of its own
 
 
-def f3_kind_group():
-    return relaxed_kind(stock("matrix(2,1,F3)"), 2, random.Random(0)).group()
+def f3_kind():
+    return relaxed_kind(stock("matrix(2,1,F3)"), 2, random.Random(0))
 
 
-def test_wrong_law_fails_loudly(monkeypatch):
-    def swap(table):
-        # column 3 stays a permutation but is wrong on the probed pair (1, 3)
-        table[3, [1, 9]] = table[3, [9, 1]]
+def _plant_action(monkeypatch, bad_x):
+    act = nursery.ModuleNursery.act
 
-    _corrupt(monkeypatch, swap)
+    def wrong(self, x, u):
+        got = act(self, x, u)
+        return ((got[0] + 1) % self.p,) + got[1:] if x == bad_x else got
+
+    monkeypatch.setattr(nursery.ModuleNursery, "act", wrong)
+
+
+def test_wrong_action_on_a_kind_fails_loudly(monkeypatch):
+    K = f3_kind()
+    bad_x = tuple(K.subspace.enumerate_vectors())[4]  # off the basis of R
+    assert sum(map(bool, bad_x)) > 1
+    _plant_action(monkeypatch, bad_x)
     with pytest.raises(PropertyViolationError, match="disagrees with mul_label"):
-        f3_kind_group()
+        K.group()
 
 
-def test_non_permutation_column_fails_loudly(monkeypatch):
-    def repeat(table):
-        table[5, 7] = table[5, 8]
-
-    _corrupt(monkeypatch, repeat)
-    with pytest.raises(PropertyViolationError, match="not a permutation"):
-        f3_kind_group()
-
-
-# construction-time failures: Gamma_1 of matrix(2,1,F2) has 256 elements,
-# so its law is checked on the complete table
-
-
-def test_column_swap_away_from_the_probes_fails_loudly(monkeypatch):
-    # column 77 stays a permutation, and 77, 101 and 203 are none of the
-    # generators (v_k, 0, 0), (0, e_k, 0), (0, 0, e_k) or the identity;
-    # likewise 400, 500 and 601 on the F3 kind
-    def swap(table):
-        if len(table) == 256:
-            table[77, [101, 203]] = table[77, [203, 101]]
-        else:
-            table[400, [500, 601]] = table[400, [601, 500]]
-
-    _corrupt(monkeypatch, swap)
-    with pytest.raises(PropertyViolationError, match="not associative"):
-        fresh("matrix(2,1,F2)")
-    with pytest.raises(PropertyViolationError, match="not associative"):
-        f3_kind_group()
+def test_wrong_action_on_a_kind_moves_its_law_table(monkeypatch):
+    # the same fault, with the probe left out: the composed table differs
+    # from the law evaluated from R
+    K = f3_kind()
+    N, xs = K.nursery, list(K.subspace.enumerate_vectors())
+    _plant_action(monkeypatch, tuple(xs[4]))
+    G = smallgrp.SmallGroup(list(N.labels(x_vectors=xs)), N.mul_label)
+    assert not np.array_equal(G.table(), law_table(N, K.subspace))
 
 
 def test_wrong_action_off_the_basis_fails_loudly(monkeypatch):
@@ -362,15 +327,6 @@ def test_wrong_action_off_the_basis_fails_loudly(monkeypatch):
 
     monkeypatch.setattr(nursery.ModuleNursery, "act", wrong)
     with pytest.raises(PropertyViolationError, match="disagrees with mul_label"):
-        fresh("matrix(2,1,F2)")
-
-
-def test_non_permutation_column_fails_at_construction(monkeypatch):
-    def repeat(table):
-        table[5, 7] = table[5, 8]
-
-    _corrupt(monkeypatch, repeat)
-    with pytest.raises(PropertyViolationError, match="not a permutation"):
         fresh("matrix(2,1,F2)")
 
 

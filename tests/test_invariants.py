@@ -20,7 +20,7 @@ from kinderlab import nursery
 from kinderlab import smallgrp as sg
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_superspaces
-from subquotient import center_idx, element_invariant, quotient, subgroup
+from subquotient import center_idx, conjugate, element_invariant, quotient, subgroup
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -36,7 +36,7 @@ def conjugacy_classes(G):
         queue = [start]
         for x in queue:
             for g in gens:
-                y = G.conjugate_idx(x, g)
+                y = conjugate(G, x, g)
                 if y not in orbit:
                     orbit.add(y)
                     queue.append(y)
@@ -49,7 +49,7 @@ def normal_closure(G, seeds):
     gens = G.generating_set()
     current = set(G.closure_idx(seeds))
     while True:
-        extra = [y for x in current for g in gens if (y := G.conjugate_idx(x, g)) not in current]
+        extra = [y for x in current for g in gens if (y := conjugate(G, x, g)) not in current]
         if not extra:
             return tuple(sorted(current))
         current = set(G.closure_idx(list(current) + extra))

@@ -28,7 +28,7 @@ each side's `src/`, per module, and of its `tests/`; and, after the pairs,
 the Tier-1 pytest wall time with pytest's own counts and seconds, from one
 run per side, and the seconds of each `verify --tier fast` criterion, from
 VERIFY_RUNS runs per side taken in turn with the other side's, each
-criterion's runs with their median.
+criterion's runs with their median and minimum.
 """
 
 import argparse
@@ -143,14 +143,17 @@ def run_command(checkout, name, command, read):
 
 
 def merge_criteria(runs):
-    """{criterion: {"runs": [seconds, ...], "median": seconds}} from parsed
-    `verify` runs ({criterion: seconds} each), in run order."""
+    """{criterion: {"runs": [seconds, ...], "median": seconds, "min": seconds}}
+    from parsed `verify` runs ({criterion: seconds} each), in run order.  The
+    host's slow phases can last whole runs, so the minimum, the run least
+    slowed, stands next to the median."""
     out = {}
     for run in runs:
         for name, seconds in run.items():
             out.setdefault(name, {"runs": []})["runs"].append(seconds)
     for entry in out.values():
         entry["median"] = statistics.median(entry["runs"])
+        entry["min"] = min(entry["runs"])
     return out
 
 
