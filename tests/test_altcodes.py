@@ -58,6 +58,21 @@ def test_build_gamma_checks_that_its_generators_generate(monkeypatch):
         altcodes.build_gamma(2)
 
 
+def test_build_gamma_checks_that_the_odd_part_is_normal(monkeypatch):
+    # one planted bracket of an odd element with a generator lands on the last
+    # label, a transposition in every coordinate
+    gather = smallgrp.SmallGroup.commutators
+
+    def planted(self, xs, ys):
+        comm = gather(self, xs, ys).copy()
+        comm[-1, -1] = self.n - 1
+        return comm
+
+    monkeypatch.setattr(smallgrp.SmallGroup, "commutators", planted)
+    with pytest.raises(PropertyViolationError, match="C_3\\^k is not normal"):
+        altcodes.build_gamma(2)
+
+
 def test_subgroup_from_code_keeps_the_labels_the_sign_map_selects():
     G3 = altcodes.build_gamma(3)
     for ell in range(4):
