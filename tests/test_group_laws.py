@@ -252,6 +252,7 @@ def test_building_gamma1_composes_generator_columns(monkeypatch):
     assert fresh("matrix(2,1,F2)").order == 256
     assert calls["mul_label"] <= 2560
 
+
 def test_a_cut_that_is_no_subgroup_fails_loudly():
     xs = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)]  # not their sum
     with pytest.raises(PropertyViolationError, match="leaves the kind"):

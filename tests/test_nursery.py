@@ -406,7 +406,9 @@ def test_reconstruct_above_table_cap_starts_few_columns():
 
 def test_reconstruct_above_table_cap_tests_commutation_in_two_products_a_pair():
     # the mu probes and the test that X is abelian only ask whether two
-    # elements commute: two label products a pair, with no bracket's inverse
+    # elements commute: two label products a pair, with no bracket's inverse;
+    # X is abelian when the 2 mdim elements that span it commute (it is
+    # elementary abelian of order p^(2 mdim), each spanning element a factor p)
     N = nursery.make_nursery("matrix", a=2, c=1, ctx=F3)
     rng = random.Random(3)
     K = nursery.random_kind(N, 3, rng)
@@ -430,7 +432,7 @@ def test_reconstruct_above_table_cap_tests_commutation_in_two_products_a_pair():
     assert rec.X == N.gamma2_labels() and rec.Z == {N.identity_label()}
     first, *_, abelian = costs
     assert first[:2] == (2187, 1) and first[2] <= 2 * 2187
-    x = len(N.gamma2_labels())
+    x = 2 * N.mdim
     assert abelian[:2] == (x, x) and abelian[2] <= 2 * x * x
 
 
