@@ -68,9 +68,14 @@ def build_gamma(k: int) -> GammaK:
     odd = [i for i, lab in enumerate(labels) if all(SIGN3[c] == 0 for c in lab)]
     if len(odd) != 3**k:
         raise PropertyViolationError("odd-order part has the wrong size")
+    # in Sym3^k the 3^k elements of order 1 or 3 are exactly C_3^k, so these
+    # two checks make the odd part a subgroup
+    for j in odd:
+        if G.order_of(j) not in (1, 3):
+            raise PropertyViolationError("odd part has an element of foreign order")
     # a transposition and a 3-cycle in each coordinate generate Gamma_k, and
-    # conjugating by a generating set is enough to certify normality: for j
-    # odd, [j, i] = j^-1 (i^-1 j i) is odd exactly when i^-1 j i is
+    # conjugating by a generating set is enough to certify normality: for j in
+    # the subgroup C_3^k, [j, i] = j^-1 (i^-1 j i) is odd exactly when i^-1 j i is
     gens = [G.index_of((0,) * c + (g,) + (0,) * (k - 1 - c))
             for c in range(k) for g in (PERMS3.index((0, 2, 1)), PERMS3.index((1, 2, 0)))]
     if len(G.closure_idx(gens)) != G.n:
@@ -79,9 +84,6 @@ def build_gamma(k: int) -> GammaK:
     in_odd[odd] = True
     if not in_odd[G.commutators(odd, gens)].all():
         raise PropertyViolationError("C_3^k is not normal")
-    for j in odd:
-        if G.order_of(j) not in (1, 3):
-            raise PropertyViolationError("odd part has an element of foreign order")
     return GammaK(k, G, tuple(odd))
 
 

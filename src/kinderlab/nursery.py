@@ -379,7 +379,7 @@ def reconstruct(kind: Kind, rho: dict, mu: dict) -> Reconstruction:
     y_idx = G.span_idx(G.commutators([one_idx], x_idx)[0].tolist())
     if len(y_idx) != n.p**n.mdim:
         raise PropertyViolationError("bracketing with rho(1) missed the third term")
-    x_gens = smallgrp._span(G, x_idx)[1]  # X, the probes' common centralizer, is their span
+    x_gens = G.span_gens(x_idx)  # X, the probes' common centralizer, is their span
     if not G.commute(x_gens, x_gens).all():
         raise PropertyViolationError("the recovered second term is not abelian")
     z_idx = (G.identity,)  # the commutator subgroup of the abelian X

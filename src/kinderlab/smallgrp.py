@@ -270,6 +270,10 @@ class SmallGroup:
         """The subgroup the elements generate, closed only on those that enlarge it."""
         return _span(self, elements)[0]
 
+    def span_gens(self, elements) -> tuple:
+        """The elements that enlarged the span as `span_idx` closed it: generators of it."""
+        return _span(self, elements)[1]
+
     def generating_set(self) -> tuple:
         """A small generating set, greedy by closure growth (`_generators`)."""
         if self._gens is None:

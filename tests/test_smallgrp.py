@@ -399,6 +399,8 @@ def test_span_idx_closes_only_on_elements_that_enlarge_it():
         sub = G.span_idx([G.identity, a, a, G.mul_idx(a, a), b, G.mul_idx(b, a)])
     assert sub == tuple(range(G.n)) and calls == [[a], [a, b]]
     assert G.span_idx([]) == G.span_idx([G.identity]) == (G.identity,)
+    assert G.span_gens([G.identity, a, a, G.mul_idx(a, a), b, G.mul_idx(b, a)]) == (a, b)
+    assert G.span_gens([]) == G.span_gens([G.identity]) == ()
 
 
 ISO_GROUPS = {
