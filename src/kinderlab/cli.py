@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -452,6 +453,22 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _check_out(out: str | None):
+    """InvalidConfigError unless a report can be written to `out`, found out
+    before the command runs by opening it for appending; a file that the
+    probe makes is removed again."""
+    if out is None:
+        return
+    existed = os.path.exists(out)
+    try:
+        with open(out, "a"):
+            pass
+    except OSError as exc:
+        raise InvalidConfigError("cannot write report: %s" % exc) from None
+    if not existed:
+        os.remove(out)
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -469,6 +486,7 @@ def main(argv=None) -> int:
                 parser.error("--%s is not read in exhaustive mode" % flag)
     config = _config_from_args(args)
     try:
+        _check_out(config.out)
         report = run(config)
     except (InvalidConfigError, FieldError) as exc:
         print("error (invalid-config): %s" % exc, file=sys.stderr)

@@ -382,6 +382,25 @@ def test_boundary_integers_end_in_a_documented_exit(command, tmp_path, capsys, m
         assert code in allowed and "Traceback" not in err, (command, argv, code, err)
 
 
+@pytest.mark.parametrize("command", sorted(CHEAP) + ["verify"])
+@pytest.mark.parametrize("target", ["missing/r.json", "."])
+def test_an_unwritable_out_exits_invalid_before_the_command_runs(command, target, tmp_path, capsys, monkeypatch):
+    # a directory that does not exist, and a directory; suzuki-search would
+    # write its certificate here if it ran
+    monkeypatch.chdir(tmp_path)
+    argv = [command] + (CHEAP.get(command) or ["--tier", "full"]) + ["--out", target]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error (invalid-config): cannot write report") and err.count("\n") == 1, err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
+def test_a_writable_out_probe_leaves_no_file_when_the_command_fails(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["b2-demo", "--q", "6", "--out", str(out)]) == cli.EXIT_INVALID
+    assert not out.exists()
+
+
 # the per-subcommand flags besides --out, and who reads them
 READERS = {
     "--seed": {"hom", "generic", "reconstruct", "suzuki-search"},
