@@ -13,20 +13,29 @@ one read-only int64 [target, left, right] array; `nursery` reads its matrix
 and field algebras from `matrix_multiplication_bimap`'s.  Code arrays are
 int64, or Python ints (object) for fields of order above 2^63, so that
 GF(2^70) stays exact.
+
+`ClassTwoForm` holds the squaring map and commutator bimap of a class-2
+group from its cocycle's structure constants, and `pseudo_isometry` decides
+whether two such groups are isomorphic on those constants alone.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import smallgrp
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from .gf import FieldCtx, make_field
-from .linalg import (CoordSolver, Matrix, Subspace, batch_neg, fp_matmul, rank_nullspace, ranks, rref,
-                     unflatten_matrix)
+from .linalg import (CoordSolver, Matrix, Subspace, batch_neg, digits, fp_matmul, rank_nullspace, ranks,
+                     rref, unflatten_matrix)
 
 _ROOT_SEARCH_CAP = 1 << 20
+GL_BOUND = 1 << 15  # the largest GL(W) that `pseudo_isometry` enumerates
+_CELLS = 1 << 22
 
 
 class MatrixSystem:
@@ -288,3 +297,170 @@ def witness_system(m: int, n: int, K: FieldCtx) -> MatrixSystem:
     mult_alpha = map_matrix(lambda x: E.mul(alpha, x))
     sigma = map_matrix(lambda x: E.frobenius(x, K.e))
     return MatrixSystem(K, (m, m), [ident, mult_alpha, sigma])
+
+
+# ---------------------------------------------------------------------------
+# class-2 groups on their structure constants
+
+@functools.cache
+def _all_vectors(p: int, n: int):
+    """Every vector of F_p^n as a read-only int64 [p^n, n] array, the vector
+    with code c = sum v_i p^(n-1-i) at row c."""
+    Y = digits(0, p**n, p, n).T.astype(np.int64)
+    Y.setflags(write=False)
+    return Y
+
+
+@functools.cache
+def _general_linear(p: int, d: int):
+    """GL(d, p) as a read-only int64 [|GL|, d, d] array, refused
+    (CapExceededError) above GL_BOUND elements."""
+    size = math.prod(p**d - p**i for i in range(d))
+    if size > GL_BOUND:
+        raise CapExceededError("GL(%d, %d) has %d elements, over bound %d" % (d, p, size, GL_BOUND))
+    mats = _all_vectors(p, d * d).reshape(p ** (d * d), d, d)
+    mats = np.ascontiguousarray(mats[ranks(mats, make_field(p, 1)) == d])
+    mats.setflags(write=False)
+    return mats
+
+
+def _grow(Y, mask, y: int, p: int):
+    """The membership mask over Y's rows of span(mask's rows, Y[y])."""
+    S = Y[mask]
+    new = (S[None] + np.arange(1, p)[:, None, None] * Y[y]) % p
+    out = mask.copy()
+    out[new.reshape(-1, Y.shape[1]) @ p ** np.arange(Y.shape[1] - 1, -1, -1)] = True
+    return out
+
+
+class ClassTwoForm:
+    """The class-2 data of the group V x W, (v, w)(v', w') = (v + v', w + w'
+    + phi(v, v')), over F_p, from phi's structure constants, an int64
+    [n, n, d] array: the squaring map q(v) = phi(v, v), which is v's square
+    at p = 2, and the commutator bimap b(v, v') = phi(v, v') - phi(v', v).
+    W must be the Frattini subgroup: b's values span it, with q's at p = 2.
+
+    Every vector v of V is typed by the rank of b(v, .), and at p = 2 by
+    whether q(v) = 0; a pseudo-isometry keeps types.  `null` is the subspace
+    N of the v with b(v, .) = 0, and q(v) = 0 at p = 2: it splits off.  The
+    `invariants`, bucket keys, are dim V, dim W and dim rad b, with the
+    number of zeros of q at p = 2 and the histogram of the ranks at p odd.
+    `basis` is V's basis for the search, each row in phi's coordinates: the
+    first `core` rows span a complement of N, the non-radical and q != 0
+    vectors first, and the last rows a basis of N.
+    """
+
+    def __init__(self, phi, p: int):
+        phi = np.asarray(phi, dtype=np.int64)
+        self.p, (self.n, _, self.d) = p, phi.shape
+        n, d = self.n, self.d
+        self.vectors = Y = _all_vectors(p, n)
+        self.bracket = (phi - phi.transpose(1, 0, 2)) % p
+        rank = ranks((Y @ self.bracket.reshape(n, n * d) % p).reshape(len(Y), n, d), make_field(p, 1))
+        if p == 2:
+            self.q = np.einsum("ai,ijk,aj->ak", Y, phi, Y) % p
+            zeros = int((~self.q.any(axis=1)).sum())
+            self.types = 2 * rank + self.q.any(axis=1)
+        else:
+            self.types = rank
+        self.null = self.types == 0
+        self.core = n - round(math.log(self.null.sum(), p))
+        self.invariants = (n, d, round(math.log((rank == 0).sum(), p)),
+                           zeros if p == 2 else tuple(np.bincount(rank).tolist()))
+
+    def _picks(self, order, inspan, count: int) -> list:
+        """`count` vectors (row indices), each the first in `order` outside
+        the span of inspan's vectors and the picks before it."""
+        picks = []
+        for k in range(count):
+            picks.append(order[np.argmax(~inspan[order])])
+            if k + 1 < count:
+                inspan = _grow(self.vectors, inspan, picks[-1], self.p)
+        return picks
+
+    @functools.cached_property
+    def null_basis(self):
+        """A basis of N, as rows."""
+        start = np.zeros(len(self.vectors), bool)
+        start[0] = True
+        return self.vectors[self._picks(np.flatnonzero(self.null), start, self.n - self.core)]
+
+    @functools.cached_property
+    def basis(self):
+        """The core rows, each the first vector, in order of preference (the
+        non-radical first, then the larger types), outside the span of N and
+        the rows before it; then `null_basis`."""
+        rank = self.types // 2 if self.p == 2 else self.types
+        order = np.lexsort((-self.types, rank == 0))
+        return np.concatenate([self.vectors[self._picks(order, self.null, self.core)], self.null_basis])
+
+
+def _agree(got, mine):
+    """The bool [c, b] array of whether row c of `got` equals row b of
+    `mine`, compared in chunks of at most _CELLS cells."""
+    step = max(1, _CELLS // max(1, mine.size))
+    return np.concatenate([(got[a:a + step, None] == mine[None]).all(axis=2)
+                           for a in range(0, len(got), step)])
+
+
+def pseudo_isometry(A: ClassTwoForm, B: ClassTwoForm):
+    """(alpha, beta) with q_B(alpha v) = beta q_A(v) for every v at p = 2,
+    and b_B(alpha v, alpha v') = beta b_A(v, v') at p odd, or None when
+    there is none (the search space is exhausted).  alpha is the [n, n]
+    array of the images of A's `basis`, in B's coordinates; beta is d x d.
+
+    Backtracks over the images of A's core basis vectors, each among B's
+    vectors of its type outside the span of the images so far.  It carries
+    the set of beta in GL(W) that agree with every value fixed so far: the
+    square of each core vector at p = 2, and its bracket with every earlier
+    one.  Each level compares every candidate's row of values (as W codes)
+    with every beta's at once.  N is mapped onto N, by a basis onto a basis.
+    The `invariants` are for the caller to bucket by: the search itself
+    compares only p, dim V, dim W and dim N.
+
+    GL(W) is enumerated, up to GL_BOUND = 2^15 elements: dim W up to 4 at
+    p = 2, 3 at p = 3, 2 at p up to 13 and 1 above.  A larger GL(W) raises
+    CapExceededError, as does a search that visits smallgrp._ISO_NODE_BUDGET
+    nodes.
+    """
+    p, n, d = A.p, A.n, A.d
+    if (A.p, A.n, A.d, A.core) != (B.p, B.n, B.d, B.core):
+        return None
+    basis, core, wd = A.basis, A.core, p ** np.arange(d)
+    values = np.einsum("ja,abk,ib->jik", basis, A.bracket, basis) % p  # [j, i] = b(e_j, e_i)
+    codes = basis @ p ** np.arange(n - 1, -1, -1)
+    if p == 2:
+        values = np.concatenate([A.q[codes][None], values])  # [0, i] = q(e_i), [1 + j, i] = b(e_j, e_i)
+    want = A.types[codes]
+    Y, pools, images = B.vectors, [np.flatnonzero(B.types == t) for t in want[:core]], []
+    flat = B.bracket.reshape(n, n * d)
+    budget = [smallgrp._ISO_NODE_BUDGET]
+
+    def level(i, betas, inspan, rows):  # rows[j, y]: the code of the j-th value fixed so far at y
+        if i == core:
+            return betas
+        cands = pools[i][~inspan[pools[i]]]
+        if len(rows) and len(cands):
+            mine = np.einsum("bkl,jl->bjk", betas, values[:len(rows), i]) % p @ wd
+            agree = _agree(rows[:, cands].T, mine)
+            keep = agree.any(axis=1)
+            cands, agree = cands[keep], agree[keep]
+        for c, y in enumerate(cands.tolist()):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise CapExceededError("isomorphism search budget exhausted")
+            images.append(y)
+            row = Y @ (Y[y] @ flat).reshape(n, d) % p @ wd  # the codes of b(y, .)
+            found = level(i + 1, betas[agree[c]] if len(rows) else betas,
+                          _grow(Y, inspan, y, p) if i + 1 < core else None, np.concatenate([rows, row[None]]))
+            if found is not None:
+                return found
+            images.pop()
+        return None
+
+    start = np.zeros(len(Y), bool)
+    start[0] = True
+    betas = level(0, _general_linear(p, d), start, (B.q @ wd)[None] if p == 2 else np.zeros((0, len(Y)), np.int64))
+    if betas is None:
+        return None
+    return np.concatenate([Y[images], B.null_basis]), betas[0]

@@ -35,11 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import smallgrp
-from .bimap import matrix_multiplication_bimap
+from .bimap import ClassTwoForm, matrix_multiplication_bimap, pseudo_isometry
 from .errors import CapExceededError, InvalidConfigError, PropertyViolationError, need, require
 from .gf import FieldCtx, make_field
 from .linalg import (CoordSolver, Matrix, Subspace, enumerate_superspaces, gaussian_binomial,
-                     np_rank, rank_nullspace)
+                     np_rank, rank_nullspace, rref)
 from .smallgrp import GROUP_ORDER_CAP
 # up to this Gamma_1 order the constructor checks the law and every
 # commutator on Gamma_1's complete table, above it on basis transversals
@@ -227,12 +227,17 @@ class ModuleNursery:
         """The group of the triples with x in the subspace, in `labels` order:
         cut from Gamma_1 when the constructor kept it (`SmallGroup.cut`), else
         `_label_group`'s."""
-        xs = [tuple(v) for v in subspace.enumerate_vectors()]
-        if self._gamma1 is not None:  # (x, u, w) is at code(x) |M|^2 + code(u) |M| + code(w)
-            codes = np.array(xs) @ self.p ** np.arange(self.rdim - 1, -1, -1)
-            nm2 = self.p ** (2 * self.mdim)
-            return self._gamma1.cut(np.add.outer(codes * nm2, np.arange(nm2)).ravel(), name=name)
-        return self._label_group(list(self.labels(x_vectors=xs)), name)
+        if self._gamma1 is not None:
+            return self._gamma1.cut(self._gamma1_members(subspace), name=name)
+        return self._label_group(list(self.labels(x_vectors=map(tuple, subspace.enumerate_vectors()))), name)
+
+    def _gamma1_members(self, subspace: Subspace):
+        """The indices in the kept Gamma_1 of the triples with x in the
+        subspace, in `labels` order: (x, u, w) is at code(x) |M|^2 +
+        code(u) |M| + code(w)."""
+        codes = np.array(list(subspace.enumerate_vectors())) @ self.p ** np.arange(self.rdim - 1, -1, -1)
+        nm2 = self.p ** (2 * self.mdim)
+        return np.add.outer(codes * nm2, np.arange(nm2)).ravel()
 
     def _label_group(self, labels, name=None) -> smallgrp.SmallGroup:
         """The group on `labels` and `mul_label`.  Up to SUBGROUP_ORDER_CAP its
@@ -269,12 +274,21 @@ class ModuleNursery:
 
 
 class Kind:
-    """A subgroup Gamma_2 <= Q <= Gamma_1 cut out by a subspace V of R."""
+    """A subgroup Gamma_2 <= Q <= Gamma_1 cut out by a subspace K of R.
+
+    Its class-2 data comes from R (`form`): with W = span{x.u : x in K, u in
+    M} and C spanned by the unit vectors of M off W's pivots, Q is V x W for
+    V = K + M + C, (v, w)(v', w') = (v + v', w + w' + x.u'), x.u' in W's
+    coordinates.  W is Q' and, at p = 2, Q's squares span it too, so W is the
+    Frattini subgroup and Q/W = V.  Hence |Z(Q)| = |W| |rad b|, Q' = W is
+    abelian, and the exponent is p at p odd, and 4 or 2 at p = 2 as W is
+    nonzero or not.
+    """
 
     def __init__(self, nursery: ModuleNursery, subspace: Subspace):
         self.nursery = nursery
         self.subspace = subspace
-        self._group = None
+        self._group = self._form = self._members = None
 
     @property
     def order(self) -> int:
@@ -288,6 +302,55 @@ class Kind:
             name = "%s kind dim %d" % (self.nursery.kind, self.subspace.dim)
             self._group = self.nursery.group_on(self.subspace, name=name)
         return self._group
+
+    def form(self) -> ClassTwoForm:
+        """The kind's `bimap.ClassTwoForm` on V = K + M + C, read from R: phi's
+        only constants are phi(x_i, u_j) = x_i.u_j, in W's coordinates, the
+        pivot entries of W's reduced basis."""
+        if self._form is None:
+            n, ell = self.nursery, self.subspace.dim
+            p, m = n.p, n.mdim
+            self._basis = np.array(self.subspace.basis, dtype=np.int64).reshape(ell, n.rdim)
+            acts = np.tensordot(self._basis, n.R, 1) % p  # acts[i] @ u = x_i.u
+            _, pivots = rref(acts.transpose(0, 2, 1).reshape(ell * m, m).tolist(), n.ctx)
+            self._free = [j for j in range(m) if j not in pivots]
+            d = len(pivots)
+            phi = np.zeros((ell + 2 * m - d, ell + 2 * m - d, d), dtype=np.int64)
+            phi[:ell, ell:ell + m] = acts[:, list(pivots)].transpose(0, 2, 1)
+            self._form = ClassTwoForm(phi, p)
+        return self._form
+
+    def census_fields(self) -> dict:
+        """The census payload's invariants, from `form`."""
+        p, f = self.nursery.p, self.form()
+        return {"order": self.order, "exponent": p if p > 2 else 4 if f.d else 2,
+                "center_order": p ** (f.d + f.invariants[2]),
+                "derived_orders": [self.order, p**f.d, 1] if f.d else [self.order, 1]}
+
+    def labels(self, vectors) -> list:
+        """The (x, u, w) labels of the rows of `vectors`, V's vectors in
+        `form`'s coordinates, each lifted with its C part as w."""
+        self.form()
+        n, ell, m = self.nursery, self.subspace.dim, self.nursery.mdim
+        v = np.asarray(vectors, dtype=np.int64)
+        w = np.zeros((len(v), m), dtype=np.int64)
+        w[:, self._free] = v[:, ell + m:]
+        return list(zip(map(tuple, (v[:, :ell] @ self._basis % n.p).tolist()),
+                        map(tuple, v[:, ell:ell + m].tolist()), map(tuple, w.tolist())))
+
+    def members(self) -> smallgrp._Members:
+        """The kind as a member list: its indices in Gamma_1, in order, when
+        the nursery keeps Gamma_1, so that no group of its own is built, and
+        else every index of `group`."""
+        if self._members is None:
+            G1 = self.nursery._gamma1
+            if G1 is None:
+                G = self.group()
+                self._members = smallgrp._Members(G, range(G.n), None)
+            else:
+                at = np.sort(self.nursery._gamma1_members(self.subspace)).tolist()
+                self._members = smallgrp._Members(G1, at, None)
+        return self._members
 
     def __repr__(self):
         return "Kind(dim V = %d, order %d)" % (self.subspace.dim, self.order)
@@ -442,8 +505,14 @@ def census(nursery: ModuleNursery, ell: int, relaxed=False, max_kinder=4096,
 
     Strict mode anchors the kinder to contain S and checks the class count
     against the clamped counting bound; relaxed mode runs over all
-    subspaces, where the bound has no claim.  Each kind is built and
-    classified in turn; its group is kept only if it represents its class.
+    subspaces, where the bound has no claim.  Each kind's invariants come
+    from R (`Kind.form`), and it is compared, in index order, with the
+    earlier class representatives with its invariants by
+    `bimap.pseudo_isometry`.  A pseudo-isometry is lifted to a map of the
+    groups (`smallgrp.close_map`, from the lifts of the representative's
+    basis of V to lifts of their images) and verified, on Gamma_1's tables
+    when the nursery keeps it and else on the two kinds' own.  Only the
+    class representatives and the kind being classified are held.
     """
     base = Subspace.zero(nursery.ctx, nursery.rdim) if relaxed else nursery.s_subspace()
     if ell < base.dim or ell > nursery.rdim:
@@ -452,23 +521,34 @@ def census(nursery: ModuleNursery, ell: int, relaxed=False, max_kinder=4096,
     if total > max_kinder:
         raise CapExceededError("%d kinder over cap %d" % (total, max_kinder))
     order, cap = nursery.p ** (ell + 2 * nursery.mdim), min(max_order, smallgrp.SUBGROUP_ORDER_CAP)
-    if order > cap:  # fingerprints read the complete table
+    if order > cap:  # witnesses are verified on complete tables
         raise CapExceededError("kind order %d over cap %d" % (order, cap))
 
     spaces = list(enumerate_superspaces(base, ell))
     require(len(spaces) == total, "enumerated %d kinder, expected %d" % (len(spaces), total))
-    fps = []
-    def group(v):
-        G = kind_from_subspace(nursery, v, relaxed=relaxed).group()
-        fps.append(G.fingerprint())
-        return G
-    classes, _ = smallgrp.iso_classes(map(group, spaces))
-    table = []
-    for members in classes:
-        fp, basis = fps[members[0]], spaces[members[0]].basis
-        table.append({"members": len(members), "order": fp.order, "exponent": fp.exponent,
-                      "center_order": fp.center_order, "derived_orders": list(fp.derived_orders),
-                      "representative_basis": [list(row) for row in basis]})
+    live, gens = {}, {}  # the representatives and the kind being classified; their lifted bases
+
+    def invariants(k):
+        live[k] = kind_from_subspace(nursery, spaces[k], relaxed=relaxed)
+        return live[k].form().invariants
+
+    def lift(r, k):
+        found = pseudo_isometry(live[r].form(), live[k].form())
+        if found is None:
+            return None
+        A, B = live[r].members(), live[k].members()
+        if r not in gens:
+            gens[r] = [A.group.index_of(x) for x in live[r].labels(live[r].form().basis)]
+        images = [B.group.index_of(y) for y in live[k].labels(found[0])]
+        return smallgrp.close_map(A.group, B.group, gens[r], images)[A.members].tolist()
+
+    def check(r, k, image):
+        return smallgrp._is_isomorphism(live[r].members(), gens[r], live.pop(k).members(), image)
+
+    classes, _ = smallgrp._classify(map(invariants, range(len(spaces))), lift, check)
+    table = [{"members": len(members), **live[members[0]].census_fields(),
+              "representative_basis": [list(row) for row in spaces[members[0]].basis]}
+             for members in classes]
 
     bound = None
     if not relaxed:

@@ -544,6 +544,27 @@ def _is_isomorphism(A: _Members, gens, B: _Members, image) -> bool:
         f[ca[x]] == cb[f[x]] for ca, cb in cols for x in A.members)
 
 
+def close_map(G: SmallGroup, H: SmallGroup, gens, images) -> np.ndarray:
+    """The map f from G's indices to H's with f(e) = e and f(x*g) = f(x)*f(g)
+    for each generator g, f(g) its image, filled in breadth first from the
+    identity along both tables: an intp array, -1 off the subgroup that
+    `gens` generate.  A later product overwrites an earlier one, so nothing
+    here makes f a homomorphism; `_is_isomorphism` decides whether it is."""
+    TG, TH = G.table(), H.table()
+    g, h = np.asarray(gens, np.intp)[:, None], np.asarray(images, np.intp)[:, None]
+    f = np.full(G.n, -1, np.intp)
+    f[G.identity] = H.identity
+    front = np.array([G.identity], np.intp)
+    while len(front):
+        y, fy = TG[g, front].ravel(), TH[h, f[front]].ravel()
+        new = f[y] < 0
+        f[y[new]] = fy[new]
+        fresh = np.zeros(G.n, bool)
+        fresh[y[new]] = True
+        front = np.flatnonzero(fresh)
+    return f
+
+
 def find_isomorphism(G: SmallGroup, H: SmallGroup):
     """An explicit isomorphism G -> H as an index list, or None.
 

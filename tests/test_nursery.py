@@ -303,28 +303,38 @@ def test_census_strict_and_relaxed():
 
 
 def test_census_holds_only_its_class_representatives(monkeypatch):
-    N2 = nursery.make_nursery("matrix", a=2, c=1, ctx=F2)
-    refs, live, found = [], [], []
-    group, classify = nursery.Kind.group, smallgrp._classify
+    # kind k is made while the kinds leading the classes found before it are
+    # held, and nothing else; a kind group is built only where the nursery
+    # keeps no Gamma_1, and only for a kind a witness is lifted to or from
+    refs, live, found, groups = [], [], [], []
+    make, classify, group = nursery.kind_from_subspace, smallgrp._classify, nursery.Kind.group
 
-    def tracked(self, *args, **kw):
-        G = group(self, *args, **kw)
-        refs.append(weakref.ref(G))
+    def tracked(*args, **kw):
+        K = make(*args, **kw)
+        refs.append(weakref.ref(K))
         live.append(sum(r() is not None for r in refs))
-        return G
+        return K
 
     def spy(*args):
         found.append(classify(*args))
         return found[-1]
 
-    monkeypatch.setattr(nursery.Kind, "group", tracked)
+    def built(self):
+        groups.append(weakref.ref(group(self)))
+        return groups[-1]()
+
+    monkeypatch.setattr(nursery, "kind_from_subspace", tracked)
     monkeypatch.setattr(smallgrp, "_classify", spy)
-    rep = nursery.census(N2, 2, relaxed=True)
-    [(classes, _)] = found
-    assert len(live) == rep.kinder_count == 35 and len(classes) == rep.class_count
-    # kind k is built while the classes led by 0 .. k-1 are held, and nothing else
-    assert all(n <= sum(c[0] < k for c in classes) + 1 for k, n in enumerate(live))
-    assert sum(r() is not None for r in refs) == 0
+    monkeypatch.setattr(nursery.Kind, "group", built)
+    for N, ell, built_groups in ((nursery.make_nursery("matrix", a=2, c=1, ctx=F2), 2, 0),
+                                 (nursery.make_nursery("b2_odd", ctx=make_field(3, 2)), 1, 4)):
+        refs.clear(), live.clear(), found.clear(), groups.clear()
+        rep = nursery.census(N, ell, relaxed=True)
+        [(classes, _)] = found
+        assert len(live) == rep.kinder_count and len(classes) == rep.class_count
+        assert all(n <= sum(c[0] < k for c in classes) + 1 for k, n in enumerate(live))
+        assert len(groups) == built_groups
+        assert sum(r() is not None for r in refs + groups) == 0
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
