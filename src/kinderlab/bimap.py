@@ -318,8 +318,8 @@ def _general_linear(p: int, d: int):
     size = math.prod(p**d - p**i for i in range(d))
     if size > GL_BOUND:
         raise CapExceededError("GL(%d, %d) has %d elements, over bound %d" % (d, p, size, GL_BOUND))
-    mats = _all_vectors(p, d * d).reshape(p ** (d * d), d, d)
-    mats = np.ascontiguousarray(mats[ranks(mats, make_field(p, 1)) == d])
+    mats = digits(0, p ** (d * d), p, d * d).T.reshape(p ** (d * d), d, d).astype(np.int64)
+    mats = mats[ranks(mats, make_field(p, 1)) == d]
     mats.setflags(write=False)
     return mats
 
@@ -419,7 +419,7 @@ def pseudo_isometry(A: ClassTwoForm, B: ClassTwoForm):
     compares only p, dim V, dim W and dim N.
 
     GL(W) is enumerated, up to GL_BOUND = 2^15 elements: dim W up to 4 at
-    p = 2, 3 at p = 3, 2 at p up to 13 and 1 above.  A larger GL(W) raises
+    p = 2, 3 at p = 3, 2 at p up to 13, and 1 at larger p below 2^15.  A larger GL(W) raises
     CapExceededError, as does a search that visits smallgrp._ISO_NODE_BUDGET
     nodes.
     """

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinderlab import bimap, nursery, smallgrp
-from kinderlab.errors import PropertyViolationError
+from kinderlab.errors import CapExceededError, PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_superspaces, np_rank
 
@@ -205,3 +205,15 @@ def test_a_lifted_map_with_a_generator_moved_out_of_its_coset_is_refused(monkeyp
     monkeypatch.setattr(nursery, "pseudo_isometry", moved)
     with pytest.raises(PropertyViolationError, match="non-isomorphism"):
         nursery.census(NURSERIES["matrix(2,1,F2)"](), 2, relaxed=True)
+
+
+def test_a_gl_w_over_the_bound_is_refused():
+    # dim W = 5 at p = 2: |GL(W)| = 9999360, over bimap.GL_BOUND
+    phi = np.zeros((4, 4, 5), dtype=np.int64)
+    for k, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+        phi[i, j, k % 5] = 1
+    phi[0, 0, 4] = phi[1, 1, 4] = 1
+    A = bimap.ClassTwoForm(phi, 2)
+    assert A.d == 5 and A.core == 4
+    with pytest.raises(CapExceededError, match=r"GL\(5, 2\) has 9999360 elements, over bound 32768"):
+        bimap.pseudo_isometry(A, A)
