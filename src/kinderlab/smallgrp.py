@@ -38,6 +38,8 @@ during closure.  It maps one member list onto another, on one table (two
 subgroups of G) or two (two whole groups).  When the search exhausts, the
 groups really are non-isomorphic; a found map is verified on every
 (element, generator) pair, which is sufficient by induction on word length.
+A map found elsewhere, from generator images (the nursery census), is
+filled in along the tables by `close_map` and verified the same way.
 """
 
 from __future__ import annotations
@@ -548,8 +550,8 @@ def close_map(G: SmallGroup, H: SmallGroup, gens, images) -> np.ndarray:
     """The map f from G's indices to H's with f(e) = e and f(x*g) = f(x)*f(g)
     for each generator g, f(g) its image, filled in breadth first from the
     identity along both tables: an intp array, -1 off the subgroup that
-    `gens` generate.  A later product overwrites an earlier one, so nothing
-    here makes f a homomorphism; `_is_isomorphism` decides whether it is."""
+    `gens` generate.  An element keeps the first image it is given, so
+    nothing here makes f a homomorphism; `_is_isomorphism` decides."""
     TG, TH = G.table(), H.table()
     g, h = np.asarray(gens, np.intp)[:, None], np.asarray(images, np.intp)[:, None]
     f = np.full(G.n, -1, np.intp)
