@@ -341,8 +341,9 @@ class ClassTwoForm:
     W must be the Frattini subgroup: b's values span it, with q's at p = 2.
 
     Every vector v of V is typed by the rank of b(v, .), and at p = 2 by
-    whether q(v) = 0; a pseudo-isometry keeps types.  `null` is the subspace
-    N of the v with b(v, .) = 0, and q(v) = 0 at p = 2: it splits off.  The
+    whether q(v) = 0; a pseudo-isometry keeps types.  `null` masks the
+    subspace N of the v with b(v, .) = 0, and q(v) = 0 at p = 2, which
+    splits off; `core` is dim V - dim N.  The
     `invariants`, bucket keys, are dim V, dim W and dim rad b, with the
     number of zeros of q at p = 2 and the histogram of the ranks at p odd.
     `basis` is V's basis for the search, each row in phi's coordinates: the
