@@ -396,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("nursery-census", parents=[common], help="classify every kind of one dimension")
     sp.add_argument("--kind", required=True, choices=("matrix", "unitary", "b2_odd", "ree_small"))
     sp.add_argument("--mode", choices=("strict", "relaxed"), help="default strict")
-    sp.add_argument("--cap-subgroups", type=int, help="enumeration cap for subgroup counts")
-    sp.add_argument("--cap-iso", type=int, help="order cap for isomorphism classification")
+    sp.add_argument("--cap-subgroups", type=int, help="cap on the number of kinder (default 4096)")
+    sp.add_argument("--cap-iso", type=int, help="cap on the kind order (default 16384); kinds above 2048 "
+                    "elements are refused whatever it says, as witnesses are checked on complete tables")
     for flag in ("--a", "--c", "--p", "--e", "--q", "--ell"):
         sp.add_argument(flag, type=int)
 

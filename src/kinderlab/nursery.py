@@ -509,10 +509,11 @@ def census(nursery: ModuleNursery, ell: int, relaxed=False, max_kinder=4096,
     from R (`Kind.form`), and it is compared, in index order, with the
     earlier class representatives with its invariants by
     `bimap.pseudo_isometry`.  A pseudo-isometry is lifted to a map of the
-    groups (`smallgrp.close_map`, from the lifts of the representative's
-    basis of V to lifts of their images) and verified, on Gamma_1's tables
-    when the nursery keeps it and else on the two kinds' own.  Only the
-    class representatives and the kind being classified are held.
+    groups by `smallgrp._search`, each lift of the representative's basis
+    of V given the lift of its image as its one candidate, and verified, on
+    Gamma_1's tables when the nursery keeps it and else on the two kinds'
+    own; a clash raises PropertyViolationError.  Only the class
+    representatives and the kind being classified are held.
     """
     base = Subspace.zero(nursery.ctx, nursery.rdim) if relaxed else nursery.s_subspace()
     if ell < base.dim or ell > nursery.rdim:
@@ -539,8 +540,9 @@ def census(nursery: ModuleNursery, ell: int, relaxed=False, max_kinder=4096,
         A, B = live[r].members(), live[k].members()
         if r not in gens:
             gens[r] = [A.group.index_of(x) for x in live[r].labels(live[r].form().basis)]
-        images = [B.group.index_of(y) for y in live[k].labels(found[0])]
-        return smallgrp.close_map(A.group, B.group, gens[r], images)[A.members].tolist()
+        image = smallgrp._search(A, gens[r], B, [[B.group.index_of(y)] for y in live[k].labels(found[0])])
+        require(image is not None, "search returned a non-isomorphism")  # a clash: the lift is wrong
+        return image
 
     def check(r, k, image):
         return smallgrp._is_isomorphism(live[r].members(), gens[r], live.pop(k).members(), image)

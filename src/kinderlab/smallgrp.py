@@ -32,14 +32,14 @@ generators it extends by for each subgroup; any other subset is generated
 by its own members.  Centraliser orders are one float32 product of the
 membership rows with the commuting mask.
 
-The isomorphism test is a backtracking search over generator images, pruned
-by element invariants, with the homomorphism property enforced incrementally
-during closure.  It maps one member list onto another, on one table (two
-subgroups of G) or two (two whole groups).  When the search exhausts, the
-groups really are non-isomorphic; a found map is verified on every
-(element, generator) pair, which is sufficient by induction on word length.
-A map found elsewhere, from generator images (the nursery census), is
-filled in along the tables by `close_map` and verified the same way.
+The isomorphism test is a backtracking search over generator images, each
+from a candidate list the caller gives (the members with its element
+invariants, or the nursery census's one image), with the homomorphism
+property enforced incrementally during closure.  It maps one member list
+onto another, on one table (two subgroups of G) or two (two whole groups).
+When the search exhausts, no map sends the generators among their
+candidates; a found map is verified on every (element, generator) pair,
+which is sufficient by induction on word length.
 """
 
 from __future__ import annotations
@@ -424,15 +424,11 @@ class IsoFingerprint(NamedTuple):
 
 class _Members(NamedTuple):
     """A subgroup of `group` as its sorted member indices, with each member's
-    (order, class size) in the subgroup, as `subset_invariants` gives them."""
+    (order, class size) in the subgroup, as `subset_invariants` gives them,
+    or None where the caller gives `_search` its candidates."""
     group: SmallGroup
     members: Sequence
-    inv: list
-
-
-def _whole(G: SmallGroup) -> _Members:
-    G.fingerprint()
-    return _Members(G, range(G.n), G._elem_inv)
+    inv: list | None
 
 
 def _generators(G: SmallGroup, members, orders) -> tuple:
@@ -462,21 +458,27 @@ def _generators(G: SmallGroup, members, orders) -> tuple:
     return tuple(gens)
 
 
-def _search(A: _Members, gens, B: _Members):
-    """An isomorphism from A onto B, as the image of each of A's members, or
-    None when there is none (the search space is exhausted).
-
-    Each generator in turn is sent to a member of B with its invariants, and
-    the map is closed on the tables over the generators fixed so far: x*g
-    goes to f(x)f(g), a clash or a repeated image undoing the choice.  The
-    closure is incremental: members mapped before g was fixed are closed
-    under g alone, since they are closed under the earlier generators, and
-    members mapped since then under every fixed generator.  Each choice
-    takes the pair of columns (g in A, its image in B) once.  Raises
-    CapExceededError when the search visits _ISO_NODE_BUDGET nodes first.
-    """
+def _candidates(A: _Members, gens, B: _Members) -> list:
+    """For each generator of A, the members of B with its invariants."""
     wanted = [A.inv[A.members.index(g)] for g in gens]
-    candidates = [list(itertools.compress(B.members, map(w.__eq__, B.inv))) for w in wanted]
+    return [list(itertools.compress(B.members, map(w.__eq__, B.inv))) for w in wanted]
+
+
+def _search(A: _Members, gens, B: _Members, candidates):
+    """An isomorphism from A onto B that sends each generator to one of its
+    `candidates` (a list of B's members per generator), as the image of each
+    of A's members, or None when there is none (the search space is
+    exhausted).  A and B's `inv` are not read.
+
+    Each generator in turn is sent to one of its candidates, and the map is
+    closed on the tables over the generators fixed so far: x*g goes to
+    f(x)f(g), a clash or a repeated image undoing the choice.  The closure
+    is incremental: members mapped before g was fixed are closed under g
+    alone, since they are closed under the earlier generators, and members
+    mapped since then under every fixed generator.  Each choice takes the
+    pair of columns (g in A, its image in B) once.  Raises CapExceededError
+    when the search visits _ISO_NODE_BUDGET nodes first.
+    """
     if not all(candidates):
         return None
     GA, GB, eA, eB = A.group, B.group, A.group.identity, B.group.identity
@@ -546,27 +548,6 @@ def _is_isomorphism(A: _Members, gens, B: _Members, image) -> bool:
         f[ca[x]] == cb[f[x]] for ca, cb in cols for x in A.members)
 
 
-def close_map(G: SmallGroup, H: SmallGroup, gens, images) -> np.ndarray:
-    """The map f from G's indices to H's with f(e) = e and f(x*g) = f(x)*f(g)
-    for each generator g, f(g) its image, filled in breadth first from the
-    identity along both tables: an intp array, -1 off the subgroup that
-    `gens` generate.  An element keeps the first image it is given, so
-    nothing here makes f a homomorphism; `_is_isomorphism` decides."""
-    TG, TH = G.table(), H.table()
-    g, h = np.asarray(gens, np.intp)[:, None], np.asarray(images, np.intp)[:, None]
-    f = np.full(G.n, -1, np.intp)
-    f[G.identity] = H.identity
-    front = np.array([G.identity], np.intp)
-    while len(front):
-        y, fy = TG[g, front].ravel(), TH[h, f[front]].ravel()
-        new = f[y] < 0
-        f[y[new]] = fy[new]
-        fresh = np.zeros(G.n, bool)
-        fresh[y[new]] = True
-        front = np.flatnonzero(fresh)
-    return f
-
-
 def find_isomorphism(G: SmallGroup, H: SmallGroup):
     """An explicit isomorphism G -> H as an index list, or None.
 
@@ -575,12 +556,15 @@ def find_isomorphism(G: SmallGroup, H: SmallGroup):
     """
     if G.n != H.n or G.fingerprint() != H.fingerprint():
         return None
-    return _search(_whole(G), G.generating_set(), _whole(H))
+    A, B = (_Members(X, range(X.n), X._elem_inv) for X in (G, H))
+    gens = G.generating_set()
+    return _search(A, gens, B, _candidates(A, gens, B))
 
 
 def verify_isomorphism(G: SmallGroup, H: SmallGroup, mapping) -> bool:
     """Check mapping on every (element, generator) product; that suffices."""
-    return _is_isomorphism(_whole(G), G.generating_set(), _whole(H), mapping)
+    A, B = (_Members(X, range(X.n), None) for X in (G, H))
+    return _is_isomorphism(A, G.generating_set(), B, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -822,8 +806,10 @@ def sigma_counts(G: SmallGroup, iso_order_cap=ISO_ORDER_CAP):
     def gens_of(r):  # a class representative's generators, chosen once
         return _generators(G, reps[r], [o for o, _ in parts[r].inv])
 
-    classes, _ = _classify([fp for fp, _ in invariants],
-                           lambda r, k: _search(parts[r], gens_of(r), parts[k]),
+    def search(r, k):
+        return _search(parts[r], gens_of(r), parts[k], _candidates(parts[r], gens_of(r), parts[k]))
+
+    classes, _ = _classify([fp for fp, _ in invariants], search,
                            lambda r, k, image: _is_isomorphism(parts[r], gens_of(r), parts[k], image))
     sigma = len(subs)
     sigma_iso = len(classes)

@@ -193,7 +193,15 @@ def test_the_small_f3_census():
     assert rep.kinder_count == 40 and sorted(c["members"] for c in rep.classes) == [16, 24]
 
 
-def test_a_lifted_map_with_a_generator_moved_out_of_its_coset_is_refused(monkeypatch):
+def test_the_f3_census_at_ell_2():
+    # the one census whose witnesses close on 729-element kind tables built from label products
+    rep = nursery.census(NURSERIES["matrix(2,1,F3)"](), 2, relaxed=True)
+    assert rep.kinder_count == 130 and sorted(c["members"] for c in rep.classes) == [4, 4, 18, 32, 72]
+
+
+# a nursery that keeps Gamma_1, and one whose kinds are groups of their own
+@pytest.mark.parametrize("name,ell", [("matrix(2,1,F2)", 2), ("b2_odd(F9)", 1)])
+def test_a_lifted_map_with_a_generator_moved_out_of_its_coset_is_refused(monkeypatch, name, ell):
     search = bimap.pseudo_isometry
 
     def moved(A, B):  # the first generator's image times the second's
@@ -203,8 +211,8 @@ def test_a_lifted_map_with_a_generator_moved_out_of_its_coset_is_refused(monkeyp
         return found
 
     monkeypatch.setattr(nursery, "pseudo_isometry", moved)
-    with pytest.raises(PropertyViolationError, match="non-isomorphism"):
-        nursery.census(NURSERIES["matrix(2,1,F2)"](), 2, relaxed=True)
+    with pytest.raises(PropertyViolationError, match="search returned a non-isomorphism"):
+        nursery.census(NURSERIES[name](), ell, relaxed=True)
 
 
 def test_a_gl_w_over_the_bound_is_refused():

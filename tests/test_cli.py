@@ -430,6 +430,16 @@ def test_seed_trials_and_caps_only_where_they_are_read():
     assert cli._config_from_args(args).echo()["seed"] is None
 
 
+def test_the_census_cap_flags_say_what_they_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["nursery-census", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--cap-subgroups CAP_SUBGROUPS cap on the number of kinder (default 4096)" in text
+    assert ("--cap-iso CAP_ISO cap on the kind order (default 16384); kinds above 2048 elements are "
+            "refused whatever it says, as witnesses are checked on complete tables") in text
+
+
 def test_an_exhausted_isomorphism_budget_exits_cap(monkeypatch, capsys):
     monkeypatch.setattr(smallgrp, "_ISO_NODE_BUDGET", 0)
     args = ["nursery-census", "--kind", "matrix", "--a", "2", "--c", "1", "--q", "2",

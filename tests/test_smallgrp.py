@@ -605,8 +605,8 @@ def test_sigma_counts_with_fingerprints_of_order_alone(monkeypatch, factory, cou
                                    abelian_hist=(), exponent=0, class_profile=()), inv)
                 for fp, inv in invariants(self, subsets)]
 
-    def counted(A, gens, B):
-        image = search(A, gens, B)
+    def counted(A, gens, B, candidates):
+        image = search(A, gens, B, candidates)
         misses.append(image is None)
         return image
 
@@ -627,8 +627,8 @@ def test_sigma_counts_rejects_a_wrong_map(monkeypatch, factory, swap):
     # the counterpart of test_iso_classes_rejects_a_wrong_map on member lists
     search = sg._search
 
-    def spoiled(A, gens, B):
-        image = search(A, gens, B)
+    def spoiled(A, gens, B, candidates):
+        image = search(A, gens, B, candidates)
         pair = swap([order for order, _ in A.inv])
         if image is not None and pair is not None:
             i, j = pair
