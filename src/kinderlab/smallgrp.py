@@ -17,9 +17,10 @@ and powers, for `order_of`, `inverse_idx`, the invariants, the lattice and
 The subgroup lattice is built by cyclic extension (Neubueser 1960) on the
 complete table, from the trivial group and, when the order rule certifies
 it, from the perfect core G^(oo); joins of cyclic subgroups finish only the
-groups the rule does not certify.  `sigma_counts` classifies one subgroup
-per conjugacy class, the classes merged by conjugations verified on the
-table to be automorphisms.
+groups the rule does not certify.  Each subgroup found is registered with
+its whole conjugacy class, the orbit under conjugations verified on the
+table to be automorphisms, so only class representatives are extended, and
+`sigma_counts` classifies one subgroup per class.
 
 Invariants (element orders, class sizes, centre, derived series,
 abelianisation) come from one numpy pass over the array for any number of
@@ -92,7 +93,7 @@ class SmallGroup:
         self._T = None if columns is None else np.asarray(columns, np.int16)
         self._cols = [None] * self.n  # column j of the table as a list, None until read
         self._order_inv = self._elem_inv = self._gens = self._fp = None
-        self._sub_gens = {}  # subgroup (sorted index tuple) -> generators, from all_subgroups
+        self._sub_gens, self._sub_classes = {}, {}  # from all_subgroups
         if columns is not None:
             idempotents = np.flatnonzero(self._T.diagonal() == np.arange(self.n)).tolist()
         else:  # label products: mul_idx here would build the table
@@ -551,14 +552,19 @@ def _is_isomorphism(A: _Members, gens, B: _Members, image) -> bool:
 def find_isomorphism(G: SmallGroup, H: SmallGroup):
     """An explicit isomorphism G -> H as an index list, or None.
 
-    None means proven non-isomorphic (search space exhausted).  Raises
-    CapExceededError when the search visits _ISO_NODE_BUDGET nodes first.
+    None means proven non-isomorphic (search space exhausted).  A map found
+    is verified (`_is_isomorphism`), and PropertyViolationError raised if it
+    fails.  Raises CapExceededError when the search visits _ISO_NODE_BUDGET
+    nodes first.
     """
     if G.n != H.n or G.fingerprint() != H.fingerprint():
         return None
     A, B = (_Members(X, range(X.n), X._elem_inv) for X in (G, H))
     gens = G.generating_set()
-    return _search(A, gens, B, _candidates(A, gens, B))
+    mapping = _search(A, gens, B, _candidates(A, gens, B))
+    if mapping is not None and not _is_isomorphism(A, gens, B, mapping):
+        raise PropertyViolationError("search returned a non-isomorphism")
+    return mapping
 
 
 def verify_isomorphism(G: SmallGroup, H: SmallGroup, mapping) -> bool:
@@ -584,17 +590,32 @@ def all_subgroups(G: SmallGroup):
     (_SIMPLE_ORDERS), every proper subgroup of P is solvable, so H^(oo) = P:
     a second extension, from P, finishes the lattice (Alt5, Sym5,
     PSL(2,7)).  Where the rule does not certify P (SL(2,5), Alt6), joins
-    with the cyclic subgroups complete it.  Every path ends with the
-    p-subgroup counts (`_require_p_counts`).  The generators each subgroup
-    was found from are kept on G, for `subset_invariants` and
-    `_conjugacy_classes`.  G's table caps it at SUBGROUP_ORDER_CAP elements.
+    with the cyclic subgroups complete it.
+
+    Each subgroup found is registered with its whole conjugacy class
+    (`_conjugacy_class`), so every stage skips the conjugates of what it
+    found and goes on only from class representatives, and still reaches
+    every class: if U = V<x> and V^g represents V's class, then
+    U^g = V^g<x^g>, and x^g extends V^g (likewise for joins).  The conjugations by a generating set of G are checked on
+    the table to be automorphisms.  Every path ends with the p-subgroup
+    counts (`_require_p_counts`) and the class sizes: each divides |G|, and
+    they add up to the number of subgroups.  G keeps every subgroup's
+    generators (a conjugate's mapped by its conjugation) and each class
+    representative's class size.  G's table caps it at SUBGROUP_ORDER_CAP.
     """
-    subs = {}  # subgroup -> generators
+    subs, classes = {}, {}  # subgroup -> generators; representative -> class size
+    T, inv, hs = G.table(), G._walk[1], np.array(G.span_gens(range(G.n)), np.intp)
+    pi = T[hs[:, None], T[:, inv[hs]].T]  # pi[i, x] = h_i^-1 x h_i
+    if not (pi[:, T[hs]] == T[pi[:, hs, None], pi[:, None]]).all():  # pi(x h') = pi(x) pi(h')
+        raise PropertyViolationError("a conjugation is not a homomorphism of the group")
+    conj = pi[(pi != np.arange(G.n)).any(axis=1)].tolist()  # a central h acts trivially
 
     def add(sub, gens):
-        if len(subs) >= _SUBGROUP_COUNT_CAP:
+        orbit = _conjugacy_class(sub, gens, conj)
+        if len(subs) + len(orbit) > _SUBGROUP_COUNT_CAP:
             raise CapExceededError("subgroup count cap %d hit" % _SUBGROUP_COUNT_CAP)
-        subs[sub] = gens
+        subs.update(orbit)
+        classes[sub] = len(orbit)
 
     _cyclic_extension(G, subs, add)
     if tuple(range(G.n)) not in subs:
@@ -605,8 +626,31 @@ def all_subgroups(G: SmallGroup):
             add(P, gens)
             _cyclic_extension(G, subs, add, [(P, gens)])
     _require_p_counts(G.n, subs)
-    G._sub_gens = subs
+    sizes = list(classes.values())
+    require(sum(sizes) == len(subs) and not any(G.n % c for c in sizes),
+            "conjugacy classes hold %d subgroups, not %d, or a class size does not divide %d"
+            % (sum(sizes), len(subs), G.n))
+    G._sub_gens, G._sub_classes = subs, classes
     return sorted(subs, key=lambda t: (len(t), t))
+
+
+def _conjugacy_class(sub, gens, conj) -> dict:
+    """{conjugate: its generators} of sub's class, sub first: a breadth-first
+    walk under the conjugations `conj` (lists, x -> h^-1 x h), each
+    conjugate's generators mapped by the same conjugation as its members.
+    An h that keeps U's generators inside U fixes U, as U^h has |U| members."""
+    orbit, queue = {sub: gens}, [sub]
+    for U in queue:
+        inside = set(U)
+        for h in conj:
+            images = tuple(map(h.__getitem__, orbit[U]))
+            if inside.issuperset(images):
+                continue
+            V = tuple(sorted(map(h.__getitem__, U)))
+            if V not in orbit:
+                orbit[V] = images
+                queue.append(V)
+    return orbit
 
 
 def _perfect_core(G: SmallGroup):
@@ -749,57 +793,17 @@ def iso_classes(groups):
                      lambda r, k, mapping: verify_isomorphism(held[r], held.pop(k), mapping))
 
 
-def _conjugacy_classes(G: SmallGroup, subs) -> list:
-    """The least index in `subs`, G's whole lattice, of each subgroup's
-    conjugacy class, under x -> h^-1 x h for the non-central generators h
-    `all_subgroups` recorded for G (one [k, n] gather).  Each map is
-    verified an automorphism before use, so it restricts to isomorphisms
-    H -> H^h: pi(x h') = pi(x) pi(h') for all x and recorded h', and G^h = G.
-    Each H^h is looked up by its packed membership row (_BATCH_CELLS // n
-    subgroups a batch), and the orbits are walked breadth first."""
-    n, T, inv, least = G.n, G.table(), G._walk[1], list(range(len(subs)))
-    hs = np.array(G._sub_gens[subs[-1]], np.intp)  # subs[-1] is G
-    pi = T[hs[:, None], T[:, inv[hs]].T]  # pi[i, x] = h_i^-1 x h_i
-    if not (pi[:, T[hs]] == T[pi[:, hs, None], pi[:, None]]).all():
-        raise PropertyViolationError("a conjugation is not a homomorphism of the group")
-    pi = pi[(pi != np.arange(n)).any(axis=1)]  # a central h acts trivially
-    keys, at, R = [[] for _ in range(len(pi) + 1)], np.arange(len(pi) + 1)[:, None], _BATCH_CELLS // n
-    for r0 in range(0, len(subs) if len(pi) else 0, R):
-        batch = subs[r0:r0 + R]
-        rr = np.repeat(np.arange(len(batch)), [len(t) for t in batch])
-        xx = np.fromiter(itertools.chain.from_iterable(batch), np.intp, len(rr))
-        rows = np.zeros((len(pi) + 1, len(batch), n), bool)
-        rows[at, rr, np.concatenate([xx[None], pi[:, xx]])] = True  # H, then each H^h
-        rows = np.packbits(rows, axis=2)
-        for out, part in zip(keys, rows.view("V%d" % rows.shape[2])[..., 0].tolist()):
-            out += part
-    index = {key: r for r, key in enumerate(keys[0])}
-    images = [list(map(index.get, part)) for part in keys[1:]]
-    if any(None in image or image[-1] != len(subs) - 1 for image in images):  # or pi(G) < G
-        raise PropertyViolationError("a conjugation does not permute the subgroups of the lattice")
-    for r in range(len(subs)):
-        if least[r] == r:  # the first of its class: walk the orbit
-            orbit = [r]
-            for t in orbit:
-                for image in images:
-                    if least[u := image[t]] == u > r:
-                        least[u] = r
-                        orbit.append(u)
-    return least
-
-
 def sigma_counts(G: SmallGroup, iso_order_cap=ISO_ORDER_CAP):
     """(number of subgroups, number of isomorphism types of subgroups).
 
-    Conjugate subgroups are isomorphic, so only one subgroup per conjugacy
-    class (`_conjugacy_classes`) is classified, as an index tuple on G's
-    table: the invariants come from one `subset_invariants` pass, and each
+    Conjugate subgroups are isomorphic, so only the class representatives
+    `all_subgroups` records are classified, as index tuples on G's table:
+    the invariants come from one `subset_invariants` pass, and each
     isomorphism is searched for and verified from one member list to another.
     """
     if G.n > iso_order_cap:  # G is one of its own subgroups
         raise CapExceededError("a subgroup exceeds the iso cap %d" % iso_order_cap)
-    subs = all_subgroups(G)
-    reps = [s for r, (least, s) in enumerate(zip(_conjugacy_classes(G, subs), subs)) if least == r]
+    sigma, reps = len(all_subgroups(G)), list(G._sub_classes)
     invariants = G.subset_invariants(reps)
     parts = [_Members(G, s, inv) for s, (_, inv) in zip(reps, invariants)]
     @functools.cache
@@ -811,7 +815,6 @@ def sigma_counts(G: SmallGroup, iso_order_cap=ISO_ORDER_CAP):
 
     classes, _ = _classify([fp for fp, _ in invariants], search,
                            lambda r, k, image: _is_isomorphism(parts[r], gens_of(r), parts[k], image))
-    sigma = len(subs)
     sigma_iso = len(classes)
     require(sigma_iso <= sigma, "more isomorphism types than subgroups")
     if math.log2(sigma) > arith.wall_log_bound(G.n) + 1e-9:

@@ -5,9 +5,12 @@ The library classifies subgroups on their parent's table and never builds
 either; the tests use them as references: a subgroup's fingerprint on its
 own restricted table, and an abelianisation read off an explicit quotient.
 A B2 kind (s restricted to a code) is built on label products, for the
-tests of `twisted.b2_labels` on a group the library never builds.  The readers (an element's invariants, the centre, the derived series, the
-exponent, whether G is abelian) read `SmallGroup.fingerprint`, which the library
-needs only whole.  `LabelProducts` reads a group's products off its label law
+tests of `twisted.b2_labels` on a group the library never builds.  The
+readers (an element's invariants, the centre, the derived series, the
+exponent, whether G is abelian) read `SmallGroup.fingerprint`, which the
+library needs only whole.  `conjugacy_classes` partitions subgroups by
+conjugating with every element, and `recorded_classes` checks the lattice's
+classes on it.  `LabelProducts` reads a group's products off its label law
 alone, the reference for the paths that read its table.  `law_table` is a
 nursery's group law evaluated from its algebra array R on every pair at
 once, the reference for the tables the library composes from label products.
@@ -75,6 +78,33 @@ class LabelProducts:
 def conjugate(G: SmallGroup, x: int, g: int) -> int:
     """The index of g^-1 x g."""
     return G.mul_idx(G.mul_idx(G.inverse_idx(g), x), g)
+
+
+def conjugacy_classes(G: SmallGroup, subs) -> list:
+    """The conjugacy classes of `subs` (sorted index tuples, a union of
+    classes of subgroups of G) as sets, in the order of their first members
+    in subs: each is its first member conjugated by every element of G."""
+    T, at = G.table(), np.arange(G.n)
+    C = T[at[:, None], T[:, [G.inverse_idx(g) for g in at]].T]  # C[g, x] = g^-1 x g
+    placed, classes = set(), []
+    for s in subs:
+        if s not in placed:
+            classes.append(set(map(tuple, np.sort(C[:, s], axis=1).tolist())))
+            placed |= classes[-1]
+    return classes
+
+
+def recorded_classes(G: SmallGroup) -> dict:
+    """{representative: its conjugacy class} of the class representatives
+    that `all_subgroups` recorded on G, each class from `conjugacy_classes`:
+    the classes partition the lattice, with one recorded representative
+    each, of the recorded class size."""
+    out = {}
+    for c in conjugacy_classes(G, sorted(G._sub_gens, key=lambda t: (len(t), t))):
+        [rep] = [t for t in c if t in G._sub_classes]
+        out[rep] = c
+    assert {rep: len(c) for rep, c in out.items()} == G._sub_classes
+    return out
 
 
 def _digit_sums(p: int, d: int):

@@ -18,7 +18,7 @@ from kinderlab import arith
 from kinderlab import smallgrp as sg
 from kinderlab.errors import CapExceededError, InvalidConfigError, PropertyViolationError
 from kinderlab.gf import make_field
-from subquotient import LabelProducts, subgroup
+from subquotient import LabelProducts, recorded_classes, subgroup
 
 
 def join_lattice(G):
@@ -144,22 +144,33 @@ def test_perfect_core_is_the_end_of_the_derived_series(name, order):
 
 
 def _count_closures(G):
+    """The seeds of every closure G makes from now on, in order."""
     calls = []
     inner = G.closure_idx
 
     def counted(seeds):
-        calls.append(1)
+        calls.append(list(seeds))
         return inner(seeds)
 
     G.closure_idx = counted
     return calls
 
 
-def test_solvable_lattice_needs_no_closure():
+def _span_closures(G):
+    """The closures of the one span of G that all_subgroups takes its
+    conjugations from, span_gens(range(n)): one per generator it finds."""
+    gens = G.span_gens(range(G.n))
+    return [list(gens[:k]) for k in range(1, len(gens) + 1)]
+
+
+def test_solvable_lattice_closes_only_the_span_of_g():
+    # cyclic extension reads its subgroups off the table: the span of G is
+    # the only closure the lattice of a solvable group takes
     G = relabelled(GROUPS["Sym4"], 3)
+    span = _span_closures(G)
     calls = _count_closures(G)
     assert len(sg.all_subgroups(G)) == 30
-    assert not calls
+    assert calls == span
 
 
 @pytest.mark.parametrize("name,count", [("Sym4", 30), ("D4xC3", 20)])
@@ -167,11 +178,12 @@ def test_cap_count_on_the_extension_path(name, count, monkeypatch):
     G = relabelled(GROUPS[name], 5)
     monkeypatch.setattr(sg, "_SUBGROUP_COUNT_CAP", count)
     assert len(sg.all_subgroups(G)) == count
+    span = _span_closures(G)
     calls = _count_closures(G)
     monkeypatch.setattr(sg, "_SUBGROUP_COUNT_CAP", count - 1)
     with pytest.raises(CapExceededError):
         sg.all_subgroups(G)
-    assert not calls
+    assert calls == span
 
 
 def test_cap_count_on_the_completion_path(monkeypatch):
@@ -339,3 +351,52 @@ def test_recorded_generators_generate_their_subgroups(name):
     subs = sg.all_subgroups(G)
     assert sorted(G._sub_gens, key=lambda t: (len(t), t)) == subs
     assert all(G.closure_idx(G._sub_gens[sub]) == sub for sub in subs)
+
+
+def _classless(sub, gens, conj):
+    """Each subgroup its own class, so that every subgroup is extended: the
+    lattice as `_cyclic_extension` with a plain `subs.__setitem__` built it
+    before classes."""
+    return {sub: gens}
+
+
+_F2, _F3 = make_field(2, 1), make_field(3, 1)
+# perfbench's lattice groups, those of criteria 1 and 13, and SL(2,5), whose lattice takes the joins
+CLASS_GROUPS = {
+    "UT3(F2)": sg.unitriangular_group(3, _F2),
+    "UT3(F3)": GROUPS["UT3(F3)"],
+    "Alt5": GROUPS["Alt5"],
+    "D4": EXTENSION_GROUPS["D4"],
+    "C8": sg.cyclic_group(8),
+    "C27": sg.cyclic_group(27),
+    "C8xC27": EXTENSION_GROUPS["C8xC27"],
+    "D4xC27": EXTENSION_GROUPS["D4xC27"],
+    "Sym3^2": GROUPS["Sym3^2"],
+    "Sym3^3": sg.direct_product(_s3(), GROUPS["Sym3^2"]),
+    "UT3(F2)xUT3(F3)": sg.direct_product(sg.unitriangular_group(3, _F2), GROUPS["UT3(F3)"]),
+    "D4xC125": sg.direct_product(sg.dihedral_group(4), sg.cyclic_group(125)),
+    "SL(2,5)": GROUPS["SL(2,5)"],
+}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(CLASS_GROUPS)), seed=st.integers(0, 2**32))
+def test_extension_on_class_representatives_matches_every_subgroup_extended(name, seed):
+    G = relabelled(CLASS_GROUPS[name], seed)
+    with mock.patch.object(sg, "_conjugacy_class", _classless):
+        reference, counts = sg.all_subgroups(G), sg.sigma_counts(G, iso_order_cap=1024)
+    # the whole list, and so the count of each order, and (sigma, sigma_iso)
+    assert sg.all_subgroups(G) == reference and sg.sigma_counts(G, iso_order_cap=1024) == counts
+    classes = recorded_classes(G)  # the classes are the conjugacy classes
+    # with the conjugations cut to the first, the classes only get finer
+    whole, orbits = sg._conjugacy_class, []
+
+    def cut(sub, gens, conj):
+        orbits.append(whole(sub, gens, conj[:1]))
+        return orbits[-1]
+
+    with mock.patch.object(sg, "_conjugacy_class", cut):
+        assert sg.all_subgroups(G) == reference
+        assert sorted(t for orbit in orbits for t in orbit) == sorted(reference)
+        assert all(any(c.issuperset(orbit) for c in classes.values()) for orbit in orbits)
+        assert sg.sigma_counts(G, iso_order_cap=1024) == counts

@@ -16,7 +16,7 @@ from kinderlab.errors import CapExceededError, PropertyViolationError
 from kinderlab.gf import make_field
 from kinderlab.linalg import Subspace, enumerate_superspaces, gaussian_binomial
 from subquotient import (LabelProducts, center_idx, conjugate, derived_series_orders, exponent,
-                         is_abelian, quotient, subgroup)
+                         is_abelian, quotient, recorded_classes, subgroup)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -473,22 +473,18 @@ def _sigma_with_classes(G):
     """sigma_counts(G) and the class partition it counted, each class of
     conjugacy class representatives expanded to every subgroup of their
     classes, as indices into the whole lattice."""
-    seen, classify, conjugacy = [], sg._classify, sg._conjugacy_classes
+    seen, classify = [], sg._classify
 
     def spy(*args):
         seen.append(classify(*args))
         return seen[-1]
 
-    def orbits(*args):
-        seen.append(conjugacy(*args))
-        return seen[-1]
-
-    with mock.patch.object(sg, "_classify", spy), mock.patch.object(sg, "_conjugacy_classes", orbits):
+    with mock.patch.object(sg, "_classify", spy):
         counts = sg.sigma_counts(G)
-    least, (classes, _) = seen
-    reps = [r for r, first in enumerate(least) if first == r]
-    return counts, [sorted(r for r, first in enumerate(least) if first in {reps[k] for k in c})
-                    for c in classes]
+    [(classes, _)] = seen
+    reps, conjugates = list(G._sub_classes), recorded_classes(G)
+    index = {s: r for r, s in enumerate(sorted(G._sub_gens, key=lambda t: (len(t), t)))}
+    return counts, sorted(sorted(index[t] for k in c for t in conjugates[reps[k]]) for c in classes)
 
 
 _S3 = sg.symmetric_group(3)
@@ -544,48 +540,61 @@ def test_sigma_counts_classes_equal_the_per_subgroup_path_on_sym3_cubed():
 
 
 def test_conjugacy_classes_of_sym3_squared():
-    # Sym3^2: 60 subgroups in 22 conjugacy classes, each class the orbit of
-    # its first subgroup under conjugation by every element
+    # Sym3^2: 60 subgroups in 22 conjugacy classes, each the orbit of its
+    # representative under conjugation by every element
     G = _relabelled(LATTICE_GROUPS["Sym3^2"], 8)
     subs = sg.all_subgroups(G)
-    least = sg._conjugacy_classes(G, subs)
-    assert len(set(least)) == 22
-    index = {s: r for r, s in enumerate(subs)}
-    for r, s in enumerate(subs):
-        conjugates = {index[tuple(sorted(conjugate(G, x, g) for x in s))] for g in range(G.n)}
-        assert {t for t, first in enumerate(least) if first == least[r]} == conjugates
-        assert least[r] == min(conjugates)
+    classes = recorded_classes(G)
+    assert len(subs) == 60 and len(classes) == 22
+    for rep, c in classes.items():
+        assert c == {tuple(sorted(conjugate(G, x, g) for x in rep)) for g in range(G.n)}
 
 
 def test_abelian_group_has_a_class_per_subgroup():
     G = _relabelled(LATTICE_GROUPS["C8xC27"], 4)
     subs = sg.all_subgroups(G)
-    assert sg._conjugacy_classes(G, subs) == list(range(len(subs)))
+    assert G._sub_classes == dict.fromkeys(subs, 1)
 
 
 def test_a_conjugation_that_is_no_automorphism_is_refused():
     # a wrong inverse of a generator makes x -> T[h, T[x, wrong]] a translate
-    # of conjugation, which takes e off e: the merge must refuse it
+    # of conjugation, which takes e off e: the lattice must refuse it
     G = _relabelled(LATTICE_GROUPS["Sym3^2"], 9)
-    subs = sg.all_subgroups(G)
     orders, inverse, S = G._walk
-    h = G._sub_gens[subs[-1]][0]
+    h = G.span_gens(range(G.n))[0]
     bad = inverse.copy()
     bad[h] = next(x for x in range(G.n) if x not in (inverse[h], G.identity))
     G.__dict__["_walk"] = (orders, bad, S)
     with pytest.raises(PropertyViolationError, match="conjugation is not a homomorphism"):
-        sg._conjugacy_classes(G, subs)
+        sg.all_subgroups(G)
 
 
-def test_a_lattice_missing_a_conjugate_is_refused():
-    # one of the three Sylow 2-subgroups of Sym3 x C4 dropped: its conjugates
-    # have nowhere to go
+def test_a_wrong_conjugate_is_refused(monkeypatch):
+    # the class of the first Sylow 2-subgroup of Sym3 x C4 found is given a
+    # fourth member: a subgroup of an earlier class, which then sits in two
+    # classes, or a set of 8 elements that is no subgroup, a fourth Sylow
+    # 2-subgroup
     G = _relabelled(sg.direct_product(_S3, sg.cyclic_group(4)), 10)
-    subs = sg.all_subgroups(G)
-    sylow = [s for s in subs if len(s) == 8]
-    assert len(sylow) == 3
-    with pytest.raises(PropertyViolationError, match="does not permute the subgroups"):
-        sg._conjugacy_classes(G, [s for s in subs if s != sylow[1]])
+    whole = sg._conjugacy_class
+    for plant, match in [("earlier", "conjugacy classes hold 27 subgroups, not 26"),
+                         ("bogus", r"4 subgroups of order 2\^3, not 1 mod 2")]:
+        found, planted = [], []
+
+        def planting(sub, gens, conj):
+            orbit = whole(sub, gens, conj)
+            if len(sub) == 8 and not planted:
+                assert len(orbit) == 3
+                wrong = found[-1] if plant == "earlier" else sub[:-1] + (
+                    next(x for x in range(G.n) if x not in sub),)
+                orbit[wrong] = gens
+                planted.append(wrong)
+            found.extend(orbit)
+            return orbit
+
+        monkeypatch.setattr(sg, "_conjugacy_class", planting)
+        with pytest.raises(PropertyViolationError, match=match):
+            sg.all_subgroups(G)
+        assert len(planted) == 1
 
 
 # (group factory, sigma, sigma_iso, whether two types share an order)
@@ -638,6 +647,24 @@ def test_sigma_counts_rejects_a_wrong_map(monkeypatch, factory, swap):
     monkeypatch.setattr(sg, "_search", spoiled)
     with pytest.raises(PropertyViolationError, match="search returned a non-isomorphism"):
         sg.sigma_counts(factory())
+
+
+def test_find_isomorphism_refuses_a_wrong_map(monkeypatch):
+    # two elements of order 3 swapped in the map the search found: still a
+    # bijection that keeps every element's order, but no isomorphism
+    G, H = ISO_GROUPS["Sym3^2"], _relabelled(ISO_GROUPS["Sym3^2"], 4)
+    search, threes = sg._search, [i for i, o in enumerate(G.element_orders()) if o == 3]
+
+    def spoiled(A, gens, B, candidates):
+        image = search(A, gens, B, candidates)
+        i, j = threes[:2]
+        image[i], image[j] = image[j], image[i]
+        return image
+
+    assert sg.verify_isomorphism(G, H, sg.find_isomorphism(G, H))
+    monkeypatch.setattr(sg, "_search", spoiled)
+    with pytest.raises(PropertyViolationError, match="search returned a non-isomorphism"):
+        sg.find_isomorphism(G, H)
 
 
 def test_find_isomorphism_stops_at_the_node_budget(monkeypatch):
