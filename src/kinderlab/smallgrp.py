@@ -552,10 +552,9 @@ def _is_isomorphism(A: _Members, gens, B: _Members, image) -> bool:
 def find_isomorphism(G: SmallGroup, H: SmallGroup):
     """An explicit isomorphism G -> H as an index list, or None.
 
-    None means proven non-isomorphic (search space exhausted).  A map found
-    is verified (`_is_isomorphism`), and PropertyViolationError raised if it
-    fails.  Raises CapExceededError when the search visits _ISO_NODE_BUDGET
-    nodes first.
+    None means proven non-isomorphic (search space exhausted); a map found
+    is verified, PropertyViolationError if it fails.  Raises
+    CapExceededError when the search visits _ISO_NODE_BUDGET nodes first.
     """
     if G.n != H.n or G.fingerprint() != H.fingerprint():
         return None
@@ -593,14 +592,12 @@ def all_subgroups(G: SmallGroup):
     with the cyclic subgroups complete it.
 
     Each subgroup found is registered with its whole conjugacy class
-    (`_conjugacy_class`), so every stage skips the conjugates of what it
-    found and goes on only from class representatives, and still reaches
-    every class: if U = V<x> and V^g represents V's class, then
-    U^g = V^g<x^g>, and x^g extends V^g (likewise for joins).  The conjugations by a generating set of G are checked on
-    the table to be automorphisms.  Every path ends with the p-subgroup
-    counts (`_require_p_counts`) and the class sizes: each divides |G|, and
-    they add up to the number of subgroups.  G keeps every subgroup's
-    generators (a conjugate's mapped by its conjugation) and each class
+    (`_conjugacy_class`, under conjugations checked on the table to be
+    automorphisms), so the stages go on only from class representatives;
+    they still reach every class, as U = V<x> gives U^g = V^g<x^g> (likewise
+    for joins).  Every path ends with the p-subgroup counts
+    (`_require_p_counts`) and the class sizes, each dividing |G|, adding up
+    to the subgroup count.  G keeps every subgroup's generators and each
     representative's class size.  G's table caps it at SUBGROUP_ORDER_CAP.
     """
     subs, classes = {}, {}  # subgroup -> generators; representative -> class size
@@ -627,9 +624,8 @@ def all_subgroups(G: SmallGroup):
             _cyclic_extension(G, subs, add, [(P, gens)])
     _require_p_counts(G.n, subs)
     sizes = list(classes.values())
-    require(sum(sizes) == len(subs) and not any(G.n % c for c in sizes),
-            "conjugacy classes hold %d subgroups, not %d, or a class size does not divide %d"
-            % (sum(sizes), len(subs), G.n))
+    require(sum(sizes) == len(subs) and not any(G.n % c for c in sizes), "conjugacy classes hold "
+            "%d subgroups, not %d, or a class size does not divide %d" % (sum(sizes), len(subs), G.n))
     G._sub_gens, G._sub_classes = subs, classes
     return sorted(subs, key=lambda t: (len(t), t))
 

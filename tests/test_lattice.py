@@ -379,7 +379,7 @@ CLASS_GROUPS = {
 }
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(sorted(CLASS_GROUPS)), seed=st.integers(0, 2**32))
 def test_extension_on_class_representatives_matches_every_subgroup_extended(name, seed):
     G = relabelled(CLASS_GROUPS[name], seed)
