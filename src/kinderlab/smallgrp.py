@@ -28,9 +28,9 @@ subgroups: `sigma_counts` runs it once for the whole lattice, and a lone
 group's `fingerprint` is the same pass over [G].  It forms no |H|^2
 products: H' is generated by the [x, g], x in H and g in a generating set
 of H (their subgroup N is normal, as [x, g]^h = [xh, g][h, g]^-1, and H/N
-is abelian, as every generator is central in it).  The lattice records the
-generators it extends by for each subgroup; any other subset is generated
-by its own members.  Centraliser orders are one float32 product of the
+is abelian, as every generator is central in it).  The lattice records
+generators of each subgroup it finds; any other subset is generated by its
+own members.  Centraliser orders are one float32 product of the
 membership rows with the commuting mask.
 
 The isomorphism test is a backtracking search over generator images, each
